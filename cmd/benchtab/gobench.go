@@ -60,10 +60,11 @@ var benchPasses = []benchPass{
 		benchtime: "100x", count: 3},
 	{name: "engine", pkg: "./internal/sim", benchRE: "^BenchmarkEngine", benchtime: "100x", count: 3},
 	{name: "flow", pkg: "./internal/flow", benchRE: "^BenchmarkFlowTracker", benchtime: "100x", count: 3},
+	{name: "stats", pkg: "./internal/stats", benchRE: "^BenchmarkHistogramWindowedPercentile$", benchtime: "100x", count: 3},
 }
 
 // benchCommand is the recorded description of the invocation set.
-const benchCommand = "go test -run NONE -bench <pass> -benchmem -benchtime {1x figures, 100x -count=3 micro+engine+flow, best kept}"
+const benchCommand = "go test -run NONE -bench <pass> -benchmem -benchtime {1x figures, 100x -count=3 micro+engine+flow+stats, best kept}"
 
 // args builds the go test argument list. Profile paths, when set, get
 // the pass name appended so the passes do not overwrite each other.
@@ -171,8 +172,9 @@ func runGoBench(path, cpuProfile, memProfile string) error {
 
 // gatedBenchmarks are the hot-path benchmarks the -check gate guards:
 // the batched TX/RX datapaths, the event-scheduler core (the timing
-// wheel's schedule/fire loop), and the figure-level scaling runs whose
-// allocation counts the zero-alloc sweep is accountable for.
+// wheel's schedule/fire loop), the per-window latency-quantile query,
+// and the figure-level scaling runs whose allocation counts the
+// zero-alloc sweep is accountable for.
 var gatedBenchmarks = map[string]bool{
 	"BenchmarkTable1PacketIO":        true,
 	"BenchmarkSimulatedLineRate":     true,
@@ -188,6 +190,8 @@ var gatedBenchmarks = map[string]bool{
 	"BenchmarkFig4Scaling120G":       true,
 	"BenchmarkFlowTrackerMillion":    true,
 	"BenchmarkFlowTrackerChurn":      true,
+
+	"BenchmarkHistogramWindowedPercentile": true,
 }
 
 // footprintGated marks gated benchmarks whose memory numbers are

@@ -186,13 +186,14 @@ func (e *Env) FlowTemplate(f Flow, size int) *proto.Template {
 }
 
 // NewFlowPool creates a mempool prefilled with the flow's packet
-// template at the given frame size.
+// template at the given frame size. Buffers are sized to the frame:
+// every packet drawn from the pool has exactly that length.
 func (e *Env) NewFlowPool(f Flow, size, count int) *mempool.Pool {
 	if count <= 0 {
 		count = 4096
 	}
 	fill := e.FlowFill(f, size)
-	return core.CreateMemPool(count, func(m *mempool.Mbuf) {
+	return core.CreateSizedMemPool(count, size, func(m *mempool.Mbuf) {
 		m.Len = size
 		fill(m, 0)
 	})

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -255,7 +255,13 @@ type Histogram struct {
 	dense   []uint64
 	denseLo int64
 
-	bins  map[int64]uint64
+	bins map[int64]uint64
+	// outliers lists the keys of bins, so percentile queries and Bins
+	// can walk the buckets in key order without allocating; it is
+	// re-sorted lazily after a new outlier key arrives.
+	outliers       []int64
+	outliersSorted bool
+
 	count uint64
 	sum   float64
 	sumsq float64
@@ -265,9 +271,13 @@ type Histogram struct {
 	// samples retains raw values for exact percentiles. Capped to
 	// avoid unbounded growth; above the cap, percentiles come from
 	// bins (precision = BinWidth, fine for 64 ns bins).
+	// samples[:sortedN] is ascending; a query sorts only the tail
+	// recorded since the previous one and merges it in through
+	// scratch, which is reused from query to query.
 	samples    []sim.Duration
 	maxSamples int
-	sorted     bool
+	sortedN    int
+	scratch    []sim.Duration
 }
 
 // denseBins is the width of the dense bucket window (64 kB of
@@ -317,7 +327,12 @@ func (h *Histogram) addBin(key int64, n uint64) {
 	if h.bins == nil {
 		h.bins = make(map[int64]uint64)
 	}
+	keys := len(h.bins)
 	h.bins[key] += n
+	if len(h.bins) != keys {
+		h.outliers = append(h.outliers, key)
+		h.outliersSorted = false
+	}
 }
 
 // Add records one duration.
@@ -335,7 +350,6 @@ func (h *Histogram) Add(d sim.Duration) {
 	h.addBin(h.binKey(d), 1)
 	if len(h.samples) < h.maxSamples {
 		h.samples = append(h.samples, d)
-		h.sorted = false
 	}
 }
 
@@ -374,7 +388,6 @@ func (h *Histogram) Merge(other *Histogram) {
 			take = take[:room]
 		}
 		h.samples = append(h.samples, take...)
-		h.sorted = false
 	}
 }
 
@@ -382,12 +395,13 @@ func (h *Histogram) Merge(other *Histogram) {
 func (h *Histogram) Count() uint64 { return h.count }
 
 // FootprintBytes returns the histogram's resident memory: the dense
-// bucket window, the retained sample buffer, and an estimate for the
-// sparse overflow map (per-entry key+count plus bucket overhead). The
+// bucket window, the retained sample buffer and its merge scratch, and
+// an estimate for the sparse overflow map (per-entry key+count plus
+// bucket overhead, and the entry's slot in the sorted key list). The
 // flow tracker uses it to account lazily created per-flow histograms
 // in its table-footprint diagnostics.
 func (h *Histogram) FootprintBytes() uint64 {
-	return uint64(len(h.dense))*8 + uint64(cap(h.samples))*8 + uint64(len(h.bins))*24
+	return uint64(len(h.dense))*8 + uint64(cap(h.samples)+cap(h.scratch))*8 + uint64(len(h.bins))*32
 }
 
 // Mean returns the sample mean.
@@ -417,11 +431,55 @@ func (h *Histogram) Min() sim.Duration { return h.min }
 // Max returns the largest sample.
 func (h *Histogram) Max() sim.Duration { return h.max }
 
+// ensureSorted makes samples ascending. Only the tail recorded since
+// the last query is sorted; it is then merged into the sorted prefix
+// backwards and in place: each new sample, largest first, gallops down
+// the prefix to its slot and the prefix run above it moves up in one
+// copy. A query thus costs its new samples plus one move of the prefix
+// above the smallest of them, not a re-sort of the whole history.
 func (h *Histogram) ensureSorted() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
+	s, n := h.samples, h.sortedN
+	h.sortedN = len(s)
+	tail := s[n:]
+	if len(tail) == 0 {
+		return
 	}
+	slices.Sort(tail)
+	if n == 0 || s[n-1] <= tail[0] {
+		return
+	}
+	h.scratch = append(h.scratch[:0], tail...)
+	hi := n // s[:hi] is the prefix not yet moved
+	for j := len(h.scratch) - 1; j >= 0; j-- {
+		v := h.scratch[j]
+		lo := gallopAbove(s[:hi], v)
+		copy(s[lo+j+1:hi+j+1], s[lo:hi])
+		s[lo+j] = v
+		hi = lo
+	}
+}
+
+// gallopAbove returns the index of the first value above v in the
+// ascending s, probing back from the end in doubling steps and then
+// bisecting the last step. Its cost grows with the log of the distance
+// from the end, so placing descending values one after another in
+// shrinking prefixes costs the gaps between them, not the prefix.
+func gallopAbove(s []sim.Duration, v sim.Duration) int {
+	lo, hi := len(s)-1, len(s) // s[hi:] is above v
+	for step := 1; lo > 0 && s[lo] > v; step *= 2 {
+		hi = lo
+		lo = max(len(s)-2*step, 0)
+	}
+	lo = max(lo, 0)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] > v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // Percentile returns the p-th percentile (0 < p ≤ 100).
@@ -437,13 +495,16 @@ func (h *Histogram) Percentile(p float64) sim.Duration {
 	// Bin-based fallback.
 	target := uint64(p / 100 * float64(h.count))
 	var cum uint64
-	for _, b := range h.Bins() {
-		cum += b.Count
+	q := h.max
+	h.eachBinAscending(func(k int64, c uint64) bool {
+		cum += c
 		if cum >= target {
-			return b.Lo
+			q = sim.Duration(k * int64(h.BinWidth))
+			return false
 		}
-	}
-	return h.max
+		return true
+	})
+	return q
 }
 
 // Median returns the 50th percentile.
@@ -514,7 +575,7 @@ type Bin struct {
 
 // eachBin visits every non-empty bucket (dense window, then sparse
 // outliers) in unspecified order. Counts are exact; callers needing
-// ascending order use Bins.
+// ascending order use eachBinAscending.
 func (h *Histogram) eachBin(f func(key int64, count uint64)) {
 	for i, v := range h.dense {
 		if v != 0 {
@@ -526,24 +587,41 @@ func (h *Histogram) eachBin(f func(key int64, count uint64)) {
 	}
 }
 
-// Bins returns the non-empty buckets in ascending order.
-func (h *Histogram) Bins() []Bin {
-	keys := make([]int64, 0, len(h.bins))
-	h.eachBin(func(k int64, _ uint64) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Bin, len(keys))
-	for i, k := range keys {
-		out[i] = Bin{Lo: sim.Duration(k * int64(h.BinWidth)), Count: h.binCount(k)}
+// eachBinAscending visits the non-empty buckets in ascending key order
+// until f returns false: outliers below the dense window, the window,
+// then outliers above it. The window is anchored before any outlier is
+// counted and never moves, so no outlier key falls inside it.
+func (h *Histogram) eachBinAscending(f func(key int64, count uint64) bool) {
+	if !h.outliersSorted {
+		slices.Sort(h.outliers)
+		h.outliersSorted = true
 	}
-	return out
+	i := 0
+	for ; i < len(h.outliers) && h.outliers[i] < h.denseLo; i++ {
+		if !f(h.outliers[i], h.bins[h.outliers[i]]) {
+			return
+		}
+	}
+	for j, v := range h.dense {
+		if v != 0 && !f(h.denseLo+int64(j), v) {
+			return
+		}
+	}
+	for _, k := range h.outliers[i:] {
+		if !f(k, h.bins[k]) {
+			return
+		}
+	}
 }
 
-// binCount returns one bucket's count across both stores.
-func (h *Histogram) binCount(key int64) uint64 {
-	if idx := key - h.denseLo; h.dense != nil && idx >= 0 && idx < denseBins {
-		return h.dense[idx]
-	}
-	return h.bins[key]
+// Bins returns the non-empty buckets in ascending order.
+func (h *Histogram) Bins() []Bin {
+	var out []Bin
+	h.eachBinAscending(func(k int64, c uint64) bool {
+		out = append(out, Bin{Lo: sim.Duration(k * int64(h.BinWidth)), Count: c})
+		return true
+	})
+	return out
 }
 
 // WriteCSV dumps "bin_lo_ns,count,probability" rows.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -486,5 +487,221 @@ func TestHistogramAddZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("dense-window Add allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// refHistogram is the full-sort reference for Histogram's percentiles:
+// the same bucket counts and capped sample buffer, but every exact query
+// re-sorts the whole buffer in place and the bin fallback sorts every
+// bucket key, as Histogram did before its queries became incremental.
+// Sorting in place matters: Merge carries the source's samples over in
+// their current order, so which samples survive a cap depends on it.
+type refHistogram struct {
+	binWidth   sim.Duration
+	bins       map[int64]uint64
+	count      uint64
+	max        sim.Duration
+	samples    []sim.Duration
+	maxSamples int
+}
+
+func newRefHistogram(binWidth sim.Duration, maxSamples int) *refHistogram {
+	return &refHistogram{binWidth: binWidth, bins: map[int64]uint64{}, max: math.MinInt64, maxSamples: maxSamples}
+}
+
+func (r *refHistogram) Add(d sim.Duration) {
+	r.count++
+	r.max = max(r.max, d)
+	r.bins[int64(d)/int64(r.binWidth)]++
+	if len(r.samples) < r.maxSamples {
+		r.samples = append(r.samples, d)
+	}
+}
+
+func (r *refHistogram) Merge(o *refHistogram) {
+	r.count += o.count
+	r.max = max(r.max, o.max)
+	for k, v := range o.bins {
+		r.bins[k] += v
+	}
+	if room := r.maxSamples - len(r.samples); room > 0 {
+		r.samples = append(r.samples, o.samples[:min(room, len(o.samples))]...)
+	}
+}
+
+func (r *refHistogram) Percentile(p float64) sim.Duration {
+	if r.count == 0 {
+		return 0
+	}
+	if uint64(len(r.samples)) == r.count {
+		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
+		return r.samples[int(p/100*float64(len(r.samples)-1))]
+	}
+	keys := make([]int64, 0, len(r.bins))
+	for k := range r.bins {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	target := uint64(p / 100 * float64(r.count))
+	var cum uint64
+	for _, k := range keys {
+		cum += r.bins[k]
+		if cum >= target {
+			return sim.Duration(k * int64(r.binWidth))
+		}
+	}
+	return r.max
+}
+
+// latencyRun draws n samples of one shape: wide uniform, heavy ties,
+// constant, ascending, descending, or far outliers that leave the
+// dense bucket window on both sides.
+func latencyRun(rng *rand.Rand, n int) []sim.Duration {
+	out := make([]sim.Duration, n)
+	base := sim.Duration(1+rng.Intn(20)) * sim.Microsecond
+	step := sim.Duration(rng.Intn(200)) * sim.Nanosecond
+	shape := rng.Intn(6)
+	for i := range out {
+		switch shape {
+		case 0:
+			out[i] = base + sim.Duration(rng.Int63n(int64(20*sim.Microsecond)))
+		case 1:
+			out[i] = base + sim.Duration(rng.Intn(4))*sim.Microsecond
+		case 2:
+			out[i] = base
+		case 3:
+			out[i] = base + sim.Duration(i)*step
+		case 4:
+			out[i] = base - sim.Duration(i)*step
+		case 5:
+			out[i] = sim.Duration(rng.Intn(7)-3) * sim.Second
+		}
+	}
+	return out
+}
+
+// TestHistogramPercentileMatchesFullSort pins the incremental query to
+// the full-sort reference over random interleavings of Add, Merge
+// (into targets whose samples are partly sorted by earlier queries, from
+// sources in the same state) and queries at random p, with and without
+// a small sample cap that pushes the histogram onto its bin fallback.
+func TestHistogramPercentileMatchesFullSort(t *testing.T) {
+	const width = 64 * sim.Nanosecond
+	for trial := 0; trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		maxSamples := 1 << 20
+		if trial%2 == 1 {
+			maxSamples = 10 + rng.Intn(300)
+		}
+		h, ref := NewHistogram(width), newRefHistogram(width, maxSamples)
+		h.maxSamples = maxSamples
+		src, srcRef := NewHistogram(width), newRefHistogram(width, maxSamples)
+		src.maxSamples = maxSamples
+		check := func(step int, hist *Histogram, r *refHistogram, p float64) {
+			t.Helper()
+			if got, want := hist.Percentile(p), r.Percentile(p); got != want {
+				t.Fatalf("trial %d step %d: Percentile(%v) = %v, full sort gives %v", trial, step, p, got, want)
+			}
+		}
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				for _, d := range latencyRun(rng, 1+rng.Intn(40)) {
+					h.Add(d)
+					ref.Add(d)
+				}
+			case op < 6:
+				for _, d := range latencyRun(rng, 1+rng.Intn(40)) {
+					src.Add(d)
+					srcRef.Add(d)
+				}
+			case op < 7:
+				check(step, src, srcRef, 100*rng.Float64())
+			case op < 8:
+				h.Merge(src)
+				ref.Merge(srcRef)
+				if rng.Intn(2) == 0 {
+					src, srcRef = NewHistogram(width), newRefHistogram(width, maxSamples)
+					src.maxSamples = maxSamples
+				}
+			default:
+				check(step, h, ref, 100*rng.Float64())
+			}
+		}
+		for _, p := range []float64{0, 1, 25, 50, 75, 99, 99.9, 100} {
+			check(-1, h, ref, p)
+		}
+		var total uint64
+		bins := h.Bins()
+		for i, b := range bins {
+			total += b.Count
+			if b.Count != ref.bins[int64(b.Lo)/int64(width)] || (i > 0 && bins[i-1].Lo >= b.Lo) {
+				t.Fatalf("trial %d: bin %d = %+v out of order or miscounted", trial, i, b)
+			}
+		}
+		if len(bins) != len(ref.bins) || total != ref.count {
+			t.Fatalf("trial %d: %d bins holding %d samples, reference has %d holding %d", trial, len(bins), total, len(ref.bins), ref.count)
+		}
+	}
+}
+
+// TestHistogramWindowedPercentileZeroAlloc pins the telemetry query
+// contract: a steady-state window — no more new samples than the window
+// before, then p50 and p99 — allocates nothing, on the exact path and,
+// once the sample cap is passed, on the bin fallback.
+func TestHistogramWindowedPercentileZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	h := NewHistogram(64 * sim.Nanosecond)
+	// Room for the history and every measured window, so the sample
+	// buffer itself never grows during the measurement.
+	h.samples = make([]sim.Duration, 0, 1<<16)
+	for i := 0; i < 1<<14; i++ {
+		h.Add(sim.Microsecond + sim.Duration(rng.Int63n(int64(20*sim.Microsecond))))
+	}
+	h.Add(-sim.Second) // outliers on both sides of the dense window
+	h.Add(sim.Second)
+	h.Percentile(50)
+	window := func() {
+		for i := 0; i < 100; i++ {
+			h.Add(sim.Microsecond + sim.Duration(rng.Int63n(int64(20*sim.Microsecond))))
+		}
+		h.Percentile(50)
+		h.Percentile(99)
+	}
+	if allocs := testing.AllocsPerRun(100, window); allocs != 0 {
+		t.Fatalf("exact windowed query allocates %.1f objects per window, want 0", allocs)
+	}
+	h.maxSamples = len(h.samples)
+	if allocs := testing.AllocsPerRun(100, window); allocs != 0 {
+		t.Fatalf("bin-fallback windowed query allocates %.1f objects per window, want 0", allocs)
+	}
+}
+
+var durationSink sim.Duration
+
+// BenchmarkHistogramWindowedPercentile prices one telemetry window of a
+// flow's latency quantiles: 500 new samples on top of a resident history
+// of 2^20, then p50 and p99 — what FlowProbe asks of every tracked flow
+// each window. The cap is raised so every window stays on the exact
+// path, and the buffer is sized up front so the timing is the query's.
+func BenchmarkHistogramWindowedPercentile(b *testing.B) {
+	const history, window = 1 << 20, 500
+	rng := rand.New(rand.NewSource(1))
+	lat := func() sim.Duration {
+		return sim.Microsecond + sim.Duration(rng.Int63n(int64(20*sim.Microsecond)))
+	}
+	h := NewHistogram(64 * sim.Nanosecond)
+	h.maxSamples = history + (b.N+1)*window
+	h.samples = make([]sim.Duration, 0, h.maxSamples)
+	for i := 0; i < history; i++ {
+		h.Add(lat())
+	}
+	h.Percentile(50)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < window; j++ {
+			h.Add(lat())
+		}
+		durationSink = h.Percentile(50) + h.Percentile(99)
 	}
 }

@@ -62,9 +62,7 @@ type FlowCol struct {
 // the model series' cross-core byte-identity. Their guards handle the
 // lazy histogram contract — a flow that never carries a stamped
 // timestamp never allocates a histogram, and its quantiles read 0
-// exactly as an empty histogram's did. Quantile sampling also sorts
-// the tracker's latency samples, so the flow probe is for observed
-// runs and goldens, not for the zero-alloc benchmark class.
+// exactly as an empty histogram's did.
 func FlowProbe(tr *flow.Tracker, flows []FlowCol) Probe {
 	cols := []Column{
 		{Name: "live", Rule: RuleSum, Sample: tr.ActiveFlows},
