@@ -112,11 +112,12 @@ func goldenCompare(t *testing.T, name, got string) {
 	t.Fatalf("%s differs from golden (run with -update if intentional)", name)
 }
 
-// runGoldenScenario executes a flow-tracked scenario at the canonical
-// golden configuration (10 ms, seed 5, two sharded cores so the merge
-// path is inside the gate). withTelemetry additionally records the
-// 1 ms telemetry series.
-func runGoldenScenario(t *testing.T, name string, withTelemetry bool) *scenario.Report {
+// runGoldenScenario executes a scenario at the canonical golden
+// configuration (10 ms, seed 5) on the given number of sharded cores:
+// two puts the merge path inside the gate, one serves the scenarios
+// that refuse sharding. withTelemetry additionally records the 1 ms
+// telemetry series.
+func runGoldenScenario(t *testing.T, name string, cores int, withTelemetry bool) *scenario.Report {
 	t.Helper()
 	sc, ok := scenario.Get(name)
 	if !ok {
@@ -125,7 +126,7 @@ func runGoldenScenario(t *testing.T, name string, withTelemetry bool) *scenario.
 	spec := sc.DefaultSpec()
 	spec.Runtime = 10 * sim.Millisecond
 	spec.Seed = 5
-	spec.Cores = 2
+	spec.Cores = cores
 	if withTelemetry {
 		spec.TelemetryInterval = sim.Millisecond
 	}
@@ -144,7 +145,7 @@ func runGoldenScenario(t *testing.T, name string, withTelemetry bool) *scenario.
 // invariant across core counts.
 func goldenTelemetryCSV(t *testing.T, name string) string {
 	t.Helper()
-	rep := runGoldenScenario(t, name, true)
+	rep := runGoldenScenario(t, name, 2, true)
 	if rep.Telemetry == nil {
 		t.Fatalf("%s: no telemetry series in the merged report", name)
 	}
@@ -180,12 +181,12 @@ func TestExperimentsGolden(t *testing.T) {
 	})
 	t.Run("loss-overload", func(t *testing.T) {
 		var b strings.Builder
-		reportCSV(&b, runGoldenScenario(t, "loss-overload", false))
+		reportCSV(&b, runGoldenScenario(t, "loss-overload", 2, false))
 		goldenCompare(t, "loss_overload.csv", b.String())
 	})
 	t.Run("reorder", func(t *testing.T) {
 		var b strings.Builder
-		reportCSV(&b, runGoldenScenario(t, "reorder", false))
+		reportCSV(&b, runGoldenScenario(t, "reorder", 2, false))
 		goldenCompare(t, "reorder.csv", b.String())
 	})
 	t.Run("telemetry-softcbr", func(t *testing.T) {
@@ -196,12 +197,12 @@ func TestExperimentsGolden(t *testing.T) {
 	})
 	t.Run("linkflap", func(t *testing.T) {
 		var b strings.Builder
-		reportCSV(&b, runGoldenScenario(t, "linkflap", false))
+		reportCSV(&b, runGoldenScenario(t, "linkflap", 2, false))
 		goldenCompare(t, "linkflap.csv", b.String())
 	})
 	t.Run("overload-recover", func(t *testing.T) {
 		var b strings.Builder
-		reportCSV(&b, runGoldenScenario(t, "overload-recover", false))
+		reportCSV(&b, runGoldenScenario(t, "overload-recover", 2, false))
 		goldenCompare(t, "overload_recover.csv", b.String())
 	})
 	// The linkflap telemetry golden includes the diagnostic columns, so
@@ -209,5 +210,23 @@ func TestExperimentsGolden(t *testing.T) {
 	// byte-for-byte at the canonical two-core configuration.
 	t.Run("telemetry-linkflap", func(t *testing.T) {
 		goldenCompare(t, "telemetry_linkflap.csv", goldenTelemetryCSV(t, "linkflap"))
+	})
+	// The remaining slot-grid TX users: churn's fid/seq patching,
+	// softcbr's plain grid and reflect's echo/ARP requester (reflect
+	// refuses sharding, so it runs on one core).
+	t.Run("churn", func(t *testing.T) {
+		var b strings.Builder
+		reportCSV(&b, runGoldenScenario(t, "churn", 2, false))
+		goldenCompare(t, "churn.csv", b.String())
+	})
+	t.Run("softcbr", func(t *testing.T) {
+		var b strings.Builder
+		reportCSV(&b, runGoldenScenario(t, "softcbr", 2, false))
+		goldenCompare(t, "softcbr.csv", b.String())
+	})
+	t.Run("reflect", func(t *testing.T) {
+		var b strings.Builder
+		reportCSV(&b, runGoldenScenario(t, "reflect", 1, false))
+		goldenCompare(t, "reflect.csv", b.String())
 	})
 }
