@@ -406,14 +406,14 @@ func BenchmarkSimulatedLineRate(b *testing.B) {
 	}
 	app.Eng.Schedule(app.Eng.Now(), feed)
 	app.Eng.Run(app.Eng.Now().Add(sim.Millisecond)) // warmup millisecond
-	warm := tx.GetStats().TxPackets
+	warm := tx.CounterSnapshot().TxPackets
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		app.Eng.Run(app.Eng.Now().Add(sim.Millisecond))
 	}
 	b.StopTimer()
-	st := tx.GetStats()
+	st := tx.CounterSnapshot()
 	b.ReportMetric(float64(st.TxPackets-warm)/float64(b.N), "sim-pkts/iter")
 	if wall := b.Elapsed().Nanoseconds(); wall > 0 {
 		simNS := float64(b.N) * float64(sim.Millisecond.Nanoseconds())
@@ -597,14 +597,14 @@ func BenchmarkSpecCompiledLineRate(b *testing.B) {
 	}
 	app := env.App()
 	app.Eng.Run(app.Eng.Now().Add(sim.Millisecond)) // warmup millisecond
-	warm := env.TX().GetStats().TxPackets
+	warm := env.TX().CounterSnapshot().TxPackets
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		app.Eng.Run(app.Eng.Now().Add(sim.Millisecond))
 	}
 	b.StopTimer()
-	st := env.TX().GetStats()
+	st := env.TX().CounterSnapshot()
 	b.ReportMetric(float64(st.TxPackets-warm)/float64(b.N), "sim-pkts/iter")
 	if wall := b.Elapsed().Nanoseconds(); wall > 0 {
 		simNS := float64(b.N) * float64(sim.Millisecond.Nanoseconds())
@@ -645,7 +645,7 @@ func BenchmarkFaultInjectorOverhead(b *testing.B) {
 	}
 	app.Eng.Schedule(app.Eng.Now(), feed)
 	app.Eng.Run(app.Eng.Now().Add(sim.Millisecond)) // warmup millisecond
-	warm := tx.GetStats().TxPackets
+	warm := tx.CounterSnapshot().TxPackets
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -655,7 +655,7 @@ func BenchmarkFaultInjectorOverhead(b *testing.B) {
 	if inj.State() != fault.Armed || inj.Fired() != 0 {
 		b.Fatalf("injector left the armed state during the bench: %v fired=%d", inj.State(), inj.Fired())
 	}
-	st := tx.GetStats()
+	st := tx.CounterSnapshot()
 	b.ReportMetric(float64(st.TxPackets-warm)/float64(b.N), "sim-pkts/iter")
 	if wall := b.Elapsed().Nanoseconds(); wall > 0 {
 		simNS := float64(b.N) * float64(sim.Millisecond.Nanoseconds())

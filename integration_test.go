@@ -209,7 +209,7 @@ func TestReflectorRoundTrip(t *testing.T) {
 				sent++
 			}
 			// Drain echoes opportunistically.
-			n := a.GetRxQueue(0).Recv(rx)
+			n := a.GetRxQueue(0).RecvBurst(rx)
 			for _, e := range rx[:n] {
 				ep := proto.UDPPacket{B: e.Payload()}
 				if ep.IP().Dst() != proto.MustIPv4("10.0.0.1") || !ep.VerifyChecksums() {
@@ -222,7 +222,7 @@ func TestReflectorRoundTrip(t *testing.T) {
 		}
 		// Final drain.
 		for deadline := tk.Now().Add(sim.Millisecond); tk.Now() < deadline; {
-			n := a.GetRxQueue(0).Recv(rx)
+			n := a.GetRxQueue(0).RecvBurst(rx)
 			if n == 0 {
 				tk.Sleep(10 * sim.Microsecond)
 				continue
@@ -301,7 +301,7 @@ func TestDeterministicReproduction(t *testing.T) {
 		g := &core.GapTx{Queue: tx.GetTxQueue(0), Pattern: rate.NewPoissonPPS(2e6), PktSize: 60}
 		app.LaunchTask("gap", g.Run)
 		app.RunFor(5 * sim.Millisecond)
-		st := tx.GetStats()
+		st := tx.CounterSnapshot()
 		return st.TxPackets, st.TxBytes
 	}
 	p1, b1 := run()

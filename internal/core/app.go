@@ -168,12 +168,12 @@ func (t *Task) AllocAll(ba *mempool.BufArray, size int) int {
 // or the run ends — the counterSlave loop of Listing 3.
 func (t *Task) RecvPoll(q *nic.RxQueue, out []*mempool.Mbuf) int {
 	for {
-		if n := q.Recv(out); n > 0 {
+		if n := q.RecvBurst(out); n > 0 {
 			return n
 		}
 		if !t.Running() {
 			// Final drain.
-			return q.Recv(out)
+			return q.RecvBurst(out)
 		}
 		t.Sleep(backoff)
 	}

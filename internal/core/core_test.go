@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mempool"
@@ -102,7 +104,7 @@ func TestUDPFloodLineRate(t *testing.T) {
 	app.LaunchTask("loadSlave", flood.Run)
 	const runFor = 5 * sim.Millisecond
 	var atStop uint64
-	app.Eng.Schedule(sim.Time(runFor), func() { atStop = tx.GetStats().TxPackets })
+	app.Eng.Schedule(sim.Time(runFor), func() { atStop = tx.CounterSnapshot().TxPackets })
 	app.RunFor(runFor)
 
 	pps := float64(atStop) / sim.Duration(runFor).Seconds()
@@ -214,7 +216,7 @@ func TestGapTxExactCBR(t *testing.T) {
 		}
 	}
 	// The receiving NIC saw the fillers only as CRC errors.
-	st := rx.GetStats()
+	st := rx.CounterSnapshot()
 	if st.RxCRCErrors == 0 {
 		t.Fatal("no filler frames observed")
 	}
@@ -272,7 +274,7 @@ func TestGapTxSaturatesWire(t *testing.T) {
 	}
 	app.LaunchTask("gaptx", g.Run)
 	app.RunFor(5 * sim.Millisecond)
-	st := tx.GetStats()
+	st := tx.CounterSnapshot()
 	wireBytes := st.TxBytes + uint64(st.TxPackets)*(proto.FCSLen+proto.WireOverhead)
 	util := float64(wireBytes*8) / (10e9 * sim.Duration(5*sim.Millisecond).Seconds())
 	if util < 0.99 {
@@ -300,23 +302,162 @@ func TestHWRateTx(t *testing.T) {
 	}
 }
 
-func TestPushTxFollowsPattern(t *testing.T) {
-	app := NewApp(11)
-	tx := app.ConfigDevice(DeviceConfig{Profile: nic.ChipX540, ID: 0})
+// pushBed is a two-port 10GbE testbed whose receiver counts (and
+// consumes) every delivered frame.
+func pushBed(seed int64, txRing int) (*App, *nic.TxQueue, *int) {
+	app := NewApp(seed)
+	tx := app.ConfigDevice(DeviceConfig{Profile: nic.ChipX540, ID: 0, TxRing: txRing})
 	rx := app.ConfigDevice(DeviceConfig{Profile: nic.ChipX540, ID: 1})
 	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
-	count := 0
-	rx.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { count++; return true })
+	delivered := new(int)
+	rx.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { *delivered++; return true })
+	return app, tx.GetTxQueue(0), delivered
+}
 
-	p := &PushTx{Queue: tx.GetTxQueue(0), Pattern: rate.NewCBRPPS(500e3), PktSize: 60}
-	app.LaunchTask("pushtx", p.Run)
-	const runFor = 10 * sim.Millisecond
-	atStop := 0
-	app.Eng.Schedule(sim.Time(runFor), func() { atStop = count })
-	app.RunFor(runFor)
-	got := float64(atStop) / sim.Duration(runFor).Seconds()
-	if math.Abs(got-500e3)/500e3 > 0.01 {
-		t.Fatalf("push rate = %.0f", got)
+// TestPushTxFollowsSchedule pins the kernel's pacing contract: slot n is
+// pushed at exactly start + schedule(n), for every slot whose deadline
+// falls inside the run, whatever the schedule's shape.
+func TestPushTxFollowsSchedule(t *testing.T) {
+	const runFor = 200 * sim.Microsecond
+	ramp := func(j uint64) sim.Duration { // base, peak, base again
+		switch {
+		case j < 10:
+			return sim.Duration(j) * 4 * sim.Microsecond
+		case j < 60:
+			return 40*sim.Microsecond + sim.Duration(j-10)*sim.Microsecond
+		default:
+			return 90*sim.Microsecond + sim.Duration(j-60)*4*sim.Microsecond
+		}
+	}
+	poisson := rate.NewPoissonPPS(500e3)
+	cases := []struct {
+		name     string
+		schedule func() func(n uint64) sim.Duration
+	}{
+		{"uniform-phase", func() func(uint64) sim.Duration { return Uniform(300*sim.Nanosecond, 2*sim.Microsecond) }},
+		{"ramp", func() func(uint64) sim.Duration { return ramp }},
+		{"pattern", func() func(uint64) sim.Duration {
+			return PatternSchedule(poisson, rand.New(rand.NewSource(7)))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			app, q, delivered := pushBed(11, 0)
+			pool := CreateSizedMemPool(64, 60, udpPrefill(60))
+			var pushed []sim.Time
+			record := func(m *mempool.Mbuf, now sim.Time) { pushed = append(pushed, now) }
+			p := &PushTx{Queue: q, Schedule: c.schedule()}
+			p.Slot = func(uint64) { p.Send(pool, 60, record) }
+			app.LaunchTask("push", p.Run)
+			app.RunFor(runFor)
+
+			// The expected grid, recomputed independently of the kernel:
+			// every deadline inside the run, none after it.
+			var want []sim.Time
+			schedule := c.schedule()
+			for n := uint64(0); ; n++ {
+				at := sim.Time(schedule(n))
+				if at >= sim.Time(runFor) {
+					break
+				}
+				want = append(want, at)
+			}
+			if !slices.Equal(pushed, want) {
+				t.Fatalf("pushed at %v\nwant %v", pushed, want)
+			}
+			if p.Sent != uint64(len(want)) || p.Failed != 0 {
+				t.Fatalf("sent %d, failed %d; want %d slots, none failed", p.Sent, p.Failed, len(want))
+			}
+			if *delivered != len(want) || pool.Available() != 64 {
+				t.Fatalf("delivered %d of %d, pool back to %d of 64", *delivered, len(want), pool.Available())
+			}
+		})
+	}
+}
+
+// TestPushTxCountsFailedSlots pins both failure paths: a slot whose pool
+// is dry is dropped, and a frame the full descriptor ring refuses is
+// freed. Each counts in Failed, the hook sees each outcome, and every
+// buffer returns to its pool.
+func TestPushTxCountsFailedSlots(t *testing.T) {
+	t.Run("pool-dry", func(t *testing.T) {
+		app, q, delivered := pushBed(12, 0)
+		pool := CreateSizedMemPool(64, 60, udpPrefill(60))
+		dry := CreateSizedMemPool(1, 60, nil)
+		held := dry.Alloc(60) // the pool's only buffer: every Alloc fails
+		var ok, failed uint64
+		p := &PushTx{Queue: q, Schedule: Uniform(0, sim.Microsecond)}
+		p.Slot = func(n uint64) {
+			a := pool
+			if n%4 == 3 {
+				a = dry
+			}
+			if p.Send(a, 60, nil) {
+				ok++
+			} else {
+				failed++
+			}
+		}
+		app.LaunchTask("push", p.Run)
+		app.RunFor(100 * sim.Microsecond)
+		held.Free()
+		if p.Sent != 75 || p.Failed != 25 || ok != p.Sent || failed != p.Failed {
+			t.Fatalf("sent %d failed %d (hook saw %d/%d), want 75/25", p.Sent, p.Failed, ok, failed)
+		}
+		if *delivered != 75 || pool.Available() != 64 || dry.Available() != 1 {
+			t.Fatalf("delivered %d, pools back to %d/64 and %d/1", *delivered, pool.Available(), dry.Available())
+		}
+	})
+	t.Run("ring-full", func(t *testing.T) {
+		// A 1 kpps shaper behind an 8-deep ring cannot keep up with a
+		// 1 Mpps slot grid: the ring fills and refuses the rest.
+		app, q, delivered := pushBed(13, 8)
+		q.SetRatePPS(1e3)
+		pool := CreateSizedMemPool(64, 60, udpPrefill(60))
+		var ok, failed uint64
+		p := &PushTx{Queue: q, Schedule: Uniform(0, sim.Microsecond)}
+		p.Slot = func(uint64) {
+			if p.Send(pool, 60, nil) {
+				ok++
+			} else {
+				failed++
+			}
+		}
+		app.LaunchTask("push", p.Run)
+		app.RunFor(100 * sim.Microsecond)
+		if p.Sent+p.Failed != 100 || p.Sent < 8 || p.Failed == 0 || ok != p.Sent || failed != p.Failed {
+			t.Fatalf("sent %d failed %d (hook saw %d/%d) over 100 slots", p.Sent, p.Failed, ok, failed)
+		}
+		if *delivered != int(p.Sent) || pool.Available() != 64 {
+			t.Fatalf("delivered %d of %d sent, pool back to %d of 64", *delivered, p.Sent, pool.Available())
+		}
+	})
+}
+
+// TestPushTxSteadyStateAllocs pins the kernel's hot path at zero heap
+// allocations per slot once the testbed is warm.
+func TestPushTxSteadyStateAllocs(t *testing.T) {
+	app, q, _ := pushBed(14, 0)
+	pool := CreateSizedMemPool(64, 60, udpPrefill(60))
+	var seq uint64
+	stamp := func(m *mempool.Mbuf, now sim.Time) { seq++ }
+	p := &PushTx{Queue: q, Schedule: Uniform(0, sim.Microsecond)}
+	p.Slot = func(uint64) { p.Send(pool, 60, stamp) }
+	app.LaunchTask("push", p.Run)
+	app.Eng.SetRunFor(sim.Second)
+	until := sim.Time(100 * sim.Microsecond)
+	app.Eng.Run(until) // warm up rings, wheel buckets and frame free lists
+	allocs := testing.AllocsPerRun(100, func() {
+		until = until.Add(10 * sim.Microsecond)
+		app.Eng.Run(until)
+	})
+	app.Eng.Stop()
+	app.Eng.RunAll()
+	if allocs != 0 {
+		t.Fatalf("steady-state slots allocate %.2f times per 10 slots, want 0", allocs)
+	}
+	if p.Sent < 1000 || p.Failed != 0 || seq != p.Sent {
+		t.Fatalf("sent %d failed %d filled %d", p.Sent, p.Failed, seq)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+
 	"repro/internal/mempool"
 	"repro/internal/nic"
 	"repro/internal/proto"
@@ -187,47 +189,88 @@ func (g *GapTx) Run(t *Task) {
 	s.flush()
 }
 
-// PushTx models the classic software rate control of existing packet
-// generators (§7.1): push one packet at a time at explicitly chosen
-// times and hope the NIC's DMA engine mirrors them onto the wire. The
-// Pattern supplies the (jittery) inter-departure process — use
-// rate.SoftPush for a Pktgen-DPDK-like generator or rate.Bursty for a
-// zsend-like one. The queue must be unshaped: with at most one packet
-// in flight, the wire departure tracks the push time.
-type PushTx struct {
-	Queue   *nic.TxQueue
-	Pattern rate.Pattern
-	PktSize int
-	Fill    func(m *mempool.Mbuf, i uint64)
+// Allocator is a frame source for PushTx.Send: *mempool.Pool and
+// *mempool.Cache both qualify.
+type Allocator interface {
+	Alloc(size int) *mempool.Mbuf
+}
 
-	Sent uint64
+// PushTx is the slot-paced software transmit loop. It models the
+// classic software rate control of existing packet generators (§7.1):
+// push one packet at a time at explicitly chosen times and hope the
+// NIC's DMA engine mirrors them onto the wire. The same loop drives
+// every exact software grid: slot n's deadline is the task start plus
+// Schedule(n); once the task wakes there with the run still live, the
+// Slot hook decides what the slot carries. On an unshaped queue with at
+// most one packet in flight, the wire departure tracks the push time.
+type PushTx struct {
+	Queue *nic.TxQueue
+	// Schedule returns slot n's deadline as an offset from the task
+	// start. It is called once per slot, in slot order, before the task
+	// sleeps, so a stateful schedule (PatternSchedule) draws its gaps in
+	// slot order.
+	Schedule func(n uint64) sim.Duration
+	// Slot decides what slot n carries by calling Send once per frame:
+	// not at all to drop the slot, twice to duplicate a frame. Send's
+	// result tells it each frame's outcome.
+	Slot func(n uint64)
+
+	// Sent counts frames handed to the queue; Failed counts frames lost
+	// to a dry pool or a full descriptor ring.
+	Sent, Failed uint64
+
+	task *Task
 }
 
 // Run transmits until the run ends. It must run as its own task.
 func (p *PushTx) Run(t *Task) {
-	cache := t.Cache()
-	rng := t.Engine().Rand()
-	next := t.Now()
-	var i uint64
-	for t.Running() {
-		next = next.Add(p.Pattern.NextGap(rng))
-		t.SleepUntil(next)
+	p.task = t
+	start := t.Now()
+	for n := uint64(0); t.Running(); n++ {
+		t.SleepUntil(start.Add(p.Schedule(n)))
 		if !t.Running() {
 			break
 		}
-		m := cache.Alloc(p.PktSize)
-		if m == nil {
-			continue // overload: the generator drops, like the original
-		}
-		if p.Fill != nil {
-			p.Fill(m, i)
-		}
-		if !p.Queue.SendOne(m) {
-			m.Free()
-			continue
-		}
-		p.Sent++
-		i++
+		p.Slot(n)
+	}
+}
+
+// Send allocates one size-byte frame from a, fills it (fill may be nil
+// for prefilled pools) and hands it to the queue. A frame the ring
+// refuses is freed. It reports whether the frame reached the ring;
+// either failure counts in Failed.
+func (p *PushTx) Send(a Allocator, size int, fill func(m *mempool.Mbuf, now sim.Time)) bool {
+	m := a.Alloc(size)
+	if m == nil {
+		p.Failed++
+		return false
+	}
+	if fill != nil {
+		fill(m, p.task.Now())
+	}
+	if !p.Queue.SendOne(m) {
+		m.Free()
+		p.Failed++
+		return false
+	}
+	p.Sent++
+	return true
+}
+
+// Uniform is the exact software grid: slot n departs at
+// phase + n·interval.
+func Uniform(phase, interval sim.Duration) func(n uint64) sim.Duration {
+	return func(n uint64) sim.Duration { return phase + sim.Duration(n)*interval }
+}
+
+// PatternSchedule paces slots by a (jittery) inter-departure process:
+// slot n departs after the first n+1 gaps. Use rate.SoftPush for a
+// Pktgen-DPDK-like generator or rate.Bursty for a zsend-like one.
+func PatternSchedule(pat rate.Pattern, rng *rand.Rand) func(n uint64) sim.Duration {
+	var off sim.Duration
+	return func(uint64) sim.Duration {
+		off += pat.NextGap(rng)
+		return off
 	}
 }
 

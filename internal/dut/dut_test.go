@@ -205,8 +205,8 @@ func TestInvalidFramesCauseNoActivity(t *testing.T) {
 		t.Fatalf("invalid frames caused activity: ints=%d fwd=%d",
 			tb.fwd.Interrupts, tb.fwd.Forwarded)
 	}
-	if tb.dutIn.GetStats().RxCRCErrors != 100 {
-		t.Fatalf("crc errors = %d", tb.dutIn.GetStats().RxCRCErrors)
+	if tb.dutIn.CounterSnapshot().RxCRCErrors != 100 {
+		t.Fatalf("crc errors = %d", tb.dutIn.CounterSnapshot().RxCRCErrors)
 	}
 }
 

@@ -101,8 +101,8 @@ func multicoreShardLoad(s *multicore.Shard, w cpu.Workload, freq cpu.Freq, windo
 	})
 	port := q.Port()
 	var warmPkts, stopPkts uint64
-	app.Eng.Schedule(app.Now().Add(warmup), func() { warmPkts = port.GetStats().TxPackets })
-	app.Eng.Schedule(app.Now().Add(window), func() { stopPkts = port.GetStats().TxPackets })
+	app.Eng.Schedule(app.Now().Add(warmup), func() { warmPkts = port.CounterSnapshot().TxPackets })
+	app.Eng.Schedule(app.Now().Add(window), func() { stopPkts = port.CounterSnapshot().TxPackets })
 	app.RunFor(window)
 	ctr.Finalize(app.Now())
 	cache.Flush()

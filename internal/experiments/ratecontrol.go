@@ -58,12 +58,20 @@ func launchGenerator(app *core.App, g Generator, q *nic.TxQueue, pps float64, pk
 		tx := &core.HWRateTx{Queue: q, PPS: pps, PktSize: pktSize, Fill: fillPlainUDP(pktSize)}
 		app.LaunchTask("moongen-hw", tx.Run)
 	case GenPktgen:
-		tx := &core.PushTx{Queue: q, Pattern: rate.NewSoftPushPPS(pps, b2b), PktSize: pktSize, Fill: fillPlainUDP(pktSize)}
-		app.LaunchTask("pktgen-push", tx.Run)
+		launchPush(app, "pktgen-push", q, rate.NewSoftPushPPS(pps, b2b), pktSize)
 	case GenZsend:
-		tx := &core.PushTx{Queue: q, Pattern: rate.NewBurstyPPS(pps, b2b), PktSize: pktSize, Fill: fillPlainUDP(pktSize)}
-		app.LaunchTask("zsend-push", tx.Run)
+		launchPush(app, "zsend-push", q, rate.NewBurstyPPS(pps, b2b), pktSize)
 	}
+}
+
+// launchPush starts a software push generator: one plain UDP packet
+// per slot, slots paced by pat.
+func launchPush(app *core.App, name string, q *nic.TxQueue, pat rate.Pattern, pktSize int) {
+	fill := fillPlainUDP(pktSize)
+	fillSlot := func(m *mempool.Mbuf, _ sim.Time) { fill(m, 0) }
+	tx := &core.PushTx{Queue: q, Schedule: core.PatternSchedule(pat, app.Eng.Rand())}
+	tx.Slot = func(uint64) { tx.Send(app.TxCache(), pktSize, fillSlot) }
+	app.LaunchTask(name, tx.Run)
 }
 
 // InterArrivalResult is one generator/rate cell of Figure 8 + Table 4.
@@ -94,7 +102,7 @@ func RunInterArrival(scale Scale, seed int64, g Generator, pps float64) *InterAr
 	app.LaunchTask("interarrival", func(t *core.Task) {
 		bufs := make([]*mempool.Mbuf, 256)
 		for t.Running() || rx.GetRxQueue(0).Pending() > 0 {
-			n := rx.GetRxQueue(0).Recv(bufs)
+			n := rx.GetRxQueue(0).RecvBurst(bufs)
 			if n == 0 {
 				if !t.Running() {
 					break

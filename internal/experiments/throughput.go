@@ -142,14 +142,14 @@ func (pl *pacedLoad) run(app *core.App, window sim.Duration) (totalPkts uint64, 
 	var warmPkts, warmBytes uint64
 	app.Eng.Schedule(app.Now().Add(warmup), func() {
 		for _, p := range ports {
-			st := p.GetStats()
+			st := p.CounterSnapshot()
 			warmPkts += st.TxPackets
 			warmBytes += st.TxBytes
 		}
 	})
 	app.Eng.Schedule(app.Now().Add(window), func() {
 		for _, p := range ports {
-			st := p.GetStats()
+			st := p.CounterSnapshot()
 			totalPkts += st.TxPackets
 			totalBytes += st.TxBytes
 		}

@@ -336,5 +336,5 @@ func (a *BufArray) Clear(n int) {
 }
 
 // Slice returns the first n buffers, the shape used after a short
-// receive: rx := queue.Recv(bufs); for _, b := range bufs.Slice(rx) {...}
+// receive: rx := queue.RecvBurst(bufs); for _, b := range bufs.Slice(rx) {...}
 func (a *BufArray) Slice(n int) []*Mbuf { return a.Bufs[:n] }

@@ -75,7 +75,7 @@ func shardLoad(s *multicore.Shard, window sim.Duration) uint64 {
 		}
 	})
 	app.RunFor(window)
-	return tx.GetStats().TxPackets
+	return tx.CounterSnapshot().TxPackets
 }
 
 // TestGroupDeterministicAcrossRuns: the same seed yields bit-identical

@@ -71,10 +71,10 @@ func TestTxRxRoundTrip(t *testing.T) {
 		}
 	})
 	eng.RunAll()
-	if got := b.GetStats().RxPackets; got != 10 {
+	if got := b.CounterSnapshot().RxPackets; got != 10 {
 		t.Fatalf("rx packets = %d", got)
 	}
-	if got := a.GetStats().TxPackets; got != 10 {
+	if got := a.CounterSnapshot().TxPackets; got != 10 {
 		t.Fatalf("tx packets = %d", got)
 	}
 	// All packets landed in b's queues with intact contents and in order.
@@ -147,8 +147,8 @@ func TestLineRate(t *testing.T) {
 	eng.Spawn("rxdrain", func(p *sim.Proc) {
 		out := make([]*mempool.Mbuf, 64)
 		for p.Running() || b.GetRxQueue(0).Pending() > 0 {
-			n := b.GetRxQueue(0).Recv(out)
-			n += b.GetRxQueue(1).Recv(out[n:])
+			n := b.GetRxQueue(0).RecvBurst(out)
+			n += b.GetRxQueue(1).RecvBurst(out[n:])
 			for i := 0; i < n; i++ {
 				out[i].Free()
 			}
@@ -156,7 +156,7 @@ func TestLineRate(t *testing.T) {
 		}
 	})
 	var txAtStop uint64
-	eng.Schedule(sim.Time(runFor), func() { txAtStop = a.GetStats().TxPackets })
+	eng.Schedule(sim.Time(runFor), func() { txAtStop = a.CounterSnapshot().TxPackets })
 	eng.RunAll()
 	pps := float64(txAtStop) / sim.Duration(runFor).Seconds()
 	if math.Abs(pps-14.88e6) > 0.05e6 {
@@ -252,7 +252,7 @@ func TestBadCRCDroppedEarly(t *testing.T) {
 		q.SendOne(good)
 	})
 	eng.RunAll()
-	st := b.GetStats()
+	st := b.CounterSnapshot()
 	if st.RxCRCErrors != 1 {
 		t.Fatalf("crc errors = %d, want 1", st.RxCRCErrors)
 	}
@@ -281,7 +281,7 @@ func TestRuntFramesDropped(t *testing.T) {
 		q.SendOne(runt)
 	})
 	eng.RunAll()
-	if st := b.GetStats(); st.RxCRCErrors != 1 || st.RxPackets != 0 {
+	if st := b.CounterSnapshot(); st.RxCRCErrors != 1 || st.RxPackets != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -375,7 +375,7 @@ func TestFillerNotTimestamped(t *testing.T) {
 	if _, _, ok := b.ReadRxTimestamp(); ok {
 		t.Fatal("filler packet was timestamped")
 	}
-	if b.GetStats().RxPackets != 1 {
+	if b.CounterSnapshot().RxPackets != 1 {
 		t.Fatal("filler packet was not delivered")
 	}
 }
@@ -462,7 +462,7 @@ func TestRxMissedWhenRingFull(t *testing.T) {
 		}
 	})
 	eng.RunAll()
-	st := b.GetStats()
+	st := b.CounterSnapshot()
 	if st.RxMissed != 6 {
 		t.Fatalf("missed = %d, want 6 (ring of 4)", st.RxMissed)
 	}

@@ -346,9 +346,6 @@ func (p *Port) CounterSnapshot() Stats {
 	}
 }
 
-// GetStats is CounterSnapshot under its DPDK-flavored legacy name.
-func (p *Port) GetStats() Stats { return p.CounterSnapshot() }
-
 // publishStats flushes the staged counter deltas into the atomic
 // registers. It runs at the end of every transmit pump and as the
 // receive path's same-instant publish event — one atomic add per

@@ -58,7 +58,7 @@ func TestRxTrainInvariant(t *testing.T) {
 		})
 		eng.RunAll()
 		ports, arrivals := rxDrainAll(b.GetRxQueue(0))
-		return ports, arrivals, b.GetStats()
+		return ports, arrivals, b.CounterSnapshot()
 	}
 
 	p1, a1, s1 := run(1)

@@ -106,9 +106,6 @@ func (q *RxQueue) RecvBurst(out []*mempool.Mbuf) int {
 	return q.ring.DequeueBurst(out)
 }
 
-// Recv is RecvBurst under its legacy name.
-func (q *RxQueue) Recv(out []*mempool.Mbuf) int { return q.RecvBurst(out) }
-
 // RecvOne receives a single buffer if available.
 func (q *RxQueue) RecvOne() (*mempool.Mbuf, bool) {
 	q.flush()

@@ -122,9 +122,6 @@ func (q *MPMC[T]) EnqueueBurst(items []T) int {
 	return len(items)
 }
 
-// Enqueue is EnqueueBurst under its legacy name.
-func (q *MPMC[T]) Enqueue(items []T) int { return q.EnqueueBurst(items) }
-
 // DequeueBurst removes up to len(out) items and returns the count.
 func (q *MPMC[T]) DequeueBurst(out []T) int {
 	for i := range out {
@@ -136,6 +133,3 @@ func (q *MPMC[T]) DequeueBurst(out []T) int {
 	}
 	return len(out)
 }
-
-// Dequeue is DequeueBurst under its legacy name.
-func (q *MPMC[T]) Dequeue(out []T) int { return q.DequeueBurst(out) }

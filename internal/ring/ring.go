@@ -89,9 +89,6 @@ func (r *SPSC[T]) EnqueueBurst(items []T) int {
 	return int(n)
 }
 
-// Enqueue is EnqueueBurst under its legacy name.
-func (r *SPSC[T]) Enqueue(items []T) int { return r.EnqueueBurst(items) }
-
 // EnqueueOne adds a single item, reporting whether there was room. It
 // is the direct single-item path (no burst slice), used by per-packet
 // senders.
@@ -128,9 +125,6 @@ func (r *SPSC[T]) DequeueBurst(out []T) int {
 	r.head.Store(head + n)
 	return int(n)
 }
-
-// Dequeue is DequeueBurst under its legacy name.
-func (r *SPSC[T]) Dequeue(out []T) int { return r.DequeueBurst(out) }
 
 // DequeueOne removes a single item, reporting whether one was
 // available. It is the direct single-item path (no burst slice): the

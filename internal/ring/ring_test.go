@@ -71,12 +71,12 @@ func TestSPSCFull(t *testing.T) {
 func TestSPSCBulkShortCount(t *testing.T) {
 	r := NewSPSC[int](8)
 	in := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	n := r.Enqueue(in)
+	n := r.EnqueueBurst(in)
 	if n != 8 {
 		t.Fatalf("bulk enqueue = %d, want 8", n)
 	}
 	out := make([]int, 16)
-	m := r.Dequeue(out)
+	m := r.DequeueBurst(out)
 	if m != 8 {
 		t.Fatalf("bulk dequeue = %d, want 8", m)
 	}
@@ -141,7 +141,7 @@ func TestSPSCConcurrent(t *testing.T) {
 		defer wg.Done()
 		buf := make([]int, 32)
 		for len(got) < total {
-			n := r.Dequeue(buf)
+			n := r.DequeueBurst(buf)
 			got = append(got, buf[:n]...)
 			if n == 0 {
 				runtime.Gosched()
@@ -182,12 +182,12 @@ func TestMPMCBasic(t *testing.T) {
 
 func TestMPMCBulk(t *testing.T) {
 	q := NewMPMC[int](8)
-	n := q.Enqueue([]int{1, 2, 3, 4, 5})
+	n := q.EnqueueBurst([]int{1, 2, 3, 4, 5})
 	if n != 5 {
 		t.Fatalf("enqueue = %d", n)
 	}
 	out := make([]int, 3)
-	if m := q.Dequeue(out); m != 3 {
+	if m := q.DequeueBurst(out); m != 3 {
 		t.Fatalf("dequeue = %d", m)
 	}
 	if out[0] != 1 || out[2] != 3 {
@@ -367,8 +367,8 @@ func BenchmarkSPSCEnqueueDequeue(b *testing.B) {
 	out := make([]int, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Enqueue(batch)
-		r.Dequeue(out)
+		r.EnqueueBurst(batch)
+		r.DequeueBurst(out)
 	}
 }
 
@@ -382,8 +382,8 @@ func BenchmarkMPMCEnqueueDequeue(b *testing.B) {
 }
 
 // TestBurstNamesAreCanonical: EnqueueBurst/DequeueBurst are the burst
-// API the datapath uses; the legacy names must stay aliases with
-// identical short-count semantics on both ring variants.
+// API the datapath uses, with identical short-count semantics on both
+// ring variants.
 func TestBurstNamesAreCanonical(t *testing.T) {
 	r := NewSPSC[int](8)
 	in := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}

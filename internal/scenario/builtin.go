@@ -10,10 +10,6 @@ import (
 	"repro/internal/wire"
 )
 
-// softCBR carries the software-paced CBR task's transmit count across
-// the launch/finish boundary.
-type softCBR struct{ sent uint64 }
-
 // loadScenario is the family of single-flow load generators that made
 // up the old cmd/moongen switch: the pattern (line rate, hardware CBR,
 // Poisson or bursts via CRC-gap pacing) and optional latency probing
@@ -86,38 +82,17 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 		if interval <= 0 {
 			interval = sim.FromSeconds(1 / pps)
 		}
+		// Packets leave on an exact grid: first at start+TxPhase, then
+		// every interval. k shards at rate/k with phases 0..k-1 times the
+		// aggregate interval interleave onto the aggregate grid exactly,
+		// so merged counts are invariant in the shard count. The pool is
+		// prefilled with the flow's frame, so a slot only sends it.
 		pool := env.NewFlowPool(flow, size, 4096)
-		soft := &softCBR{}
-		phase := spec.TxPhase
-		env.App().LaunchTask("softcbr", func(t *core.Task) {
-			// Packets leave on an exact grid: first at start+TxPhase,
-			// then every interval. k shards at rate/k with phases
-			// 0..k-1 times the aggregate interval interleave onto the
-			// aggregate grid exactly, so merged counts are invariant
-			// in the shard count.
-			next := t.Now().Add(phase)
-			var i uint64
-			for t.Running() {
-				t.SleepUntil(next)
-				if !t.Running() {
-					break
-				}
-				next = next.Add(interval)
-				m := pool.Alloc(size)
-				if m == nil {
-					continue // overload: drop the slot
-				}
-				fill(m, i)
-				if !q.SendOne(m) {
-					m.Free()
-					continue
-				}
-				soft.sent++
-				i++
-			}
-		})
+		soft := &core.PushTx{Queue: q, Schedule: core.Uniform(spec.TxPhase, interval)}
+		soft.Slot = func(uint64) { soft.Send(pool, size, nil) }
+		env.App().LaunchTask("softcbr", soft.Run)
 		finish = func(rep *Report) {
-			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: soft.sent})
+			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: soft.Sent})
 		}
 	case PatternPoisson, PatternBursts:
 		if pps <= 0 {

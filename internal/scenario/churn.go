@@ -101,42 +101,26 @@ func (churnScenario) Run(env *Env) (*Report, error) {
 	const payloadOff = proto.EthHdrLen + proto.IPv4HdrLen + proto.UDPHdrLen
 
 	tr := flow.NewTracker(flow.Config{SeqWindow: 64})
-	var started, errs uint64
-	q := env.TX().GetTxQueue(0)
-
-	env.App().LaunchTask("churn-tx", func(t *core.Task) {
-		WR := uint64(W) * uint64(R)
-		next := t.Now().Add(phase)
-		var n uint64
-		for t.Running() {
-			t.SleepUntil(next)
-			if !t.Running() {
-				break
-			}
-			j := uint64(index) + n*uint64(stride)
-			n++
-			next = next.Add(interval)
-			gen, loc := j/WR, j%WR
-			fid := gen*uint64(W) + loc%uint64(W)
-			seq := loc / uint64(W)
-			if seq == 0 {
-				started++
-			}
-			m := pool.Alloc(size)
-			if m == nil {
-				errs++
-				continue
-			}
-			tmpl.SetIPDst(base.DstIP + proto.IPv4(fid>>16))
-			tmpl.SetDstPort(uint16(fid))
-			tmpl.Apply(m.Payload())
-			flow.Stamp(m.Payload()[payloadOff:], seq, t.Now())
-			if !q.SendOne(m) {
-				m.Free()
-				errs++
-			}
+	var started, fid, seq uint64
+	fill := func(m *mempool.Mbuf, now sim.Time) {
+		tmpl.SetIPDst(base.DstIP + proto.IPv4(fid>>16))
+		tmpl.SetDstPort(uint16(fid))
+		tmpl.Apply(m.Payload())
+		flow.Stamp(m.Payload()[payloadOff:], seq, now)
+	}
+	WR := uint64(W) * uint64(R)
+	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: core.Uniform(phase, interval)}
+	tx.Slot = func(n uint64) {
+		j := uint64(index) + n*uint64(stride)
+		gen, loc := j/WR, j%WR
+		fid = gen*uint64(W) + loc%uint64(W)
+		seq = loc / uint64(W)
+		if seq == 0 {
+			started++
 		}
-	})
+		tx.Send(pool, size, fill)
+	}
+	env.App().LaunchTask("churn-tx", tx.Run)
 	sink := env.LaunchFlowSink(tr)
 
 	rep := &Report{}
@@ -149,8 +133,8 @@ func (churnScenario) Run(env *Env) (*Report, error) {
 	rep.AddRow("seq lost", float64(tot.Lost), "packets")
 	rep.AddRow("seq reordered", float64(tot.Reordered), "packets")
 	rep.AddRow("seq duplicates", float64(tot.Duplicates), "packets")
-	if errs > 0 {
-		rep.AddRow("tx slots lost to pool/ring pressure", float64(errs), "slots")
+	if tx.Failed > 0 {
+		rep.AddRow("tx slots lost to pool/ring pressure", float64(tx.Failed), "slots")
 	}
 	// Diagnostic, not a model row: sharded runs sum k quarter-sized
 	// tables whose capacities round up independently (power-of-two

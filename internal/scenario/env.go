@@ -215,7 +215,7 @@ func (e *Env) DrainRx() {
 	e.app.LaunchTask("rx-drain", func(t *core.Task) {
 		bufs := make([]*mempool.Mbuf, 512)
 		for t.Running() {
-			if n := rx.GetRxQueue(0).Recv(bufs); n > 0 {
+			if n := rx.GetRxQueue(0).RecvBurst(bufs); n > 0 {
 				bytes := 0
 				for _, m := range bufs[:n] {
 					bytes += m.Len
@@ -384,7 +384,7 @@ func NewDuTBed(app *core.App, genTxQueues int) *DuTBed {
 	app.LaunchTask("sink-drain", func(t *core.Task) {
 		bufs := make([]*mempool.Mbuf, 512)
 		for t.Running() {
-			if n := sink.GetRxQueue(0).Recv(bufs); n > 0 {
+			if n := sink.GetRxQueue(0).RecvBurst(bufs); n > 0 {
 				core.FreeBatch(bufs, n)
 			} else {
 				t.Sleep(50 * sim.Microsecond)

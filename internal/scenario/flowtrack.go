@@ -118,7 +118,7 @@ type flowTxConfig struct {
 type flowTxResult struct {
 	sent     []uint64 // wire packets per flow, duplicates included
 	overload []uint64 // slots dropped by the admission gate, per flow
-	errs     []uint64 // pool-dry or ring-full slots (sized-out setups: 0)
+	tx       *core.PushTx
 }
 
 // launchFlowTx starts the slot-grid transmit task for this shard's
@@ -145,13 +145,6 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 		return nil, err
 	}
 
-	res := &flowTxResult{
-		sent:     make([]uint64, F),
-		overload: make([]uint64, F),
-		errs:     make([]uint64, F),
-	}
-	q := env.TX().GetTxQueue(0)
-
 	// One prefilled pool and payload offset per flow; the per-packet
 	// work is one sequence stamp.
 	pools := make([]*mempool.Pool, F)
@@ -165,63 +158,42 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 	}
 	const payloadOff = proto.EthHdrLen + proto.IPv4HdrLen + proto.UDPHdrLen
 
-	env.App().LaunchTask("flow-tx", func(t *core.Task) {
-		send := func(fi int, stamped uint64) bool {
-			m := pools[fi].Alloc(sizes[fi])
-			if m == nil {
-				res.errs[fi]++
-				return false
-			}
-			flow.Stamp(m.Payload()[payloadOff:], stamped, t.Now())
-			if !q.SendOne(m) {
-				m.Free()
-				res.errs[fi]++
-				return false
-			}
+	slot := func(n uint64) uint64 { return uint64(index) + n*uint64(stride) }
+	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: core.Uniform(phase, interval)}
+	if cfg.slotTime != nil {
+		tx.Schedule = func(n uint64) sim.Duration { return cfg.slotTime(slot(n)) }
+	}
+	res := &flowTxResult{sent: make([]uint64, F), overload: make([]uint64, F), tx: tx}
+	var stamped uint64
+	stamp := func(m *mempool.Mbuf, now sim.Time) {
+		flow.Stamp(m.Payload()[payloadOff:], stamped, now)
+	}
+	tx.Slot = func(n uint64) {
+		j := slot(n)
+		fi, s := j%uint64(F), j/uint64(F)
+		if cfg.admit != nil && !cfg.admit(j) {
+			res.overload[fi]++
+			return
+		}
+		stamped = s
+		if cfg.stampSeq != nil {
+			stamped = cfg.stampSeq(s)
+		}
+		if !tx.Send(pools[fi], sizes[fi], stamp) {
+			return
+		}
+		res.sent[fi]++
+		if cfg.dupEvery > 0 && s%cfg.dupEvery == 0 && tx.Send(pools[fi], sizes[fi], stamp) {
 			res.sent[fi]++
-			return true
 		}
-		start := t.Now()
-		next := start.Add(phase)
-		var n uint64
-		for t.Running() {
-			j := uint64(index) + n*uint64(stride)
-			if cfg.slotTime != nil {
-				next = start.Add(cfg.slotTime(j))
-			}
-			t.SleepUntil(next)
-			if !t.Running() {
-				break
-			}
-			n++
-			if cfg.slotTime == nil {
-				next = next.Add(interval)
-			}
-			fi := int(j % uint64(F))
-			s := j / uint64(F)
-			if cfg.admit != nil && !cfg.admit(j) {
-				res.overload[fi]++
-				continue
-			}
-			stamped := s
-			if cfg.stampSeq != nil {
-				stamped = cfg.stampSeq(s)
-			}
-			if !send(fi, stamped) {
-				continue
-			}
-			if cfg.dupEvery > 0 && s%cfg.dupEvery == 0 {
-				send(fi, stamped)
-			}
-		}
-	})
+	}
+	env.App().LaunchTask("flow-tx", tx.Run)
 	return res, nil
 }
 
 // collectFlows fills the report's per-flow slices from the transmit
 // accounting and the receiver-side tracker.
 func collectFlows(rep *Report, spec Spec, res *flowTxResult, tr *flow.Tracker) {
-	var errs uint64
 	for fi, f := range spec.EffectiveFlows() {
 		fr := FlowReport{Name: f.Name, TxPackets: res.sent[fi]}
 		if fs, ok := tr.Lookup(trackerKey(f)); ok {
@@ -234,10 +206,9 @@ func collectFlows(rep *Report, spec Spec, res *flowTxResult, tr *flow.Tracker) {
 			}
 		}
 		rep.Flows = append(rep.Flows, fr)
-		errs += res.errs[fi]
 	}
-	if errs > 0 {
-		rep.AddRow("tx slots lost to pool/ring pressure", float64(errs), "slots")
+	if res.tx.Failed > 0 {
+		rep.AddRow("tx slots lost to pool/ring pressure", float64(res.tx.Failed), "slots")
 	}
 	if tr.Unparsed > 0 {
 		rep.AddRow("rx frames without a flow key", float64(tr.Unparsed), "packets")

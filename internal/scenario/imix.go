@@ -114,11 +114,11 @@ func (imixScenario) Run(env *Env) (*Report, error) {
 		pps := spec.RateMpps * 1e6 * float64(s+1) / float64(steps)
 		app.Eng.Schedule(app.Now().Add(segDur*sim.Duration(s)), func() {
 			q.SetRatePPS(pps)
-			rxAt[s] = env.RX().GetStats().RxPackets
+			rxAt[s] = env.RX().CounterSnapshot().RxPackets
 		})
 	}
 	app.Eng.Schedule(app.Now().Add(segDur*sim.Duration(steps)), func() {
-		rxAt[steps] = env.RX().GetStats().RxPackets
+		rxAt[steps] = env.RX().CounterSnapshot().RxPackets
 	})
 
 	rep := &Report{}

@@ -67,48 +67,36 @@ func (reflectScenario) Run(env *Env) (*Report, error) {
 	var echoSent, arpSent uint64
 	reqPool := core.CreateMemPool(2048, nil)
 	interval := sim.FromSeconds(1 / (spec.RateMpps * 1e6))
-	app.LaunchTask("requester", func(t *core.Task) {
-		next := t.Now()
-		var seq uint64
-		for t.Running() {
-			next = next.Add(interval)
-			t.SleepUntil(next)
-			if !t.Running() {
-				break
-			}
-			m := reqPool.Alloc(size)
-			if m == nil {
-				continue
-			}
-			if seq%arpEvery == arpEvery-1 {
-				proto.EthHdr(m.Payload()).Fill(proto.EthFill{
-					Src: tx.MAC(), Dst: proto.BroadcastMAC, EtherType: proto.EtherTypeARP,
-				})
-				proto.ARPHdr(m.Payload()[proto.EthHdrLen:]).Fill(proto.ARPFill{
-					Op:        proto.ARPOpRequest,
-					SenderMAC: tx.MAC(), SenderIP: flow.SrcIP,
-					TargetIP: flow.DstIP,
-				})
-				arpSent++
-			} else {
-				p := proto.ICMPPacket{B: m.Payload()}
-				p.Fill(proto.ICMPPacketFill{
-					PktLength: size,
-					EthSrc:    tx.MAC(), EthDst: rx.MAC(),
-					IPSrc: flow.SrcIP, IPDst: flow.DstIP,
-					Type: proto.ICMPTypeEcho,
-					ID:   0xbeef, Seq: uint16(seq),
-				})
-				binary.BigEndian.PutUint64(p.ICMP().Payload(), uint64(t.Now()))
-				p.ICMP().CalcChecksumV4(icmpLen)
-				echoSent++
-			}
-			seq++
-			if !tx.GetTxQueue(0).SendOne(m) {
-				m.Free()
-			}
+	var seq uint64
+	request := func(m *mempool.Mbuf, now sim.Time) {
+		if seq%arpEvery == arpEvery-1 {
+			proto.EthHdr(m.Payload()).Fill(proto.EthFill{
+				Src: tx.MAC(), Dst: proto.BroadcastMAC, EtherType: proto.EtherTypeARP,
+			})
+			proto.ARPHdr(m.Payload()[proto.EthHdrLen:]).Fill(proto.ARPFill{
+				Op:        proto.ARPOpRequest,
+				SenderMAC: tx.MAC(), SenderIP: flow.SrcIP,
+				TargetIP: flow.DstIP,
+			})
+			arpSent++
+		} else {
+			p := proto.ICMPPacket{B: m.Payload()}
+			p.Fill(proto.ICMPPacketFill{
+				PktLength: size,
+				EthSrc:    tx.MAC(), EthDst: rx.MAC(),
+				IPSrc: flow.SrcIP, IPDst: flow.DstIP,
+				Type: proto.ICMPTypeEcho,
+				ID:   0xbeef, Seq: uint16(seq),
+			})
+			binary.BigEndian.PutUint64(p.ICMP().Payload(), uint64(now))
+			p.ICMP().CalcChecksumV4(icmpLen)
+			echoSent++
 		}
-	})
+		seq++
+	}
+	requester := &core.PushTx{Queue: tx.GetTxQueue(0), Schedule: core.Uniform(interval, interval)}
+	requester.Slot = func(uint64) { requester.Send(reqPool, size, request) }
+	app.LaunchTask("requester", requester.Run)
 
 	// Responder: the sink answers every request in kind on its own
 	// transmit queue — the duplex link carries the replies back.

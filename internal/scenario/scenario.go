@@ -96,8 +96,9 @@ type Spec struct {
 	// the batched datapath (mempool cache → BufArray → descriptor
 	// ring) as one unit of work. Default 32; 1 reproduces per-packet
 	// processing. The emission schedule is invariant in Batch — the
-	// knob trades host-side event overhead, never timing. Patterns
-	// that pace one packet per grid tick (softcbr) ignore it.
+	// knob trades host-side event overhead, never timing. Scenarios
+	// that pace one packet per grid tick ignore it: softcbr and every
+	// slot-grid scenario (see slotGrid).
 	Batch int
 	// Runtime is the simulated run time.
 	Runtime sim.Duration
@@ -127,11 +128,12 @@ type Spec struct {
 	// emission grid of one queue at the full rate, which is what makes
 	// merged CBR totals invariant in Cores.
 	TxPhase sim.Duration
-	// TxInterval is the explicit software-paced grid tick for the
-	// softcbr pattern; 0 derives it from RateMpps. ShardSpec sets it
-	// to k times the aggregate tick (rounded once to a picosecond), so
-	// shard grids compose to the single-core grid exactly even at
-	// rates whose period is not an integer number of picoseconds.
+	// TxInterval is the explicit software-paced grid tick of softcbr
+	// and every slot-grid scenario (see slotGrid); 0 derives it from
+	// RateMpps. ShardSpec sets it to k times the aggregate tick
+	// (rounded once to a picosecond), so shard grids compose to the
+	// single-core grid exactly even at rates whose period is not an
+	// integer number of picoseconds.
 	TxInterval sim.Duration
 	// ShardIndex/ShardCount identify this spec's slice of a sharded
 	// run (set by ShardSpec; 0/1 for unsharded runs). Grid-based

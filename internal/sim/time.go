@@ -3,7 +3,8 @@
 //
 // The engine is the time substrate for the whole testbed: NIC DMA engines,
 // MAC transmitters, wire propagation, DuT forwarders and generator tasks
-// are all simulated processes scheduled on one event heap. Picoseconds are
+// are all simulated processes scheduled on one timing wheel (wheel.go; a
+// binary heap remains as the reference scheduler). Picoseconds are
 // used because the finest granularity in the reproduced paper is 0.8 ns
 // (one byte time at 10 GbE), which is exactly 800 ps; int64 picoseconds
 // represent every quantity in the paper without rounding.
