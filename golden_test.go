@@ -229,4 +229,35 @@ func TestExperimentsGolden(t *testing.T) {
 		reportCSV(&b, runGoldenScenario(t, "reflect", 1, false))
 		goldenCompare(t, "reflect.csv", b.String())
 	})
+	// The burst TX users: UDPFlood (flood, qos), HWRateTx (cbr; two
+	// cores exercise the phase Delay), GapTx (poisson, bursts) and
+	// imix's per-packet sends (imix refuses sharding, so one core).
+	for _, sc := range []struct {
+		name  string
+		cores int
+	}{{"flood", 2}, {"cbr", 2}, {"poisson", 2}, {"bursts", 2}, {"qos", 2}, {"imix", 1}} {
+		t.Run(sc.name, func(t *testing.T) {
+			var b strings.Builder
+			reportCSV(&b, runGoldenScenario(t, sc.name, sc.cores, false))
+			goldenCompare(t, sc.name+".csv", b.String())
+		})
+	}
+	// The cost-model loads outside fig2: pacedLoad on the XL710 sweep,
+	// multicoreShardLoad on the sharded scaling series, and GapTx
+	// through the DuT in the Figure 10 sweep.
+	t.Run("fig3", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunFig3(experiments.ScaleTest, 3).Table)
+		goldenCompare(t, "fig3.csv", b.String())
+	})
+	t.Run("multicore-scaling", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunMulticoreScaling(experiments.ScaleTest, 4).Table)
+		goldenCompare(t, "multicore_scaling.csv", b.String())
+	})
+	t.Run("fig10", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunFig10(experiments.ScaleTest, 10).Table)
+		goldenCompare(t, "fig10.csv", b.String())
+	})
 }
