@@ -38,22 +38,12 @@ func TestQoSScenario(t *testing.T) {
 				UDPSrc: 1234, UDPDst: port,
 			})
 		})
-		app.LaunchTask("load", func(tk *core.Task) {
-			bufs := mem.BufArray(0)
-			base := proto.MustIPv4("10.0.0.1")
-			rng := tk.Engine().Rand()
-			for tk.Running() {
-				n := tk.AllocAll(bufs, pktSize)
-				if n == 0 {
-					break
-				}
-				for _, b := range bufs.Slice(n) {
-					proto.UDPPacket{B: b.Payload()}.IP().SetSrc(base + proto.IPv4(rng.Intn(255)))
-				}
-				core.OffloadUDPChecksums(bufs.Bufs, n)
-				tk.SendAll(q, bufs.Bufs[:n])
-			}
-		})
+		flood := &core.UDPFlood{
+			Queue: q, PktSize: pktSize,
+			BaseIP: proto.MustIPv4("10.0.0.1"), Randomize: 255,
+			Pool: mem, Batch: mempool.DefaultBatchSize,
+		}
+		app.LaunchTask("load", flood.Run)
 	}
 	launch(tDev.GetTxQueue(0), 42)
 	launch(tDev.GetTxQueue(1), 43)

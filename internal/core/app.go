@@ -147,23 +147,6 @@ func (t *Task) SendAll(q *nic.TxQueue, bufs []*mempool.Mbuf) int {
 	}
 }
 
-// AllocAll fills the whole BufArray, waiting for buffers to recycle if
-// the pool is momentarily dry (all buffers in flight to the NIC).
-func (t *Task) AllocAll(ba *mempool.BufArray, size int) int {
-	for {
-		n := ba.Alloc(size)
-		if n == ba.Len() || !t.Running() {
-			return n
-		}
-		// Return the partial allocation and retry for a full batch.
-		for i := 0; i < n; i++ {
-			ba.Bufs[i].Free()
-			ba.Bufs[i] = nil
-		}
-		t.Sleep(backoff)
-	}
-}
-
 // RecvPoll receives a burst, polling until at least one packet arrives
 // or the run ends — the counterSlave loop of Listing 3.
 func (t *Task) RecvPoll(q *nic.RxQueue, out []*mempool.Mbuf) int {

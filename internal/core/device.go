@@ -121,19 +121,19 @@ func FreeBatch(bufs []*mempool.Mbuf, n int) {
 	}
 }
 
-// UDPFlood is the Listing 2 loadSlave as a reusable task body: allocate
-// batches from a prefilled pool, randomize the source IP over 256
-// addresses, offload checksums, send. Stop via the app run limit.
+// UDPFlood is the Listing 2 loadSlave as a reusable task body: a
+// BurstTx over a prefilled pool whose frame hook randomizes the source
+// IP and requests UDP checksum offload. Stop via the app run limit.
 type UDPFlood struct {
 	Queue   *nic.TxQueue
 	PktSize int
 	BaseIP  proto.IPv4
 	// Randomize is the number of low source-IP values to cycle through
-	// (256 in §5.2's comparison).
+	// (default 256, as in §5.2's comparison).
 	Randomize int
 	// Pool must be prefilled with the packet template.
 	Pool *mempool.Pool
-	// Batch is the bufArray size (default 63).
+	// Batch is the bufArray size (default DefaultTxBatch).
 	Batch int
 
 	// Sent counts transmitted packets.
@@ -142,24 +142,17 @@ type UDPFlood struct {
 
 // Run executes the flood until the run ends.
 func (u *UDPFlood) Run(t *Task) {
-	if u.Batch <= 0 {
-		u.Batch = mempool.DefaultBatchSize
+	randomize := u.Randomize
+	if randomize <= 0 {
+		randomize = 256
 	}
-	if u.Randomize <= 0 {
-		u.Randomize = 256
-	}
-	bufs := u.Pool.BufArray(u.Batch)
 	rng := t.Engine().Rand()
-	for t.Running() {
-		n := t.AllocAll(bufs, u.PktSize)
-		if n == 0 {
-			break
-		}
-		for _, m := range bufs.Slice(n) {
-			pkt := proto.UDPPacket{B: m.Payload()}
-			pkt.IP().SetSrc(u.BaseIP + proto.IPv4(rng.Intn(u.Randomize)))
-		}
-		OffloadUDPChecksums(bufs.Bufs, n)
-		u.Sent += uint64(t.SendAll(u.Queue, bufs.Bufs[:n]))
-	}
+	b := &BurstTx{Queue: u.Queue, Bufs: u.Pool.BufArray(txBatch(u.Batch)), Size: u.PktSize,
+		Frame: func(m *mempool.Mbuf, _ uint64) {
+			proto.UDPPacket{B: m.Payload()}.IP().SetSrc(u.BaseIP + proto.IPv4(rng.Intn(randomize)))
+			m.TxMeta.OffloadIPChecksum = true
+			m.TxMeta.OffloadUDPChecksum = true
+		}}
+	b.Run(t)
+	u.Sent = b.Sent
 }

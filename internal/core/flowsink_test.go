@@ -103,13 +103,8 @@ func TestFlowSinkBatchInvariant(t *testing.T) {
 		const payloadOff = proto.EthHdrLen + proto.IPv4HdrLen + proto.UDPHdrLen
 		app.LaunchTask("tx", func(tk *Task) {
 			var seq uint64
-			ba := pool.BufArray(16)
-			for tk.Running() {
-				n := tk.AllocAll(ba, 60)
-				if n == 0 {
-					break
-				}
-				for _, m := range ba.Slice(n) {
+			src := &BurstTx{Queue: tx.GetTxQueue(0), Bufs: pool.BufArray(16), Size: 60,
+				Frame: func(m *mempool.Mbuf, _ uint64) {
 					// Every 10th sequence number is skipped: a known
 					// deterministic loss signal.
 					if seq%10 == 9 {
@@ -117,10 +112,8 @@ func TestFlowSinkBatchInvariant(t *testing.T) {
 					}
 					flow.Stamp(m.Payload()[payloadOff:], seq, tk.Now())
 					seq++
-				}
-				tk.SendAll(tx.GetTxQueue(0), ba.Bufs[:n])
-				ba.Clear(n)
-			}
+				}}
+			src.Run(tk)
 		})
 		tr := flow.NewTracker(flow.Config{})
 		sink := &FlowSink{Queue: rx.GetRxQueue(0), Tracker: tr, Batch: batch}

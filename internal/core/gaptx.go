@@ -45,148 +45,150 @@ type GapTx struct {
 	SkippedGaps uint64
 }
 
-// gapStager shares the buffered-burst mechanics of GapTx.Run: frames
-// (real and filler interleaved in emission order) are staged into one
-// reusable BufArray and flushed as full bursts, with zero per-packet
-// allocations. Buffers come from the engine's shared per-core cache.
-type gapStager struct {
-	t      *Task
-	queue  *nic.TxQueue
-	cache  *mempool.Cache
-	ba     *mempool.BufArray
-	real   []bool   // kind per staged slot, for short-send accounting
-	skips  []uint64 // §8.4 delta attributed to a staged real frame
-	staged int
-	g      *GapTx
-}
-
-// flush hands the staged burst to the NIC. On a run-end short send the
-// per-kind counters — and the §8.4 skip deltas attributed to unsent
-// real frames — are rolled back for the frames that never reached the
-// descriptor ring, so the report counts exactly the handed-over
-// frames regardless of the batch size.
-func (s *gapStager) flush() bool {
-	if s.staged == 0 {
-		return true
-	}
-	n := s.t.SendAll(s.queue, s.ba.Bufs[:s.staged])
-	for i := n; i < s.staged; i++ {
-		if s.real[i] {
-			s.g.Sent--
-			s.g.SkippedGaps -= s.skips[i]
-		} else {
-			s.g.Fillers--
-		}
-	}
-	ok := n == s.staged
-	s.ba.Clear(s.staged)
-	s.staged = 0
-	return ok
-}
-
-// stage appends one frame to the burst, flushing when full.
-func (s *gapStager) stage(m *mempool.Mbuf, real bool) bool {
-	s.real[s.staged] = real
-	s.skips[s.staged] = 0
-	s.ba.Bufs[s.staged] = m
-	s.staged++
-	if s.staged == len(s.ba.Bufs) {
-		return s.flush()
-	}
-	return true
-}
-
-// alloc takes one buffer, flushing the staged burst and backing off
-// while the pool is dry (the NIC holds every buffer until transmit
-// completion). Returns nil when the run ended.
-func (s *gapStager) alloc(size int) *mempool.Mbuf {
-	for {
-		if m := s.cache.Alloc(size); m != nil {
-			return m
-		}
-		if !s.flush() || !s.t.Running() {
-			return nil
-		}
-		s.t.Sleep(backoff)
-	}
-}
-
-// Run transmits until the run ends. It must run as its own task.
+// Run transmits until the run ends. It must run as its own task. Each
+// BurstTx frame is either the real packet or the next filler of the gap
+// after it. A gap is drawn when the frame after its real packet is
+// written, so every Pattern.NextGap draw keeps its place relative to
+// the kernel's sends at any batch size.
 func (g *GapTx) Run(t *Task) {
 	port := g.Queue.Port()
-	byteTime := wire.ByteTime(port.Speed())
-	filler := rate.NewGapFiller(byteTime)
+	filler := rate.NewGapFiller(wire.ByteTime(port.Speed()))
 	if g.MinFillerWire > 0 {
 		filler.MinFillerWire = g.MinFillerWire
 	}
-	batch := g.Batch
-	if batch <= 0 {
-		batch = DefaultTxBatch
-	}
-	s := &gapStager{
-		t:     t,
-		queue: g.Queue,
-		cache: t.Cache(),
-		ba:    t.Cache().BufArray(batch),
-		real:  make([]bool, batch),
-		skips: make([]uint64, batch),
-		g:     g,
-	}
+	batch := txBatch(g.Batch)
 	rng := t.Engine().Rand()
 	realWire := int64(g.PktSize + proto.FCSLen + proto.WireOverhead)
 
+	// Per burst slot: whether it holds a real frame, and the §8.4 skip
+	// delta of the gap drawn after it — what a run-end short send rolls
+	// back, so the report counts exactly the handed-over frames.
+	real := make([]bool, batch)
+	skips := make([]uint64, batch)
+	var (
+		seq    uint64 // real frames written
+		slot   int    // position in the current burst
+		gapDue bool   // the last frame was real: draw its gap next
+		fills  []int  // wire lengths of the current gap's pending fillers
+	)
+	frame := func(m *mempool.Mbuf, _ uint64) {
+		if gapDue {
+			gapDue = false
+			before := filler.Skipped
+			fills = filler.FillGap(filler.GapToWireBytes(g.Pattern.NextGap(rng)) - realWire)
+			if delta := filler.Skipped - before; delta > 0 {
+				g.SkippedGaps += delta
+				if slot > 0 {
+					// The gap's real frame is in this burst: a rollback
+					// of that frame takes the delta with it.
+					skips[slot-1] = delta
+				}
+			}
+		}
+		real[slot], skips[slot] = len(fills) == 0, 0
+		slot++
+		if len(fills) == 0 {
+			if g.Fill != nil {
+				g.Fill(m, seq)
+			}
+			seq++
+			g.Sent++
+			gapDue = true
+			return
+		}
+		m.Reset(fills[0] - proto.FCSLen - proto.WireOverhead)
+		fills = fills[1:]
+		// Filler frames carry a broken FCS so the DuT's NIC drops them
+		// in hardware without any software activity.
+		proto.EthHdr(m.Payload()[:proto.EthHdrLen]).Fill(proto.EthFill{
+			Src: port.MAC(), Dst: proto.BroadcastMAC, EtherType: 0x0000,
+		})
+		m.TxMeta.InvalidCRC = true
+		g.Fillers++
+	}
+	rollback := func(n, sent int) {
+		for j := sent; j < n; j++ {
+			if real[j] {
+				g.Sent--
+				g.SkippedGaps -= skips[j]
+			} else {
+				g.Fillers--
+			}
+		}
+		slot = 0
+	}
+	b := &BurstTx{Queue: g.Queue, Bufs: t.Cache().BufArray(batch), Size: g.PktSize,
+		Frame: frame, AfterSend: rollback}
+	b.Run(t)
+}
+
+// txBatch resolves a TX loop's Batch option: <= 0 selects
+// DefaultTxBatch.
+func txBatch(batch int) int {
+	if batch <= 0 {
+		return DefaultTxBatch
+	}
+	return batch
+}
+
+// BurstTx is the batched transmit kernel, the paper's Listing 2 loop
+// (§4.2): allocate a bufArray, write each packet, send the burst, reuse
+// the array. UDPFlood, HWRateTx and GapTx are hooks on it. A burst takes
+// as many frames as the pool has, up to the array's length, and backs
+// off while the pool is dry. SendAll blocks while the descriptor ring
+// is full and sends short only when the run ends, which stops the
+// kernel.
+type BurstTx struct {
+	Queue *nic.TxQueue
+	// Bufs is the reusable burst; its length is the batch size.
+	Bufs *mempool.BufArray
+	// Size is the length frames are allocated with; Frame may set
+	// another with m.Reset.
+	Size int
+	// Frame writes frame i, counting every frame handed out (may be
+	// nil).
+	Frame func(m *mempool.Mbuf, i uint64)
+	// BeforeSend, if set, runs once the burst's n frames are written,
+	// just before they are sent.
+	BeforeSend func(n int)
+	// AfterSend, if set, learns how many of the burst's n frames the
+	// queue accepted. sent < n only on the run's last burst: per-frame
+	// tallies roll back the frames from index sent on.
+	AfterSend func(n, sent int)
+
+	// Sent counts frames handed to the queue.
+	Sent uint64
+}
+
+// Run transmits until the run ends. It must run as its own task.
+func (b *BurstTx) Run(t *Task) {
 	var i uint64
 	for t.Running() {
-		m := s.alloc(g.PktSize)
-		if m == nil {
-			break
+		n := b.Bufs.Alloc(b.Size)
+		if n == 0 {
+			t.Sleep(backoff)
+			continue
 		}
-		if g.Fill != nil {
-			g.Fill(m, i)
-		}
-		g.Sent++
-		i++
-		if !s.stage(m, true) {
-			break
-		}
-
-		gapBytes := filler.GapToWireBytes(g.Pattern.NextGap(rng)) - realWire
-		before := filler.Skipped
-		fills := filler.FillGap(gapBytes)
-		if delta := filler.Skipped - before; delta > 0 {
-			g.SkippedGaps += delta
-			if s.staged > 0 && s.ba.Bufs[s.staged-1] == m {
-				// The unit's real frame is still staged: attribute the
-				// delta to it so a run-end rollback keeps the report
-				// batch-invariant.
-				s.skips[s.staged-1] = delta
+		burst := b.Bufs.Slice(n)
+		if b.Frame != nil {
+			for _, m := range burst {
+				b.Frame(m, i)
+				i++
 			}
 		}
-		aborted := false
-		for _, wireLen := range fills {
-			frameLen := wireLen - proto.FCSLen - proto.WireOverhead
-			fm := s.alloc(frameLen)
-			if fm == nil {
-				aborted = true
-				break
-			}
-			// Filler frames carry a broken FCS so the DuT's NIC
-			// drops them in hardware without any software activity.
-			proto.EthHdr(fm.Payload()[:proto.EthHdrLen]).Fill(proto.EthFill{
-				Src: port.MAC(), Dst: proto.BroadcastMAC, EtherType: 0x0000,
-			})
-			fm.TxMeta.InvalidCRC = true
-			g.Fillers++
-			if !s.stage(fm, false) {
-				aborted = true
-				break
-			}
+		if b.BeforeSend != nil {
+			b.BeforeSend(n)
 		}
-		if aborted {
-			break
+		sent := t.SendAll(b.Queue, burst)
+		b.Sent += uint64(sent)
+		if b.AfterSend != nil {
+			b.AfterSend(n, sent)
+		}
+		b.Bufs.Clear(n)
+		if sent < n {
+			return
 		}
 	}
-	s.flush()
 }
 
 // Allocator is a frame source for PushTx.Send: *mempool.Pool and
@@ -301,30 +303,7 @@ func (h *HWRateTx) Run(t *Task) {
 		t.Sleep(h.Delay)
 	}
 	h.Queue.SetRatePPS(h.PPS)
-	batch := h.Batch
-	if batch <= 0 {
-		batch = DefaultTxBatch
-	}
-	cache := t.Cache()
-	ba := cache.BufArray(batch)
-	var i uint64
-	for t.Running() {
-		n := ba.Alloc(h.PktSize)
-		if n == 0 {
-			t.Sleep(backoff)
-			continue
-		}
-		if h.Fill != nil {
-			for _, m := range ba.Slice(n) {
-				h.Fill(m, i)
-				i++
-			}
-		}
-		sent := t.SendAll(h.Queue, ba.Bufs[:n])
-		h.Sent += uint64(sent)
-		ba.Clear(n)
-		if sent != n {
-			break
-		}
-	}
+	b := &BurstTx{Queue: h.Queue, Bufs: t.Cache().BufArray(txBatch(h.Batch)), Size: h.PktSize, Frame: h.Fill}
+	b.Run(t)
+	h.Sent = b.Sent
 }

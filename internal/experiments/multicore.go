@@ -61,7 +61,7 @@ func multicoreShardLoad(s *multicore.Shard, w cpu.Workload, freq cpu.Freq, windo
 		UDPSrc:    1234, UDPDst: 5678,
 	})
 	// 4096 buffers bound the shard's working set with >2x headroom:
-	// SendAll back-pressures on the 1024-deep TX ring, so at most
+	// the burst kernel back-pressures on the 1024-deep TX ring, so at most
 	// ring + cache (512) + a few wire trains are ever in flight. The
 	// profile pass found pool construction (slab zeroing) dominating
 	// the 24-point run's startup cost; halving the count halves it
@@ -77,27 +77,21 @@ func multicoreShardLoad(s *multicore.Shard, w cpu.Workload, freq cpu.Freq, windo
 	})
 	perPkt := w.TimePerPacket(freq)
 	app.LaunchTask(fmt.Sprintf("core-%d", s.ID), func(t *core.Task) {
-		bufs := make([]*mempool.Mbuf, mempool.DefaultBatchSize)
 		rng := t.Engine().Rand()
-		base := loadBaseIP
-		for t.Running() {
-			n := cache.AllocBatch(bufs, pktSize)
-			if n == 0 {
-				t.Sleep(sim.Microsecond)
-				continue
-			}
+		tx := &core.BurstTx{Queue: q, Bufs: cache.BufArray(mempool.DefaultBatchSize), Size: pktSize,
 			// The §5.2 script body: one randomized field (256 source
 			// addresses), priced by the workload's cycle cost.
-			for _, m := range bufs[:n] {
-				pkt := proto.UDPPacket{B: m.Payload()}
-				pkt.IP().SetSrc(base + proto.IPv4(rng.Uint32()&0xff))
-			}
-			t.Sleep(sim.Duration(n) * perPkt)
-			t.SendAll(q, bufs[:n])
-			if t.Now() >= sim.Time(0).Add(warmup) {
-				ctr.Update(n, n*pktSize, t.Now())
-			}
+			Frame: func(m *mempool.Mbuf, _ uint64) {
+				proto.UDPPacket{B: m.Payload()}.IP().SetSrc(loadBaseIP + proto.IPv4(rng.Uint32()&0xff))
+			},
+			BeforeSend: func(n int) { t.Sleep(sim.Duration(n) * perPkt) },
+			AfterSend: func(n, _ int) {
+				if t.Now() >= sim.Time(0).Add(warmup) {
+					ctr.Update(n, n*pktSize, t.Now())
+				}
+			},
 		}
+		tx.Run(t)
 	})
 	port := q.Port()
 	var warmPkts, stopPkts uint64

@@ -70,59 +70,57 @@ func (pl *pacedLoad) run(app *core.App, window sim.Duration) (totalPkts uint64, 
 		workload := pl.workload
 		size := pl.pktSize
 		app.LaunchTask(fmt.Sprintf("core-%d", c), func(t *core.Task) {
-			bufs := cache.BufArray(mempool.DefaultBatchSize)
 			rng := t.Engine().Rand()
 			qi := 0
-			for t.Running() {
-				n := t.AllocAll(bufs, size)
-				if n == 0 {
-					break
-				}
-				// Perform the per-packet modifications the workload
-				// describes (the script body of §5.3).
-				for _, m := range bufs.Slice(n) {
-					pkt := proto.UDPPacket{B: m.Payload()}
-					for f := 0; f < workload.RandFields; f++ {
-						v := rng.Uint32()
-						switch f {
-						case 0:
-							pkt.IP().SetSrc(proto.IPv4(v))
-						case 1:
-							pkt.IP().SetDst(proto.IPv4(v))
-						case 2:
-							pkt.UDP().SetSrcPort(uint16(v))
-						case 3:
-							pkt.UDP().SetDstPort(uint16(v))
-						default:
-							pl := pkt.Payload()
-							if len(pl) >= 4*(f-3) {
-								idx := 4 * (f - 4)
-								pl[idx] = byte(v)
-								pl[idx+1] = byte(v >> 8)
-								pl[idx+2] = byte(v >> 16)
-								pl[idx+3] = byte(v >> 24)
-							}
+			tx := &core.BurstTx{Bufs: cache.BufArray(mempool.DefaultBatchSize), Size: size}
+			// Perform the per-packet modifications the workload describes
+			// (the script body of §5.3).
+			tx.Frame = func(m *mempool.Mbuf, _ uint64) {
+				pkt := proto.UDPPacket{B: m.Payload()}
+				for f := 0; f < workload.RandFields; f++ {
+					v := rng.Uint32()
+					switch f {
+					case 0:
+						pkt.IP().SetSrc(proto.IPv4(v))
+					case 1:
+						pkt.IP().SetDst(proto.IPv4(v))
+					case 2:
+						pkt.UDP().SetSrcPort(uint16(v))
+					case 3:
+						pkt.UDP().SetDstPort(uint16(v))
+					default:
+						pl := pkt.Payload()
+						if len(pl) >= 4*(f-3) {
+							idx := 4 * (f - 4)
+							pl[idx] = byte(v)
+							pl[idx+1] = byte(v >> 8)
+							pl[idx+2] = byte(v >> 16)
+							pl[idx+3] = byte(v >> 24)
 						}
 					}
-					for f := 0; f < workload.CounterFields; f++ {
-						pkt.UDP().SetSrcPort(uint16(m.Len) + uint16(f))
-					}
-					switch workload.Offload {
-					case cpu.OffloadIP:
-						m.TxMeta.OffloadIPChecksum = true
-					case cpu.OffloadUDP:
-						m.TxMeta.OffloadIPChecksum = true
-						m.TxMeta.OffloadUDPChecksum = true
-					case cpu.OffloadTCP:
-						m.TxMeta.OffloadIPChecksum = true
-						m.TxMeta.OffloadTCPChecksum = true
-					}
 				}
-				// CPU time for the batch, per the cost model.
+				for f := 0; f < workload.CounterFields; f++ {
+					pkt.UDP().SetSrcPort(uint16(m.Len) + uint16(f))
+				}
+				switch workload.Offload {
+				case cpu.OffloadIP:
+					m.TxMeta.OffloadIPChecksum = true
+				case cpu.OffloadUDP:
+					m.TxMeta.OffloadIPChecksum = true
+					m.TxMeta.OffloadUDPChecksum = true
+				case cpu.OffloadTCP:
+					m.TxMeta.OffloadIPChecksum = true
+					m.TxMeta.OffloadTCPChecksum = true
+				}
+			}
+			// CPU time for the burst, per the cost model; then the next
+			// queue of the core's round-robin carries it.
+			tx.BeforeSend = func(n int) {
 				t.Sleep(sim.Duration(n) * perPkt)
-				t.SendAll(queues[qi], bufs.Bufs[:n])
+				tx.Queue = queues[qi]
 				qi = (qi + 1) % len(queues)
 			}
+			tx.Run(t)
 		})
 	}
 	// Snapshot NIC counters at a warmup mark and the window edge: the

@@ -76,28 +76,22 @@ func (imixScenario) Run(env *Env) (*Report, error) {
 	// available queues completely filled").
 	app.LaunchTask("imix-load", func(t *core.Task) {
 		rng := t.Engine().Rand()
-		one := make([]*mempool.Mbuf, 1)
-		var i uint64
-		for t.Running() {
-			w := rng.Intn(totalWeight)
-			si := 0
-			for cum[si] <= w {
-				si++
-			}
-			m := pool.Alloc(mix[si].Size)
-			if m == nil {
-				t.Sleep(sim.Microsecond)
-				continue
-			}
-			fills[si](m, i)
-			one[0] = m
-			core.OffloadUDPChecksums(one, 1)
-			if t.SendAll(q, one) != 1 {
-				break
-			}
-			sizeCount[si]++
-			i++
+		si := 0 // size index of the burst's one frame
+		tx := &core.BurstTx{Queue: q, Bufs: pool.BufArray(1),
+			Frame: func(m *mempool.Mbuf, i uint64) {
+				w := rng.Intn(totalWeight)
+				for si = 0; cum[si] <= w; {
+					si++
+				}
+				m.Reset(mix[si].Size)
+				fills[si](m, i)
+				m.TxMeta.OffloadIPChecksum = true
+				m.TxMeta.OffloadUDPChecksum = true
+			},
+			// The tally counts only frames the queue accepted.
+			AfterSend: func(_, sent int) { sizeCount[si] += uint64(sent) },
 		}
+		tx.Run(t)
 	})
 	env.DrainRx()
 

@@ -52,7 +52,8 @@ func (qosScenario) Run(env *Env) (*Report, error) {
 
 	// Transmit: one shaped queue and one Listing 2 flood task per flow
 	// (core.UDPFlood is exactly that loop: batch alloc, source-IP
-	// randomization, checksum offload, blocking send).
+	// randomization, checksum offload, blocking send), in fixed bursts
+	// of the example script's 63-packet bufArray whatever Spec.Batch.
 	floods := make([]*core.UDPFlood, len(flows))
 	for fi, f := range flows {
 		size := spec.FlowSize(f)
@@ -67,7 +68,8 @@ func (qosScenario) Run(env *Env) (*Report, error) {
 		floods[fi] = &core.UDPFlood{
 			Queue: q, PktSize: size,
 			BaseIP: f.SrcIP, Randomize: randomize,
-			Pool: env.NewFlowPool(f, size, 4096),
+			Pool:  env.NewFlowPool(f, size, 4096),
+			Batch: mempool.DefaultBatchSize,
 		}
 		app.LaunchTask("load-"+f.Name, floods[fi].Run)
 	}

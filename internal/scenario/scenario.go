@@ -98,7 +98,9 @@ type Spec struct {
 	// processing. The emission schedule is invariant in Batch — the
 	// knob trades host-side event overhead, never timing. Scenarios
 	// that pace one packet per grid tick ignore it: softcbr and every
-	// slot-grid scenario (see slotGrid).
+	// slot-grid scenario (see slotGrid). qos (fixed 63-frame bursts,
+	// the example script's bufArray) and imix (one frame per burst)
+	// ignore it too.
 	Batch int
 	// Runtime is the simulated run time.
 	Runtime sim.Duration
