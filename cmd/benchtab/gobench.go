@@ -58,7 +58,7 @@ var benchPasses = []benchPass{
 	{name: "micro", pkg: ".",
 		benchRE:   "^(BenchmarkSimulatedLineRate|BenchmarkSpecCompiledLineRate|BenchmarkTelemetryOverhead|BenchmarkFaultInjectorOverhead|BenchmarkTxBurstSteadyState|BenchmarkRxBurstSteadyState|BenchmarkCRCGapScheduling)$",
 		benchtime: "100x", count: 3},
-	{name: "engine", pkg: "./internal/sim", benchRE: "^BenchmarkEngine", benchtime: "100x", count: 3},
+	{name: "engine", pkg: "./internal/sim", benchRE: "^Benchmark(Engine|ProcContextSwitch$)", benchtime: "100x", count: 3},
 	{name: "flow", pkg: "./internal/flow", benchRE: "^BenchmarkFlowTracker", benchtime: "100x", count: 3},
 	{name: "stats", pkg: "./internal/stats", benchRE: "^BenchmarkHistogramWindowedPercentile$", benchtime: "100x", count: 3},
 }
@@ -172,9 +172,9 @@ func runGoBench(path, cpuProfile, memProfile string) error {
 
 // gatedBenchmarks are the hot-path benchmarks the -check gate guards:
 // the batched TX/RX datapaths, the event-scheduler core (the timing
-// wheel's schedule/fire loop), the per-window latency-quantile query,
-// and the figure-level scaling runs whose allocation counts the
-// zero-alloc sweep is accountable for.
+// wheel's schedule/fire loop and the engine ↔ process switch), the
+// per-window latency-quantile query, and the figure-level scaling runs
+// whose allocation counts the zero-alloc sweep is accountable for.
 var gatedBenchmarks = map[string]bool{
 	"BenchmarkTable1PacketIO":        true,
 	"BenchmarkSimulatedLineRate":     true,
@@ -186,6 +186,7 @@ var gatedBenchmarks = map[string]bool{
 	"BenchmarkMulticoreScaling":      true,
 	"BenchmarkCRCGapScheduling":      true,
 	"BenchmarkEngineSchedule":        true,
+	"BenchmarkProcContextSwitch":     true,
 	"BenchmarkFig2MultiCoreScaling":  true,
 	"BenchmarkFig4Scaling120G":       true,
 	"BenchmarkFlowTrackerMillion":    true,

@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"io"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dut"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/nic"
 	"repro/internal/proto"
 	"repro/internal/rate"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -298,5 +302,39 @@ func TestDeterministicReproduction(t *testing.T) {
 	p2, b2 := run()
 	if p1 != p2 || b1 != b2 {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", p1, b1, p2, b2)
+	}
+}
+
+// TestScenariosLeaveNoParkedProcs runs every registered scenario at its
+// default spec, on one core and (where the scenario allows sharding) on
+// two, and requires the goroutine count to return to its pre-run value.
+// A simulation process is a coroutine that holds a goroutine until it
+// returns, so a task still parked when its run ends would show up here
+// as a leak on every run.
+func TestScenariosLeaveNoParkedProcs(t *testing.T) {
+	for _, name := range scenario.Names() {
+		sc, _ := scenario.Get(name)
+		for _, cores := range []int{1, 2} {
+			if _, single := sc.(scenario.SingleCoreOnly); single && cores > 1 {
+				continue
+			}
+			spec := sc.DefaultSpec()
+			spec.Runtime = 5 * sim.Millisecond
+			spec.Cores = cores
+			before := runtime.NumGoroutine()
+			if _, err := scenario.Execute(name, spec, io.Discard); err != nil {
+				t.Fatalf("%s cores=%d: %v", name, cores, err)
+			}
+			// Shard goroutines exit asynchronously after the group's
+			// wait returns; give them a moment.
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); after != before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				after = runtime.NumGoroutine()
+			}
+			if after != before {
+				t.Errorf("%s cores=%d: %d goroutines after the run, %d before", name, cores, after, before)
+			}
+		}
 	}
 }

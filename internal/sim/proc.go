@@ -1,22 +1,29 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a cooperatively scheduled simulation process.
 //
-// A process is a goroutine that runs in lockstep with the engine: the
-// engine wakes it, the process executes until it blocks in Sleep or
-// Yield (or returns), and only then does the engine resume the event
-// loop. At most one process (or event callback) executes at a time, so
-// the simulation stays deterministic even though processes are written
-// as ordinary sequential Go code with loops — the direct analogue of a
-// MoonGen slave task's transmit or receive loop.
+// A process is a coroutine that the engine resumes directly: the engine
+// wakes it, the process executes until it blocks in Sleep or Yield (or
+// returns), and only then does the engine resume the event loop. Control
+// passes by a coroutine switch, not through the Go scheduler. At most one
+// process (or event callback) executes at a time, so the simulation
+// stays deterministic even though processes are written as ordinary
+// sequential Go code with loops — the direct analogue of a MoonGen slave
+// task's transmit or receive loop.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	parked chan struct{}
-	dead   bool
+	eng  *Engine
+	name string
+	dead bool
+
+	// next resumes the process until it parks (true) or returns
+	// (false); yield, called from inside the process, parks it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// dispatchFn is the prebound wake-up callback: Sleep/SleepUntil on
 	// the hot path schedule it without allocating a closure per park.
@@ -24,26 +31,17 @@ type Proc struct {
 }
 
 // Spawn starts fn as a new simulation process at the current simulated
-// time. fn runs on its own goroutine but is serialized with all other
-// simulation activity.
+// time. fn runs as a coroutine that the engine resumes directly, so it
+// is serialized with all other simulation activity. A panic in fn
+// surfaces at the caller of the engine's Run.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		fn(p)
+	})
 	p.dispatchFn = func() { e.dispatch(p) }
 	e.procs++
-	go func() {
-		<-p.resume // wait for the engine to hand us control
-		defer func() {
-			p.dead = true
-			p.eng.procs--
-			p.parked <- struct{}{} // hand control back one last time
-		}()
-		fn(p)
-	}()
 	// First wake-up happens as a normal event at the current time, so
 	// Spawn itself never runs user code.
 	e.ScheduleProc(e.now, p)
@@ -57,22 +55,21 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // of capturing the process in a fresh closure.
 func (e *Engine) ScheduleProc(at Time, p *Proc) { e.Schedule(at, p.dispatchFn) }
 
-// dispatch transfers control from the engine to the process and waits
-// for it to park or exit. Must be called from engine (event) context.
+// dispatch resumes the process until it parks or returns. Must be called
+// from engine (event) context.
 func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.parked
+	if _, ok := p.next(); !ok {
+		p.dead = true
+		e.procs--
+	}
 }
 
 // park returns control to the engine and blocks until the engine
 // dispatches this process again.
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }

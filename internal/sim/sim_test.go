@@ -2,6 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -214,6 +217,104 @@ func TestProcYieldFairness(t *testing.T) {
 	for i, v := range trace {
 		if v != i%3 {
 			t.Fatalf("trace = %v", trace)
+		}
+	}
+}
+
+// TestProcReturnedNeverResumed pins the end of a process's life: the
+// live count drops by exactly one when it returns, and a wake-up armed
+// for it afterwards is a no-op rather than a resume.
+func TestProcReturnedNeverResumed(t *testing.T) {
+	e := NewEngine(1)
+	wakes := 0
+	short := e.Spawn("short", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			wakes++
+			p.Sleep(10 * Nanosecond)
+		}
+	})
+	e.Spawn("long", func(p *Proc) { p.Sleep(100 * Nanosecond) })
+	if e.Procs() != 2 {
+		t.Fatalf("live procs = %d after two spawns, want 2", e.Procs())
+	}
+	var mid int
+	e.Schedule(Time(50*Nanosecond), func() {
+		mid = e.Procs()
+		e.ScheduleProc(e.Now(), short)
+		e.ScheduleProc(e.Now().Add(Nanosecond), short)
+	})
+	e.RunAll()
+	if mid != 1 {
+		t.Fatalf("live procs = %d after one returned, want 1", mid)
+	}
+	if wakes != 3 {
+		t.Fatalf("returned proc resumed: %d body iterations, want 3", wakes)
+	}
+	if e.Procs() != 0 {
+		t.Fatalf("live procs = %d after RunAll, want 0", e.Procs())
+	}
+}
+
+// TestProcPanicSurfacesAtRunCaller pins that a panic inside a process
+// reaches the caller of the engine's run loop, where it can be
+// recovered, instead of tearing down the program from elsewhere.
+func TestProcPanicSurfacesAtRunCaller(t *testing.T) {
+	e := NewEngine(1)
+	e.Spawn("bad-sleeper", func(p *Proc) {
+		p.Sleep(Nanosecond)
+		p.Sleep(-1)
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.RunAll()
+		return
+	}()
+	msg, ok := got.(string)
+	if !ok || !strings.Contains(msg, "bad-sleeper") || !strings.Contains(msg, "negative sleep") {
+		t.Fatalf("recovered %#v, want the negative-sleep panic naming the proc", got)
+	}
+}
+
+// TestProcEnginesIndependent runs two engines, each with several
+// interleaving processes, on two goroutines at once (the multicore
+// shard layout). Each engine's wake sequence must equal the one from a
+// serial run of that engine alone; under -race this also checks that
+// the process switch publishes each engine's state to its own
+// processes only.
+func TestProcEnginesIndependent(t *testing.T) {
+	run := func(seed int64) []int64 {
+		e := NewEngine(seed)
+		var trace []int64
+		for k := 0; k < 4; k++ {
+			k := int64(k)
+			e.Spawn("w", func(p *Proc) {
+				for i := 0; i < 200; i++ {
+					p.Sleep(Duration(e.Rand().Intn(1000)) * Picosecond)
+					trace = append(trace, int64(p.Now())<<2|k)
+				}
+			})
+		}
+		e.RunAll()
+		return trace
+	}
+	seeds := []int64{11, 12}
+	serial := make([][]int64, len(seeds))
+	for i, s := range seeds {
+		serial[i] = run(s)
+	}
+	parallel := make([][]int64, len(seeds))
+	var wg sync.WaitGroup
+	for i, s := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parallel[i] = run(s)
+		}()
+	}
+	wg.Wait()
+	for i := range seeds {
+		if !slices.Equal(serial[i], parallel[i]) {
+			t.Fatalf("seed %d: concurrent wake sequence differs from the serial run", seeds[i])
 		}
 	}
 }
