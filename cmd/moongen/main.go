@@ -14,11 +14,15 @@
 // The named form starts from the scenario's default spec; the run form
 // starts from a declarative spec file (see docs/spec-reference.md)
 // compiled at load time by internal/spec. In both forms flags override
-// the starting spec; the flagDefs table below is the single source for
-// both the FlagSet and the usage synopsis.
+// the starting spec. Every flag that sets a spec key binds through that
+// key's entry in the spec key table (spec.Keys), which gives its name,
+// synopsis, usage text and bounds, so a flag admits exactly what the
+// spec key admits; flagDefs below splices in the CLI-only flags and is
+// the single source for both the FlagSet and the usage synopsis.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,110 +38,113 @@ import (
 	_ "repro/internal/experiments"
 )
 
-// options collects the parsed flag values before they are applied onto
-// the starting spec (scenario default or compiled spec file).
-type options struct {
-	rateMpps    float64
-	size        int
-	runMS       float64
-	seed        int64
-	pattern     string
-	burst       int
-	batch       int
-	probes      int
-	samples     int
-	steps       int
-	useDuT      bool
-	cores       int
-	flows       int
-	churnFlows  int
-	churnLife   int
-	telemetry   string
-	telemetryMS float64
-	telemetryDg bool
-	faults      string
+// invocation is one parsed command line: the spec the flags produced and
+// the values of the CLI-only flags, which are not spec keys.
+type invocation struct {
+	spec          scenario.Spec
+	flows         int
+	telemetry     string
+	telemetryMS   float64
+	telemetryDiag bool
+	faults        string
 }
 
-// flagDefs is the single source of truth for the CLI flags: each entry
-// registers its flag on the FlagSet and contributes its synopsis
+// flagDef registers one flag and gives its fragment of the usage
+// synopsis.
+type flagDef struct {
+	synopsis string
+	register func(fs *flag.FlagSet, inv *invocation)
+}
+
+// flagDefs is the single source of truth for the CLI flags: the flags of
+// spec.Keys in table order, with the CLI-only flags spliced in. Each
+// entry registers its flag on the FlagSet and contributes its synopsis
 // fragment to usage(). TestUsageCoversEveryFlag pins that the two views
 // never drift apart.
-var flagDefs = []struct {
-	synopsis string
-	register func(fs *flag.FlagSet, o *options, sp scenario.Spec)
-}{
-	{"-rate M", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.Float64Var(&o.rateMpps, "rate", sp.RateMpps, "rate [Mpps] (0 = line rate where applicable)")
-	}},
-	{"-size B", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.size, "size", sp.PktSize, "frame size without FCS")
-	}},
-	{"-runtime MS", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.Float64Var(&o.runMS, "runtime", sp.Runtime.Seconds()*1e3, "simulated run time [ms]")
-	}},
-	{"-seed N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.Int64Var(&o.seed, "seed", sp.Seed, "simulation seed")
-	}},
-	{"-pattern P", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.StringVar(&o.pattern, "pattern", string(sp.Pattern), "pattern: linerate, cbr, softcbr, poisson or bursts")
-	}},
-	{"-burst N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.burst, "burst", sp.Burst, "burst size for the bursts pattern")
-	}},
-	{"-batch N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.batch, "batch", sp.Batch, "TX burst size through the batched datapath (1 = per-packet)")
-	}},
-	{"-probes N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.probes, "probes", sp.Probes, "timestamped latency probes (0 = none)")
-	}},
-	{"-samples N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.samples, "samples", sp.Samples, "samples for distribution measurements")
-	}},
-	{"-steps N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.steps, "steps", sp.Steps, "sweep steps for sweeping scenarios")
-	}},
-	{"-dut", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.BoolVar(&o.useDuT, "dut", sp.UseDuT, "route traffic through the simulated DuT forwarder")
-	}},
-	{"-cores N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.cores, "cores", sp.Cores, "modeled cores (> 1 runs sharded engines and merges the reports)")
-	}},
-	{"-flows N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.flows, "flows", len(sp.Flows), "declared flow count (0 keeps the scenario's default flow set)")
-	}},
-	{"-churn-flows W", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.churnFlows, "churn-flows", sp.ChurnFlows, "churn scenario: live-flow working set size")
-	}},
-	{"-churn-life R", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.churnLife, "churn-life", sp.ChurnLife, "churn scenario: flow lifetime in packets")
-	}},
-	{"-telemetry PATH", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.StringVar(&o.telemetry, "telemetry", "", "record windowed telemetry to PATH (.jsonl switches to JSONL, else CSV)")
-	}},
-	{"-telemetry-interval MS", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		def := 1.0
-		if sp.TelemetryInterval > 0 {
-			def = sp.TelemetryInterval.Seconds() * 1e3
+var flagDefs = buildFlagDefs()
+
+func buildFlagDefs() []flagDef {
+	var defs []flagDef
+	for i := range spec.Keys {
+		k := &spec.Keys[i]
+		if k.Flag == "" {
+			continue
 		}
-		fs.Float64Var(&o.telemetryMS, "telemetry-interval", def, "telemetry window length [ms of simulated time]")
-	}},
-	{"-telemetry-diag", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.BoolVar(&o.telemetryDg, "telemetry-diag", sp.TelemetryDiag, "include diagnostic columns (engine/pool internals; vary with -cores/-batch)")
-	}},
-	{"-faults PATH", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.StringVar(&o.faults, "faults", "", "load a fault plan (a faults: block, YAML or JSON) onto the scenario")
-	}},
+		synopsis := "-" + k.Flag
+		if k.Arg != "" {
+			synopsis += " " + k.Arg
+		}
+		defs = append(defs, flagDef{synopsis, func(fs *flag.FlagSet, inv *invocation) {
+			fs.Var(keyFlag{k, &inv.spec}, k.Flag, k.Usage)
+		}})
+		if k.Flag == "cores" {
+			// The synopsis lists -flows next to -cores.
+			defs = append(defs, flagDef{"-flows N", func(fs *flag.FlagSet, inv *invocation) {
+				fs.IntVar(&inv.flows, "flows", len(inv.spec.Flows), "declared flow count (0 keeps the scenario's default flow set)")
+			}})
+		}
+	}
+	return append(defs,
+		flagDef{"-telemetry PATH", func(fs *flag.FlagSet, inv *invocation) {
+			fs.StringVar(&inv.telemetry, "telemetry", "", "record windowed telemetry to PATH (.jsonl switches to JSONL, else CSV)")
+		}},
+		flagDef{"-telemetry-interval MS", func(fs *flag.FlagSet, inv *invocation) {
+			def := 1.0
+			if inv.spec.TelemetryInterval > 0 {
+				def = inv.spec.TelemetryInterval.Seconds() * 1e3
+			}
+			fs.Float64Var(&inv.telemetryMS, "telemetry-interval", def, "telemetry window length [ms of simulated time]")
+		}},
+		flagDef{"-telemetry-diag", func(fs *flag.FlagSet, inv *invocation) {
+			fs.BoolVar(&inv.telemetryDiag, "telemetry-diag", inv.spec.TelemetryDiag, "include diagnostic columns (engine/pool internals; vary with -cores/-batch)")
+		}},
+		flagDef{"-faults PATH", func(fs *flag.FlagSet, inv *invocation) {
+			fs.StringVar(&inv.faults, "faults", "", "load a fault plan (a faults: block, YAML or JSON) onto the scenario")
+		}},
+	)
 }
+
+// keyFlag binds a spec key's flag to the spec being built. Set parses
+// the argument, checks it against the key's bounds and stores it, so
+// only the flags a command line sets change the spec.
+type keyFlag struct {
+	key  *spec.Key
+	spec *scenario.Spec
+}
+
+func (f keyFlag) String() string {
+	if f.key == nil {
+		return "" // the zero value flag.PrintDefaults probes
+	}
+	return f.key.FlagValue(f.spec)
+}
+
+func (f keyFlag) Set(arg string) error { return f.key.SetFlag(f.spec, arg) }
+
+func (f keyFlag) IsBoolFlag() bool { return f.key != nil && f.key.Kind == spec.Bool }
 
 // newFlagSet builds the scenario FlagSet from flagDefs, seeded with the
 // starting spec so flag defaults reflect what will run.
-func newFlagSet(name string, sp scenario.Spec) (*flag.FlagSet, *options) {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	o := &options{}
+func newFlagSet(name string, sp scenario.Spec) (*flag.FlagSet, *invocation) {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	inv := &invocation{spec: sp}
 	for _, d := range flagDefs {
-		d.register(fs, o, sp)
+		d.register(fs, inv)
 	}
-	return fs, o
+	return fs, inv
+}
+
+// parseFlags applies args onto the starting spec sp. A flag that args
+// does not set leaves sp as it is; one it sets is checked against its
+// spec key's bounds. The flag package reports an error on stderr,
+// together with the usage, before parseFlags returns it.
+func parseFlags(name string, sp scenario.Spec, args []string, stderr io.Writer) (*invocation, error) {
+	fs, inv := newFlagSet(name, sp)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return inv, nil
 }
 
 func main() {
@@ -165,7 +172,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		os.Exit(runScenario(scName, compiled, os.Args[3:]))
+		os.Exit(runScenario(scName, compiled, os.Args[3:], os.Stdout, os.Stderr))
 	}
 	sc, ok := scenario.Get(name)
 	if !ok {
@@ -173,70 +180,59 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	os.Exit(runScenario(name, sc.DefaultSpec(), os.Args[2:]))
+	os.Exit(runScenario(name, sc.DefaultSpec(), os.Args[2:], os.Stdout, os.Stderr))
 }
 
 // runScenario applies the CLI flags on top of the starting spec, wires
 // the optional telemetry file, executes and prints the report. It is
 // the shared tail of both `moongen <scenario>` and `moongen run`; the
 // returned value is the process exit code.
-func runScenario(name string, sp scenario.Spec, args []string) int {
-	fs, o := newFlagSet(name, sp)
-	_ = fs.Parse(args)
-
-	sp.RateMpps = o.rateMpps
-	sp.PktSize = o.size
-	if o.runMS > 0 {
-		sp.Runtime = sim.FromSeconds(o.runMS / 1e3)
+func runScenario(name string, sp scenario.Spec, args []string, stdout, stderr io.Writer) int {
+	inv, err := parseFlags(name, sp, args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
-	sp.Seed = o.seed
-	sp.Pattern = scenario.Pattern(o.pattern)
-	sp.Burst = o.burst
-	sp.Batch = o.batch
-	sp.Probes = o.probes
-	sp.Samples = o.samples
-	sp.Steps = o.steps
-	sp.UseDuT = o.useDuT
-	sp.Cores = o.cores
-	sp.ChurnFlows = o.churnFlows
-	sp.ChurnLife = o.churnLife
-	if o.flows > 0 && o.flows != len(sp.Flows) {
+	if err != nil {
+		return 2
+	}
+	sp = inv.spec
+	if inv.flows > 0 && inv.flows != len(sp.Flows) {
 		// Resizing is only meaningful for scenarios whose flow set is
 		// the generic FlowSet; curated flow sets (qos's shaped EF/BE
 		// pair, spec-file flows with marks and rates) carry per-flow
 		// state a generic replacement would silently zero out, and
 		// scenarios declaring no flows never consume a flow count.
 		if !isGenericFlowSet(sp.Flows) {
-			fmt.Fprintf(os.Stderr, "scenario %s does not take a flow count; -flows only applies to flow-tracked scenarios\n", name)
+			fmt.Fprintf(stderr, "scenario %s does not take a flow count; -flows only applies to flow-tracked scenarios\n", name)
 			return 2
 		}
-		sp.Flows = scenario.FlowSet(o.flows)
+		sp.Flows = scenario.FlowSet(inv.flows)
 	}
 
-	if o.faults != "" {
+	if inv.faults != "" {
 		// A -faults file replaces the scenario's plan (if any) wholesale;
 		// Execute re-validates the merged spec, so a plan whose targets
 		// the topology lacks still fails closed before anything runs.
-		plan, err := spec.LoadFaults(o.faults)
+		plan, err := spec.LoadFaults(inv.faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		sp.Faults = plan
 	}
 
 	var telFile *os.File
-	if o.telemetry != "" {
-		if o.telemetryMS <= 0 {
-			fmt.Fprintln(os.Stderr, "-telemetry-interval must be > 0")
+	if inv.telemetry != "" {
+		if inv.telemetryMS <= 0 {
+			fmt.Fprintln(stderr, "-telemetry-interval must be > 0")
 			return 2
 		}
-		sp.TelemetryInterval = sim.FromSeconds(o.telemetryMS / 1e3)
-		sp.TelemetryJSONL = strings.HasSuffix(o.telemetry, ".jsonl")
-		sp.TelemetryDiag = o.telemetryDg
-		f, err := os.Create(o.telemetry)
+		sp.TelemetryInterval = sim.FromSeconds(inv.telemetryMS / 1e3)
+		sp.TelemetryJSONL = strings.HasSuffix(inv.telemetry, ".jsonl")
+		sp.TelemetryDiag = inv.telemetryDiag
+		f, err := os.Create(inv.telemetry)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		telFile = f
@@ -248,15 +244,15 @@ func runScenario(name string, sp scenario.Spec, args []string) int {
 		}
 	}
 
-	rep, err := scenario.Execute(name, sp, os.Stdout)
+	rep, err := scenario.Execute(name, sp, stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if telFile != nil {
 		if sp.TelemetryStream == nil {
 			if rep.Telemetry == nil {
-				fmt.Fprintf(os.Stderr, "telemetry: scenario %s produced no series (it bypasses the standard testbed)\n", name)
+				fmt.Fprintf(stderr, "telemetry: scenario %s produced no series (it bypasses the standard testbed)\n", name)
 			} else if sp.TelemetryJSONL {
 				err = rep.Telemetry.WriteJSONL(telFile, sp.TelemetryDiag)
 			} else {
@@ -267,11 +263,11 @@ func runScenario(name string, sp scenario.Spec, args []string) int {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry:", err)
+			fmt.Fprintln(stderr, "telemetry:", err)
 			return 1
 		}
 	}
-	rep.Print(os.Stdout)
+	rep.Print(stdout)
 	return 0
 }
 

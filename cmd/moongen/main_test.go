@@ -2,11 +2,14 @@ package main
 
 import (
 	"flag"
+	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // TestUsageCoversEveryFlag pins the flagDefs table as the single source
@@ -40,6 +43,67 @@ func TestUsageCoversEveryFlag(t *testing.T) {
 	}
 	if !strings.HasPrefix(synopsis(), "usage: moongen <scenario> [") {
 		t.Errorf("synopsis lost its prefix: %q", synopsis())
+	}
+}
+
+// TestFlagBounds pins that a flag setting a spec key admits exactly what
+// the key admits: an out-of-range value exits 2 before anything runs,
+// with a message naming the flag and its range or choices.
+func TestFlagBounds(t *testing.T) {
+	sc, ok := scenario.Get("flood")
+	if !ok {
+		t.Fatal("flood not registered")
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-size", "9000"}, "flag -size: 9000 is out of range [60, 1514]"},
+		{[]string{"-size", "10"}, "flag -size: 10 is out of range [60, 1514]"},
+		{[]string{"-batch", "-3"}, "flag -batch: -3 is out of range [1, 512]"},
+		{[]string{"-cores", "0"}, "flag -cores: 0 is out of range [1, 1024]"},
+		{[]string{"-runtime", "-5"}, "flag -runtime: -5 is out of range: durations are > 0 ms"},
+		{[]string{"-rate", "-2"}, "flag -rate: -2 is out of range: rates are ≥ 0 Mpps (0 = line rate)"},
+		{[]string{"-pattern", "warp"}, `flag -pattern: unknown pattern "warp" (one of: linerate, cbr, softcbr, poisson, bursts)`},
+	} {
+		_, err := parseFlags("flood", sc.DefaultSpec(), tc.args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want it to contain %q", tc.args, err, tc.want)
+		}
+		var stdout, stderr strings.Builder
+		if code := runScenario("flood", sc.DefaultSpec(), tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: the scenario ran:\n%s", tc.args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
+		}
+	}
+}
+
+// TestFlagsApplyOnlyWhenSet pins that a flag the command line does not
+// set leaves the starting spec alone, even where that spec holds a value
+// the flag would reject, and that the edge values -rate 0 (line rate),
+// -probes 0 and a bare -dut stay valid.
+func TestFlagsApplyOnlyWhenSet(t *testing.T) {
+	start := scenario.Spec{Pattern: scenario.PatternCBR, RateMpps: 3, Probes: 7, Runtime: 5 * sim.Millisecond}
+	inv, err := parseFlags("t", start, nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(inv.spec, start) {
+		t.Fatalf("no flags changed the spec:\n%+v\nwant\n%+v", inv.spec, start)
+	}
+	inv, err = parseFlags("t", start, []string{"-rate", "0", "-probes", "0", "-dut", "-runtime", "2.5"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := start
+	want.RateMpps, want.Probes, want.UseDuT, want.Runtime = 0, 0, true, 2500*sim.Microsecond
+	if !reflect.DeepEqual(inv.spec, want) {
+		t.Fatalf("spec after flags:\n%+v\nwant\n%+v", inv.spec, want)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,43 +43,35 @@ type Document struct {
 
 	scenarioLine int
 
-	seed    *int64
-	runtime *sim.Duration
-	cores   *int
-	batch   *int
+	// scalars holds one slot per Keys entry.
+	scalars []scalar
 
-	pattern *scenario.Pattern
-	rate    *float64
-	size    *int
-	burst   *int
-	steps   *int
-	mix     []scenario.SizeShare
+	mix []scenario.SizeShare
 
-	flows    []scenario.Flow
-	hasFlows bool
+	// flowsLine and faultsLine are the lines of the list blocks, 0 when
+	// the file has none.
+	flows      []scenario.Flow
+	flowsLine  int
+	faults     fault.Plan
+	faultsLine int
+}
 
-	churnFlows *int
-	churnLife  *int
+// scalar is a Keys entry's value as the file sets it (nil when it does
+// not) and the line it is set on.
+type scalar struct {
+	val  any
+	line int
+}
 
-	probes  *int
-	samples *int
-
-	dut *bool
-
-	telemetryInterval *sim.Duration
-	telemetryDiag     *bool
-
-	faults    fault.Plan
-	hasFaults bool
-
-	runtimeLine    int
-	coresLine      int
-	patternLine    int
-	rateLine       int
-	sizeLine       int
-	flowsLine      int
-	churnFlowsLine int
-	faultsLine     int
+// line returns the line the file sets the scalar key path on, 0 when
+// it does not.
+func (d *Document) line(path string) int {
+	for i, k := range Keys {
+		if k.Path == path && i < len(d.scalars) {
+			return d.scalars[i].line
+		}
+	}
+	return 0
 }
 
 // Load reads and parses a spec file (YAML by default, JSON when the
@@ -95,15 +87,7 @@ func Load(path string) (*Document, error) {
 // Parse parses a spec from bytes; name labels error messages
 // ("name:line: ...").
 func Parse(src []byte, name string) (*Document, error) {
-	var (
-		root *node
-		err  error
-	)
-	if isJSON(src, name) {
-		root, err = parseJSON(name, src)
-	} else {
-		root, err = parseYAML(name, src)
-	}
+	root, err := parseTree(src, name)
 	if err != nil {
 		return nil, err
 	}
@@ -129,15 +113,7 @@ func LoadFaults(path string) (fault.Plan, error) {
 // error messages. The plan is validated fail-closed, target
 // availability aside (that needs the topology and happens at Execute).
 func ParseFaults(src []byte, name string) (fault.Plan, error) {
-	var (
-		root *node
-		err  error
-	)
-	if isJSON(src, name) {
-		root, err = parseJSON(name, src)
-	} else {
-		root, err = parseYAML(name, src)
-	}
+	root, err := parseTree(src, name)
 	if err != nil {
 		return nil, err
 	}
@@ -186,61 +162,18 @@ func (d *Document) Compile() (string, scenario.Spec, error) {
 			"scenario: unknown scenario %q (available: %s)", d.Scenario, strings.Join(scenario.Names(), ", "))
 	}
 	s := sc.DefaultSpec()
-	if d.seed != nil {
-		s.Seed = *d.seed
-	}
-	if d.runtime != nil {
-		s.Runtime = *d.runtime
-	}
-	if d.cores != nil {
-		s.Cores = *d.cores
-	}
-	if d.batch != nil {
-		s.Batch = *d.batch
-	}
-	if d.pattern != nil {
-		s.Pattern = *d.pattern
-	}
-	if d.rate != nil {
-		s.RateMpps = *d.rate
-	}
-	if d.size != nil {
-		s.PktSize = *d.size
-	}
-	if d.burst != nil {
-		s.Burst = *d.burst
-	}
-	if d.steps != nil {
-		s.Steps = *d.steps
+	for i, v := range d.scalars {
+		if v.val != nil {
+			Keys[i].set(&s, v.val)
+		}
 	}
 	if d.mix != nil {
 		s.Mix = d.mix
 	}
-	if d.hasFlows {
+	if d.flowsLine > 0 {
 		s.Flows = d.flows
 	}
-	if d.churnFlows != nil {
-		s.ChurnFlows = *d.churnFlows
-	}
-	if d.churnLife != nil {
-		s.ChurnLife = *d.churnLife
-	}
-	if d.probes != nil {
-		s.Probes = *d.probes
-	}
-	if d.samples != nil {
-		s.Samples = *d.samples
-	}
-	if d.dut != nil {
-		s.UseDuT = *d.dut
-	}
-	if d.telemetryInterval != nil {
-		s.TelemetryInterval = *d.telemetryInterval
-	}
-	if d.telemetryDiag != nil {
-		s.TelemetryDiag = *d.telemetryDiag
-	}
-	if d.hasFaults {
+	if d.faultsLine > 0 {
 		// An explicit `faults:` block replaces the scenario's default
 		// plan entirely — `faults: []` runs the scenario fault-free.
 		s.Faults = d.faults
@@ -263,7 +196,7 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 
 	if s.Cores > 1 {
 		if sco, ok := sc.(scenario.SingleCoreOnly); ok {
-			return d.errAt(anchor(d.coresLine),
+			return d.errAt(anchor(d.line("cores")),
 				"cores: scenario %q is single-core only (%s); remove cores or set it to 1", d.Scenario, sco.SingleCoreOnly())
 		}
 	}
@@ -272,11 +205,11 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 	case scenario.PatternLineRate, "":
 	case scenario.PatternCBR, scenario.PatternSoftCBR, scenario.PatternPoisson, scenario.PatternBursts:
 		if s.RateMpps <= 0 && !flowsCarryRate(s) {
-			return d.errAt(anchor(d.patternLine),
+			return d.errAt(anchor(d.line("load.pattern")),
 				"load.pattern: pattern %q needs a rate; set load.rate (e.g. \"2mpps\")", s.Pattern)
 		}
 	default:
-		return d.errAt(anchor(d.patternLine),
+		return d.errAt(anchor(d.line("load.pattern")),
 			"load.pattern: unknown pattern %q (one of: linerate, cbr, softcbr, poisson, bursts)", s.Pattern)
 	}
 
@@ -292,7 +225,7 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 		}
 		capMpps := wire.LineRatePPS(wire.Speed10G, size+proto.FCSLen) / 1e6
 		if s.RateMpps > capMpps {
-			return d.errAt(anchor(d.rateLine),
+			return d.errAt(anchor(d.line("load.rate")),
 				"load.rate: %g Mpps exceeds the 10GbE line rate (%.2f Mpps at %d-byte frames) — the cbr hardware shaper cannot oversubscribe the link; use pattern softcbr to model overload",
 				s.RateMpps, capMpps, size+proto.FCSLen)
 		}
@@ -336,7 +269,7 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 		case "loss-overload", "reorder", "linkflap", "overload-recover":
 			n := len(s.EffectiveFlows())
 			if n%s.Cores != 0 {
-				return d.errAt(anchor(d.coresLine),
+				return d.errAt(anchor(d.line("cores")),
 					"cores: %d does not divide the flow count (%d) for scenario %q — every flow must live wholly in one shard", s.Cores, n, d.Scenario)
 			}
 		case "churn":
@@ -345,7 +278,7 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 				w = 1024
 			}
 			if w%s.Cores != 0 {
-				return d.errAt(anchor(d.coresLine),
+				return d.errAt(anchor(d.line("cores")),
 					"cores: %d does not divide the churn working set (%d) — every flow must live wholly in one shard", s.Cores, w)
 			}
 		}
@@ -376,6 +309,15 @@ func flowsCarryRate(s scenario.Spec) bool {
 	return true
 }
 
+// parseTree reads src into the node tree: JSON when name ends in .json
+// or the text starts with '{', YAML otherwise.
+func parseTree(src []byte, name string) (*node, error) {
+	if isJSON(src, name) {
+		return parseJSON(name, src)
+	}
+	return parseYAML(name, src)
+}
+
 func isJSON(src []byte, name string) bool {
 	if strings.HasSuffix(name, ".json") {
 		return true
@@ -401,21 +343,15 @@ func (d *Document) errAt(line int, format string, args ...any) error {
 // Schema walk
 // ---------------------------------------------------------------------
 
-var topKeys = []string{"version", "scenario", "description", "seed", "runtime", "cores", "batch", "load", "flows", "churn", "probes", "topology", "telemetry", "faults"}
-var loadKeys = []string{"pattern", "rate", "size", "burst", "steps", "mix"}
 var mixKeys = []string{"size", "weight"}
 var flowKeys = []string{"name", "l4", "src_ip", "src_ip_count", "dst_ip", "src_port", "dst_port", "tos", "rate", "size"}
-var churnKeys = []string{"flows", "life"}
-var probesKeys = []string{"latency", "samples"}
-var topologyKeys = []string{"dut"}
-var telemetryKeys = []string{"interval", "diag"}
 var faultKeys = []string{"kind", "at", "duration", "period", "count", "flush", "offset", "drift_ppm"}
 
 func (d *Document) walk(root *node) error {
 	if root.kind != mapNode {
 		return d.errAt(root.line, "the document root must be a mapping (\"key: value\" lines), got a %s", root.kindName())
 	}
-	if err := d.checkKeys(root, topKeys, ""); err != nil {
+	if err := d.checkKeys(root, sectionKeys[""], ""); err != nil {
 		return err
 	}
 
@@ -446,63 +382,18 @@ func (d *Document) walk(root *node) error {
 			return err
 		}
 	}
-	if n, line, ok := root.get("seed"); ok {
-		v, err := d.intField(n, line, "seed", math.MinInt64, math.MaxInt64)
-		if err != nil {
-			return err
-		}
-		d.seed = &v
+	if err := d.walkKeys(root); err != nil {
+		return err
 	}
-	if n, line, ok := root.get("runtime"); ok {
-		v, err := d.durField(n, line, "runtime")
-		if err != nil {
-			return err
-		}
-		d.runtime, d.runtimeLine = &v, line
-	}
-	if n, line, ok := root.get("cores"); ok {
-		v, err := d.intField(n, line, "cores", 1, 1024)
-		if err != nil {
-			return err
-		}
-		c := int(v)
-		d.cores, d.coresLine = &c, line
-	}
-	if n, line, ok := root.get("batch"); ok {
-		v, err := d.intField(n, line, "batch", 1, 512)
-		if err != nil {
-			return err
-		}
-		b := int(v)
-		d.batch = &b
-	}
-	if n, line, ok := root.get("load"); ok {
-		if err := d.walkLoad(n, line); err != nil {
-			return err
+	if ln, _, ok := root.get("load"); ok {
+		if n, line, ok := ln.get("mix"); ok {
+			if err := d.walkMix(n, line); err != nil {
+				return err
+			}
 		}
 	}
 	if n, line, ok := root.get("flows"); ok {
 		if err := d.walkFlows(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("churn"); ok {
-		if err := d.walkChurn(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("probes"); ok {
-		if err := d.walkProbes(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("topology"); ok {
-		if err := d.walkTopology(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("telemetry"); ok {
-		if err := d.walkTelemetry(n, line); err != nil {
 			return err
 		}
 	}
@@ -514,91 +405,41 @@ func (d *Document) walk(root *node) error {
 	return nil
 }
 
-func (d *Document) walkLoad(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "load: expected a mapping, got a %s", n.kindName())
+// walkMix reads the `load.mix` list of {size, weight} entries.
+func (d *Document) walkMix(mn *node, mline int) error {
+	if mn.kind != listNode {
+		return d.errAt(mline, "load.mix: expected a list of {size, weight} entries, got a %s", mn.kindName())
 	}
-	if err := d.checkKeys(n, loadKeys, "load."); err != nil {
-		return err
-	}
-	if pn, pline, ok := n.get("pattern"); ok {
-		v, err := d.strField(pn, pline, "load.pattern")
+	mix := make([]scenario.SizeShare, 0, len(mn.items))
+	for _, item := range mn.items {
+		if item.kind != mapNode {
+			return d.errAt(item.line, "load.mix: each entry must be a {size, weight} mapping, got a %s", item.kindName())
+		}
+		if err := d.checkKeys(item, mixKeys, "load.mix."); err != nil {
+			return err
+		}
+		sn, sline, ok := item.get("size")
+		if !ok {
+			return d.errAt(item.line, "load.mix: entry is missing \"size\"")
+		}
+		size, err := d.frameSize(sn, sline, "load.mix.size")
 		if err != nil {
 			return err
 		}
-		p := scenario.Pattern(v)
-		switch p {
-		case scenario.PatternLineRate, scenario.PatternCBR, scenario.PatternSoftCBR, scenario.PatternPoisson, scenario.PatternBursts:
-		default:
-			return d.errAt(pline, "load.pattern: unknown pattern %q (one of: linerate, cbr, softcbr, poisson, bursts)", v)
+		wn, wline, ok := item.get("weight")
+		if !ok {
+			return d.errAt(item.line, "load.mix: entry is missing \"weight\"")
 		}
-		d.pattern, d.patternLine = &p, pline
-	}
-	if rn, rline, ok := n.get("rate"); ok {
-		v, err := d.rateField(rn, rline, "load.rate")
+		w, err := d.intField(wn, wline, "load.mix.weight", 1, math.MaxInt32)
 		if err != nil {
 			return err
 		}
-		d.rate, d.rateLine = &v, rline
+		mix = append(mix, scenario.SizeShare{Size: size, Weight: int(w)})
 	}
-	if sn, sline, ok := n.get("size"); ok {
-		v, err := d.frameSize(sn, sline, "load.size")
-		if err != nil {
-			return err
-		}
-		d.size, d.sizeLine = &v, sline
+	if len(mix) == 0 {
+		return d.errAt(mline, "load.mix: the mix cannot be empty")
 	}
-	if bn, bline, ok := n.get("burst"); ok {
-		v, err := d.intField(bn, bline, "load.burst", 1, 4096)
-		if err != nil {
-			return err
-		}
-		b := int(v)
-		d.burst = &b
-	}
-	if sn, sline, ok := n.get("steps"); ok {
-		v, err := d.intField(sn, sline, "load.steps", 1, 1024)
-		if err != nil {
-			return err
-		}
-		s := int(v)
-		d.steps = &s
-	}
-	if mn, mline, ok := n.get("mix"); ok {
-		if mn.kind != listNode {
-			return d.errAt(mline, "load.mix: expected a list of {size, weight} entries, got a %s", mn.kindName())
-		}
-		mix := make([]scenario.SizeShare, 0, len(mn.items))
-		for _, item := range mn.items {
-			if item.kind != mapNode {
-				return d.errAt(item.line, "load.mix: each entry must be a {size, weight} mapping, got a %s", item.kindName())
-			}
-			if err := d.checkKeys(item, mixKeys, "load.mix."); err != nil {
-				return err
-			}
-			sn, sline, ok := item.get("size")
-			if !ok {
-				return d.errAt(item.line, "load.mix: entry is missing \"size\"")
-			}
-			size, err := d.frameSize(sn, sline, "load.mix.size")
-			if err != nil {
-				return err
-			}
-			wn, wline, ok := item.get("weight")
-			if !ok {
-				return d.errAt(item.line, "load.mix: entry is missing \"weight\"")
-			}
-			w, err := d.intField(wn, wline, "load.mix.weight", 1, math.MaxInt32)
-			if err != nil {
-				return err
-			}
-			mix = append(mix, scenario.SizeShare{Size: size, Weight: int(w)})
-		}
-		if len(mix) == 0 {
-			return d.errAt(mline, "load.mix: the mix cannot be empty")
-		}
-		d.mix = mix
-	}
+	d.mix = mix
 	return nil
 }
 
@@ -607,7 +448,6 @@ func (d *Document) walkFlows(n *node, line int) error {
 		return d.errAt(line, "flows: expected a list of flow mappings, got a %s", n.kindName())
 	}
 	d.flowsLine = line
-	d.hasFlows = true
 	d.flows = make([]scenario.Flow, 0, len(n.items))
 	for i, item := range n.items {
 		if item.kind != mapNode {
@@ -701,99 +541,6 @@ func (d *Document) walkFlows(n *node, line int) error {
 	return nil
 }
 
-func (d *Document) walkChurn(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "churn: expected a mapping, got a %s", n.kindName())
-	}
-	if err := d.checkKeys(n, churnKeys, "churn."); err != nil {
-		return err
-	}
-	if fn, fline, ok := n.get("flows"); ok {
-		v, err := d.intField(fn, fline, "churn.flows", 1, 1<<28)
-		if err != nil {
-			return err
-		}
-		w := int(v)
-		d.churnFlows, d.churnFlowsLine = &w, fline
-	}
-	if ln, lline, ok := n.get("life"); ok {
-		v, err := d.intField(ln, lline, "churn.life", 1, math.MaxInt32)
-		if err != nil {
-			return err
-		}
-		l := int(v)
-		d.churnLife = &l
-	}
-	return nil
-}
-
-func (d *Document) walkProbes(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "probes: expected a mapping, got a %s", n.kindName())
-	}
-	if err := d.checkKeys(n, probesKeys, "probes."); err != nil {
-		return err
-	}
-	if ln, lline, ok := n.get("latency"); ok {
-		v, err := d.intField(ln, lline, "probes.latency", 0, math.MaxInt32)
-		if err != nil {
-			return err
-		}
-		p := int(v)
-		d.probes = &p
-	}
-	if sn, sline, ok := n.get("samples"); ok {
-		v, err := d.intField(sn, sline, "probes.samples", 0, math.MaxInt32)
-		if err != nil {
-			return err
-		}
-		s := int(v)
-		d.samples = &s
-	}
-	return nil
-}
-
-func (d *Document) walkTopology(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "topology: expected a mapping, got a %s", n.kindName())
-	}
-	if err := d.checkKeys(n, topologyKeys, "topology."); err != nil {
-		return err
-	}
-	if dn, dline, ok := n.get("dut"); ok {
-		v, err := d.boolField(dn, dline, "topology.dut")
-		if err != nil {
-			return err
-		}
-		d.dut = &v
-	}
-	return nil
-}
-
-func (d *Document) walkTelemetry(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "telemetry: expected a mapping, got a %s", n.kindName())
-	}
-	if err := d.checkKeys(n, telemetryKeys, "telemetry."); err != nil {
-		return err
-	}
-	if in, iline, ok := n.get("interval"); ok {
-		v, err := d.durField(in, iline, "telemetry.interval")
-		if err != nil {
-			return err
-		}
-		d.telemetryInterval = &v
-	}
-	if dn, dline, ok := n.get("diag"); ok {
-		v, err := d.boolField(dn, dline, "telemetry.diag")
-		if err != nil {
-			return err
-		}
-		d.telemetryDiag = &v
-	}
-	return nil
-}
-
 // walkFaults reads the `faults:` block — a list of typed fault events
 // executed on the run's global sim-time grid (see internal/fault). The
 // walk checks keys, types and units per event; plan-level coherence
@@ -805,7 +552,6 @@ func (d *Document) walkFaults(n *node, line int) error {
 		return d.errAt(line, "faults: expected a list of fault event mappings, got a %s", n.kindName())
 	}
 	d.faultsLine = line
-	d.hasFaults = true
 	d.faults = make(fault.Plan, 0, len(n.items))
 	for _, item := range n.items {
 		if item.kind != mapNode {
@@ -894,33 +640,26 @@ func (d *Document) walkFaults(n *node, line int) error {
 // defaulted would corrupt an experiment without a trace.
 func (d *Document) checkKeys(n *node, allowed []string, prefix string) error {
 	for i, k := range n.keys {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if ok {
+		if slices.Contains(allowed, k) {
 			continue
 		}
 		msg := fmt.Sprintf("unknown key %q", prefix+k)
 		if s := suggest(k, allowed); s != "" {
 			msg += fmt.Sprintf(" (did you mean %q?)", prefix+s)
 		} else {
-			sort.Strings(allowed)
-			msg += fmt.Sprintf(" (valid keys: %s)", strings.Join(allowed, ", "))
+			msg += fmt.Sprintf(" (valid keys: %s)", strings.Join(slices.Sorted(slices.Values(allowed)), ", "))
 		}
 		return d.errAt(n.keyLines[i], "%s", msg)
 	}
 	return nil
 }
 
-// suggest returns the closest allowed key within edit distance 2.
+// suggest returns the closest allowed key within edit distance 2, the
+// alphabetically first one on a tie.
 func suggest(key string, allowed []string) string {
 	best, bestDist := "", 3
 	for _, a := range allowed {
-		if dist := editDistance(key, a); dist < bestDist {
+		if dist := editDistance(key, a); dist < bestDist || dist == bestDist && a < best {
 			best, bestDist = a, dist
 		}
 	}
@@ -974,14 +713,22 @@ func (d *Document) intField(n *node, line int, field string, lo, hi int64) (int6
 	if err != nil {
 		return 0, err
 	}
-	// Base 0 accepts 0x-prefixed hex, which reads naturally for TOS
-	// and DSCP bytes ("tos: 0xb8").
+	v, err := parseInt(raw, lo, hi)
+	if err != nil {
+		return 0, d.errAt(line, "%s: %v", field, err)
+	}
+	return v, nil
+}
+
+// parseInt reads an integer in [lo, hi]. Base 0 accepts 0x-prefixed
+// hex, which reads naturally for TOS and DSCP bytes ("tos: 0xb8").
+func parseInt(raw string, lo, hi int64) (int64, error) {
 	v, err := strconv.ParseInt(raw, 0, 64)
 	if err != nil {
-		return 0, d.errAt(line, "%s: %q is not an integer", field, raw)
+		return 0, fmt.Errorf("%q is not an integer", raw)
 	}
 	if v < lo || v > hi {
-		return 0, d.errAt(line, "%s: %d is out of range [%d, %d]", field, v, lo, hi)
+		return 0, fmt.Errorf("%d is out of range [%d, %d]", v, lo, hi)
 	}
 	return v, nil
 }
@@ -1000,10 +747,13 @@ func (d *Document) boolField(n *node, line int, field string) (bool, error) {
 	return false, d.errAt(line, "%s: %q is not a boolean (true or false)", field, raw)
 }
 
-// frameSize reads a frame size in bytes without FCS, bounded to what
+// minFrame and maxFrame bound a frame size in bytes without FCS to what
 // the modeled 10GbE MAC accepts.
+const minFrame, maxFrame = 60, 1514
+
+// frameSize reads a frame size in bytes without FCS.
 func (d *Document) frameSize(n *node, line int, field string) (int, error) {
-	v, err := d.intField(n, line, field, 60, 1514)
+	v, err := d.intField(n, line, field, minFrame, maxFrame)
 	if err != nil {
 		return 0, err
 	}

@@ -1,7 +1,9 @@
 package spec
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -127,181 +129,183 @@ func TestCompileJSON(t *testing.T) {
 	}
 }
 
-// TestValidateNegative pins the actionable, line-anchored messages the
-// loader emits for the canonical authoring mistakes.
+// negativeCases are the canonical authoring mistakes and the actionable,
+// line-anchored messages the loader emits for them.
+var negativeCases = []struct {
+	name string
+	src  string
+	want []string // every fragment must appear in the error
+}{
+	{
+		"unknown top-level key",
+		"version: 1\nscenario: softcbr\nscenari: x\n",
+		[]string{"t.yaml:3:", `unknown key "scenari"`, `did you mean "scenario"`},
+	},
+	{
+		"unknown nested key",
+		"version: 1\nscenario: softcbr\nload:\n  rat: 2mpps\n",
+		[]string{"t.yaml:4:", `unknown key "load.rat"`, `did you mean "load.rate"`},
+	},
+	{
+		"unknown flow key",
+		"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n    dscp: 4\n",
+		[]string{"t.yaml:7:", `unknown key "flows.dscp"`},
+	},
+	{
+		"missing version",
+		"scenario: softcbr\n",
+		[]string{"t.yaml:1:", `missing required key "version"`},
+	},
+	{
+		"future version",
+		"version: 2\nscenario: softcbr\n",
+		[]string{"t.yaml:1:", "unsupported spec version 2", "version 1"},
+	},
+	{
+		"unknown scenario",
+		"version: 1\nscenario: warp-drive\n",
+		[]string{"t.yaml:2:", `unknown scenario "warp-drive"`, "softcbr"},
+	},
+	{
+		"bad duration unit",
+		"version: 1\nscenario: softcbr\nruntime: 50 lightyears\n",
+		[]string{"t.yaml:3:", `unknown unit "lightyears"`, "ns, us, ms, s"},
+	},
+	{
+		"missing duration unit",
+		"version: 1\nscenario: softcbr\nruntime: 50\n",
+		[]string{"t.yaml:3:", "missing a unit", `"50ms"`},
+	},
+	{
+		"bad rate unit",
+		"version: 1\nscenario: softcbr\nload:\n  rate: 2gbps\n",
+		[]string{"t.yaml:4:", `unknown unit "gbps"`, "pps, kpps, mpps"},
+	},
+	{
+		"missing rate unit",
+		"version: 1\nscenario: softcbr\nload:\n  rate: 2\n",
+		[]string{"t.yaml:4:", "missing a unit", `"2mpps"`},
+	},
+	{
+		"uneven flow sharding",
+		"version: 1\nscenario: loss-overload\ncores: 3\n",
+		[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "loss-overload"},
+	},
+	{
+		"uneven churn sharding",
+		"version: 1\nscenario: churn\ncores: 3\nchurn:\n  flows: 1024\n",
+		[]string{"t.yaml:3:", "does not divide the churn working set (1024)"},
+	},
+	{
+		"cbr rate over link capacity",
+		"version: 1\nscenario: cbr\nload:\n  rate: 20mpps\n",
+		[]string{"t.yaml:4:", "exceeds the 10GbE line rate", "14.88 Mpps", "softcbr"},
+	},
+	{
+		"flow rate over link capacity",
+		"version: 1\nscenario: cbr\nload:\n  rate: 1mpps\nflows:\n  - name: hot\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n    rate: 16mpps\n",
+		[]string{`flow "hot" rate 16 Mpps exceeds`},
+	},
+	{
+		"single-core-only scenario sharded",
+		"version: 1\nscenario: imix\ncores: 2\n",
+		[]string{"t.yaml:3:", `"imix" is single-core only`},
+	},
+	{
+		"pattern needs a rate",
+		"version: 1\nscenario: flood\nload:\n  pattern: poisson\n",
+		[]string{"t.yaml:4:", `pattern "poisson" needs a rate`},
+	},
+	{
+		"unknown pattern",
+		"version: 1\nscenario: flood\nload:\n  pattern: fractal\n",
+		[]string{"t.yaml:4:", `unknown pattern "fractal"`},
+	},
+	{
+		"bad ip",
+		"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    src_ip: 10.0.0.999\n    dst_ip: 10.1.0.1\n",
+		[]string{"t.yaml:5:", "flows.src_ip"},
+	},
+	{
+		"port out of range",
+		"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n    dst_port: 70000\n",
+		[]string{"t.yaml:7:", "out of range [0, 65535]"},
+	},
+	{
+		"frame size too small",
+		"version: 1\nscenario: softcbr\nload:\n  size: 40\n",
+		[]string{"t.yaml:4:", "out of range [60, 1514]"},
+	},
+	{
+		"duplicate flow names",
+		"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n  - name: a\n    src_ip: 10.0.0.2\n    dst_ip: 10.1.0.1\n",
+		[]string{"duplicate flow name \"a\""},
+	},
+	{
+		"flow missing src_ip",
+		"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    dst_ip: 10.1.0.1\n",
+		[]string{`flow "a" is missing "src_ip"`},
+	},
+	{
+		"negative runtime",
+		"version: 1\nscenario: softcbr\nruntime: -5ms\n",
+		[]string{"t.yaml:3:", "must be positive"},
+	},
+	{
+		"unknown fault key",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    duration: 1ms\n    durration: 2ms\n",
+		[]string{"t.yaml:6:", `unknown key "faults.durration"`, `did you mean "faults.duration"`},
+	},
+	{
+		"unknown fault kind",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: meteor\n    duration: 1ms\n",
+		[]string{"t.yaml:4:", `unknown fault kind "meteor"`, "linkflap, dut-stall, queue-pause, clock-step"},
+	},
+	{
+		"fault missing kind",
+		"version: 1\nscenario: linkflap\nfaults:\n  - duration: 1ms\n",
+		[]string{"t.yaml:4:", `missing "kind"`},
+	},
+	{
+		"fault duration without unit",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    duration: 5\n",
+		[]string{"t.yaml:5:", "missing a unit"},
+	},
+	{
+		"windowed fault without duration",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    at: 1ms\n",
+		[]string{"t.yaml:3:", "faults:", "duration must be positive"},
+	},
+	{
+		"fault period under duration",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    duration: 2ms\n    period: 1ms\n",
+		[]string{"t.yaml:3:", "must exceed the duration"},
+	},
+	{
+		"clock step without offset or drift",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: clock-step\n    at: 1ms\n",
+		[]string{"t.yaml:3:", "needs an offset or a drift rate"},
+	},
+	{
+		"dut-stall without a dut topology",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: dut-stall\n    at: 1ms\n    duration: 1ms\n",
+		[]string{"t.yaml:3:", "dut-stall", "topology.dut"},
+	},
+	{
+		"uneven linkflap sharding",
+		"version: 1\nscenario: linkflap\ncores: 3\n",
+		[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "linkflap"},
+	},
+	{
+		"uneven overload-recover sharding",
+		"version: 1\nscenario: overload-recover\ncores: 3\n",
+		[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "overload-recover"},
+	},
+}
+
+// TestValidateNegative pins the messages of negativeCases.
 func TestValidateNegative(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want []string // every fragment must appear in the error
-	}{
-		{
-			"unknown top-level key",
-			"version: 1\nscenario: softcbr\nscenari: x\n",
-			[]string{"t.yaml:3:", `unknown key "scenari"`, `did you mean "scenario"`},
-		},
-		{
-			"unknown nested key",
-			"version: 1\nscenario: softcbr\nload:\n  rat: 2mpps\n",
-			[]string{"t.yaml:4:", `unknown key "load.rat"`, `did you mean "load.rate"`},
-		},
-		{
-			"unknown flow key",
-			"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n    dscp: 4\n",
-			[]string{"t.yaml:7:", `unknown key "flows.dscp"`},
-		},
-		{
-			"missing version",
-			"scenario: softcbr\n",
-			[]string{"t.yaml:1:", `missing required key "version"`},
-		},
-		{
-			"future version",
-			"version: 2\nscenario: softcbr\n",
-			[]string{"t.yaml:1:", "unsupported spec version 2", "version 1"},
-		},
-		{
-			"unknown scenario",
-			"version: 1\nscenario: warp-drive\n",
-			[]string{"t.yaml:2:", `unknown scenario "warp-drive"`, "softcbr"},
-		},
-		{
-			"bad duration unit",
-			"version: 1\nscenario: softcbr\nruntime: 50 lightyears\n",
-			[]string{"t.yaml:3:", `unknown unit "lightyears"`, "ns, us, ms, s"},
-		},
-		{
-			"missing duration unit",
-			"version: 1\nscenario: softcbr\nruntime: 50\n",
-			[]string{"t.yaml:3:", "missing a unit", `"50ms"`},
-		},
-		{
-			"bad rate unit",
-			"version: 1\nscenario: softcbr\nload:\n  rate: 2gbps\n",
-			[]string{"t.yaml:4:", `unknown unit "gbps"`, "pps, kpps, mpps"},
-		},
-		{
-			"missing rate unit",
-			"version: 1\nscenario: softcbr\nload:\n  rate: 2\n",
-			[]string{"t.yaml:4:", "missing a unit", `"2mpps"`},
-		},
-		{
-			"uneven flow sharding",
-			"version: 1\nscenario: loss-overload\ncores: 3\n",
-			[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "loss-overload"},
-		},
-		{
-			"uneven churn sharding",
-			"version: 1\nscenario: churn\ncores: 3\nchurn:\n  flows: 1024\n",
-			[]string{"t.yaml:3:", "does not divide the churn working set (1024)"},
-		},
-		{
-			"cbr rate over link capacity",
-			"version: 1\nscenario: cbr\nload:\n  rate: 20mpps\n",
-			[]string{"t.yaml:4:", "exceeds the 10GbE line rate", "14.88 Mpps", "softcbr"},
-		},
-		{
-			"flow rate over link capacity",
-			"version: 1\nscenario: cbr\nload:\n  rate: 1mpps\nflows:\n  - name: hot\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n    rate: 16mpps\n",
-			[]string{`flow "hot" rate 16 Mpps exceeds`},
-		},
-		{
-			"single-core-only scenario sharded",
-			"version: 1\nscenario: imix\ncores: 2\n",
-			[]string{"t.yaml:3:", `"imix" is single-core only`},
-		},
-		{
-			"pattern needs a rate",
-			"version: 1\nscenario: flood\nload:\n  pattern: poisson\n",
-			[]string{"t.yaml:4:", `pattern "poisson" needs a rate`},
-		},
-		{
-			"unknown pattern",
-			"version: 1\nscenario: flood\nload:\n  pattern: fractal\n",
-			[]string{"t.yaml:4:", `unknown pattern "fractal"`},
-		},
-		{
-			"bad ip",
-			"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    src_ip: 10.0.0.999\n    dst_ip: 10.1.0.1\n",
-			[]string{"t.yaml:5:", "flows.src_ip"},
-		},
-		{
-			"port out of range",
-			"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n    dst_port: 70000\n",
-			[]string{"t.yaml:7:", "out of range [0, 65535]"},
-		},
-		{
-			"frame size too small",
-			"version: 1\nscenario: softcbr\nload:\n  size: 40\n",
-			[]string{"t.yaml:4:", "out of range [60, 1514]"},
-		},
-		{
-			"duplicate flow names",
-			"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n  - name: a\n    src_ip: 10.0.0.2\n    dst_ip: 10.1.0.1\n",
-			[]string{"duplicate flow name \"a\""},
-		},
-		{
-			"flow missing src_ip",
-			"version: 1\nscenario: softcbr\nflows:\n  - name: a\n    dst_ip: 10.1.0.1\n",
-			[]string{`flow "a" is missing "src_ip"`},
-		},
-		{
-			"negative runtime",
-			"version: 1\nscenario: softcbr\nruntime: -5ms\n",
-			[]string{"t.yaml:3:", "must be positive"},
-		},
-		{
-			"unknown fault key",
-			"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    duration: 1ms\n    durration: 2ms\n",
-			[]string{"t.yaml:6:", `unknown key "faults.durration"`, `did you mean "faults.duration"`},
-		},
-		{
-			"unknown fault kind",
-			"version: 1\nscenario: linkflap\nfaults:\n  - kind: meteor\n    duration: 1ms\n",
-			[]string{"t.yaml:4:", `unknown fault kind "meteor"`, "linkflap, dut-stall, queue-pause, clock-step"},
-		},
-		{
-			"fault missing kind",
-			"version: 1\nscenario: linkflap\nfaults:\n  - duration: 1ms\n",
-			[]string{"t.yaml:4:", `missing "kind"`},
-		},
-		{
-			"fault duration without unit",
-			"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    duration: 5\n",
-			[]string{"t.yaml:5:", "missing a unit"},
-		},
-		{
-			"windowed fault without duration",
-			"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    at: 1ms\n",
-			[]string{"t.yaml:3:", "faults:", "duration must be positive"},
-		},
-		{
-			"fault period under duration",
-			"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    duration: 2ms\n    period: 1ms\n",
-			[]string{"t.yaml:3:", "must exceed the duration"},
-		},
-		{
-			"clock step without offset or drift",
-			"version: 1\nscenario: linkflap\nfaults:\n  - kind: clock-step\n    at: 1ms\n",
-			[]string{"t.yaml:3:", "needs an offset or a drift rate"},
-		},
-		{
-			"dut-stall without a dut topology",
-			"version: 1\nscenario: linkflap\nfaults:\n  - kind: dut-stall\n    at: 1ms\n    duration: 1ms\n",
-			[]string{"t.yaml:3:", "dut-stall", "topology.dut"},
-		},
-		{
-			"uneven linkflap sharding",
-			"version: 1\nscenario: linkflap\ncores: 3\n",
-			[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "linkflap"},
-		},
-		{
-			"uneven overload-recover sharding",
-			"version: 1\nscenario: overload-recover\ncores: 3\n",
-			[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "overload-recover"},
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range negativeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := Validate([]byte(tc.src), "t.yaml")
 			if err == nil {
@@ -435,4 +439,59 @@ func mustParse(t *testing.T, src string) *Document {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestValidateConcurrent runs the "valid keys" error path from several
+// goroutines at once, first call included, at the document root and in
+// a flow entry. The allowed-key lists may be shared package state, so
+// building the message must not reorder them in place, and every call
+// must produce the same message.
+func TestValidateConcurrent(t *testing.T) {
+	srcs := []string{
+		"version: 1\nscenario: softcbr\nzzzzzzzz: 1\n",
+		"version: 1\nscenario: softcbr\nflows:\n  - zzzzzzzz: 1\n",
+	}
+	errs := make([]error, 4*len(srcs))
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = Validate([]byte(srcs[g%len(srcs)]), "t.yaml")
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err == nil || err.Error() != errs[g%len(srcs)].Error() {
+			t.Fatalf("concurrent Validate = %v, want %v", err, errs[g%len(srcs)])
+		}
+	}
+	for i, want := range []string{"valid keys: batch, churn,", "valid keys: dst_ip, dst_port,"} {
+		if !strings.Contains(errs[i].Error(), want) {
+			t.Fatalf("error %q does not list the valid keys sorted", errs[i])
+		}
+	}
+}
+
+// TestKeysFlagRoundTrip sets every Keys entry through its command-line
+// form, rendered by FlagValue from a spec that holds a valid value in
+// every scalar field, and expects that spec back: each key's field,
+// value kind and both forms agree.
+func TestKeysFlagRoundTrip(t *testing.T) {
+	want := scenario.Spec{
+		RateMpps: 2.5, PktSize: 124, Runtime: 5 * sim.Millisecond, Seed: -7,
+		Pattern: scenario.PatternPoisson, Burst: 16, Batch: 32, Probes: 3, Samples: 100,
+		Steps: 4, UseDuT: true, Cores: 2, ChurnFlows: 512, ChurnLife: 8,
+		TelemetryInterval: 250 * sim.Microsecond, TelemetryDiag: true,
+	}
+	var got scenario.Spec
+	for i := range Keys {
+		k := &Keys[i]
+		if err := k.SetFlag(&got, k.FlagValue(&want)); err != nil {
+			t.Errorf("%s: %v", k.Path, err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip through the flag forms:\n%+v\nwant\n%+v", got, want)
+	}
 }
