@@ -242,9 +242,12 @@ func TestExperimentsGolden(t *testing.T) {
 			goldenCompare(t, sc.name+".csv", b.String())
 		})
 	}
-	// The cost-model loads outside fig2: pacedLoad on the XL710 sweep,
-	// multicoreShardLoad on the sharded scaling series, and GapTx
-	// through the DuT in the Figure 10 sweep.
+	// The other §5 throughput tables, all paced by the cycle-cost
+	// model: the XL710 size sweep on one engine, Figure 4 and the
+	// multicore scaling series on engine shards, the frequency and
+	// frame-size sweeps and the cost estimate on one core (seeds as in
+	// the experiments unit tests); then GapTx through the DuT in the
+	// Figure 10 sweep.
 	t.Run("fig3", func(t *testing.T) {
 		var b strings.Builder
 		tableCSV(&b, &experiments.RunFig3(experiments.ScaleTest, 3).Table)
@@ -254,6 +257,26 @@ func TestExperimentsGolden(t *testing.T) {
 		var b strings.Builder
 		tableCSV(&b, &experiments.RunMulticoreScaling(experiments.ScaleTest, 4).Table)
 		goldenCompare(t, "multicore_scaling.csv", b.String())
+	})
+	t.Run("fig4", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunFig4(experiments.ScaleTest, 4).Table)
+		goldenCompare(t, "fig4.csv", b.String())
+	})
+	t.Run("freq-sweep", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunFreqSweep(experiments.ScaleTest, 1).Table)
+		goldenCompare(t, "freq_sweep.csv", b.String())
+	})
+	t.Run("size-sweep", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunSizeSweep(experiments.ScaleTest, 6).Table)
+		goldenCompare(t, "size_sweep.csv", b.String())
+	})
+	t.Run("cost-estimate", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunCostEstimate(experiments.ScaleTest, 5).Table)
+		goldenCompare(t, "cost_estimate.csv", b.String())
 	})
 	t.Run("fig10", func(t *testing.T) {
 		var b strings.Builder
