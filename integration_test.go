@@ -305,6 +305,24 @@ func TestDeterministicReproduction(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once two reads a
+// millisecond apart agree. A single read can catch a goroutine on its
+// way out — a shard worker of the previous run past the group's wait,
+// or the runtime's finalizer goroutine, which counts while it runs a
+// finalizer.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
 // TestScenariosLeaveNoParkedProcs runs every registered scenario at its
 // default spec, on one core and (where the scenario allows sharding) on
 // two, and requires the goroutine count to return to its pre-run value.
@@ -321,7 +339,7 @@ func TestScenariosLeaveNoParkedProcs(t *testing.T) {
 			spec := sc.DefaultSpec()
 			spec.Runtime = 5 * sim.Millisecond
 			spec.Cores = cores
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			if _, err := scenario.Execute(name, spec, io.Discard); err != nil {
 				t.Fatalf("%s cores=%d: %v", name, cores, err)
 			}

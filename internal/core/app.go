@@ -186,9 +186,6 @@ func (p *Pipe) Send(t *Task, v interface{}) bool {
 	}
 }
 
-// TrySend enqueues without blocking.
-func (p *Pipe) TrySend(v interface{}) bool { return p.q.EnqueueOne(v) }
-
 // Recv blocks until a value arrives or the run ends.
 func (p *Pipe) Recv(t *Task) (interface{}, bool) {
 	for {
@@ -201,6 +198,3 @@ func (p *Pipe) Recv(t *Task) (interface{}, bool) {
 		t.Sleep(backoff)
 	}
 }
-
-// TryRecv dequeues without blocking.
-func (p *Pipe) TryRecv() (interface{}, bool) { return p.q.DequeueOne() }

@@ -61,11 +61,6 @@ func (a *App) ConnectDevices(x, y *Device, phy wire.PHYProfile, lengthM float64)
 	nic.ConnectDuplex(a.Eng, x.Port, y.Port, phy, lengthM)
 }
 
-// WaitForLinks mirrors device.waitForLinks(). Links in the simulation
-// are up as soon as they are connected, so this is a yield point only —
-// kept so ported scripts read the same.
-func (t *Task) WaitForLinks(...*Device) { t.Yield() }
-
 // CreateMemPool mirrors memory.createMemPool(prefillFn): every buffer
 // runs the callback once at creation (Listing 2 lines 3-12).
 func CreateMemPool(count int, prefill func(buf *mempool.Mbuf)) *mempool.Pool {

@@ -130,9 +130,6 @@ type Forwarder struct {
 	Flushed      uint64 // backlog frames discarded by Restart(flush)
 	totalLatency sim.Duration
 
-	// interrupt timestamps for rate measurement windows
-	intTimes []sim.Time
-
 	// Spy observes every valid ingress frame (diagnostics only).
 	Spy func(fr *wire.Frame, rxTime sim.Time)
 }
@@ -227,7 +224,6 @@ func (f *Forwarder) maybeInterrupt() {
 
 func (f *Forwarder) fireInterrupt() {
 	f.Interrupts++
-	f.intTimes = append(f.intTimes, f.eng.Now())
 	f.lastInt = f.eng.Now()
 	f.intsEnabled = false
 	f.polling = true
@@ -329,9 +325,6 @@ func (f *Forwarder) Restart(flush bool) {
 	f.maybeInterrupt()
 }
 
-// Stalled reports whether servicing is paused.
-func (f *Forwarder) Stalled() bool { return f.stalled }
-
 // Backlog returns the current queue depth.
 func (f *Forwarder) Backlog() int { return f.backlog.Len() }
 
@@ -352,9 +345,6 @@ func (f *Forwarder) InterruptRate(span sim.Duration) float64 {
 	}
 	return float64(f.Interrupts) / span.Seconds()
 }
-
-// InterruptTimes returns the interrupt instants (for windowed rates).
-func (f *Forwarder) InterruptTimes() []sim.Time { return f.intTimes }
 
 // SaturationPPS returns the theoretical overload point 1/ServiceTime.
 func (f *Forwarder) SaturationPPS() float64 {

@@ -4,6 +4,13 @@
 // the paper reports. cmd/benchtab and the top-level benchmarks are thin
 // wrappers around these runners.
 //
+// Every §5 throughput point (Figures 2-4, the frequency and frame-size
+// sweeps, the cost estimate) runs one load, costLoad: one task per
+// modeled core paced by the cycle-cost model, counting what the NICs
+// transmit after a warmup. Figures 2 and 3 share ports across cores on
+// one engine; Figure 4 and the multicore scaling series run one engine
+// shard per core on real goroutines.
+//
 // Scale parameters: every runner takes a Scale that trades run time for
 // statistical depth. ScaleTest keeps the full test suite fast;
 // ScaleFull approaches the paper's sample counts.

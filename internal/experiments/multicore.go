@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/mempool"
 	"repro/internal/multicore"
 	"repro/internal/nic"
-	"repro/internal/proto"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -45,73 +41,18 @@ type MulticoreScalingResult struct {
 	Simulated sim.Duration
 }
 
-// multicoreShardLoad runs the workload on one shard: its own port
-// pair, mempool and cache, paced by the cycle-cost model. It returns
-// the packets the NIC transmitted inside the measurement window
-// (startup transient excluded) and the shard's finalized counter.
-func multicoreShardLoad(s *multicore.Shard, w cpu.Workload, freq cpu.Freq, window sim.Duration) (uint64, *stats.Counter) {
-	app := s.App
-	queues := scenario.BuildPortPairs(app, nic.ChipX540, 1, 1)
-	q := queues[0][0]
-	const pktSize = 60
-	tmpl := proto.NewUDPTemplate(proto.UDPPacketFill{
-		PktLength: pktSize,
-		IPSrc:     loadSrcIP,
-		IPDst:     loadDstIP,
-		UDPSrc:    1234, UDPDst: 5678,
-	})
-	// 4096 buffers bound the shard's working set with >2x headroom:
-	// the burst kernel back-pressures on the 1024-deep TX ring, so at most
-	// ring + cache (512) + a few wire trains are ever in flight. The
-	// profile pass found pool construction (slab zeroing) dominating
-	// the 24-point run's startup cost; halving the count halves it
-	// without the pool ever running dry — the series is bit-identical.
-	pool := core.CreateSizedMemPool(4096, loadPoolBufSize(pktSize), func(m *mempool.Mbuf) {
-		tmpl.Apply(m.Data[:pktSize])
-	})
-	cache := pool.NewCache(512)
-	warmup := window / 4
-	ctr := stats.NewCounter(stats.CounterConfig{
-		Name: fmt.Sprintf("core-%d", s.ID), Format: stats.FormatNone,
-		Window: (window - warmup) / 4, Start: sim.Time(0).Add(warmup),
-	})
-	perPkt := w.TimePerPacket(freq)
-	app.LaunchTask(fmt.Sprintf("core-%d", s.ID), func(t *core.Task) {
-		rng := t.Engine().Rand()
-		tx := &core.BurstTx{Queue: q, Bufs: cache.BufArray(mempool.DefaultBatchSize), Size: pktSize,
-			// The §5.2 script body: one randomized field (256 source
-			// addresses), priced by the workload's cycle cost.
-			Frame: func(m *mempool.Mbuf, _ uint64) {
-				proto.UDPPacket{B: m.Payload()}.IP().SetSrc(loadBaseIP + proto.IPv4(rng.Uint32()&0xff))
-			},
-			BeforeSend: func(n int) { t.Sleep(sim.Duration(n) * perPkt) },
-			AfterSend: func(n, _ int) {
-				if t.Now() >= sim.Time(0).Add(warmup) {
-					ctr.Update(n, n*pktSize, t.Now())
-				}
-			},
-		}
-		tx.Run(t)
-	})
-	port := q.Port()
-	var warmPkts, stopPkts uint64
-	app.Eng.Schedule(app.Now().Add(warmup), func() { warmPkts = port.CounterSnapshot().TxPackets })
-	app.Eng.Schedule(app.Now().Add(window), func() { stopPkts = port.CounterSnapshot().TxPackets })
-	app.RunFor(window)
-	ctr.Finalize(app.Now())
-	cache.Flush()
-	return stopPkts - warmPkts, ctr
-}
-
 // runMulticorePoint measures one (cores, freq) point: a shard group
-// runs the load concurrently, then the per-shard results merge in
-// shard order — counts into a total, counters through Counter.Merge.
+// runs the cost-model load concurrently, one shard and 10 GbE port
+// pair per core, then the per-shard results merge in shard order —
+// counts into a total, counters through Counter.Merge.
 func runMulticorePoint(scale Scale, seed int64, cores int, w cpu.Workload, freq cpu.Freq) (mpps float64, merged *stats.Counter) {
 	g := multicore.NewGroup(cores, seed)
 	pkts := make([]uint64, cores)
 	ctrs := make([]*stats.Counter, cores)
 	_ = g.Each(func(s *multicore.Shard) error {
-		pkts[s.ID], ctrs[s.ID] = multicoreShardLoad(s, w, freq, scale.Window)
+		l := &costLoad{freq: freq, workload: w, pktSize: 60, queues: buildPortPairs(s.App, nic.ChipX540, 1, 1)}
+		n, _, cs := l.run(s.App, scale.Window)
+		pkts[s.ID], ctrs[s.ID] = n, cs[0]
 		return nil
 	})
 	merged = stats.NewCounter(stats.CounterConfig{Name: "merged", Format: stats.FormatNone})
@@ -120,8 +61,7 @@ func runMulticorePoint(scale Scale, seed int64, cores int, w cpu.Workload, freq 
 		total += pkts[i]
 		merged.Merge(ctrs[i])
 	}
-	secs := (scale.Window - scale.Window/4).Seconds()
-	return float64(total) / secs / 1e6, merged
+	return scale.pps(total) / 1e6, merged
 }
 
 // RunMulticoreScaling reproduces Figure 4's shape on the multicore

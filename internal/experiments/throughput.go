@@ -8,21 +8,28 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/nic"
 	"repro/internal/proto"
-	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
-// Template addresses of the paced-load packet fill, hoisted so pool
-// prefill callbacks do not re-parse dotted quads per buffer.
+// Template addresses of the cost-model load's packet fill, hoisted so
+// pool prefill callbacks do not re-parse dotted quads per buffer.
 var (
-	loadSrcIP  = proto.MustIPv4("10.0.0.1")
-	loadDstIP  = proto.MustIPv4("10.1.0.1")
-	loadBaseIP = proto.MustIPv4("10.0.0.0")
+	loadSrcIP = proto.MustIPv4("10.0.0.1")
+	loadDstIP = proto.MustIPv4("10.1.0.1")
 )
 
-// loadPoolBufSize returns the buffer data room for a paced-load pool:
-// the packet plus slack, rounded so the pool slab stays small (the
+// loadPoolSize is the buffer count of each core's mempool. It bounds
+// the core's working set with headroom: the burst kernel
+// back-pressures on the 1024-deep TX rings (two per core at most
+// here), so at most the rings, the cache and a few wire trains are
+// ever in flight, and a smaller slab keeps pool construction (slab
+// zeroing) off the setup cost.
+const loadPoolSize = 4096
+
+// loadPoolBufSize returns the buffer data room for a load pool: the
+// packet plus slack, rounded so the pool slab stays small (the
 // experiments' frames are 60-252 B; a 2 kB room per buffer would spend
 // most of the setup cost zeroing bytes no packet touches).
 func loadPoolBufSize(pktSize int) int {
@@ -30,46 +37,80 @@ func loadPoolBufSize(pktSize int) int {
 	return (pktSize + grain - 1) / grain * grain
 }
 
-// pacedLoad simulates generator cores running a given workload: each
-// core's task performs the real per-packet work (field randomization,
-// offload flags) and paces itself by the cycle-cost model — exactly the
-// paper's §5.1 methodology where the CPU frequency is the controlled
-// variable. Line-rate limits emerge from the NIC/wire models, not from
-// arithmetic.
-type pacedLoad struct {
-	cores    int
+// buildPortPairs creates ports generator ports with cores TX queues
+// each, every port cabled to a sink that discards traffic in hardware,
+// and returns one queue list per core: queue c of every port.
+func buildPortPairs(app *core.App, profile nic.Profile, ports, cores int) [][]*nic.TxQueue {
+	phy := wire.PHY10GBaseT
+	if profile.Speed == wire.Speed40G {
+		phy = wire.PHY10GBaseSR
+	}
+	out := make([][]*nic.TxQueue, cores)
+	for i := 0; i < ports; i++ {
+		gen := app.ConfigDevice(core.DeviceConfig{Profile: profile, ID: 2 * i, TxQueues: cores})
+		sink := app.ConfigDevice(core.DeviceConfig{Profile: profile, ID: 2*i + 1})
+		app.ConnectDevices(gen, sink, phy, 2)
+		sink.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { return true })
+		// The sink consumes every frame in the hook above as a pure
+		// function of (bytes, rxTime): the link into it may coalesce
+		// deliveries into RX trains without observable difference.
+		gen.Link().SetDeliverySlack(nic.SinkDeliverySlack(profile.Speed))
+		for c := range out {
+			out[c] = append(out[c], gen.GetTxQueue(c))
+		}
+	}
+	return out
+}
+
+// costLoad simulates generator cores running a workload paced by the
+// cycle-cost model — the paper's §5.1 method, where the CPU frequency
+// is the controlled variable. Each core's task performs the real
+// per-packet work (field randomization, offload flags) and sleeps the
+// modeled CPU time of every burst. Line-rate limits emerge from the
+// NIC and wire models, not from arithmetic.
+type costLoad struct {
 	freq     cpu.Freq
 	workload cpu.Workload
 	pktSize  int // frame size without FCS
-	// queues[i] lists the TX queues core i drives round-robin (one
-	// per port for the multi-port scaling experiments).
+	// queues[c] lists the TX queues core c drives round-robin, one on
+	// every port (the layout buildPortPairs returns).
 	queues [][]*nic.TxQueue
 }
 
-// run executes the load for window and returns total packets emitted by
-// the NICs within the window.
-func (pl *pacedLoad) run(app *core.App, window sim.Duration) (totalPkts uint64, totalBytes uint64) {
-	perPkt := pl.workload.TimePerPacket(pl.freq)
+// run drives the load on app for window. It returns the packets and
+// bytes the NICs transmitted between the warmup mark (window/4) and
+// the window edge, so the startup transient and the post-window ring
+// drain fall outside the measurement, plus one finalized counter per
+// core fed from the warmup mark on.
+func (l *costLoad) run(app *core.App, window sim.Duration) (pkts, bytes uint64, ctrs []*stats.Counter) {
+	warmup := window / 4
+	warm := app.Now().Add(warmup)
+	perPkt := l.workload.TimePerPacket(l.freq)
+	size, workload := l.pktSize, l.workload
 	// One template serves every core's pool prefill: the headers are
-	// flow constants, so prefilling 8192 buffers is 8192 single copies
-	// instead of 8192 full header derivations.
+	// flow constants, so prefilling a pool is one copy per buffer
+	// instead of one full header derivation.
 	tmpl := proto.NewUDPTemplate(proto.UDPPacketFill{
-		PktLength: pl.pktSize,
+		PktLength: size,
 		IPSrc:     loadSrcIP,
 		IPDst:     loadDstIP,
 		UDPSrc:    1234, UDPDst: 5678,
 	})
-	for c := 0; c < pl.cores; c++ {
-		queues := pl.queues[c]
-		pool := core.CreateSizedMemPool(8192, loadPoolBufSize(pl.pktSize), func(m *mempool.Mbuf) {
-			tmpl.Apply(m.Data[:pl.pktSize])
+	ctrs = make([]*stats.Counter, len(l.queues))
+	for c, queues := range l.queues {
+		name := fmt.Sprintf("core-%d", app.Shard+c)
+		pool := core.CreateSizedMemPool(loadPoolSize, loadPoolBufSize(size), func(m *mempool.Mbuf) {
+			tmpl.Apply(m.Data[:size])
 		})
 		// One mempool cache per modeled core over the core's own pool:
 		// the batched datapath's allocation front (§4.2).
 		cache := pool.NewCache(0)
-		workload := pl.workload
-		size := pl.pktSize
-		app.LaunchTask(fmt.Sprintf("core-%d", c), func(t *core.Task) {
+		ctr := stats.NewCounter(stats.CounterConfig{
+			Name: name, Format: stats.FormatNone,
+			Window: (window - warmup) / 4, Start: warm,
+		})
+		ctrs[c] = ctr
+		app.LaunchTask(name, func(t *core.Task) {
 			rng := t.Engine().Rand()
 			qi := 0
 			tx := &core.BurstTx{Bufs: cache.BufArray(mempool.DefaultBatchSize), Size: size}
@@ -120,42 +161,41 @@ func (pl *pacedLoad) run(app *core.App, window sim.Duration) (totalPkts uint64, 
 				tx.Queue = queues[qi]
 				qi = (qi + 1) % len(queues)
 			}
+			tx.AfterSend = func(n, _ int) {
+				if t.Now() >= warm {
+					ctr.Update(n, n*size, t.Now())
+				}
+			}
 			tx.Run(t)
 		})
 	}
-	// Snapshot NIC counters at a warmup mark and the window edge: the
-	// startup transient (first batch still being generated) and the
-	// post-window ring drain both fall outside the measurement.
-	seen := map[*nic.Port]bool{}
-	var ports []*nic.Port
-	for _, qs := range pl.queues {
-		for _, q := range qs {
-			if !seen[q.Port()] {
-				seen[q.Port()] = true
-				ports = append(ports, q.Port())
+	// Snapshot the NIC counters at the warmup mark and the window
+	// edge. Every core drives every port, so core 0's queues name them
+	// all.
+	snapshot := func(pkts, bytes *uint64) func() {
+		return func() {
+			for _, q := range l.queues[0] {
+				st := q.Port().CounterSnapshot()
+				*pkts += st.TxPackets
+				*bytes += st.TxBytes
 			}
 		}
 	}
-	warmup := window / 4
 	var warmPkts, warmBytes uint64
-	app.Eng.Schedule(app.Now().Add(warmup), func() {
-		for _, p := range ports {
-			st := p.CounterSnapshot()
-			warmPkts += st.TxPackets
-			warmBytes += st.TxBytes
-		}
-	})
-	app.Eng.Schedule(app.Now().Add(window), func() {
-		for _, p := range ports {
-			st := p.CounterSnapshot()
-			totalPkts += st.TxPackets
-			totalBytes += st.TxBytes
-		}
-	})
+	app.Eng.Schedule(warm, snapshot(&warmPkts, &warmBytes))
+	app.Eng.Schedule(app.Now().Add(window), snapshot(&pkts, &bytes))
 	app.RunFor(window)
-	totalPkts -= warmPkts
-	totalBytes -= warmBytes
-	return totalPkts, totalBytes
+	for _, ctr := range ctrs {
+		ctr.Finalize(app.Now())
+	}
+	return pkts - warmPkts, bytes - warmBytes, ctrs
+}
+
+// pps converts a packet count that costLoad.run measured over
+// s.Window into a rate: the count covers the window after its warmup
+// quarter.
+func (s Scale) pps(pkts uint64) float64 {
+	return float64(pkts) / (s.Window - s.Window/4).Seconds()
 }
 
 // FreqSweepResult is §5.2: rate versus CPU frequency for MoonGen and
@@ -179,10 +219,9 @@ func RunFreqSweep(scale Scale, seed int64) *FreqSweepResult {
 
 	runOne := func(w cpu.Workload, f cpu.Freq, seed int64) float64 {
 		app := core.NewApp(seed)
-		queues := scenario.BuildPortPairs(app, nic.ChipX540, 1, 1)
-		pl := &pacedLoad{cores: 1, freq: f, workload: w, pktSize: 60, queues: queues}
-		pkts, _ := pl.run(app, scale.Window)
-		return float64(pkts) / (scale.Window - scale.Window/4).Seconds()
+		l := &costLoad{freq: f, workload: w, pktSize: 60, queues: buildPortPairs(app, nic.ChipX540, 1, 1)}
+		pkts, _, _ := l.run(app, scale.Window)
+		return scale.pps(pkts)
 	}
 
 	for f := cpu.MinFreq; f <= cpu.MaxFreq+1; f += cpu.FreqStep {
@@ -214,10 +253,12 @@ type ScalingResult struct {
 	Mpps []float64
 	// LineRateLimit is the aggregate line-rate cap in Mpps.
 	LineRateLimit float64
-	// Simulated is the total modeled time the experiment covered (one
-	// measurement window per series point). Dividing it by the wall
-	// time of the run gives the sim/wall ratio — the simulator's
-	// speed relative to the real testbed it stands in for.
+	// Simulated is the total modeled time the experiment covered: one
+	// measurement window per series point (Figure 4's shards run
+	// concurrently over the same window, so a point counts once).
+	// Dividing it by the wall time of the run gives the sim/wall ratio
+	// — the simulator's speed relative to the real testbed it stands
+	// in for.
 	Simulated sim.Duration
 }
 
@@ -233,19 +274,13 @@ func RunFig2(scale Scale, seed int64) *ScalingResult {
 	for cores := 1; cores <= 8; cores++ {
 		app := core.NewApp(seed + int64(cores))
 		// Two ports; each core drives one queue on each port.
-		ports := scenario.BuildPortPairs(app, nic.ChipX540, 2, cores)
-		queues := make([][]*nic.TxQueue, cores)
-		for c := 0; c < cores; c++ {
-			queues[c] = []*nic.TxQueue{ports[0][c], ports[1][c]}
+		l := &costLoad{
+			freq: 1.2 * cpu.GHz, workload: cpu.HeavyRandomWorkload,
+			pktSize: 60, queues: buildPortPairs(app, nic.ChipX540, 2, cores),
 		}
-		pl := &pacedLoad{
-			cores: cores, freq: 1.2 * cpu.GHz,
-			workload: cpu.HeavyRandomWorkload,
-			pktSize:  60, queues: queues,
-		}
-		pkts, _ := pl.run(app, scale.Window)
+		pkts, _, _ := l.run(app, scale.Window)
 		res.Simulated += scale.Window
-		mpps := float64(pkts) / (scale.Window - scale.Window/4).Seconds() / 1e6
+		mpps := scale.pps(pkts) / 1e6
 		res.Mpps = append(res.Mpps, mpps)
 		res.Rows = append(res.Rows, Row{
 			Label:  fmt.Sprintf("%d cores", cores),
@@ -259,7 +294,8 @@ func RunFig2(scale Scale, seed int64) *ScalingResult {
 }
 
 // RunFig4 reproduces Figure 4: scaling to 120 Gbit/s across twelve
-// 10 GbE ports at 2 GHz (one port per core).
+// 10 GbE ports at 2 GHz, one engine shard and port per core (the 2 GHz
+// series of RunMulticoreScaling).
 func RunFig4(scale Scale, seed int64) *ScalingResult {
 	res := &ScalingResult{}
 	res.Title = "Figure 4: multi-core scaling, one 10GbE port per core, 2 GHz"
@@ -267,16 +303,8 @@ func RunFig4(scale Scale, seed int64) *ScalingResult {
 	res.LineRateLimit = 12 * wire.LineRatePPS(wire.Speed10G, 64) / 1e6
 
 	for cores := 1; cores <= 12; cores++ {
-		app := core.NewApp(seed + int64(cores))
-		queues := scenario.BuildPortPairs(app, nic.ChipX540, cores, 1)
-		pl := &pacedLoad{
-			cores: cores, freq: 2 * cpu.GHz,
-			workload: cpu.SimpleUDPWorkload,
-			pktSize:  60, queues: queues,
-		}
-		pkts, _ := pl.run(app, scale.Window)
+		mpps, _ := runMulticorePoint(scale, seed+int64(cores), cores, cpu.SimpleUDPWorkload, 2*cpu.GHz)
 		res.Simulated += scale.Window
-		mpps := float64(pkts) / (scale.Window - scale.Window/4).Seconds() / 1e6
 		res.Mpps = append(res.Mpps, mpps)
 		res.Rows = append(res.Rows, Row{
 			Label:  fmt.Sprintf("%d cores", cores),
@@ -307,19 +335,12 @@ func RunFig3(scale Scale, seed int64) *Fig3Result {
 		vals := make([]float64, 3)
 		for cores := 1; cores <= 3; cores++ {
 			app := core.NewApp(seed + int64(100*si+cores))
-			ports := scenario.BuildPortPairs(app, nic.ChipXL710, 1, cores)
-			queues := make([][]*nic.TxQueue, cores)
-			for c := 0; c < cores; c++ {
-				queues[c] = []*nic.TxQueue{ports[0][c]}
+			l := &costLoad{
+				freq: 2.4 * cpu.GHz, workload: cpu.SimpleUDPWorkload,
+				pktSize: size - proto.FCSLen, queues: buildPortPairs(app, nic.ChipXL710, 1, cores),
 			}
-			pl := &pacedLoad{
-				cores: cores, freq: 2.4 * cpu.GHz,
-				workload: cpu.SimpleUDPWorkload,
-				pktSize:  size - proto.FCSLen, queues: queues,
-			}
-			pkts, bytes := pl.run(app, scale.Window)
-			wireBits := float64(bytes+pkts*(proto.FCSLen+proto.WireOverhead)) * 8
-			gbps := wireBits / (scale.Window - scale.Window/4).Seconds() / 1e9
+			pkts, bytes, _ := l.run(app, scale.Window)
+			gbps := scale.pps(bytes+pkts*(proto.FCSLen+proto.WireOverhead)) * 8 / 1e9
 			vals[cores-1] = gbps
 			res.WireGbps[cores-1][si] = gbps
 		}
@@ -391,10 +412,9 @@ func RunCostEstimate(scale Scale, seed int64) *CostEstimateResult {
 		PredictedStd:  w.PPSPredictionStd(2.4*cpu.GHz) / 1e6,
 	}
 	app := core.NewApp(seed)
-	queues := scenario.BuildPortPairs(app, nic.ChipX540, 1, 1)
-	pl := &pacedLoad{cores: 1, freq: 2.4 * cpu.GHz, workload: w, pktSize: 60, queues: queues}
-	pkts, _ := pl.run(app, scale.Window)
-	res.SimulatedMpps = float64(pkts) / (scale.Window - scale.Window/4).Seconds() / 1e6
+	l := &costLoad{freq: 2.4 * cpu.GHz, workload: w, pktSize: 60, queues: buildPortPairs(app, nic.ChipX540, 1, 1)}
+	pkts, _, _ := l.run(app, scale.Window)
+	res.SimulatedMpps = scale.pps(pkts) / 1e6
 
 	res.Title = "§5.6.3 cost estimation example (heavy random workload, 2.4 GHz)"
 	res.Columns = []string{"Mpps"}
@@ -424,14 +444,12 @@ func RunSizeSweep(scale Scale, seed int64) *SizeSweepResult {
 	res.Columns = []string{"Mpps"}
 	for size := 64; size <= 128; size += 8 {
 		app := core.NewApp(seed + int64(size))
-		queues := scenario.BuildPortPairs(app, nic.ChipX540, 1, 1)
-		pl := &pacedLoad{
-			cores: 1, freq: 1.2 * cpu.GHz,
-			workload: cpu.HeavyRandomWorkload,
-			pktSize:  size - proto.FCSLen, queues: queues,
+		l := &costLoad{
+			freq: 1.2 * cpu.GHz, workload: cpu.HeavyRandomWorkload,
+			pktSize: size - proto.FCSLen, queues: buildPortPairs(app, nic.ChipX540, 1, 1),
 		}
-		pkts, _ := pl.run(app, scale.Window)
-		mpps := float64(pkts) / (scale.Window - scale.Window/4).Seconds() / 1e6
+		pkts, _, _ := l.run(app, scale.Window)
+		mpps := scale.pps(pkts) / 1e6
 		res.MppsTx = append(res.MppsTx, mpps)
 		res.Rows = append(res.Rows, Row{Label: fmt.Sprintf("%d B", size), Values: []float64{mpps}})
 	}

@@ -84,20 +84,6 @@ func (q *TxQueue) SetRatePPS(pps float64) {
 	q.pendingValid = false
 }
 
-// SetRateMbps configures the shaper to a constant bit rate, counting
-// layer-2 frame bytes including the FCS, for the given frame size.
-func (q *TxQueue) SetRateMbps(mbps float64, frameSizeWithFCS int) {
-	if mbps <= 0 {
-		q.SetRatePPS(0)
-		return
-	}
-	pps := mbps * 1e6 / (float64(frameSizeWithFCS) * 8)
-	q.SetRatePPS(pps)
-}
-
-// RateInterval returns the configured CBR interval (0 = unshaped).
-func (q *TxQueue) RateInterval() sim.Duration { return q.interval }
-
 // Free returns the free descriptor slots.
 func (q *TxQueue) Free() int { return q.ring.Free() }
 
@@ -234,9 +220,6 @@ func (p *Port) ResumeTx() {
 	p.txPaused = false
 	p.schedulePump(p.eng.Now())
 }
-
-// TxPaused reports whether the MAC transmit scheduler is gated.
-func (p *Port) TxPaused() bool { return p.txPaused }
 
 // schedulePump arranges exactly one pending evaluation at the earliest
 // requested instant. An existing earlier-or-equal event already covers

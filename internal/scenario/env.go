@@ -394,33 +394,6 @@ func NewDuTBed(app *core.App, genTxQueues int) *DuTBed {
 	return b
 }
 
-// BuildPortPairs creates n generator ports, each cabled to a sink that
-// discards traffic in hardware, and returns one TX queue list per
-// generator port — the bed of the multi-port scaling experiments.
-func BuildPortPairs(app *core.App, profile nic.Profile, n, queuesPerPort int) [][]*nic.TxQueue {
-	phy := wire.PHY10GBaseT
-	if profile.Speed == wire.Speed40G {
-		phy = wire.PHY10GBaseSR
-	}
-	out := make([][]*nic.TxQueue, n)
-	for i := 0; i < n; i++ {
-		gen := app.ConfigDevice(core.DeviceConfig{Profile: profile, ID: 2 * i, TxQueues: queuesPerPort})
-		sink := app.ConfigDevice(core.DeviceConfig{Profile: profile, ID: 2*i + 1})
-		app.ConnectDevices(gen, sink, phy, 2)
-		sink.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { return true })
-		// The sink consumes every frame in the hook above as a pure
-		// function of (bytes, rxTime): the link into it may coalesce
-		// deliveries into RX trains without observable difference.
-		gen.Link().SetDeliverySlack(nic.SinkDeliverySlack(profile.Speed))
-		qs := make([]*nic.TxQueue, queuesPerPort)
-		for qi := 0; qi < queuesPerPort; qi++ {
-			qs[qi] = gen.GetTxQueue(qi)
-		}
-		out[i] = qs
-	}
-	return out
-}
-
 // FlowSize returns the effective frame size of a flow under spec.
 func (s Spec) FlowSize(f Flow) int {
 	if f.PktSize > 0 {

@@ -176,11 +176,9 @@ type delivery struct {
 // Link is one direction of a full-duplex cable between two ports.
 // Create two (one per direction) for a full-duplex connection.
 type Link struct {
-	eng     *sim.Engine
-	speed   Speed
-	phy     PHYProfile
-	lengthM float64
-	peer    Endpoint
+	eng   *sim.Engine
+	speed Speed
+	peer  Endpoint
 
 	// byteTime and pathLat cache ByteTime(speed) and
 	// phy.PathLatency(lengthM): both involve float division/rounding
@@ -247,7 +245,7 @@ func NewLink(eng *sim.Engine, speed Speed, phy PHYProfile, lengthM float64, peer
 		panic("wire: nil peer")
 	}
 	l := &Link{
-		eng: eng, speed: speed, phy: phy, lengthM: lengthM, peer: peer,
+		eng: eng, speed: speed, peer: peer,
 		byteTime:  ByteTime(speed),
 		pathLat:   phy.PathLatency(lengthM),
 		hasJitter: phy.SmallJitterNS != 0,
@@ -265,9 +263,6 @@ func NewLink(eng *sim.Engine, speed Speed, phy PHYProfile, lengthM float64, peer
 
 // Speed returns the link speed.
 func (l *Link) Speed() Speed { return l.speed }
-
-// PHY returns the PHY profile.
-func (l *Link) PHY() PHYProfile { return l.phy }
 
 // ByteTime returns the per-byte serialization time of this link.
 func (l *Link) ByteTime() sim.Duration { return l.byteTime }
