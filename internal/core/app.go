@@ -1,6 +1,6 @@
 // Package core is the MoonGen API: devices with hardware queues, tasks
-// (the Go analogue of Lua slave tasks in their own VMs), inter-task
-// pipes, blocking batch send/receive, checksum offloading helpers,
+// (the Go analogue of Lua slave tasks in their own VMs), blocking batch
+// send/receive, the burst and slot-paced TX kernels,
 // hardware-timestamped latency measurement, and the CRC-gap software
 // rate control — everything a "userscript" needs, structured after the
 // paper's Listings 1-3.
@@ -9,7 +9,6 @@ package core
 import (
 	"repro/internal/mempool"
 	"repro/internal/nic"
-	"repro/internal/ring"
 	"repro/internal/sim"
 )
 
@@ -22,8 +21,7 @@ type App struct {
 
 	// Shard identifies the multicore shard this app models when it is
 	// one engine of a sharded group (set by internal/multicore); 0 for
-	// ordinary single-engine apps. Tasks can read it through
-	// Task.Shard to tell which modeled core they run on.
+	// ordinary single-engine apps.
 	Shard int
 
 	// TxPoolSize overrides the shared transmit pool's buffer count
@@ -83,10 +81,6 @@ type Task struct {
 	*sim.Proc
 	app *App
 }
-
-// Shard returns the modeled core this task runs on (0 unless the app
-// is a multicore shard).
-func (t *Task) Shard() int { return t.app.Shard }
 
 // Cache returns the engine's shared per-core mempool cache (see
 // App.TxCache).
@@ -157,43 +151,6 @@ func (t *Task) RecvPoll(q *nic.RxQueue, out []*mempool.Mbuf) int {
 		if !t.Running() {
 			// Final drain.
 			return q.RecvBurst(out)
-		}
-		t.Sleep(backoff)
-	}
-}
-
-// Pipe is a MoonGen inter-task pipe: tasks share no state except these
-// explicit channels (§3.4).
-type Pipe struct {
-	q *ring.MPMC[interface{}]
-}
-
-// NewPipe creates a pipe with the given capacity.
-func NewPipe(capacity int) *Pipe {
-	return &Pipe{q: ring.NewMPMC[interface{}](capacity)}
-}
-
-// Send blocks until v is enqueued or the run ends (returns false).
-func (p *Pipe) Send(t *Task, v interface{}) bool {
-	for {
-		if p.q.EnqueueOne(v) {
-			return true
-		}
-		if !t.Running() {
-			return false
-		}
-		t.Sleep(backoff)
-	}
-}
-
-// Recv blocks until a value arrives or the run ends.
-func (p *Pipe) Recv(t *Task) (interface{}, bool) {
-	for {
-		if v, ok := p.q.DequeueOne(); ok {
-			return v, true
-		}
-		if !t.Running() {
-			return p.q.DequeueOne()
 		}
 		t.Sleep(backoff)
 	}

@@ -44,37 +44,6 @@ func TestAppTaskLifecycle(t *testing.T) {
 	}
 }
 
-func TestPipe(t *testing.T) {
-	app := NewApp(2)
-	pipe := NewPipe(4)
-	var got []int
-	app.LaunchTask("producer", func(task *Task) {
-		for i := 0; i < 100; i++ {
-			if !pipe.Send(task, i) {
-				return
-			}
-		}
-	})
-	app.LaunchTask("consumer", func(task *Task) {
-		for len(got) < 100 && task.Running() {
-			v, ok := pipe.Recv(task)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	app.RunFor(sim.Second)
-	if len(got) != 100 {
-		t.Fatalf("consumer got %d values", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order at %d: %d", i, v)
-		}
-	}
-}
-
 func TestUDPFloodLineRate(t *testing.T) {
 	app := NewApp(3)
 	tx := app.ConfigDevice(DeviceConfig{Profile: nic.ChipX540, ID: 0})
@@ -461,26 +430,15 @@ func TestPushTxSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestOffloadHelpers(t *testing.T) {
+func TestFreeBatch(t *testing.T) {
 	pool := mempool.New(mempool.Config{Count: 8})
 	bufs := make([]*mempool.Mbuf, 4)
 	pool.AllocBatch(bufs, 60)
-	OffloadUDPChecksums(bufs, 2)
-	if !bufs[0].TxMeta.OffloadUDPChecksum || !bufs[0].TxMeta.OffloadIPChecksum {
-		t.Fatal("udp offload flags not set")
+	FreeBatch(bufs, 3)
+	if pool.Available() != 7 || bufs[2] != nil || bufs[3] == nil {
+		t.Fatalf("FreeBatch(3): %d available, want 7, first 3 slots cleared", pool.Available())
 	}
-	if bufs[2].TxMeta.OffloadUDPChecksum {
-		t.Fatal("offload flag set beyond n")
-	}
-	OffloadTCPChecksums(bufs[2:], 1)
-	if !bufs[2].TxMeta.OffloadTCPChecksum {
-		t.Fatal("tcp offload flag not set")
-	}
-	OffloadIPChecksums(bufs[3:], 1)
-	if !bufs[3].TxMeta.OffloadIPChecksum || bufs[3].TxMeta.OffloadUDPChecksum {
-		t.Fatal("ip-only offload wrong")
-	}
-	FreeBatch(bufs, 4)
+	FreeBatch(bufs[3:], 1)
 	if pool.Available() != 8 {
 		t.Fatal("FreeBatch did not return buffers")
 	}

@@ -78,34 +78,6 @@ func CreateSizedMemPool(count, bufSize int, prefill func(buf *mempool.Mbuf)) *me
 	return mempool.New(mempool.Config{Count: count, BufSize: bufSize, Prefill: prefill})
 }
 
-// OffloadIPChecksums marks the first n buffers for IPv4 header checksum
-// offload (bufs:offloadIPChecksums()).
-func OffloadIPChecksums(bufs []*mempool.Mbuf, n int) {
-	for _, m := range bufs[:n] {
-		m.TxMeta.OffloadIPChecksum = true
-	}
-}
-
-// OffloadUDPChecksums marks the first n buffers for UDP (and IP)
-// checksum offload — Listing 2 line 22. As on the real X540, the
-// transport offload implies computing the IP pseudo-header part
-// (Table 1 prices this at 33.1 cycles/packet).
-func OffloadUDPChecksums(bufs []*mempool.Mbuf, n int) {
-	for _, m := range bufs[:n] {
-		m.TxMeta.OffloadIPChecksum = true
-		m.TxMeta.OffloadUDPChecksum = true
-	}
-}
-
-// OffloadTCPChecksums marks the first n buffers for TCP (and IP)
-// checksum offload.
-func OffloadTCPChecksums(bufs []*mempool.Mbuf, n int) {
-	for _, m := range bufs[:n] {
-		m.TxMeta.OffloadIPChecksum = true
-		m.TxMeta.OffloadTCPChecksum = true
-	}
-}
-
 // FreeBatch frees the first n buffers of a batch.
 func FreeBatch(bufs []*mempool.Mbuf, n int) {
 	for i := 0; i < n; i++ {

@@ -345,8 +345,3 @@ func (f *Forwarder) InterruptRate(span sim.Duration) float64 {
 	}
 	return float64(f.Interrupts) / span.Seconds()
 }
-
-// SaturationPPS returns the theoretical overload point 1/ServiceTime.
-func (f *Forwarder) SaturationPPS() float64 {
-	return 1 / f.cfg.ServiceTime.Seconds()
-}

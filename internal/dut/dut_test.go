@@ -90,7 +90,7 @@ func TestThroughputCapsAtSaturation(t *testing.T) {
 	tb.offerCBR(3e6, runFor) // well beyond the ~1.96 Mpps service limit
 	tb.eng.RunAll()
 	rate := float64(tb.fwd.Forwarded) / sim.Duration(runFor).Seconds()
-	sat := tb.fwd.SaturationPPS()
+	sat := 1 / cfg.ServiceTime.Seconds()
 	if math.Abs(rate-sat)/sat > 0.1 {
 		t.Fatalf("overloaded throughput = %.2f Mpps, want ~%.2f", rate/1e6, sat/1e6)
 	}
@@ -232,9 +232,10 @@ func TestBacklogBounded(t *testing.T) {
 	}
 }
 
+// TestSaturationPPS pins the default service time to the paper's
+// overload point (§8.3): 1/ServiceTime just below 2 Mpps.
 func TestSaturationPPS(t *testing.T) {
-	f := &Forwarder{cfg: DefaultConfig()}
-	sat := f.SaturationPPS()
+	sat := 1 / DefaultConfig().ServiceTime.Seconds()
 	if sat < 1.9e6 || sat > 2.0e6 {
 		t.Fatalf("saturation = %.2f Mpps, want just below 2", sat/1e6)
 	}

@@ -148,14 +148,6 @@ type Config struct {
 	// LatencyBinWidth is the latency histogram bin width (default 1 ns;
 	// percentiles are exact while the per-flow sample cap holds).
 	LatencyBinWidth sim.Duration
-	// Reference selects the original map[Key]*Stats implementation
-	// instead of the flat open-addressing table — the property-pinned
-	// reference the flat path is tested bit-identical against. The two
-	// implementations share every code path above storage (attribution,
-	// classification, merge), differ only in how records are found and
-	// allocated, and are interchangeable: trackers of either kind merge
-	// into trackers of either kind.
-	Reference bool
 }
 
 // Stats is the per-flow state of a Tracker. Counters follow RFC-4737
@@ -281,22 +273,19 @@ func (fs *Stats) track(seq uint64) {
 //
 // Storage is the flat open-addressing table in table.go: inline keys
 // in power-of-two slots, per-flow records in a chunked arena whose
-// pointers are stable across growth. Config.Reference selects the
-// original map-based storage instead; both produce bit-identical
-// per-flow results for any input.
+// pointers are stable across growth. The per-flow work (Stats.record,
+// Stats.merge) is independent of storage; table_test.go pins the table
+// against a map-based reference that calls the same methods.
 type Tracker struct {
-	cfg    Config
 	latBin sim.Duration // LatencyBinWidth when Config.Latency, else 0
 
-	// flows is the reference-mode store; nil selects the flat table.
-	flows map[Key]*Stats
 	table flowTable
 
 	// memo is a small direct-mapped lookup cache indexed by the key
 	// hash, the generalization of RecordBatch's old single-entry memo:
 	// a train draining a handful of interleaved wires hits it even
-	// when consecutive frames alternate flows. Entries hold arena (or
-	// map) pointers, which are stable and never deleted, so the memo
+	// when consecutive frames alternate flows. Entries hold arena
+	// pointers, which are stable and never deleted, so the memo
 	// survives table growth with no invalidation protocol at all.
 	memo [memoSize]memoEntry
 
@@ -337,68 +326,37 @@ func NewTracker(cfg Config) *Tracker {
 	if cfg.LatencyBinWidth <= 0 {
 		cfg.LatencyBinWidth = sim.Nanosecond
 	}
-	t := &Tracker{cfg: cfg}
+	t := &Tracker{}
 	if cfg.Latency {
 		t.latBin = cfg.LatencyBinWidth
 	}
-	if cfg.Reference {
-		t.flows = make(map[Key]*Stats)
-	} else {
-		t.table.init(cfg.SeqWindow)
-	}
+	t.table.init(cfg.SeqWindow)
 	return t
 }
 
 // Flow returns the flow's stats, creating them on first use. The
 // returned pointer stays valid for the tracker's lifetime — records
-// live in the arena (or on the heap in reference mode) and never move,
-// which is what lets telemetry probes bind them once at registration.
+// live in the arena and never move, which is what lets telemetry probes
+// bind them once at registration.
 func (t *Tracker) Flow(k Key) *Stats {
 	h := k.hash()
 	m := &t.memo[h&(memoSize-1)]
 	if m.fs != nil && m.key == k {
 		return m.fs
 	}
-	fs := t.flowSlow(k, h)
+	fs := t.table.flow(k, h)
 	m.key, m.fs = k, fs
-	return fs
-}
-
-// flowSlow is the memo-miss path: the flat table probe, or the
-// reference map.
-func (t *Tracker) flowSlow(k Key, h uint64) *Stats {
-	if t.flows == nil {
-		return t.table.flow(k, h)
-	}
-	fs, ok := t.flows[k]
-	if !ok {
-		fs = &Stats{
-			Key:  k,
-			seen: make([]uint64, t.cfg.SeqWindow/64),
-			mask: uint64(t.cfg.SeqWindow - 1),
-		}
-		t.flows[k] = fs
-	}
 	return fs
 }
 
 // Lookup returns the flow's stats without creating them.
 func (t *Tracker) Lookup(k Key) (*Stats, bool) {
-	if t.flows != nil {
-		fs, ok := t.flows[k]
-		return fs, ok
-	}
 	fs := t.table.lookup(k, k.hash())
 	return fs, fs != nil
 }
 
 // NumFlows returns the number of tracked flows.
-func (t *Tracker) NumFlows() int {
-	if t.flows != nil {
-		return len(t.flows)
-	}
-	return t.table.n
-}
+func (t *Tracker) NumFlows() int { return t.table.n }
 
 // ActiveFlows returns the number of flows that have received at least
 // one packet — the "live flows" the telemetry flow probe samples. It
@@ -412,37 +370,21 @@ func (t *Tracker) ActiveFlows() uint64 { return t.active }
 // quantiles.
 func (t *Tracker) LatencyEnabled() bool { return t.latBin > 0 }
 
-// TableLoad returns the flat table's occupied and total slot counts
-// (0, 0 in reference mode, which has no fixed geometry).
+// TableLoad returns the flat table's occupied and total slot counts.
 func (t *Tracker) TableLoad() (used, capacity int) {
-	if t.flows != nil {
-		return 0, 0
-	}
 	return t.table.used, len(t.table.slots)
 }
 
 // MaxProbe returns the longest linear-probe chain the flat table has
 // built — with no deletions, an upper bound on every lookup's probe
-// length. 0 in reference mode.
-func (t *Tracker) MaxProbe() int {
-	if t.flows != nil {
-		return 0
-	}
-	return t.table.maxProbe
-}
+// length.
+func (t *Tracker) MaxProbe() int { return t.table.maxProbe }
 
 // FootprintBytes estimates the tracker's resident memory: slots, the
-// record and bitmap arenas (or their per-flow equivalents in reference
-// mode) and any lazily created latency histograms.
+// record and bitmap arenas and any lazily created latency histograms.
 func (t *Tracker) FootprintBytes() uint64 {
-	var b uint64
-	if t.flows != nil {
-		per := uint64(statsSize) + uint64(t.cfg.SeqWindow/64)*8
-		b = uint64(len(t.flows)) * per
-	} else {
-		b = t.table.footprintBytes()
-	}
-	t.eachFlow(func(fs *Stats) {
+	b := t.table.footprintBytes()
+	t.table.each(func(fs *Stats) {
 		if fs.Latency != nil {
 			b += fs.Latency.FootprintBytes()
 		}
@@ -450,32 +392,11 @@ func (t *Tracker) FootprintBytes() uint64 {
 	return b
 }
 
-// eachFlow visits every tracked flow in a deterministic order: arena
-// (insertion) order for the flat table, sorted key order for the
-// reference map. Per-flow work must not depend on visit order.
-func (t *Tracker) eachFlow(f func(*Stats)) {
-	if t.flows == nil {
-		t.table.each(f)
-		return
-	}
-	for _, fs := range t.Flows() {
-		f(fs)
-	}
-}
-
 // Flows returns every tracked flow sorted by key — the deterministic
 // iteration order reports are built from.
 func (t *Tracker) Flows() []*Stats {
-	var out []*Stats
-	if t.flows != nil {
-		out = make([]*Stats, 0, len(t.flows))
-		for _, fs := range t.flows {
-			out = append(out, fs)
-		}
-	} else {
-		out = make([]*Stats, 0, t.table.n)
-		t.table.each(func(fs *Stats) { out = append(out, fs) })
-	}
+	out := make([]*Stats, 0, t.table.n)
+	t.table.each(func(fs *Stats) { out = append(out, fs) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
 	return out
 }
@@ -494,7 +415,7 @@ type Totals struct {
 // sorting, usable once per report even at millions of flows.
 func (t *Tracker) Totals() Totals {
 	tot := Totals{Flows: uint64(t.NumFlows()), Active: t.active}
-	t.eachFlow(func(fs *Stats) {
+	t.table.each(func(fs *Stats) {
 		tot.Received += fs.Received
 		tot.Bytes += fs.Bytes
 		tot.Stamped += fs.Stamped
@@ -505,19 +426,16 @@ func (t *Tracker) Totals() Totals {
 	return tot
 }
 
-// record runs the post-parse attribution for one frame of the flow:
+// record runs the post-parse attribution for one frame of size bytes:
 // counters, inter-arrival accumulation, sequence classification and
-// (when enabled and stamped) latency recording. Record and RecordBatch
-// share this body, which is what makes the two entry points
-// bit-identical by construction. The flow's latency histogram is
-// created lazily here, on its first sample, so flows that never carry
-// a timestamp never pay for one.
-func (t *Tracker) record(fs *Stats, data, payload []byte, rx sim.Time) {
-	if fs.Received == 0 {
-		t.active++
-	}
+// (when latBin > 0 and the payload is stamped) latency recording.
+// Record and RecordBatch share this body, which is what makes the two
+// entry points bit-identical by construction. The latency histogram is
+// created lazily here, on the flow's first sample, so flows that never
+// carry a timestamp never pay for one.
+func (fs *Stats) record(size int, payload []byte, rx sim.Time, latBin sim.Duration) {
 	fs.Received++
-	fs.Bytes += uint64(len(data))
+	fs.Bytes += uint64(size)
 	if fs.hasRx {
 		fs.InterArrival.Add(float64(rx.Sub(fs.lastRx)))
 	}
@@ -526,13 +444,50 @@ func (t *Tracker) record(fs *Stats, data, payload []byte, rx sim.Time) {
 	if seq, tx, stamped := ReadStamp(payload); stamped {
 		fs.Stamped++
 		fs.track(seq)
-		if t.latBin > 0 && rx >= tx {
+		if latBin > 0 && rx >= tx {
 			if fs.Latency == nil {
-				fs.Latency = stats.NewHistogram(t.latBin)
+				fs.Latency = stats.NewHistogram(latBin)
 			}
 			fs.Latency.Add(rx.Sub(tx))
 		}
 	}
+}
+
+// merge folds o's per-flow state into fs: counters add, inter-arrival
+// statistics merge via the exact parallel-Welford combination, latency
+// histograms merge bin-exact.
+func (fs *Stats) merge(o *Stats) {
+	fs.Received += o.Received
+	fs.Bytes += o.Bytes
+	fs.Stamped += o.Stamped
+	fs.Lost += o.Lost
+	fs.Reordered += o.Reordered
+	fs.Duplicates += o.Duplicates
+	fs.InterArrival.Merge(&o.InterArrival)
+	if o.Latency != nil && o.Latency.Count() > 0 {
+		if fs.Latency == nil {
+			fs.Latency = stats.NewHistogram(o.Latency.BinWidth)
+		}
+		fs.Latency.Merge(o.Latency)
+	}
+	if o.highest > fs.highest {
+		fs.highest = o.highest
+	}
+	if o.hasRx && (!fs.hasRx || o.lastRx > fs.lastRx) {
+		fs.lastRx = o.lastRx
+		fs.hasRx = true
+	}
+	fs.started = fs.started || o.started
+}
+
+// record attributes one parsed frame to its flow and counts the flow
+// active on its first packet.
+func (t *Tracker) record(k Key, data, payload []byte, rx sim.Time) {
+	fs := t.Flow(k)
+	if fs.Received == 0 {
+		t.active++
+	}
+	fs.record(len(data), payload, rx, t.latBin)
 }
 
 // Record processes one received frame at its arrival instant: key
@@ -546,7 +501,7 @@ func (t *Tracker) Record(data []byte, rx sim.Time) bool {
 		t.Unparsed++
 		return false
 	}
-	t.record(t.Flow(k), data, payload, rx)
+	t.record(k, data, payload, rx)
 	return true
 }
 
@@ -573,50 +528,26 @@ func (t *Tracker) RecordBatch(frames []Frame) (recorded int) {
 			t.Unparsed++
 			continue
 		}
-		t.record(t.Flow(k), frames[i].Data, payload, frames[i].Rx)
+		t.record(k, frames[i].Data, payload, frames[i].Rx)
 		recorded++
 	}
 	return recorded
 }
 
-// Merge folds another tracker into t, matching flows by key: counters
-// add, inter-arrival statistics merge via the exact parallel-Welford
-// combination, latency histograms merge bin-exact. Merged per-flow
-// counts over shards equal the unsharded run's as long as no flow
-// spans shards (the sharded scenarios assign whole flows to shards).
-// Per-flow merges are independent, so the visit order — arena order
-// for a flat source, sorted order for a reference one — cannot affect
-// any per-flow result. Flat and reference trackers merge into each
-// other freely. The merged tracker is for reporting: its sequence
-// windows are not meaningful for further Record calls. other is not
-// modified.
+// Merge folds another tracker into t, matching flows by key (see
+// Stats.merge). Merged per-flow counts over shards equal the unsharded
+// run's as long as no flow spans shards (the sharded scenarios assign
+// whole flows to shards). Per-flow merges are independent, so the
+// source's arena visit order cannot affect any per-flow result. The
+// merged tracker is for reporting: its sequence windows are not
+// meaningful for further Record calls. other is not modified.
 func (t *Tracker) Merge(other *Tracker) {
 	t.Unparsed += other.Unparsed
-	other.eachFlow(func(o *Stats) {
+	other.table.each(func(o *Stats) {
 		fs := t.Flow(o.Key)
 		if fs.Received == 0 && o.Received > 0 {
 			t.active++
 		}
-		fs.Received += o.Received
-		fs.Bytes += o.Bytes
-		fs.Stamped += o.Stamped
-		fs.Lost += o.Lost
-		fs.Reordered += o.Reordered
-		fs.Duplicates += o.Duplicates
-		fs.InterArrival.Merge(&o.InterArrival)
-		if o.Latency != nil && o.Latency.Count() > 0 {
-			if fs.Latency == nil {
-				fs.Latency = stats.NewHistogram(o.Latency.BinWidth)
-			}
-			fs.Latency.Merge(o.Latency)
-		}
-		if o.highest > fs.highest {
-			fs.highest = o.highest
-		}
-		if o.hasRx && (!fs.hasRx || o.lastRx > fs.lastRx) {
-			fs.lastRx = o.lastRx
-			fs.hasRx = true
-		}
-		fs.started = fs.started || o.started
+		fs.merge(o)
 	})
 }

@@ -38,10 +38,6 @@ const (
 	tableInitSlots = 64
 )
 
-// statsSize is the per-record footprint both tracker variants charge
-// when reporting resident memory.
-const statsSize = uint64(unsafe.Sizeof(Stats{}))
-
 // slot is one open-addressing bucket: the flow key stored inline plus
 // the 1-based index of its record in the arena (0 = empty).
 type slot struct {

@@ -2,10 +2,10 @@ package flow
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/proto"
@@ -52,21 +52,96 @@ func flowKey(fid uint64) Key {
 	}
 }
 
+// mapTracker is the reference storage the flat table is pinned
+// against: a map[Key]*Stats with one heap-allocated record per flow.
+// It runs the same per-flow code as Tracker (Stats.record,
+// Stats.merge) and differs only in how records are found and
+// allocated, so a divergence between the two is a storage bug.
+type mapTracker struct {
+	seqWindow int // power of two
+	latBin    sim.Duration
+	flows     map[Key]*Stats
+	unparsed  uint64
+	active    uint64
+}
+
+func newMapTracker(seqWindow int, latBin sim.Duration) *mapTracker {
+	return &mapTracker{seqWindow: seqWindow, latBin: latBin, flows: make(map[Key]*Stats)}
+}
+
+func (m *mapTracker) flow(k Key) *Stats {
+	fs, ok := m.flows[k]
+	if !ok {
+		fs = &Stats{Key: k, seen: make([]uint64, m.seqWindow/64), mask: uint64(m.seqWindow - 1)}
+		m.flows[k] = fs
+	}
+	return fs
+}
+
+// Record mirrors Tracker.Record.
+func (m *mapTracker) Record(data []byte, rx sim.Time) bool {
+	k, payload, ok := Parse(data)
+	if !ok {
+		m.unparsed++
+		return false
+	}
+	fs := m.flow(k)
+	if fs.Received == 0 {
+		m.active++
+	}
+	fs.record(len(data), payload, rx, m.latBin)
+	return true
+}
+
+// Merge mirrors Tracker.Merge, visiting the source in sorted order
+// (per-flow merges are order-independent).
+func (m *mapTracker) Merge(other *mapTracker) {
+	m.unparsed += other.unparsed
+	for _, o := range other.state().flows {
+		fs := m.flow(o.Key)
+		if fs.Received == 0 && o.Received > 0 {
+			m.active++
+		}
+		fs.merge(o)
+	}
+}
+
+// flowState is the complete observable per-flow state of a tracker,
+// flows sorted by key.
+type flowState struct {
+	flows    []*Stats
+	unparsed uint64
+	active   uint64
+}
+
+func (m *mapTracker) state() flowState {
+	out := make([]*Stats, 0, len(m.flows))
+	for _, fs := range m.flows {
+		out = append(out, fs)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	return flowState{out, m.unparsed, m.active}
+}
+
+func stateOf(tr *Tracker) flowState {
+	return flowState{tr.Flows(), tr.Unparsed, tr.ActiveFlows()}
+}
+
 // requireFlowsEqual compares two trackers' complete per-flow state —
 // counters, inter-arrival statistics bit for bit, and latency
 // histograms bin-exact including lazy nil-ness semantics (a flow with
 // no latency samples must be nil or empty in both).
-func requireFlowsEqual(t *testing.T, label string, a, b *Tracker) {
+func requireFlowsEqual(t *testing.T, label string, a, b flowState) {
 	t.Helper()
-	af, bf := a.Flows(), b.Flows()
+	af, bf := a.flows, b.flows
 	if len(af) != len(bf) {
 		t.Fatalf("%s: flow counts differ: %d vs %d", label, len(af), len(bf))
 	}
-	if a.Unparsed != b.Unparsed {
-		t.Errorf("%s: unparsed %d vs %d", label, a.Unparsed, b.Unparsed)
+	if a.unparsed != b.unparsed {
+		t.Errorf("%s: unparsed %d vs %d", label, a.unparsed, b.unparsed)
 	}
-	if a.ActiveFlows() != b.ActiveFlows() {
-		t.Errorf("%s: active %d vs %d", label, a.ActiveFlows(), b.ActiveFlows())
+	if a.active != b.active {
+		t.Errorf("%s: active %d vs %d", label, a.active, b.active)
 	}
 	for i := range af {
 		x, y := af[i], bf[i]
@@ -109,12 +184,13 @@ func requireFlowsEqual(t *testing.T, label string, a, b *Tracker) {
 	}
 }
 
-// TestFlatMatchesReference is the tentpole's property pin: randomized
-// insert/record/merge sequences — duplicate keys, gaps, unstamped
-// payloads, enough distinct flows to cross several grow/rehash
-// boundaries (64 → 8192 slots), and an uneven 3-way sharding — produce
-// bit-identical per-flow state in the flat open-addressing tracker and
-// the map-based reference, in every merge direction.
+// TestFlatMatchesReference is the flat table's property pin:
+// randomized insert/record/merge sequences — duplicate keys, gaps,
+// unstamped payloads, enough distinct flows to cross several
+// grow/rehash boundaries (64 → 8192 slots), and an uneven 3-way
+// sharding — produce bit-identical per-flow state in the flat
+// open-addressing Tracker and the map-based reference (mapTracker),
+// unsharded and merged.
 func TestFlatMatchesReference(t *testing.T) {
 	const F = 3000 // crosses rehash at 48, 96, ..., 3072 used slots
 	rng := rand.New(rand.NewSource(23))
@@ -144,8 +220,10 @@ func TestFlatMatchesReference(t *testing.T) {
 		stream = append(stream, rec{fid, s, sim.Time(i) * 100, false})
 	}
 
-	run := func(cfg Config, shard func(fid uint64) bool) *Tracker {
-		tr := NewTracker(cfg)
+	type recorder interface {
+		Record(data []byte, rx sim.Time) bool
+	}
+	run := func(tr recorder, shard func(fid uint64) bool) {
 		buf := benchFrame()
 		for _, r := range stream {
 			if shard != nil && !shard(r.fid) {
@@ -161,15 +239,17 @@ func TestFlatMatchesReference(t *testing.T) {
 			}
 			tr.Record(buf, r.at)
 		}
-		return tr
 	}
 
 	flatCfg := Config{Latency: true, SeqWindow: 64}
-	refCfg := Config{Latency: true, SeqWindow: 64, Reference: true}
+	newRef := func() *mapTracker { return newMapTracker(64, sim.Nanosecond) }
 
-	flat := run(flatCfg, nil)
-	ref := run(refCfg, nil)
-	requireFlowsEqual(t, "unsharded flat vs reference", flat, ref)
+	flat := NewTracker(flatCfg)
+	run(flat, nil)
+	ref := newRef()
+	run(ref, nil)
+	want := ref.state()
+	requireFlowsEqual(t, "unsharded flat vs reference", stateOf(flat), want)
 
 	// Uneven 3-way whole-flow sharding: shard 0 takes half the flows,
 	// shards 1 and 2 split the rest unevenly.
@@ -183,31 +263,17 @@ func TestFlatMatchesReference(t *testing.T) {
 			return 2
 		}
 	}
-	var flatShards, refShards []*Tracker
+	flatMerged, refMerged := NewTracker(flatCfg), newRef()
 	for s := 0; s < 3; s++ {
-		s := s
-		flatShards = append(flatShards, run(flatCfg, func(fid uint64) bool { return owner(fid) == s }))
-		refShards = append(refShards, run(refCfg, func(fid uint64) bool { return owner(fid) == s }))
+		mine := func(fid uint64) bool { return owner(fid) == s }
+		flatShard, refShard := NewTracker(flatCfg), newRef()
+		run(flatShard, mine)
+		run(refShard, mine)
+		flatMerged.Merge(flatShard)
+		refMerged.Merge(refShard)
 	}
-
-	// Every merge direction: flat←flat, ref←ref, flat←ref, ref←flat.
-	cases := []struct {
-		label  string
-		root   Config
-		shards []*Tracker
-	}{
-		{"flat shards into flat", flatCfg, flatShards},
-		{"reference shards into reference", refCfg, refShards},
-		{"reference shards into flat", flatCfg, refShards},
-		{"flat shards into reference", refCfg, flatShards},
-	}
-	for _, c := range cases {
-		merged := NewTracker(c.root)
-		for _, s := range c.shards {
-			merged.Merge(s)
-		}
-		requireFlowsEqual(t, c.label, merged, ref)
-	}
+	requireFlowsEqual(t, "flat shards into flat", stateOf(flatMerged), want)
+	requireFlowsEqual(t, "reference shards into reference", refMerged.state(), want)
 }
 
 // TestTableGrowthKeepsPointers pins the arena stability contract: a
@@ -242,10 +308,10 @@ func fid2key(fid uint64) Key { return flowKey(fid) }
 
 // TestMillionFlowInvariance is the acceptance matrix at scale: one
 // million flows, two passes each, attributed through RecordBatch under
-// Cores {1,2,4} × Batch {1,32} in both storage modes, with whole-flow
-// sharding and per-config merges — every configuration must produce
-// the same digest over the complete sorted per-flow state. Gated out
-// of -short runs: it holds two ~1M-flow trackers alive at its peak.
+// Cores {1,2,4} × Batch {1,32}, with whole-flow sharding and
+// per-config merges — every configuration must produce the same digest
+// over the complete sorted per-flow state. Gated out of -short runs: it
+// holds two ~1M-flow trackers alive at its peak.
 func TestMillionFlowInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-flow invariance runs in the full suite only")
@@ -282,8 +348,8 @@ func TestMillionFlowInvariance(t *testing.T) {
 	// Deterministic stream: pass p sends flow fid sequence p, except
 	// every 7th flow skips its pass-1 packet (a permanent gap → one
 	// lost) and every 5th flow duplicates its final packet.
-	runConfig := func(cores, batch int, reference bool) uint64 {
-		cfg := Config{SeqWindow: 64, Reference: reference}
+	runConfig := func(cores, batch int) uint64 {
+		cfg := Config{SeqWindow: 64}
 		shards := make([]*Tracker, cores)
 		for i := range shards {
 			shards[i] = NewTracker(cfg)
@@ -345,21 +411,15 @@ func TestMillionFlowInvariance(t *testing.T) {
 		return digest(got)
 	}
 
-	var want uint64
-	first := true
-	for _, reference := range []bool{false, true} {
-		for _, cores := range []int{1, 2, 4} {
-			for _, batch := range []int{1, 32} {
-				got := runConfig(cores, batch, reference)
-				label := fmt.Sprintf("ref=%v cores=%d batch=%d", reference, cores, batch)
-				if first {
-					want = got
-					first = false
-					continue
-				}
-				if got != want {
-					t.Fatalf("%s: digest %#x, want %#x (config diverged at 1M flows)", label, got, want)
-				}
+	want := runConfig(1, 1)
+	for _, cores := range []int{1, 2, 4} {
+		for _, batch := range []int{1, 32} {
+			if cores == 1 && batch == 1 {
+				continue
+			}
+			if got := runConfig(cores, batch); got != want {
+				t.Fatalf("cores=%d batch=%d: digest %#x, want %#x (config diverged at 1M flows)",
+					cores, batch, got, want)
 			}
 		}
 	}

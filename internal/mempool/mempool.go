@@ -283,16 +283,6 @@ func (p *Pool) BufArray(size int) *BufArray {
 	return &BufArray{Bufs: make([]*Mbuf, size), pool: p}
 }
 
-// UnboundBufArray returns a batch wrapper usable only for receive
-// (memory.bufArray() in a counter task): buffers arrive from the NIC and
-// are freed to their own pools.
-func UnboundBufArray(size int) *BufArray {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &BufArray{Bufs: make([]*Mbuf, size)}
-}
-
 // Len returns the batch capacity.
 func (a *BufArray) Len() int { return len(a.Bufs) }
 

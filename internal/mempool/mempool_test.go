@@ -156,13 +156,12 @@ func TestBufArrayDefaultSize(t *testing.T) {
 	if ba := p.BufArray(0); ba.Len() != DefaultBatchSize {
 		t.Fatalf("default size = %d", ba.Len())
 	}
-	if ba := UnboundBufArray(0); ba.Len() != DefaultBatchSize {
-		t.Fatalf("unbound default size = %d", ba.Len())
-	}
 }
 
+// TestUnboundBufArrayAllocPanics: a BufArray not bound to a pool (a
+// bare literal) has nothing to allocate from; Alloc must say so.
 func TestUnboundBufArrayAllocPanics(t *testing.T) {
-	ba := UnboundBufArray(4)
+	ba := &BufArray{Bufs: make([]*Mbuf, 4)}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Alloc on unbound BufArray did not panic")

@@ -35,9 +35,9 @@ func ShardSeed(base int64, shard int) int64 {
 }
 
 // Shard is one modeled core: an independent deterministic engine plus
-// its identity within the group. Tasks launched on the shard's App see
-// the shard index via Task.Shard; per-core mempools and queue slices
-// are created on the shard by whoever builds its testbed.
+// its identity within the group (also recorded as App.Shard). Per-core
+// mempools and queue slices are created on the shard by whoever builds
+// its testbed.
 type Shard struct {
 	// ID is the shard's index in [0, N).
 	ID int
@@ -74,9 +74,6 @@ func (g *Group) N() int { return len(g.shards) }
 
 // Shard returns shard i.
 func (g *Group) Shard(i int) *Shard { return g.shards[i] }
-
-// Shards returns all shards in index order.
-func (g *Group) Shards() []*Shard { return g.shards }
 
 // Each runs fn for every shard concurrently, one goroutine per shard,
 // and waits for all of them — the fork/join of a master task launching
@@ -129,27 +126,4 @@ func (g *Group) Each(fn func(s *Shard) error) error {
 		return fmt.Errorf("multicore: %s", strings.Join(msgs, "; "))
 	}
 	return nil
-}
-
-// LaunchAll launches one task per shard on the shard's own engine —
-// MoonGen's "launch this slave on every core". The tasks do not start
-// running until the shard's simulation is driven (RunFor or a per-
-// shard Run inside Each).
-func (g *Group) LaunchAll(name string, fn func(s *Shard, t *core.Task)) {
-	for _, s := range g.shards {
-		s := s
-		s.App.LaunchTask(fmt.Sprintf("%s-%d", name, s.ID), func(t *core.Task) {
-			fn(s, t)
-		})
-	}
-}
-
-// RunFor drives every shard's simulation for d of simulated time
-// concurrently and waits for all shards to finish draining — the
-// master task's waitForSlaves over real goroutines.
-func (g *Group) RunFor(d sim.Duration) {
-	_ = g.Each(func(s *Shard) error {
-		s.App.RunFor(d)
-		return nil
-	})
 }

@@ -64,9 +64,7 @@ func TestTrainMatchesPerPacketScheduler(t *testing.T) {
 				p.Yield()
 			}
 		})
-		for eng.Step() {
-			events++
-		}
+		events = eng.RunAll()
 		return *departures, *arrivals, events
 	}
 	dep1, arr1, events1 := run(1)

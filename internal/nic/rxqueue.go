@@ -105,9 +105,3 @@ func (q *RxQueue) RecvBurst(out []*mempool.Mbuf) int {
 	q.flush()
 	return q.ring.DequeueBurst(out)
 }
-
-// RecvOne receives a single buffer if available.
-func (q *RxQueue) RecvOne() (*mempool.Mbuf, bool) {
-	q.flush()
-	return q.ring.DequeueOne()
-}

@@ -185,12 +185,6 @@ func (g *GapFiller) FillGap(gapBytes int64) []int {
 // Debt returns the current unrepresented gap debt in wire bytes.
 func (g *GapFiller) Debt() int64 { return g.debt }
 
-// MinRepresentableGap returns the smallest non-zero gap the filler can
-// produce exactly: 60.8 ns at 10 GbE with the default 76-byte floor.
-func (g *GapFiller) MinRepresentableGap() sim.Duration {
-	return sim.Duration(g.MinFillerWire) * g.ByteTime
-}
-
 // --- Behavioural models of existing software rate control -----------
 
 // SoftPush models classic software rate control as in Pktgen-DPDK

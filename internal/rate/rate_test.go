@@ -154,8 +154,9 @@ func TestGapFillerLargeGapSplitting(t *testing.T) {
 
 func TestMinRepresentableGap(t *testing.T) {
 	g := NewGapFiller(wire.ByteTime(wire.Speed10G))
-	// 76 bytes × 0.8 ns = 60.8 ns (§8.1).
-	if got := g.MinRepresentableGap(); got != sim.FromNanoseconds(60.8) {
+	// The smallest exact gap is one minimum filler: 76 bytes × 0.8 ns
+	// = 60.8 ns (§8.1).
+	if got := sim.Duration(g.MinFillerWire) * g.ByteTime; got != sim.FromNanoseconds(60.8) {
 		t.Fatalf("min gap = %v", got)
 	}
 }

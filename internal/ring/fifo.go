@@ -9,7 +9,7 @@ package ring
 // It backs the simulator's monotonic-deadline pipelines (a link's
 // in-flight frames, a port's transmit completions), which need FIFO
 // order, unbounded depth and zero-alloc pushes — not the bounded
-// lock-free semantics of the SPSC/MPMC rings.
+// lock-free semantics of the SPSC ring.
 type FIFO[T any] struct {
 	buf  []T
 	head int

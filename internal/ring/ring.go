@@ -1,14 +1,13 @@
 // Package ring provides bounded lock-free FIFO queues in the style of
 // DPDK's rte_ring.
 //
-// Two variants are provided: SPSC (single producer, single consumer),
-// which is the common case for NIC descriptor queues — MoonGen assigns
-// each hardware queue to exactly one task — and MPMC (multi producer,
-// multi consumer) for inter-task pipes. Both are fixed-capacity
-// power-of-two rings with bulk enqueue/dequeue operations, because batch
-// processing is the fundamental technique for high packet rates (paper
-// §4.2: "Batch processing is an important technique for high-speed
-// packet processing").
+// SPSC (single producer, single consumer) is the ring behind the NIC
+// descriptor queues: MoonGen assigns each hardware queue to exactly
+// one task, so no queue has a second producer or consumer. It is a
+// fixed-capacity power-of-two ring with bulk enqueue/dequeue
+// operations, because batch processing is the fundamental technique
+// for high packet rates (paper §4.2: "Batch processing is an important
+// technique for high-speed packet processing").
 //
 // All operations are non-blocking: an enqueue into a full ring and a
 // dequeue from an empty ring return short counts rather than waiting,

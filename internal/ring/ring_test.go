@@ -159,114 +159,6 @@ func TestSPSCConcurrent(t *testing.T) {
 	}
 }
 
-func TestMPMCBasic(t *testing.T) {
-	q := NewMPMC[int](4)
-	for i := 0; i < 4; i++ {
-		if !q.EnqueueOne(i) {
-			t.Fatalf("enqueue %d failed", i)
-		}
-	}
-	if q.EnqueueOne(4) {
-		t.Fatal("enqueue into full MPMC succeeded")
-	}
-	for i := 0; i < 4; i++ {
-		v, ok := q.DequeueOne()
-		if !ok || v != i {
-			t.Fatalf("dequeue = %d, %v; want %d", v, ok, i)
-		}
-	}
-	if _, ok := q.DequeueOne(); ok {
-		t.Fatal("dequeue from empty MPMC succeeded")
-	}
-}
-
-func TestMPMCBulk(t *testing.T) {
-	q := NewMPMC[int](8)
-	n := q.EnqueueBurst([]int{1, 2, 3, 4, 5})
-	if n != 5 {
-		t.Fatalf("enqueue = %d", n)
-	}
-	out := make([]int, 3)
-	if m := q.DequeueBurst(out); m != 3 {
-		t.Fatalf("dequeue = %d", m)
-	}
-	if out[0] != 1 || out[2] != 3 {
-		t.Fatalf("out = %v", out)
-	}
-}
-
-// TestMPMCConcurrent hammers the queue with multiple producers and
-// consumers and verifies exactly-once delivery of every item.
-func TestMPMCConcurrent(t *testing.T) {
-	const (
-		producers = 4
-		consumers = 4
-	)
-	perProd := soakItems(15000)
-	q := NewMPMC[int](256)
-	var mu sync.Mutex
-	seen := make(map[int]int, producers*perProd)
-	var wg sync.WaitGroup
-	var cwg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProd; i++ {
-				v := p*perProd + i
-				for !q.EnqueueOne(v) {
-					runtime.Gosched()
-				}
-			}
-		}(p)
-	}
-	done := make(chan struct{})
-	for c := 0; c < consumers; c++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			local := make(map[int]int)
-			for {
-				v, ok := q.DequeueOne()
-				if !ok {
-					select {
-					case <-done:
-						// Drain whatever is left.
-						for {
-							v, ok := q.DequeueOne()
-							if !ok {
-								break
-							}
-							local[v]++
-						}
-						mu.Lock()
-						for k, n := range local {
-							seen[k] += n
-						}
-						mu.Unlock()
-						return
-					default:
-						runtime.Gosched()
-						continue
-					}
-				}
-				local[v]++
-			}
-		}()
-	}
-	wg.Wait()
-	close(done)
-	cwg.Wait()
-	if len(seen) != producers*perProd {
-		t.Fatalf("saw %d distinct items, want %d", len(seen), producers*perProd)
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("item %d delivered %d times", k, n)
-		}
-	}
-}
-
 // Property: any interleaved sequence of enqueues and dequeues on a single
 // goroutine behaves identically to a model queue (slice).
 func TestSPSCModelProperty(t *testing.T) {
@@ -307,48 +199,10 @@ func TestSPSCModelProperty(t *testing.T) {
 	}
 }
 
-func TestMPMCModelProperty(t *testing.T) {
-	f := func(ops []uint8, capSeed uint8) bool {
-		capacity := int(capSeed%16) + 1
-		q := NewMPMC[int](capacity)
-		var model []int
-		next := 0
-		for _, op := range ops {
-			if op%2 == 0 {
-				ok := q.EnqueueOne(next)
-				modelOK := len(model) < q.Cap()
-				if ok != modelOK {
-					return false
-				}
-				if ok {
-					model = append(model, next)
-				}
-				next++
-			} else {
-				v, ok := q.DequeueOne()
-				if ok != (len(model) > 0) {
-					return false
-				}
-				if ok {
-					if v != model[0] {
-						return false
-					}
-					model = model[1:]
-				}
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(12))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInvalidCapacityPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewSPSC[int](0) },
-		func() { NewMPMC[int](-1) },
+		func() { NewSPSC[int](-1) },
 	} {
 		func() {
 			defer func() {
@@ -372,18 +226,8 @@ func BenchmarkSPSCEnqueueDequeue(b *testing.B) {
 	}
 }
 
-func BenchmarkMPMCEnqueueDequeue(b *testing.B) {
-	q := NewMPMC[int](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.EnqueueOne(i)
-		q.DequeueOne()
-	}
-}
-
 // TestBurstNamesAreCanonical: EnqueueBurst/DequeueBurst are the burst
-// API the datapath uses, with identical short-count semantics on both
-// ring variants.
+// API the datapath uses, with rte_ring short-count semantics.
 func TestBurstNamesAreCanonical(t *testing.T) {
 	r := NewSPSC[int](8)
 	in := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
@@ -397,19 +241,6 @@ func TestBurstNamesAreCanonical(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if out[i] != in[i] {
 			t.Fatalf("burst order broken at %d: %d", i, out[i])
-		}
-	}
-
-	q := NewMPMC[int](8)
-	if n := q.EnqueueBurst(in); n != 8 {
-		t.Fatalf("MPMC EnqueueBurst = %d, want 8", n)
-	}
-	if n := q.DequeueBurst(out); n != 8 {
-		t.Fatalf("MPMC DequeueBurst = %d", n)
-	}
-	for i := 0; i < 8; i++ {
-		if out[i] != in[i] {
-			t.Fatalf("MPMC burst order broken at %d: %d", i, out[i])
 		}
 	}
 }

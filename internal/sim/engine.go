@@ -5,101 +5,15 @@ import (
 	"math/rand"
 )
 
-// event is a scheduled callback. Events with equal times fire in schedule
-// order (seq tiebreak) so simulations are fully deterministic.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-// eventHeap is an index-based binary min-heap over a value slice. It
-// replaces container/heap: Push/Pop go through no interface{} boxing,
-// so scheduling an event allocates nothing beyond the occasional slice
-// growth (the fn closure is the caller's).
-type eventHeap struct {
-	ev []event
-}
-
-func (h *eventHeap) len() int { return len(h.ev) }
-
-// less orders by time, then schedule sequence.
-func (h *eventHeap) less(i, j int) bool {
-	if h.ev[i].at != h.ev[j].at {
-		return h.ev[i].at < h.ev[j].at
-	}
-	return h.ev[i].seq < h.ev[j].seq
-}
-
-// push inserts e and restores the heap invariant bottom-up.
-func (h *eventHeap) push(e event) {
-	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() event {
-	n := len(h.ev) - 1
-	top := h.ev[0]
-	h.ev[0] = h.ev[n]
-	h.ev[n] = event{} // release the closure for GC
-	h.ev = h.ev[:n]
-	// Sift the moved element down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h.less(l, least) {
-			least = l
-		}
-		if r < n && h.less(r, least) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h.ev[i], h.ev[least] = h.ev[least], h.ev[i]
-		i = least
-	}
-	return top
-}
-
-// Scheduler selects the engine's ready-queue implementation. Both
-// produce the exact same event order — time, then schedule sequence —
-// so simulations are bit-identical across them; the property is pinned
-// by TestWheelMatchesHeapOrder.
-type Scheduler int
-
-// Schedulers.
-const (
-	// SchedulerWheel is the default: a calendar-queue timing wheel with
-	// pooled slot nodes and a far-future overflow heap (see wheel.go).
-	// O(1) schedule/fire for the densely clustered near-future events
-	// packet trains produce.
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the reference binary min-heap, kept as the
-	// equivalence pin for the wheel and for bisecting scheduler bugs.
-	SchedulerHeap
-)
-
 // Engine is a single-threaded discrete-event scheduler. All simulated
 // activity — including cooperatively scheduled processes (see Proc) —
 // runs under the engine's Run loop; at any instant at most one piece of
 // simulation code executes, which makes every run reproducible for a
-// given seed.
+// given seed. The ready queue is the timing wheel in wheel.go; events
+// fire in time order, equal times in schedule order.
 type Engine struct {
 	now     Time
-	useHeap bool
 	wheel   timingWheel
-	heap    eventHeap
 	seq     uint64
 	seed    int64
 	rng     *rand.Rand
@@ -117,17 +31,10 @@ type Engine struct {
 // NewEngine returns an engine whose random source is seeded with seed.
 // The same seed always produces the same event trace.
 func NewEngine(seed int64) *Engine {
-	return NewEngineScheduler(seed, SchedulerWheel)
-}
-
-// NewEngineScheduler returns an engine with an explicit ready-queue
-// implementation. Seed semantics are identical to NewEngine.
-func NewEngineScheduler(seed int64, sched Scheduler) *Engine {
 	return &Engine{
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
-		stopAt:  Never,
-		useHeap: sched == SchedulerHeap,
+		seed:   seed,
+		rng:    rand.New(rand.NewSource(seed)),
+		stopAt: Never,
 	}
 }
 
@@ -179,11 +86,7 @@ func (e *Engine) Schedule(at Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	if e.useHeap {
-		e.heap.push(event{at: at, seq: e.seq, fn: fn})
-	} else {
-		e.wheel.schedule(at, e.seq, fn)
-	}
+	e.wheel.schedule(at, e.seq, fn)
 }
 
 // ScheduleAfter runs fn d after the current time.
@@ -210,61 +113,22 @@ func (e *Engine) Running() bool { return !e.stopped && e.now < e.stopAt }
 // their counters, exactly like MoonGen tasks draining after Ctrl-C.
 func (e *Engine) Stop() { e.stopped = true }
 
-// popEvent removes and returns the earliest pending event.
-func (e *Engine) popEvent() (Time, func(), bool) {
-	if e.useHeap {
-		if e.heap.len() == 0 {
-			return 0, nil, false
-		}
-		ev := e.heap.pop()
-		return ev.at, ev.fn, true
-	}
-	if e.wheel.len() == 0 {
-		return 0, nil, false
-	}
-	at, fn := e.wheel.pop()
-	return at, fn, true
-}
-
-// Step fires the earliest pending event. It reports false when no events
-// remain.
-func (e *Engine) Step() bool {
-	at, fn, ok := e.popEvent()
-	if !ok {
-		return false
-	}
-	if at < e.now {
-		panic("sim: time went backwards")
-	}
-	e.now = at
-	e.events++
-	fn()
-	return true
-}
-
 // Run fires events until the queue is empty or the next event is after
 // until. It returns the number of events fired.
 func (e *Engine) Run(until Time) int {
 	n := 0
-	if e.useHeap {
-		for e.heap.len() > 0 && e.heap.ev[0].at <= until {
-			e.Step()
-			n++
+	for {
+		at, fn, ok := e.wheel.popAtMost(until)
+		if !ok {
+			break
 		}
-	} else {
-		for {
-			at, fn, ok := e.wheel.popAtMost(until)
-			if !ok {
-				break
-			}
-			if at < e.now {
-				panic("sim: time went backwards")
-			}
-			e.now = at
-			e.events++
-			fn()
-			n++
+		if at < e.now {
+			panic("sim: time went backwards")
 		}
+		e.now = at
+		e.events++
+		fn()
+		n++
 	}
 	if e.now < until && until != Never {
 		e.now = until
@@ -277,12 +141,7 @@ func (e *Engine) Run(until Time) int {
 func (e *Engine) RunAll() int { return e.Run(Never) }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int {
-	if e.useHeap {
-		return e.heap.len()
-	}
-	return e.wheel.len()
-}
+func (e *Engine) Pending() int { return e.wheel.len() }
 
 // Procs returns the number of live processes.
 func (e *Engine) Procs() int { return e.procs }
@@ -296,7 +155,7 @@ func (e *Engine) EventsProcessed() uint64 { return e.events }
 // SchedStats is a snapshot of the scheduler's internal counters —
 // cheap diagnostics for the telemetry layer and for perf debugging.
 // All values are monotonic except Pending and MaxSlotDepth (a running
-// maximum). The heap scheduler reports zero wheel statistics.
+// maximum).
 type SchedStats struct {
 	// EventsProcessed is the total number of events fired.
 	EventsProcessed uint64

@@ -6,25 +6,31 @@ import (
 )
 
 // BenchmarkEngineSchedule measures the schedule/fire hot path of the
-// default timing-wheel scheduler on a clustered-time burst (64 events
+// engine's timing-wheel scheduler on a clustered-time burst (64 events
 // within a few picoseconds — one wheel tick). Compare against
-// BenchmarkEngineScheduleHeapEngine (the same engine on the reference
-// binary heap) and BenchmarkEngineScheduleContainerHeap (the original
-// container/heap implementation, which paid one *event allocation plus
-// an interface{} box per Push). Both engine paths schedule with zero
-// allocations: the wheel pools its slot nodes.
+// BenchmarkEngineScheduleHeapEngine (the reference binary heap of
+// heapref_test.go) and BenchmarkEngineScheduleContainerHeap (the
+// original container/heap implementation, which paid one *event
+// allocation plus an interface{} box per Push). Both engine paths
+// schedule with zero allocations: the wheel pools its slot nodes.
 func BenchmarkEngineSchedule(b *testing.B) {
-	benchEngineSchedule(b, SchedulerWheel)
+	e := NewEngine(1)
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			e.Schedule(e.now.Add(Duration(j%7)), fn)
+		}
+		for e.Step() {
+		}
+	}
 }
 
 // BenchmarkEngineScheduleHeapEngine is the identical workload on the
-// reference heap scheduler — the wheel's control group.
+// reference heap — the wheel's control group.
 func BenchmarkEngineScheduleHeapEngine(b *testing.B) {
-	benchEngineSchedule(b, SchedulerHeap)
-}
-
-func benchEngineSchedule(b *testing.B, sched Scheduler) {
-	e := NewEngineScheduler(1, sched)
+	e := &heapEngine{}
 	fn := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,24 +7,22 @@ import "testing"
 // alike), overflow promotions count each far-future event once, and
 // MaxSlotDepth tracks the largest materialized tick buffer.
 func TestSchedStatsCounters(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		eng := NewEngineScheduler(1, sched)
-		fired := 0
-		for i := 0; i < 10; i++ {
-			eng.Schedule(Time(0).Add(Duration(i)*Microsecond), func() { fired++ })
-		}
-		eng.Run(Time(0).Add(4 * Microsecond))
-		if got := eng.EventsProcessed(); got != 5 || fired != 5 {
-			t.Fatalf("sched %v: EventsProcessed=%d fired=%d, want 5", sched, got, fired)
-		}
-		for eng.Step() {
-		}
-		if got := eng.EventsProcessed(); got != 10 || fired != 10 {
-			t.Fatalf("sched %v: EventsProcessed=%d fired=%d, want 10", sched, got, fired)
-		}
-		if st := eng.SchedStats(); st.EventsProcessed != 10 || st.Pending != 0 {
-			t.Fatalf("sched %v: stats %+v", sched, st)
-		}
+	eng := NewEngine(1)
+	fired := 0
+	for i := 0; i < 10; i++ {
+		eng.Schedule(Time(0).Add(Duration(i)*Microsecond), func() { fired++ })
+	}
+	eng.Run(Time(0).Add(4 * Microsecond))
+	if got := eng.EventsProcessed(); got != 5 || fired != 5 {
+		t.Fatalf("EventsProcessed=%d fired=%d, want 5", got, fired)
+	}
+	for eng.Step() {
+	}
+	if got := eng.EventsProcessed(); got != 10 || fired != 10 {
+		t.Fatalf("EventsProcessed=%d fired=%d, want 10", got, fired)
+	}
+	if st := eng.SchedStats(); st.EventsProcessed != 10 || st.Pending != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

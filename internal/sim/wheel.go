@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// Timing-wheel ready queue — the engine's default scheduler.
+// Timing-wheel ready queue — the engine's scheduler.
 //
 // The binary heap pays O(log n) comparisons per schedule and per fire.
 // Simulated packet trains produce densely clustered event times (every
@@ -27,10 +27,11 @@ import (
 //     promoted into the wheel as the cursor approaches them — each
 //     event overflows at most once.
 //   - Firing a slot materializes it into a buffer sorted by (time,
-//     sequence), which restores the exact global order the heap
-//     produced: equal-time events fire in schedule order, so every
-//     golden CSV and determinism pin stays bit-identical. The
-//     equivalence is pinned by TestWheelMatchesHeapOrder.
+//     sequence), which restores the exact global order of a binary
+//     heap: equal-time events fire in schedule order, so every golden
+//     CSV and determinism pin stays bit-identical. The equivalence with
+//     the reference heap engine in heapref_test.go is pinned by
+//     TestWheelMatchesHeapOrder.
 //
 // Re-entrancy: an event scheduling at the current instant (Yield, a
 // pump kicked from a send) lands in the currently-firing tick's buffer
@@ -173,7 +174,7 @@ func (w *timingWheel) pushSlot(n *wheelNode, slot int) {
 // insertFired places a node into the sorted remainder of the firing
 // buffer. New events carry the highest sequence, so an event scheduled
 // for the current instant lands after every pending equal-time event —
-// the same-tick re-entrancy order the heap produced.
+// the same-tick re-entrancy order a binary heap produces.
 func (w *timingWheel) insertFired(n *wheelNode) {
 	lo, hi := w.firedIdx, len(w.fired)
 	for lo < hi {
@@ -281,17 +282,10 @@ func (w *timingWheel) load(slot int) {
 	}
 }
 
-// pop removes and returns the earliest event. Must only be called when
-// len() > 0.
-func (w *timingWheel) pop() (Time, func()) {
-	at, fn, _ := w.popAtMost(Never)
-	return at, fn
-}
-
 // popAtMost removes and returns the earliest event, but only if its
 // time is ≤ until. One traversal serves both the peek and the pop of
-// the engine's Run loop; pop() is popAtMost(Never). Must only be
-// called when len() > 0 or with a finite until.
+// the engine's Run loop. Must only be called when len() > 0 or with a
+// finite until.
 func (w *timingWheel) popAtMost(until Time) (Time, func(), bool) {
 	w.promote()
 	if !w.loaded {

@@ -12,27 +12,29 @@ const wheelTickDur = Duration(1) << wheelTickShift
 // horizonDur is the wheel's covered future; times beyond it overflow.
 const horizonDur = Duration(wheelSlots) << wheelTickShift
 
-// orderRecorder pairs an engine with its fire log so a wheel engine
-// and a heap engine can be compared event for event.
+// orderRecorder pairs a scheduler with its fire log so the Engine and
+// the reference heap can be compared event for event.
 type orderRecorder struct {
-	eng *Engine
+	eng schedulerUnderTest
 	log []int
 }
 
-func newRecorder(sched Scheduler) *orderRecorder {
-	return &orderRecorder{eng: NewEngineScheduler(1, sched)}
+// bothSchedulers returns the real Engine and the reference heap
+// (heapref_test.go), keyed by a label for failure messages.
+func bothSchedulers() map[string]schedulerUnderTest {
+	return map[string]schedulerUnderTest{"wheel": NewEngine(1), "heap": &heapEngine{}}
 }
 
-// TestWheelMatchesHeapOrder is the equivalence pin of the tentpole
-// refactor: over randomized schedules — clustered times, exact ties,
-// far-future overflow, re-entrant scheduling from callbacks — the
-// timing wheel fires events in exactly the order the reference binary
-// heap does, including the equal-time FIFO tiebreak.
+// TestWheelMatchesHeapOrder is the scheduler's equivalence pin: over
+// randomized schedules — clustered times, exact ties, far-future
+// overflow, re-entrant scheduling from callbacks — the Engine's timing
+// wheel fires events in exactly the order the reference binary heap
+// does, including the equal-time FIFO tiebreak.
 func TestWheelMatchesHeapOrder(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		wheel := newRecorder(SchedulerWheel)
-		heap := newRecorder(SchedulerHeap)
+		wheel := &orderRecorder{eng: NewEngine(1)}
+		heap := &orderRecorder{eng: &heapEngine{}}
 
 		// A deterministic schedule plan shared by both engines: each
 		// entry is (delay-from-now, number of re-entrant children).
@@ -81,7 +83,7 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 			for _, p := range plans {
 				sched(p)
 			}
-			r.eng.RunAll()
+			r.eng.Run(Never)
 		}
 		run(wheel)
 		run(heap)
@@ -103,10 +105,9 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 
 // TestWheelSameTickReentrancy pins the same-instant re-entrancy rule:
 // an event scheduling at now fires in the same pass, after every event
-// already pending at that instant — on both schedulers.
+// already pending at that instant — on the Engine and the reference.
 func TestWheelSameTickReentrancy(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		e := NewEngineScheduler(1, sched)
+	for name, e := range bothSchedulers() {
 		var log []string
 		at := Time(3 * wheelTickDur).Add(123) // mid-tick instant
 		e.Schedule(at, func() {
@@ -118,14 +119,14 @@ func TestWheelSameTickReentrancy(t *testing.T) {
 		})
 		e.Schedule(at, func() { log = append(log, "second") })
 		e.Schedule(at.Add(2), func() { log = append(log, "pre-existing+2ps") })
-		e.RunAll()
+		e.Run(Never)
 		want := []string{"first", "second", "reentrant", "same-tick+1ps", "pre-existing+2ps"}
 		if len(log) != len(want) {
-			t.Fatalf("sched %d: fired %v, want %v", sched, log, want)
+			t.Fatalf("%s: fired %v, want %v", name, log, want)
 		}
 		for i := range want {
 			if log[i] != want[i] {
-				t.Fatalf("sched %d: order %v, want %v", sched, log, want)
+				t.Fatalf("%s: order %v, want %v", name, log, want)
 			}
 		}
 	}
@@ -176,10 +177,9 @@ func TestWheelOverflowPromotion(t *testing.T) {
 // TestRunStopsOnSlotBoundary pins Run(until) behavior when until is
 // exactly a wheel-slot boundary: events at the boundary fire, events
 // one picosecond later (same slot) do not, and now lands exactly on
-// the boundary.
+// the boundary — on the Engine and the reference.
 func TestRunStopsOnSlotBoundary(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		e := NewEngineScheduler(1, sched)
+	for name, e := range bothSchedulers() {
 		boundary := Time(5) * Time(wheelTickDur) // first instant of slot 5
 		var fired []string
 		e.Schedule(boundary.Add(-1), func() { fired = append(fired, "before") })
@@ -187,15 +187,15 @@ func TestRunStopsOnSlotBoundary(t *testing.T) {
 		e.Schedule(boundary.Add(1), func() { fired = append(fired, "after") })
 		n := e.Run(boundary)
 		if n != 2 || len(fired) != 2 || fired[0] != "before" || fired[1] != "on" {
-			t.Fatalf("sched %d: Run(boundary) fired %v (n=%d), want [before on]", sched, fired, n)
+			t.Fatalf("%s: Run(boundary) fired %v (n=%d), want [before on]", name, fired, n)
 		}
 		if e.Now() != boundary {
-			t.Fatalf("sched %d: now = %v, want boundary %v", sched, e.Now(), boundary)
+			t.Fatalf("%s: now = %v, want boundary %v", name, e.Now(), boundary)
 		}
 		// The rest of the slot still fires on the next run.
 		e.Run(boundary.Add(1))
 		if len(fired) != 3 || fired[2] != "after" {
-			t.Fatalf("sched %d: continuation fired %v", sched, fired)
+			t.Fatalf("%s: continuation fired %v", name, fired)
 		}
 	}
 }

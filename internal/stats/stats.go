@@ -6,13 +6,10 @@
 package stats
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -91,7 +88,6 @@ type Counter struct {
 	out    io.Writer
 	window sim.Duration
 
-	start       sim.Time
 	windowStart sim.Time
 	winPkts     uint64
 	winBytes    uint64
@@ -103,7 +99,6 @@ type Counter struct {
 	byteRate OnlineStats // Gbit/s (wire rate incl. framing not added here)
 
 	finalized bool
-	lastTime  sim.Time
 }
 
 // CounterConfig configures a Counter.
@@ -128,7 +123,6 @@ func NewCounter(cfg CounterConfig) *Counter {
 		format:      cfg.Format,
 		out:         cfg.Out,
 		window:      cfg.Window,
-		start:       cfg.Start,
 		windowStart: cfg.Start,
 	}
 	if c.out == nil {
@@ -144,7 +138,6 @@ func NewCounter(cfg CounterConfig) *Counter {
 // MoonGen's txCtr:updateWithSize(sent, size). Closing windows emits
 // one rate sample each.
 func (c *Counter) Update(n int, bytes int, now sim.Time) {
-	c.lastTime = now
 	for now.Sub(c.windowStart) >= c.window {
 		c.closeWindow()
 	}
@@ -202,10 +195,9 @@ func (c *Counter) Finalize(now sim.Time) {
 // slave counters). other is not modified.
 func (c *Counter) Merge(other *Counter) {
 	if c.TotalPackets == 0 && c.TotalBytes == 0 && c.pktRate.Count() == 0 {
-		// Fresh target: adopt the source's epoch, so AverageMpps on
-		// the merged counter spans the measurement rather than
-		// starting at time zero.
-		c.start = other.start
+		// Fresh target: adopt the source's window grid, so windows the
+		// merged counter closes later line up with the shards' rather
+		// than with time zero.
 		c.windowStart = other.windowStart
 	}
 	c.TotalPackets += other.TotalPackets
@@ -214,28 +206,10 @@ func (c *Counter) Merge(other *Counter) {
 	c.winBytes += other.winBytes
 	c.pktRate.Merge(&other.pktRate)
 	c.byteRate.Merge(&other.byteRate)
-	if other.start < c.start {
-		c.start = other.start
-	}
-	if other.lastTime > c.lastTime {
-		c.lastTime = other.lastTime
-	}
 }
 
 // MppsStats returns the mean and stddev of the per-window packet rate.
 func (c *Counter) MppsStats() (mean, std float64) { return c.pktRate.Mean(), c.pktRate.Std() }
-
-// GbpsStats returns the mean and stddev of the per-window byte rate.
-func (c *Counter) GbpsStats() (mean, std float64) { return c.byteRate.Mean(), c.byteRate.Std() }
-
-// AverageMpps returns the whole-run average packet rate.
-func (c *Counter) AverageMpps() float64 {
-	span := c.lastTime.Sub(c.start).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return float64(c.TotalPackets) / span / 1e6
-}
 
 // Histogram is a fixed-bin-width histogram over durations, the tool
 // behind Figure 8 (inter-arrival times, 64 ns bins) and the latency
@@ -630,51 +604,4 @@ func (h *Histogram) WriteCSV(w io.Writer) {
 	for _, b := range h.Bins() {
 		fmt.Fprintf(w, "%.1f,%d,%.6f\n", b.Lo.Nanoseconds(), b.Count, float64(b.Count)/float64(h.count))
 	}
-}
-
-// ParseHistogramCSV reads the WriteCSV format back into a histogram
-// with the given bin width. The result carries bin-resolution data
-// only: counts and bin positions are exact (WriteCSV output round-trips
-// bit-for-bit), while mean/min/max are reconstructed at bin lower
-// edges and percentiles come from bins, not raw samples.
-func ParseHistogramCSV(r io.Reader, binWidth sim.Duration) (*Histogram, error) {
-	h := NewHistogram(binWidth)
-	h.maxSamples = 0 // no raw samples: percentile queries must use bins
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "bin_lo_ns") {
-			continue // header (data rows start with a number)
-		}
-		fields := strings.Split(text, ",")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("stats: csv line %d: want 3 fields, got %d", line, len(fields))
-		}
-		loNS, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("stats: csv line %d: bin_lo_ns: %w", line, err)
-		}
-		count, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("stats: csv line %d: count: %w", line, err)
-		}
-		lo := sim.FromNanoseconds(loNS)
-		key := int64(lo) / int64(h.BinWidth)
-		h.addBin(key, count)
-		h.count += count
-		h.sum += float64(lo) * float64(count)
-		h.sumsq += float64(lo) * float64(lo) * float64(count)
-		if lo < h.min {
-			h.min = lo
-		}
-		if lo > h.max {
-			h.max = lo
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return h, nil
 }

@@ -109,18 +109,6 @@ func (p PHYProfile) PathLatency(lengthM float64) sim.Duration {
 	return sim.FromNanoseconds(p.ModulationNS) + p.PropagationDelay(lengthM)
 }
 
-// Jitter draws one receive-timestamp jitter sample.
-func (p PHYProfile) Jitter(rng *rand.Rand) sim.Duration {
-	if p.SmallJitterNS == 0 {
-		return 0
-	}
-	if p.LargeJitterPct > 0 && rng.Float64() < p.LargeJitterPct {
-		half := p.RangeNS / 2
-		return sim.FromNanoseconds(rng.Float64()*p.RangeNS - half)
-	}
-	return sim.FromNanoseconds(rng.Float64()*2*p.SmallJitterNS - p.SmallJitterNS)
-}
-
 // Frame is a frame in flight on a link. Data excludes the FCS; CRCOK
 // records whether the FCS was valid when the MAC emitted it (the §8
 // rate-control filler frames are emitted with CRCOK=false). WireSize is
@@ -185,8 +173,8 @@ type Link struct {
 	// and the transmit path needs them per frame. The cached values are
 	// the exact same picosecond quantities the formulas produce, so
 	// timing is bit-identical to recomputing. The jitter parameters are
-	// hoisted the same way: PHYProfile.Jitter copies the whole profile
-	// struct per call, and the transmit path draws once per frame.
+	// hoisted the same way, so the per-frame draw reads three floats
+	// instead of the whole profile.
 	byteTime  sim.Duration
 	pathLat   sim.Duration
 	hasJitter bool
@@ -312,8 +300,9 @@ func (l *Link) TransmitAt(f *Frame, start sim.Time) sim.Time {
 
 	rxTime := start.Add(l.pathLat)
 	if l.hasJitter {
-		// Inlined PHYProfile.Jitter over the hoisted parameters: same
-		// RNG draws, same arithmetic, no per-frame profile struct copy.
+		// §6.1's block-code jitter: LargeJitterPct of draws span
+		// ±RangeNS/2, the rest ±SmallJitterNS. Pinned against the
+		// reference in wire_test.go by TestTransmitJitterMatchesProfile.
 		var jit sim.Duration
 		if l.largePct > 0 && l.jitterRNG.Float64() < l.largePct {
 			jit = sim.FromNanoseconds(l.jitterRNG.Float64()*l.rangeNS - l.rangeNS/2)
@@ -450,12 +439,3 @@ func (l *Link) SetUp() { l.down = false }
 
 // IsDown reports whether the link is administratively down.
 func (l *Link) IsDown() bool { return l.down }
-
-// Utilization returns the fraction of wire time used so far.
-func (l *Link) Utilization() float64 {
-	if l.eng.Now() == 0 {
-		return 0
-	}
-	used := sim.Duration(l.TxBytes+uint64(l.TxFrames)*proto.WireOverhead) * l.ByteTime()
-	return float64(used) / float64(l.eng.Now())
-}
