@@ -1,6 +1,6 @@
 // Dead-API gate: every exported function and method under internal/
 // must be named somewhere in the code that ships — the non-test files
-// of this module (cmd/, examples/, internal/) and of the bench/ module.
+// of this module (cmd/, internal/) and of the bench/ module.
 package repro
 
 import (

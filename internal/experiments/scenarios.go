@@ -8,7 +8,7 @@ import (
 )
 
 // This file exposes the measurement-style experiments as registered
-// scenarios, so `moongen <name>` and the examples drive them through
+// scenarios, so `moongen <name>` and the example specs drive them through
 // the same registry as the load scenarios. These wrappers build their
 // own specialized testbeds (82580 receiver, calibrated cable sets) and
 // therefore only consume the Env's Spec, not its default port pair.

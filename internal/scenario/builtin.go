@@ -66,29 +66,25 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: flood.Sent})
 		}
 	case PatternCBR:
-		if pps <= 0 {
-			return nil, fmt.Errorf("pattern %s needs a rate (got %v)", spec.Pattern, spec)
+		g, err := spec.slots()
+		if err != nil {
+			return nil, err
 		}
-		h := &core.HWRateTx{Queue: q, PPS: pps, PktSize: size, Fill: fill, Delay: spec.TxPhase, Batch: spec.Batch}
+		h := &core.HWRateTx{Queue: q, PPS: pps, PktSize: size, Fill: fill, Delay: g.at(0), Batch: spec.Batch}
 		env.App().LaunchTask("cbr", h.Run)
 		finish = func(rep *Report) {
 			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: h.Sent})
 		}
 	case PatternSoftCBR:
-		if pps <= 0 {
-			return nil, fmt.Errorf("pattern %s needs a rate (got %v)", spec.Pattern, spec)
+		g, err := spec.slots()
+		if err != nil {
+			return nil, err
 		}
-		interval := spec.TxInterval
-		if interval <= 0 {
-			interval = sim.FromSeconds(1 / pps)
-		}
-		// Packets leave on an exact grid: first at start+TxPhase, then
-		// every interval. k shards at rate/k with phases 0..k-1 times the
-		// aggregate interval interleave onto the aggregate grid exactly,
-		// so merged counts are invariant in the shard count. The pool is
-		// prefilled with the flow's frame, so a slot only sends it.
+		// Packets leave on the exact slot grid, so merged counts are
+		// invariant in the shard count. The pool is prefilled with the
+		// flow's frame, so a slot only sends it.
 		pool := env.NewFlowPool(flow, size, 4096)
-		soft := &core.PushTx{Queue: q, Schedule: core.Uniform(spec.TxPhase, interval)}
+		soft := &core.PushTx{Queue: q, Schedule: g.at}
 		soft.Slot = func(uint64) { soft.Send(pool, size, nil) }
 		env.App().LaunchTask("softcbr", soft.Run)
 		finish = func(rep *Report) {

@@ -55,27 +55,36 @@ func (churnScenario) DefaultSpec() Spec {
 	}
 }
 
+// churnShape returns the spec's working set W and lifetime R, with
+// their defaults.
+func churnShape(s Spec) (W, R int) {
+	W, R = s.ChurnFlows, s.ChurnLife
+	if W <= 0 {
+		W = 1024
+	}
+	if R <= 0 {
+		R = 4
+	}
+	return W, R
+}
+
+// Population implements SlotPartitioned: flow ids are j mod W.
+func (churnScenario) Population(s Spec) (int, string) {
+	W, _ := churnShape(s)
+	return W, "churn working set"
+}
+
 func (churnScenario) Run(env *Env) (*Report, error) {
 	spec := env.Spec
 	if spec.UseDuT {
 		return nil, fmt.Errorf("churn needs the direct duplex testbed, not the DuT path")
 	}
-	W := spec.ChurnFlows
-	if W <= 0 {
-		W = 1024
-	}
-	R := spec.ChurnLife
-	if R <= 0 {
-		R = 4
-	}
-	if spec.ShardCount > 1 && W%spec.ShardCount != 0 {
-		return nil, fmt.Errorf("churn: cores (%d) must divide the working set (%d) so every flow lives in one shard", spec.ShardCount, W)
-	}
+	W, R := churnShape(spec)
 	size := spec.PktSize
 	if size < proto.EthHdrLen+proto.IPv4HdrLen+proto.UDPHdrLen+flow.StampLen {
 		return nil, fmt.Errorf("churn: frame size %d cannot carry the %d-byte sequence stamp", size, flow.StampLen)
 	}
-	_, interval, phase, index, stride, err := slotGrid(spec)
+	g, err := spec.slots()
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +118,9 @@ func (churnScenario) Run(env *Env) (*Report, error) {
 		flow.Stamp(m.Payload()[payloadOff:], seq, now)
 	}
 	WR := uint64(W) * uint64(R)
-	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: core.Uniform(phase, interval)}
+	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: g.at}
 	tx.Slot = func(n uint64) {
-		j := uint64(index) + n*uint64(stride)
+		j := g.slot(n)
 		gen, loc := j/WR, j%WR
 		fid = gen*uint64(W) + loc%uint64(W)
 		seq = loc / uint64(W)

@@ -28,7 +28,7 @@ import (
 // the window) versus lost-in-recovery (any remaining sequence gaps).
 
 // linkFlapScenario: periodic link flap under constant-bit-rate load.
-type linkFlapScenario struct{}
+type linkFlapScenario struct{ flowSlots }
 
 func (linkFlapScenario) Name() string { return "linkflap" }
 func (linkFlapScenario) Describe() string {
@@ -91,7 +91,7 @@ func (linkFlapScenario) Run(env *Env) (*Report, error) {
 }
 
 // overloadRecoverScenario: offered rate ramps above line rate and back.
-type overloadRecoverScenario struct{}
+type overloadRecoverScenario struct{ flowSlots }
 
 func (overloadRecoverScenario) Name() string { return "overload-recover" }
 func (overloadRecoverScenario) Describe() string {
@@ -110,10 +110,11 @@ func (overloadRecoverScenario) DefaultSpec() Spec {
 
 func (overloadRecoverScenario) Run(env *Env) (*Report, error) {
 	spec := env.Spec
-	tick, _, _, _, _, err := slotGrid(spec)
+	g, err := spec.slots()
 	if err != nil {
 		return nil, err
 	}
+	tick := g.tick
 	flows := spec.EffectiveFlows()
 	size := spec.FlowSize(flows[0])
 	frameWire := wire.FrameTime(env.TX().Speed(), size+proto.FCSLen)

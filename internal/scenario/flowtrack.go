@@ -43,6 +43,12 @@ func FlowSet(n int) []Flow {
 	return out
 }
 
+// flowSlots implements SlotPartitioned for the scenarios that embed
+// it: global slot j carries declared flow j mod len(flows).
+type flowSlots struct{}
+
+func (flowSlots) Population(s Spec) (int, string) { return len(s.EffectiveFlows()), "flow count" }
+
 // trackerKey returns the flow.Key the tracker will observe for a
 // declared flow (the flow-tracked generators do not randomize source
 // addresses, so the key is exact).
@@ -52,28 +58,6 @@ func trackerKey(f Flow) flow.Key {
 		Src:   f.SrcIP, Dst: f.DstIP,
 		SrcPort: f.SrcPort, DstPort: f.DstPort,
 	}
-}
-
-// slotGrid recovers the global transmit grid from a (possibly sharded)
-// spec: the aggregate tick, this shard's local interval and phase, and
-// its slot stride/offset. Unsharded specs derive the tick from the
-// rate; sharded specs recover it exactly from the interval ShardSpec
-// computed, so all shards agree on the grid bit for bit.
-func slotGrid(spec Spec) (tick, interval, phase sim.Duration, index, stride int, err error) {
-	stride = spec.ShardCount
-	index = spec.ShardIndex
-	if spec.TxInterval > 0 {
-		interval = spec.TxInterval
-		tick = interval / sim.Duration(stride)
-	} else {
-		if spec.RateMpps <= 0 {
-			return 0, 0, 0, 0, 0, fmt.Errorf("flow-tracked scenario needs a rate (got %v)", spec)
-		}
-		tick = sim.FromSeconds(1 / (spec.RateMpps * 1e6 * float64(stride)))
-		interval = tick * sim.Duration(stride)
-	}
-	phase = spec.TxPhase
-	return tick, interval, phase, index, stride, nil
 }
 
 // admission is the deterministic overload model: an ideal bufferless
@@ -137,10 +121,7 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 	}
 	flows := spec.EffectiveFlows()
 	F := len(flows)
-	if spec.ShardCount > 1 && F%spec.ShardCount != 0 {
-		return nil, fmt.Errorf("flow-tracked scenario: cores (%d) must divide the flow count (%d) so every flow lives in one shard", spec.ShardCount, F)
-	}
-	_, interval, phase, index, stride, err := slotGrid(spec)
+	g, err := spec.slots()
 	if err != nil {
 		return nil, err
 	}
@@ -158,10 +139,9 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 	}
 	const payloadOff = proto.EthHdrLen + proto.IPv4HdrLen + proto.UDPHdrLen
 
-	slot := func(n uint64) uint64 { return uint64(index) + n*uint64(stride) }
-	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: core.Uniform(phase, interval)}
+	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: g.at}
 	if cfg.slotTime != nil {
-		tx.Schedule = func(n uint64) sim.Duration { return cfg.slotTime(slot(n)) }
+		tx.Schedule = func(n uint64) sim.Duration { return cfg.slotTime(g.slot(n)) }
 	}
 	res := &flowTxResult{sent: make([]uint64, F), overload: make([]uint64, F), tx: tx}
 	var stamped uint64
@@ -169,7 +149,7 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 		flow.Stamp(m.Payload()[payloadOff:], stamped, now)
 	}
 	tx.Slot = func(n uint64) {
-		j := slot(n)
+		j := g.slot(n)
 		fi, s := j%uint64(F), j/uint64(F)
 		if cfg.admit != nil && !cfg.admit(j) {
 			res.overload[fi]++
@@ -220,7 +200,7 @@ func collectFlows(rep *Report, spec Spec, res *flowTxResult, tr *flow.Tracker) {
 // the deterministic bufferless admission gate tail-drops the excess,
 // and the receiver's flow tracker reports every drop as sequence loss
 // on the flow it hit.
-type lossOverloadScenario struct{}
+type lossOverloadScenario struct{ flowSlots }
 
 func (lossOverloadScenario) Name() string { return "loss-overload" }
 func (lossOverloadScenario) Describe() string {
@@ -239,13 +219,13 @@ func (lossOverloadScenario) DefaultSpec() Spec {
 
 func (lossOverloadScenario) Run(env *Env) (*Report, error) {
 	spec := env.Spec
-	tick, _, _, _, _, err := slotGrid(spec)
+	g, err := spec.slots()
 	if err != nil {
 		return nil, err
 	}
 	size := spec.FlowSize(spec.EffectiveFlows()[0])
 	gate := admission{
-		tick:      int64(tick),
+		tick:      int64(g.tick),
 		frameWire: int64(wire.FrameTime(env.TX().Speed(), size+proto.FCSLen)),
 	}
 	tr := flow.NewTracker(flow.Config{Latency: true})
@@ -278,7 +258,7 @@ func (lossOverloadScenario) Run(env *Env) (*Report, error) {
 // independent transmit queues suffers (§3.3: queues are scheduled
 // independently, so multi-queue transmission reorders within a flow)
 // — and duplicates every 64th packet.
-type reorderScenario struct{}
+type reorderScenario struct{ flowSlots }
 
 // reorderSwapEvery swaps one pair in this many; reorderDupEvery
 // duplicates one packet in this many (per flow).

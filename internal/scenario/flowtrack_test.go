@@ -10,13 +10,14 @@ import (
 	"repro/internal/sim"
 )
 
-// flowFingerprint reduces a report to the per-flow counters the
-// invariance property is stated over: transmit/receive counts and the
-// sequence verdicts. Latency and inter-arrival distributions are
-// excluded deliberately — wire timing legitimately differs between one
-// shared wire and k private ones; the flow *accounting* must not.
+// flowFingerprint reduces a report to the counters the invariance
+// property is stated over: the port and per-flow transmit/receive
+// counts and the sequence verdicts. Latency and inter-arrival
+// distributions are excluded deliberately — wire timing legitimately
+// differs between one shared wire and k private ones; the flow
+// *accounting* must not.
 func flowFingerprint(r *scenario.Report) string {
-	s := ""
+	s := fmt.Sprintf("port:tx=%d,rx=%d;", r.TxPackets, r.RxPackets)
 	for _, f := range r.Flows {
 		s += fmt.Sprintf("%s:tx=%d,rx=%d,lost=%d,reord=%d,dup=%d;",
 			f.Name, f.TxPackets, f.RxPackets, f.Lost, f.Reordered, f.Duplicates)
@@ -24,7 +25,27 @@ func flowFingerprint(r *scenario.Report) string {
 	return s
 }
 
-func runFlowScenario(t *testing.T, name string, cores, batch int) *scenario.Report {
+// flowRun is one input of the invariance pins; an empty pattern keeps
+// the scenario's default (softcbr).
+type flowRun struct {
+	cores, batch int
+	pattern      scenario.Pattern
+}
+
+func (r flowRun) String() string {
+	return fmt.Sprintf("cores=%d batch=%d pattern=%q", r.cores, r.batch, r.pattern)
+}
+
+// patternRuns make load.pattern one more input of the pins: the
+// slot-grid scenarios pace by the global slot grid whatever the
+// pattern says, so every shard must stay on that grid under every
+// pattern, not only under the softcbr default.
+var patternRuns = []flowRun{
+	{1, 32, scenario.PatternLineRate}, {2, 32, scenario.PatternLineRate}, {4, 32, scenario.PatternLineRate},
+	{1, 32, scenario.PatternPoisson}, {2, 32, scenario.PatternPoisson}, {4, 32, scenario.PatternPoisson},
+}
+
+func runFlowScenario(t *testing.T, name string, r flowRun) *scenario.Report {
 	t.Helper()
 	sc, ok := scenario.Get(name)
 	if !ok {
@@ -33,8 +54,11 @@ func runFlowScenario(t *testing.T, name string, cores, batch int) *scenario.Repo
 	spec := sc.DefaultSpec()
 	spec.Runtime = 10 * sim.Millisecond
 	spec.Seed = 5
-	spec.Cores = cores
-	spec.Batch = batch
+	spec.Cores = r.cores
+	spec.Batch = r.batch
+	if r.pattern != "" {
+		spec.Pattern = r.pattern
+	}
 	rep, err := scenario.Execute(name, spec, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +69,11 @@ func runFlowScenario(t *testing.T, name string, cores, batch int) *scenario.Repo
 // TestLossOverloadInvariantAcrossCoresAndBatch is the acceptance pin
 // of the RX analysis subsystem: the loss-overload scenario reports
 // nonzero, deterministic per-flow loss at >line-rate offered load, and
-// the per-flow counts are identical across Cores 1 vs 4 and Batch 1 vs
-// 32 — the receive-side mirror of PR 3's TX batch invariance.
+// the per-flow counts are identical across Cores 1 vs 4, Batch 1 vs 32
+// and load.pattern softcbr/linerate/poisson — the receive-side mirror
+// of the TX batch invariance.
 func TestLossOverloadInvariantAcrossCoresAndBatch(t *testing.T) {
-	base := runFlowScenario(t, "loss-overload", 1, 32)
+	base := runFlowScenario(t, "loss-overload", flowRun{cores: 1, batch: 32})
 	if len(base.Flows) != 4 {
 		t.Fatalf("expected 4 flows, got %d", len(base.Flows))
 	}
@@ -62,13 +87,10 @@ func TestLossOverloadInvariantAcrossCoresAndBatch(t *testing.T) {
 		}
 	}
 	want := flowFingerprint(base)
-	for _, cfg := range []struct{ cores, batch int }{
-		{1, 1}, {4, 32}, {4, 1}, {2, 32},
-	} {
-		got := flowFingerprint(runFlowScenario(t, "loss-overload", cfg.cores, cfg.batch))
+	for _, r := range append([]flowRun{{1, 1, ""}, {4, 32, ""}, {4, 1, ""}, {2, 32, ""}}, patternRuns...) {
+		got := flowFingerprint(runFlowScenario(t, "loss-overload", r))
 		if got != want {
-			t.Errorf("cores=%d batch=%d: per-flow counts differ\n want %s\n  got %s",
-				cfg.cores, cfg.batch, want, got)
+			t.Errorf("%v: counts differ\n want %s\n  got %s", r, want, got)
 		}
 	}
 }
@@ -77,7 +99,7 @@ func TestLossOverloadInvariantAcrossCoresAndBatch(t *testing.T) {
 // per-flow reorder and duplicate counts are likewise nonzero and
 // invariant in Cores and Batch.
 func TestReorderInvariantAcrossCoresAndBatch(t *testing.T) {
-	base := runFlowScenario(t, "reorder", 1, 32)
+	base := runFlowScenario(t, "reorder", flowRun{cores: 1, batch: 32})
 	for _, f := range base.Flows {
 		if f.Reordered == 0 || f.Duplicates == 0 {
 			t.Errorf("flow %s: reordered=%d dup=%d, want both nonzero", f.Name, f.Reordered, f.Duplicates)
@@ -87,24 +109,22 @@ func TestReorderInvariantAcrossCoresAndBatch(t *testing.T) {
 		}
 	}
 	want := flowFingerprint(base)
-	for _, cfg := range []struct{ cores, batch int }{
-		{1, 1}, {4, 32}, {4, 1},
-	} {
-		got := flowFingerprint(runFlowScenario(t, "reorder", cfg.cores, cfg.batch))
+	for _, r := range []flowRun{{1, 1, ""}, {4, 32, ""}, {4, 1, ""}} {
+		got := flowFingerprint(runFlowScenario(t, "reorder", r))
 		if got != want {
-			t.Errorf("cores=%d batch=%d: per-flow counts differ\n want %s\n  got %s",
-				cfg.cores, cfg.batch, want, got)
+			t.Errorf("%v: counts differ\n want %s\n  got %s", r, want, got)
 		}
 	}
 }
 
-// churnFingerprint reduces a churn report to its model rows: every
-// scenario-specific row except the "(diag)" ones — the tracker
-// footprint sums k independently-rounded shard tables (power-of-two
-// slots, chunk-granular arenas), so its byte count legitimately
-// varies with the core count while the flow accounting must not.
+// churnFingerprint reduces a churn report to its port counters and
+// model rows: every scenario-specific row except the "(diag)" ones —
+// the tracker footprint sums k independently-rounded shard tables
+// (power-of-two slots, chunk-granular arenas), so its byte count
+// legitimately varies with the core count while the flow accounting
+// must not.
 func churnFingerprint(r *scenario.Report) string {
-	s := ""
+	s := fmt.Sprintf("port:tx=%d,rx=%d;", r.TxPackets, r.RxPackets)
 	for _, row := range r.Rows {
 		if strings.Contains(row.Label, "(diag)") {
 			continue
@@ -118,10 +138,10 @@ func churnFingerprint(r *scenario.Report) string {
 // invariance pin to the churn scenario's arrival/departure process:
 // flows started, tracked and active, attributed frames and the
 // sequence verdicts (all zero on a clean run — nonzero would be a
-// tracker defect) are identical across Cores and Batch whenever the
-// core count divides the working set.
+// tracker defect) are identical across Cores, Batch and load.pattern
+// whenever the core count divides the working set.
 func TestChurnInvariantAcrossCoresAndBatch(t *testing.T) {
-	base := runFlowScenario(t, "churn", 1, 32)
+	base := runFlowScenario(t, "churn", flowRun{cores: 1, batch: 32})
 	want := churnFingerprint(base)
 	if !strings.Contains(want, "flows tracked") || strings.Contains(want, "flows tracked (rx)=0;") {
 		t.Fatalf("base run tracked no flows: %s", want)
@@ -131,13 +151,10 @@ func TestChurnInvariantAcrossCoresAndBatch(t *testing.T) {
 			t.Errorf("clean churn run must report %s=0: %s", lbl, want)
 		}
 	}
-	for _, cfg := range []struct{ cores, batch int }{
-		{1, 1}, {4, 32}, {4, 1}, {2, 32},
-	} {
-		got := churnFingerprint(runFlowScenario(t, "churn", cfg.cores, cfg.batch))
+	for _, r := range append([]flowRun{{1, 1, ""}, {4, 32, ""}, {4, 1, ""}, {2, 32, ""}}, patternRuns...) {
+		got := churnFingerprint(runFlowScenario(t, "churn", r))
 		if got != want {
-			t.Errorf("cores=%d batch=%d: churn rows differ\n want %s\n  got %s",
-				cfg.cores, cfg.batch, want, got)
+			t.Errorf("%v: churn rows differ\n want %s\n  got %s", r, want, got)
 		}
 	}
 }
@@ -175,7 +192,7 @@ func TestFlowScenarioRejectsUnevenSharding(t *testing.T) {
 // change to the grid arithmetic, the admission model or the RX
 // attribution path moves these.
 func TestLossOverloadPinned(t *testing.T) {
-	rep := runFlowScenario(t, "loss-overload", 1, 32)
+	rep := runFlowScenario(t, "loss-overload", flowRun{cores: 1, batch: 32})
 	var tx, lost uint64
 	for _, f := range rep.Flows {
 		tx += f.TxPackets

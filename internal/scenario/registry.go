@@ -98,6 +98,9 @@ func Execute(name string, spec Spec, out io.Writer) (*Report, error) {
 		if sco, ok := sc.(SingleCoreOnly); ok {
 			return nil, fmt.Errorf("scenario %s: cannot run with cores=%d: %s", name, spec.Cores, sco.SingleCoreOnly())
 		}
+		if err := CheckPartition(sc, spec); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", name, err)
+		}
 		rep, err = executeSharded(sc, spec, out)
 	} else {
 		rep, err = sc.Run(NewEnv(spec, out))

@@ -7,7 +7,7 @@
 // ports, duplex link, optional DuT, mempools, stats reporters).
 //
 // Scenarios self-register in a global registry (Register, usually from
-// init). cmd/moongen, the examples and the tests all drive scenarios
+// init). cmd/moongen, the spec files and the tests all drive scenarios
 // through Execute, so adding a workload is one new file that registers
 // one new type.
 package scenario
@@ -98,7 +98,7 @@ type Spec struct {
 	// processing. The emission schedule is invariant in Batch — the
 	// knob trades host-side event overhead, never timing. Scenarios
 	// that pace one packet per grid tick ignore it: softcbr and every
-	// slot-grid scenario (see slotGrid). qos (fixed 63-frame bursts,
+	// slot-grid scenario (see Spec.slots). qos (fixed 63-frame bursts,
 	// the example script's bufArray) and imix (one frame per burst)
 	// ignore it too.
 	Batch int
@@ -125,26 +125,9 @@ type Spec struct {
 	// the merged transmit totals are invariant in Cores. Intended for
 	// the load scenarios; additive report rows are summed on merge.
 	Cores int
-	// TxPhase delays the transmit start. ShardSpec sets it so that k
-	// hardware-shaped queues at rate/k interleave onto the exact
-	// emission grid of one queue at the full rate, which is what makes
-	// merged CBR totals invariant in Cores.
-	TxPhase sim.Duration
-	// TxInterval is the explicit software-paced grid tick of softcbr
-	// and every slot-grid scenario (see slotGrid); 0 derives it from
-	// RateMpps. ShardSpec sets it to k times the aggregate tick
-	// (rounded once to a picosecond), so shard grids compose to the
-	// single-core grid exactly even at rates whose period is not an
-	// integer number of picoseconds.
-	TxInterval sim.Duration
-	// ShardIndex/ShardCount identify this spec's slice of a sharded
-	// run (set by ShardSpec; 0/1 for unsharded runs). Grid-based
-	// scenarios use them to recover the global slot index — shard i of
-	// k owns slots j ≡ i (mod k) — so decisions stated per global slot
-	// (overload admission, flow assignment) are identical at any core
-	// count.
-	ShardIndex int
-	ShardCount int
+	// grid is this spec's slice of the global slot grid, set by
+	// ShardSpec; read it through slots.
+	grid slotGrid
 	// ChurnFlows is the churn scenario's live-flow working set: the
 	// number of concurrently active flows in each generation. Shard
 	// counts must divide it so generations partition evenly.
@@ -207,9 +190,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Cores < 1 {
 		s.Cores = 1
 	}
-	if s.ShardCount < 1 {
-		s.ShardCount = 1
-	}
 	return s
 }
 
@@ -243,6 +223,28 @@ func (s Spec) EffectiveFlows() []Flow {
 // reason instead of printing silently wrong numbers.
 type SingleCoreOnly interface {
 	SingleCoreOnly() string
+}
+
+// SlotPartitioned marks the slot-grid scenarios, whose global slot j
+// carries flow j mod n of a population of n flows. Shard i of k owns
+// the slots j ≡ i (mod k), so every flow lives wholly in one shard —
+// and the merged per-flow counts equal the one-core counts — only when
+// k divides n. Population returns n and what it is called.
+type SlotPartitioned interface {
+	Population(s Spec) (n int, what string)
+}
+
+// CheckPartition rejects a core count that would split a flow of a
+// SlotPartitioned scenario across shards.
+func CheckPartition(sc Scenario, s Spec) error {
+	p, ok := sc.(SlotPartitioned)
+	if !ok || s.Cores <= 1 {
+		return nil
+	}
+	if n, what := p.Population(s); n%s.Cores != 0 {
+		return fmt.Errorf("cores: %d does not divide the %s (%d) for scenario %q — every flow must live wholly in one shard", s.Cores, what, n, sc.Name())
+	}
+	return nil
 }
 
 // Scenario is one runnable traffic scenario. Implementations register

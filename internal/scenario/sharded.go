@@ -25,6 +25,37 @@ func share(total, i, k int) int {
 	return s
 }
 
+// slotGrid is one shard's slice of the global transmit grid: global
+// slot j departs j·tick after the run start, and the shard owns the
+// slots j ≡ index (mod stride). The aggregate tick is rounded to a
+// picosecond once, from the unsplit rate — rounding 1/(rate/k) per
+// shard instead would drift the shard grids off the single-core grid
+// at rates whose period is not tick-exact — so every shard computes
+// the same instant for a slot and the union of the k shard streams is
+// exactly the one-core stream.
+type slotGrid struct {
+	tick          sim.Duration
+	index, stride int
+}
+
+// slot returns the global index of the shard's n-th slot.
+func (g slotGrid) slot(n uint64) uint64 { return uint64(g.index) + n*uint64(g.stride) }
+
+// at returns the departure offset of the shard's n-th slot.
+func (g slotGrid) at(n uint64) sim.Duration { return sim.Duration(g.slot(n)) * g.tick }
+
+// slots returns the spec's slice of the global slot grid: the one
+// ShardSpec set, or the whole grid at RateMpps for an unsharded run.
+func (s Spec) slots() (slotGrid, error) {
+	if s.grid.stride > 0 {
+		return s.grid, nil
+	}
+	if s.RateMpps <= 0 {
+		return slotGrid{}, fmt.Errorf("pattern %s needs a rate (got %v)", s.Pattern, s)
+	}
+	return slotGrid{tick: sim.FromSeconds(1 / (s.RateMpps * 1e6)), stride: 1}, nil
+}
+
 // ShardSpec returns the spec slice shard i of k runs: the aggregate
 // rate and the probe/sample budgets are divided across shards (shares
 // sum exactly to the originals), the seed is derived per shard, and
@@ -33,25 +64,17 @@ func share(total, i, k int) int {
 func (s Spec) ShardSpec(i, k int) Spec {
 	out := s
 	out.Cores = 1
-	out.ShardIndex = i
-	out.ShardCount = k
 	out.Seed = multicore.ShardSeed(s.Seed, i)
 	out.RateMpps = s.RateMpps / float64(k)
-	// Interleave CBR shards onto the single-queue emission grid: shard
-	// i at rate/k delayed by i/rate fills exactly the slots shard 0
-	// leaves open, so the union of k staggered CBR streams is the
-	// one-core stream. The aggregate tick is rounded to a picosecond
-	// ONCE and the shard interval/phase derived from it by integer
-	// multiplication — rounding 1/(rate/k) per shard instead would
-	// drift the shard grids off the single-core grid at rates whose
-	// period is not tick-exact. For the software-paced grid this makes
-	// merged totals exactly invariant; the hardware shaper
-	// additionally jitters each slot by its modeled ±256 ns
-	// oscillation (§7.3).
-	if (s.Pattern == PatternCBR || s.Pattern == PatternSoftCBR) && s.RateMpps > 0 {
-		tick := sim.FromSeconds(1 / (s.RateMpps * 1e6))
-		out.TxPhase = s.TxPhase + sim.Duration(i)*tick
-		out.TxInterval = sim.Duration(k) * tick
+	// Shard i takes every k-th slot of the global grid, starting at
+	// slot i, whatever the pattern: the slot-paced senders (softcbr and
+	// the slot-grid scenarios) then compose exactly to the one-core
+	// stream, and cbr delays its hardware shaper by the first slot's
+	// offset, leaving only the shaper's modeled ±256 ns oscillation
+	// (§7.3).
+	if g, err := s.slots(); err == nil {
+		g.index, g.stride = i, k
+		out.grid = g
 	}
 	out.Probes = share(s.Probes, i, k)
 	out.Samples = share(s.Samples, i, k)

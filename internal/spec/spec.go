@@ -246,11 +246,6 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 		}
 	}
 
-	// Flow-tracked scenarios state their model per global slot index
-	// with shard i of k owning slots j ≡ i (mod k); the partition is
-	// only flow-preserving when cores divides the flow population.
-	// Catching it here anchors the error to the spec line instead of
-	// failing later inside the run.
 	// Fault plans are fail-closed at load time: a plan the injector
 	// would reject (or one whose targets the topology cannot provide)
 	// is a spec error with a line anchor, not a runtime surprise.
@@ -264,24 +259,8 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 		}
 	}
 
-	if s.Cores > 1 {
-		switch d.Scenario {
-		case "loss-overload", "reorder", "linkflap", "overload-recover":
-			n := len(s.EffectiveFlows())
-			if n%s.Cores != 0 {
-				return d.errAt(anchor(d.line("cores")),
-					"cores: %d does not divide the flow count (%d) for scenario %q — every flow must live wholly in one shard", s.Cores, n, d.Scenario)
-			}
-		case "churn":
-			w := s.ChurnFlows
-			if w <= 0 {
-				w = 1024
-			}
-			if w%s.Cores != 0 {
-				return d.errAt(anchor(d.line("cores")),
-					"cores: %d does not divide the churn working set (%d) — every flow must live wholly in one shard", s.Cores, w)
-			}
-		}
+	if err := scenario.CheckPartition(sc, s); err != nil {
+		return d.errAt(anchor(d.line("cores")), "%v", err)
 	}
 
 	seen := map[string]bool{}

@@ -301,6 +301,11 @@ var negativeCases = []struct {
 		"version: 1\nscenario: overload-recover\ncores: 3\n",
 		[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "overload-recover"},
 	},
+	{
+		"uneven reorder sharding",
+		"version: 1\nscenario: reorder\ncores: 3\n",
+		[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "reorder"},
+	},
 }
 
 // TestValidateNegative pins the messages of negativeCases.
