@@ -391,7 +391,7 @@ func BenchmarkSimulatedLineRate(b *testing.B) {
 	period := 63 * wire.FrameTime(wire.Speed10G, 64)
 	var feed func()
 	feed = func() {
-		for q.Free() >= ba.Len() {
+		for q.Free() >= len(ba.Bufs) {
 			n := pool.AllocBatch(ba.Bufs, 60)
 			sent := q.Send(ba.Bufs[:n])
 			for i := sent; i < n; i++ {
@@ -441,7 +441,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	period := 63 * wire.FrameTime(wire.Speed10G, 64)
 	var feed func()
 	feed = func() {
-		for q.Free() >= ba.Len() {
+		for q.Free() >= len(ba.Bufs) {
 			n := pool.AllocBatch(ba.Bufs, 60)
 			sent := q.Send(ba.Bufs[:n])
 			for i := sent; i < n; i++ {
@@ -630,7 +630,7 @@ func BenchmarkFaultInjectorOverhead(b *testing.B) {
 	period := 63 * wire.FrameTime(wire.Speed10G, 64)
 	var feed func()
 	feed = func() {
-		for q.Free() >= ba.Len() {
+		for q.Free() >= len(ba.Bufs) {
 			n := pool.AllocBatch(ba.Bufs, 60)
 			sent := q.Send(ba.Bufs[:n])
 			for i := sent; i < n; i++ {

@@ -79,7 +79,11 @@ func TestDocsSpecSnippets(t *testing.T) {
 		for _, sn := range yamlSnippets(t, file) {
 			total++
 			name := fmt.Sprintf("%s:%d", sn.file, sn.line)
-			if err := spec.Validate([]byte(sn.body), name); err != nil {
+			d, err := spec.Parse([]byte(sn.body), name)
+			if err == nil {
+				_, _, err = d.Compile()
+			}
+			if err != nil {
 				t.Errorf("doc snippet does not validate: %v", err)
 			}
 		}

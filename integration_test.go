@@ -37,7 +37,7 @@ func TestQoSScenario(t *testing.T) {
 			p := proto.UDPPacket{B: buf.Data[:pktSize]}
 			p.Fill(proto.UDPPacketFill{
 				PktLength: pktSize,
-				EthSrc:    q.MAC(), EthDst: rDev.MAC(),
+				EthSrc:    tDev.MAC(), EthDst: rDev.MAC(),
 				IPDst:  proto.MustIPv4("192.168.1.1"),
 				UDPSrc: 1234, UDPDst: port,
 			})
@@ -165,7 +165,7 @@ func TestReflectorRoundTrip(t *testing.T) {
 				copy(out.Data, m.Payload())
 				p := proto.UDPPacket{B: out.Payload()}
 				eth := p.Eth()
-				src, dst := eth.Src(), eth.Dst()
+				src, dst := eth.Src(), proto.MAC(eth[0:6])
 				eth.SetSrc(dst)
 				eth.SetDst(src)
 				ip := p.IP()
@@ -269,7 +269,7 @@ func TestLatencyThroughDuTMatchesComponents(t *testing.T) {
 	}
 	wirePart := 2 * wire.PHY10GBaseT.PathLatency(10).Nanoseconds()
 	minExpected := wirePart // wires alone
-	med := h.Median().Nanoseconds()
+	med := h.Percentile(50).Nanoseconds()
 	if med < minExpected {
 		t.Fatalf("median %.0f ns below physical floor %.0f ns", med, minExpected)
 	}

@@ -103,9 +103,6 @@ func (a *App) RunFor(d sim.Duration) {
 	a.Eng.RunAll()
 }
 
-// Run runs until all tasks finish on their own.
-func (a *App) Run() { a.Eng.RunAll() }
-
 // Now returns the current simulated time.
 func (a *App) Now() sim.Time { return a.Eng.Now() }
 

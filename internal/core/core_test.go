@@ -19,8 +19,8 @@ func udpPrefill(size int) func(m *mempool.Mbuf) {
 		p := proto.UDPPacket{B: m.Data[:size]}
 		p.Fill(proto.UDPPacketFill{
 			PktLength: size,
-			EthSrc:    proto.MustMAC("02:00:00:00:00:01"),
-			EthDst:    proto.MustMAC("10:11:12:13:14:15"),
+			EthSrc:    proto.MAC{0x02, 0, 0, 0, 0, 0x01},
+			EthDst:    proto.MAC{0x10, 0x11, 0x12, 0x13, 0x14, 0x15},
 			IPSrc:     proto.MustIPv4("10.0.0.1"),
 			IPDst:     proto.MustIPv4("192.168.1.1"),
 			UDPSrc:    1234,

@@ -58,7 +58,7 @@ func (g *GapTx) Run(t *Task) {
 	}
 	batch := txBatch(g.Batch)
 	rng := t.Engine().Rand()
-	realWire := int64(g.PktSize + proto.FCSLen + proto.WireOverhead)
+	realWire := int64(proto.WireLen(g.PktSize))
 
 	// Per burst slot: whether it holds a real frame, and the §8.4 skip
 	// delta of the gap drawn after it — what a run-end short send rolls

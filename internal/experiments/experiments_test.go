@@ -9,8 +9,8 @@ import (
 
 // The experiment tests assert the paper's qualitative results — who
 // wins, by roughly what factor, where crossovers fall — at test scale.
-// Exact paper-vs-measured numbers are recorded in EXPERIMENTS.md from
-// cmd/benchtab runs at full scale.
+// Exact paper-vs-measured numbers at full scale come from
+// `go run ./cmd/benchtab -full`.
 
 func TestFreqSweep(t *testing.T) {
 	r := RunFreqSweep(ScaleTest, 1)
@@ -258,8 +258,8 @@ func TestFig10Equivalence(t *testing.T) {
 	// Paper: within 1.2 sigma of 0%, worst point 1.5%. With 600 probes
 	// per point the quartile estimates carry a few percent of sampling
 	// noise (the paper uses >=30k samples), and near saturation the
-	// latency distribution widens, so the bound here is 10%;
-	// EXPERIMENTS.md records the convergence behaviour.
+	// latency distribution widens, so the bound here is 10%.
+	// `go run ./cmd/benchtab -full` shows the convergence at full scale.
 	for q := 0; q < 3; q++ {
 		for i, dev := range r.RelDev[q] {
 			if math.Abs(dev) > 10 {

@@ -269,7 +269,8 @@ func (fs *Stats) track(seq uint64) {
 
 // Tracker attributes received packets to flows and maintains the
 // per-flow Stats. It is single-owner like everything else in a shard's
-// datapath; sharded runs keep one tracker per shard and Merge them.
+// datapath; sharded runs keep one tracker per shard and merge the
+// shards' reports.
 //
 // Storage is the flat open-addressing table in table.go: inline keys
 // in power-of-two slots, per-flow records in a chunked arena whose

@@ -51,12 +51,6 @@ func (p *Pool) NewCache(size int) *Cache {
 	}
 }
 
-// Pool returns the backing pool.
-func (c *Cache) Pool() *Pool { return c.pool }
-
-// Len returns the number of buffers currently held in the cache.
-func (c *Cache) Len() int { return len(c.local) }
-
 // refill pulls up to half the cache capacity from the pool (one lock
 // acquisition, no allocation). Returns the number obtained.
 func (c *Cache) refill() int {
@@ -122,16 +116,6 @@ func (c *Cache) AllocBatch(out []*Mbuf, length int) int {
 		filled += take
 	}
 	return filled
-}
-
-// FreeBatch returns a whole burst to the cache — the task-side
-// recycling path. Overflow spills to the pool half a cache at a time,
-// so the pool lock is amortized across the batch exactly as in
-// AllocBatch.
-func (c *Cache) FreeBatch(bufs []*Mbuf) {
-	for _, m := range bufs {
-		c.Put(m)
-	}
 }
 
 // BufArray returns a batch wrapper of the given size whose Alloc path

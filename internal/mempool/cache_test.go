@@ -17,7 +17,7 @@ func TestCacheAllocFree(t *testing.T) {
 	}
 	// The refill pulled half the cache; the next allocs are hits.
 	hits := c.Hits
-	for i := 0; i < c.Len(); i++ {
+	for i := 0; i < len(c.local); i++ {
 		if c.Alloc(60) == nil {
 			t.Fatal("alloc from warm cache failed")
 		}
@@ -26,7 +26,7 @@ func TestCacheAllocFree(t *testing.T) {
 		t.Fatal("warm allocations did not hit the cache")
 	}
 	c.Put(m)
-	if c.Len() == 0 {
+	if len(c.local) == 0 {
 		t.Fatal("Put did not cache the buffer")
 	}
 }
@@ -45,8 +45,8 @@ func TestCacheAccounting(t *testing.T) {
 	if got := p.Available(); got != 64 {
 		t.Fatalf("available after flush = %d, want 64", got)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("cache len after flush = %d", c.Len())
+	if len(c.local) != 0 {
+		t.Fatalf("cache len after flush = %d", len(c.local))
 	}
 }
 
@@ -62,8 +62,8 @@ func TestCacheSpill(t *testing.T) {
 	for _, m := range bufs {
 		c.Put(m)
 	}
-	if c.Len() > 8 {
-		t.Fatalf("cache grew past its limit: %d", c.Len())
+	if len(c.local) > 8 {
+		t.Fatalf("cache grew past its limit: %d", len(c.local))
 	}
 	if c.Spills == 0 {
 		t.Fatal("no spills recorded")
@@ -148,7 +148,7 @@ func TestCacheWrongPoolPanics(t *testing.T) {
 
 // TestCacheAllocBatchBulk: a whole burst is served with at most one
 // pool refill per cache-half, hits are counted per buffer served from
-// stock, and FreeBatch recycles the burst back through the cache.
+// stock, and Put recycles the burst back through the cache.
 func TestCacheAllocBatchBulk(t *testing.T) {
 	p := New(Config{Count: 256})
 	c := p.NewCache(64)
@@ -159,7 +159,9 @@ func TestCacheAllocBatchBulk(t *testing.T) {
 	if c.Refills == 0 {
 		t.Fatal("no refill recorded")
 	}
-	c.FreeBatch(out)
+	for _, m := range out {
+		c.Put(m)
+	}
 	hitsBefore := c.Hits
 	if n := c.AllocBatch(out, 60); n != 48 {
 		t.Fatalf("second AllocBatch = %d", n)
@@ -167,7 +169,9 @@ func TestCacheAllocBatchBulk(t *testing.T) {
 	if c.Hits < hitsBefore+32 {
 		t.Fatalf("bulk hits not counted per buffer: %d -> %d", hitsBefore, c.Hits)
 	}
-	c.FreeBatch(out)
+	for _, m := range out {
+		c.Put(m)
+	}
 	c.Flush()
 	if p.Available() != p.Count() {
 		t.Fatalf("pool leaked: %d of %d", p.Available(), p.Count())
@@ -185,7 +189,7 @@ func TestCacheBufArray(t *testing.T) {
 	}
 	spills := c.Spills
 	ba.FreeAll()
-	if c.Len() == 0 {
+	if len(c.local) == 0 {
 		t.Fatal("FreeAll bypassed the cache")
 	}
 	if c.Spills != spills {

@@ -116,10 +116,9 @@ func (m *Mbuf) Free() {
 // in the simulation (batched alloc/free amortizes it exactly as DPDK's
 // per-core mempool caches do).
 type Pool struct {
-	mu      sync.Mutex
-	bufs    []*Mbuf
-	free    []int // indices of free buffers, LIFO for cache locality
-	bufSize int
+	mu   sync.Mutex
+	bufs []*Mbuf
+	free []int // indices of free buffers, LIFO for cache locality
 
 	allocs uint64
 	frees  uint64
@@ -152,7 +151,7 @@ func New(cfg Config) *Pool {
 	if cfg.BufSize <= 0 {
 		cfg.BufSize = DefaultBufSize
 	}
-	p := &Pool{bufSize: cfg.BufSize}
+	p := &Pool{}
 	slab := make([]byte, cfg.Count*cfg.BufSize)
 	hdrs := make([]Mbuf, cfg.Count)
 	p.bufs = make([]*Mbuf, cfg.Count)
@@ -172,9 +171,6 @@ func New(cfg Config) *Pool {
 	}
 	return p
 }
-
-// BufSize returns the per-buffer data room.
-func (p *Pool) BufSize() int { return p.bufSize }
 
 // Count returns the total number of buffers in the pool.
 func (p *Pool) Count() int { return len(p.bufs) }
@@ -282,9 +278,6 @@ func (p *Pool) BufArray(size int) *BufArray {
 	}
 	return &BufArray{Bufs: make([]*Mbuf, size), pool: p}
 }
-
-// Len returns the batch capacity.
-func (a *BufArray) Len() int { return len(a.Bufs) }
 
 // Alloc fills the whole array with packets of the given size
 // (bufs:alloc(PKT_SIZE)). It returns the number allocated, which is

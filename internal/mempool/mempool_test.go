@@ -128,8 +128,8 @@ func TestAllocBatch(t *testing.T) {
 func TestBufArrayAllocFree(t *testing.T) {
 	p := New(Config{Count: 128, BufSize: 256})
 	ba := p.BufArray(32)
-	if ba.Len() != 32 {
-		t.Fatalf("len = %d", ba.Len())
+	if len(ba.Bufs) != 32 {
+		t.Fatalf("len = %d", len(ba.Bufs))
 	}
 	n := ba.Alloc(124)
 	if n != 32 {
@@ -153,8 +153,8 @@ func TestBufArrayAllocFree(t *testing.T) {
 
 func TestBufArrayDefaultSize(t *testing.T) {
 	p := New(Config{Count: 128})
-	if ba := p.BufArray(0); ba.Len() != DefaultBatchSize {
-		t.Fatalf("default size = %d", ba.Len())
+	if ba := p.BufArray(0); len(ba.Bufs) != DefaultBatchSize {
+		t.Fatalf("default size = %d", len(ba.Bufs))
 	}
 }
 

@@ -69,12 +69,6 @@ func NewGroup(n int, baseSeed int64) *Group {
 	return g
 }
 
-// N returns the number of shards.
-func (g *Group) N() int { return len(g.shards) }
-
-// Shard returns shard i.
-func (g *Group) Shard(i int) *Shard { return g.shards[i] }
-
 // Each runs fn for every shard concurrently, one goroutine per shard,
 // and waits for all of them — the fork/join of a master task launching
 // one slave per core. fn must confine itself to its shard (and any

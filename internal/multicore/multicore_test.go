@@ -3,7 +3,9 @@ package multicore_test
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -35,12 +37,21 @@ func TestShardSeedStableAndDistinct(t *testing.T) {
 }
 
 func TestGroupShards(t *testing.T) {
-	g := multicore.NewGroup(4, 7)
-	if g.N() != 4 {
-		t.Fatalf("N = %d", g.N())
+	const n = 4
+	g := multicore.NewGroup(n, 7)
+	var mu sync.Mutex
+	var shards []*multicore.Shard
+	_ = g.Each(func(s *multicore.Shard) error {
+		mu.Lock()
+		shards = append(shards, s)
+		mu.Unlock()
+		return nil
+	})
+	if len(shards) != n {
+		t.Fatalf("Each visited %d shards, want %d", len(shards), n)
 	}
-	for i := 0; i < g.N(); i++ {
-		s := g.Shard(i)
+	sort.Slice(shards, func(i, j int) bool { return shards[i].ID < shards[j].ID })
+	for i, s := range shards {
 		if s.ID != i {
 			t.Fatalf("shard %d misindexed", i)
 		}
@@ -83,8 +94,9 @@ func shardLoad(s *multicore.Shard, window sim.Duration) uint64 {
 // per-shard results no matter how the host schedules the goroutines.
 func TestGroupDeterministicAcrossRuns(t *testing.T) {
 	run := func() []uint64 {
-		g := multicore.NewGroup(4, 42)
-		out := make([]uint64, g.N())
+		const n = 4
+		g := multicore.NewGroup(n, 42)
+		out := make([]uint64, n)
 		if err := g.Each(func(s *multicore.Shard) error {
 			out[s.ID] = shardLoad(s, sim.Millisecond)
 			return nil
@@ -159,8 +171,9 @@ func TestEachPropagatesPanics(t *testing.T) {
 // TestMergedShardStats ties the subsystem to the stats merge layer:
 // per-shard counters merged across k shards describe the union.
 func TestMergedShardStats(t *testing.T) {
-	g := multicore.NewGroup(4, 11)
-	counters := make([]*stats.Counter, g.N())
+	const n = 4
+	g := multicore.NewGroup(n, 11)
+	counters := make([]*stats.Counter, n)
 	_ = g.Each(func(s *multicore.Shard) error {
 		c := stats.NewCounter(stats.CounterConfig{Name: "tx", Window: 100 * sim.Microsecond})
 		pkts := shardLoad(s, sim.Millisecond)

@@ -130,7 +130,7 @@ func TestTrainYieldsToOtherQueue(t *testing.T) {
 	var order []int
 	a.SetTxTrace(func(q *TxQueue, m *mempool.Mbuf, at sim.Time) {
 		if len(order) < 16 {
-			order = append(order, q.ID())
+			order = append(order, q.id)
 		}
 	})
 	eng.Schedule(0, func() {

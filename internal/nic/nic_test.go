@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -40,8 +41,8 @@ func makeUDP(pool *mempool.Pool, size int, udpSrc uint16) *mempool.Mbuf {
 	p := proto.UDPPacket{B: m.Payload()}
 	p.Fill(proto.UDPPacketFill{
 		PktLength: size,
-		EthSrc:    proto.MustMAC("02:00:00:00:00:01"),
-		EthDst:    proto.MustMAC("02:00:00:00:00:02"),
+		EthSrc:    proto.MAC{0x02, 0, 0, 0, 0, 0x01},
+		EthDst:    proto.MAC{0x02, 0, 0, 0, 0, 0x02},
 		IPSrc:     proto.MustIPv4("10.0.0.1"),
 		IPDst:     proto.MustIPv4("10.0.0.2"),
 		UDPSrc:    udpSrc,
@@ -422,8 +423,7 @@ func TestChecksumOffloadMatchesSoftware(t *testing.T) {
 	copy(ref, m.Payload())
 	rp := proto.UDPPacket{B: ref}
 	rp.CalcChecksums()
-	if rp.IP().HeaderChecksum() != p.IP().HeaderChecksum() ||
-		rp.UDP().Checksum() != p.UDP().Checksum() {
+	if !bytes.Equal(ref, m.Payload()) {
 		t.Fatal("offload result differs from software computation")
 	}
 }

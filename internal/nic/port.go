@@ -33,7 +33,6 @@ type Stats struct {
 type Port struct {
 	eng     *sim.Engine
 	profile Profile
-	id      int
 	mac     proto.MAC
 
 	Clock *ptpclk.Clock
@@ -193,7 +192,6 @@ func NewPort(eng *sim.Engine, cfg PortConfig) *Port {
 	p := &Port{
 		eng:     eng,
 		profile: cfg.Profile,
-		id:      cfg.ID,
 		mac:     cfg.MAC,
 		Clock: ptpclk.New(eng, ptpclk.Config{
 			TickNS:          cfg.Profile.TimestampTickNS,
@@ -254,15 +252,6 @@ func ConnectDuplex(eng *sim.Engine, a, b *Port, phy wire.PHYProfile, lengthM flo
 	b.Connect(wire.NewLink(eng, b.profile.Speed, phy, lengthM, a))
 }
 
-// Engine returns the simulation engine.
-func (p *Port) Engine() *sim.Engine { return p.eng }
-
-// Profile returns the chip profile.
-func (p *Port) Profile() Profile { return p.profile }
-
-// ID returns the port index.
-func (p *Port) ID() int { return p.id }
-
 // MAC returns the port's hardware address (ethSrc = queue in MoonGen
 // scripts resolves to this).
 func (p *Port) MAC() proto.MAC { return p.mac }
@@ -289,12 +278,6 @@ func (p *Port) ensureRxPool() {
 		p.rxPool = mempool.New(mempool.Config{Count: p.rxPoolSize})
 		p.rxCache = p.rxPool.NewCache(0)
 	}
-}
-
-// RxPool returns the port's receive mempool (exposed for tests).
-func (p *Port) RxPool() *mempool.Pool {
-	p.ensureRxPool()
-	return p.rxPool
 }
 
 // RxPoolPeek returns the receive mempool without forcing its lazy

@@ -71,9 +71,6 @@ func (q *RxQueue) flush() {
 	}
 }
 
-// ID returns the queue index.
-func (q *RxQueue) ID() int { return q.id }
-
 // Port returns the owning port.
 func (q *RxQueue) Port() *Port { return q.port }
 

@@ -37,27 +37,14 @@ type TxQueue struct {
 	pendingAt    sim.Time
 	pendingValid bool
 	anomalous    bool // configured beyond the chip's reliable range
-
-	sent      uint64
-	sentBytes uint64
 }
 
 func newTxQueue(p *Port, id, ringSize int) *TxQueue {
 	return &TxQueue{port: p, id: id, ring: ring.NewSPSC[*mempool.Mbuf](ringSize)}
 }
 
-// ID returns the queue index.
-func (q *TxQueue) ID() int { return q.id }
-
 // Port returns the owning port.
 func (q *TxQueue) Port() *Port { return q.port }
-
-// MAC returns the port's MAC address, so scripts can write
-// `ethSrc: queue` like MoonGen's fill does.
-func (q *TxQueue) MAC() proto.MAC { return q.port.mac }
-
-// Sent returns packets and bytes transmitted from this queue.
-func (q *TxQueue) Sent() (packets, bytes uint64) { return q.sent, q.sentBytes }
 
 // SetRatePPS configures the hardware rate limiter to a constant packet
 // rate. Zero disables shaping (line rate). Above the chip's reliable
@@ -469,8 +456,6 @@ func (p *Port) transmitFrameAt(q *TxQueue, m *mempool.Mbuf, start sim.Time) {
 
 	p.stage.TxPackets++
 	p.stage.TxBytes += uint64(m.Len)
-	q.sent++
-	q.sentBytes += uint64(m.Len)
 
 	if p.txTrace != nil {
 		p.txTrace(q, m, start)

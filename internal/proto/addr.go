@@ -1,8 +1,9 @@
 // Package proto implements the packet header library used by the
-// generator: Ethernet, ARP, IPv4, IPv6, UDP, TCP, ICMP, PTP and IPsec
-// (ESP/AH) headers with zero-copy accessors over raw frame bytes,
-// MoonGen-style Fill helpers, Internet checksums (including the IP
-// pseudo-header variants the NICs do not offload), and the Ethernet FCS.
+// generator: Ethernet, ARP, IPv4, UDP, TCP, ICMP and PTP headers — the
+// protocols the paper's scenarios emit and parse — with zero-copy
+// accessors over raw frame bytes, MoonGen-style Fill helpers, and
+// Internet checksums (including the IPv4 pseudo-header sum the NICs do
+// not offload).
 //
 // The design follows MoonGen's packet API: a header type is a []byte
 // view into the frame, field setters write network byte order in place,
@@ -14,7 +15,6 @@ package proto
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 )
@@ -25,51 +25,9 @@ type MAC [6]byte
 // BroadcastMAC is ff:ff:ff:ff:ff:ff.
 var BroadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
-// ParseMAC parses colon-separated hex notation ("10:11:12:13:14:15").
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return m, fmt.Errorf("proto: invalid MAC %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 16, 8)
-		if err != nil {
-			return m, fmt.Errorf("proto: invalid MAC %q: %v", s, err)
-		}
-		m[i] = byte(v)
-	}
-	return m, nil
-}
-
-// MustMAC is ParseMAC that panics on error, for constants in examples.
-func MustMAC(s string) MAC {
-	m, err := ParseMAC(s)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // String formats the address as colon-separated hex.
 func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
-// IsBroadcast reports whether the address is the broadcast address.
-func (m MAC) IsBroadcast() bool { return m == BroadcastMAC }
-
-// IsMulticast reports whether the group bit is set.
-func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
-
-// RandomMAC returns a locally administered unicast MAC from rng.
-func RandomMAC(rng *rand.Rand) MAC {
-	var m MAC
-	for i := range m {
-		m[i] = byte(rng.Intn(256))
-	}
-	m[0] = (m[0] | 2) &^ 1 // locally administered, unicast
-	return m
 }
 
 // IPv4 is an IPv4 address in host-independent representation; the
@@ -110,92 +68,7 @@ func (ip IPv4) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
 
-// Bytes returns the 4-byte network-order representation.
-func (ip IPv4) Bytes() [4]byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(ip))
-	return b
-}
-
 // IPv4FromBytes builds an address from 4 network-order bytes.
 func IPv4FromBytes(b []byte) IPv4 {
 	return IPv4(binary.BigEndian.Uint32(b))
-}
-
-// IPv6 is an IPv6 address.
-type IPv6 [16]byte
-
-// ParseIPv6 parses the canonical textual forms including "::"
-// compression (no embedded IPv4 dotted form, no zone).
-func ParseIPv6(s string) (IPv6, error) {
-	var ip IPv6
-	if s == "" {
-		return ip, fmt.Errorf("proto: empty IPv6 address")
-	}
-	halves := strings.Split(s, "::")
-	if len(halves) > 2 {
-		return ip, fmt.Errorf("proto: invalid IPv6 %q: multiple ::", s)
-	}
-	parse := func(part string) ([]uint16, error) {
-		if part == "" {
-			return nil, nil
-		}
-		fields := strings.Split(part, ":")
-		out := make([]uint16, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseUint(f, 16, 16)
-			if err != nil {
-				return nil, fmt.Errorf("proto: invalid IPv6 %q: %v", s, err)
-			}
-			out[i] = uint16(v)
-		}
-		return out, nil
-	}
-	left, err := parse(halves[0])
-	if err != nil {
-		return ip, err
-	}
-	var right []uint16
-	if len(halves) == 2 {
-		right, err = parse(halves[1])
-		if err != nil {
-			return ip, err
-		}
-	}
-	total := len(left) + len(right)
-	if len(halves) == 1 {
-		if total != 8 {
-			return ip, fmt.Errorf("proto: invalid IPv6 %q: %d groups", s, total)
-		}
-	} else if total > 7 {
-		return ip, fmt.Errorf("proto: invalid IPv6 %q: too many groups with ::", s)
-	}
-	groups := make([]uint16, 8)
-	copy(groups, left)
-	copy(groups[8-len(right):], right)
-	for i, g := range groups {
-		binary.BigEndian.PutUint16(ip[2*i:], g)
-	}
-	return ip, nil
-}
-
-// MustIPv6 is ParseIPv6 that panics on error.
-func MustIPv6(s string) IPv6 {
-	ip, err := ParseIPv6(s)
-	if err != nil {
-		panic(err)
-	}
-	return ip
-}
-
-// String formats the address in full (uncompressed) colon-hex notation.
-func (ip IPv6) String() string {
-	var sb strings.Builder
-	for i := 0; i < 8; i++ {
-		if i > 0 {
-			sb.WriteByte(':')
-		}
-		fmt.Fprintf(&sb, "%x", binary.BigEndian.Uint16(ip[2*i:]))
-	}
-	return sb.String()
 }

@@ -4,8 +4,6 @@ import "encoding/binary"
 
 // ARP constants for Ethernet/IPv4.
 const (
-	ARPHdrLen = 28
-
 	ARPHTypeEthernet uint16 = 1
 	ARPOpRequest     uint16 = 1
 	ARPOpReply       uint16 = 2
@@ -13,12 +11,6 @@ const (
 
 // ARPHdr is a zero-copy view of an Ethernet/IPv4 ARP packet.
 type ARPHdr []byte
-
-// HType returns the hardware type.
-func (h ARPHdr) HType() uint16 { return binary.BigEndian.Uint16(h[0:2]) }
-
-// PType returns the protocol type.
-func (h ARPHdr) PType() uint16 { return binary.BigEndian.Uint16(h[2:4]) }
 
 // Op returns the operation (request/reply).
 func (h ARPHdr) Op() uint16 { return binary.BigEndian.Uint16(h[6:8]) }
@@ -41,13 +33,6 @@ func (h ARPHdr) SenderIP() IPv4 { return IPv4FromBytes(h[14:18]) }
 
 // SetSenderIP sets the sender protocol address.
 func (h ARPHdr) SetSenderIP(ip IPv4) { binary.BigEndian.PutUint32(h[14:18], uint32(ip)) }
-
-// TargetMAC returns the target hardware address.
-func (h ARPHdr) TargetMAC() MAC {
-	var m MAC
-	copy(m[:], h[18:24])
-	return m
-}
 
 // SetTargetMAC sets the target hardware address.
 func (h ARPHdr) SetTargetMAC(m MAC) { copy(h[18:24], m[:]) }

@@ -1,9 +1,6 @@
 package proto
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-)
+import "encoding/binary"
 
 // Checksum computes the Internet checksum (RFC 1071) over data: the
 // one's-complement of the one's-complement sum of 16-bit words, with an
@@ -59,18 +56,6 @@ func PseudoHeaderChecksumIPv4(src, dst IPv4, protocol uint8, length uint16) uint
 	return acc
 }
 
-// PseudoHeaderChecksumIPv6 computes the unfolded pseudo-header sum for
-// UDP/TCP over IPv6.
-func PseudoHeaderChecksumIPv6(src, dst IPv6, protocol uint8, length uint32) uint32 {
-	var acc uint32
-	acc = sum16(src[:], acc)
-	acc = sum16(dst[:], acc)
-	acc += length >> 16
-	acc += length & 0xffff
-	acc += uint32(protocol)
-	return acc
-}
-
 // TransportChecksumIPv4 computes the complete UDP/TCP checksum over an
 // IPv4 pseudo header plus the transport header and payload in seg. The
 // checksum field inside seg must be zeroed by the caller first.
@@ -83,41 +68,4 @@ func TransportChecksumIPv4(src, dst IPv4, protocol uint8, seg []byte) uint16 {
 		cs = 0xffff
 	}
 	return cs
-}
-
-// TransportChecksumIPv6 computes the complete UDP/TCP checksum over an
-// IPv6 pseudo header plus seg. The checksum field must be zeroed first.
-func TransportChecksumIPv6(src, dst IPv6, protocol uint8, seg []byte) uint16 {
-	acc := PseudoHeaderChecksumIPv6(src, dst, protocol, uint32(len(seg)))
-	cs := finishChecksum(sum16(seg, acc))
-	if protocol == IPProtoUDP && cs == 0 {
-		cs = 0xffff
-	}
-	return cs
-}
-
-// EthernetFCS computes the IEEE 802.3 frame check sequence over the
-// frame bytes (destination MAC through payload). The FCS is the CRC-32
-// (reflected, polynomial 0x04C11DB7) transmitted little-endian; Go's
-// crc32.ChecksumIEEE implements exactly this computation.
-func EthernetFCS(frame []byte) uint32 {
-	return crc32.ChecksumIEEE(frame)
-}
-
-// AppendFCS appends the 4-byte FCS to frame and returns the result.
-func AppendFCS(frame []byte) []byte {
-	fcs := EthernetFCS(frame)
-	return append(frame, byte(fcs), byte(fcs>>8), byte(fcs>>16), byte(fcs>>24))
-}
-
-// CheckFCS verifies a frame whose last 4 bytes are the FCS.
-func CheckFCS(frameWithFCS []byte) bool {
-	if len(frameWithFCS) < 5 {
-		return false
-	}
-	n := len(frameWithFCS) - 4
-	want := EthernetFCS(frameWithFCS[:n])
-	got := uint32(frameWithFCS[n]) | uint32(frameWithFCS[n+1])<<8 |
-		uint32(frameWithFCS[n+2])<<16 | uint32(frameWithFCS[n+3])<<24
-	return want == got
 }

@@ -6,8 +6,6 @@ import "encoding/binary"
 const (
 	EtherTypeIPv4 uint16 = 0x0800
 	EtherTypeARP  uint16 = 0x0806
-	EtherTypeIPv6 uint16 = 0x86DD
-	EtherTypeVLAN uint16 = 0x8100
 	// EtherTypePTP is the layer-2 EtherType for IEEE 1588 PTP event
 	// messages — the type the Intel NIC timestamping filters match
 	// (paper §6).
@@ -19,9 +17,6 @@ const (
 // appends it.
 const (
 	EthHdrLen = 14
-	// MinFrameSize is the minimum Ethernet frame (64 B on the wire)
-	// without FCS: 60 bytes.
-	MinFrameSize = 60
 	// MinFrameSizeFCS is the classic 64-byte minimum including FCS.
 	MinFrameSizeFCS = 64
 	// MaxFrameSize is the standard MTU-sized frame without FCS.
@@ -42,13 +37,6 @@ func WireLen(frameLen int) int { return frameLen + FCSLen + WireOverhead }
 // EthHdr is a zero-copy view of a 14-byte Ethernet II header.
 type EthHdr []byte
 
-// Dst returns the destination MAC.
-func (h EthHdr) Dst() MAC {
-	var m MAC
-	copy(m[:], h[0:6])
-	return m
-}
-
 // SetDst sets the destination MAC.
 func (h EthHdr) SetDst(m MAC) { copy(h[0:6], m[:]) }
 
@@ -67,9 +55,6 @@ func (h EthHdr) EtherType() uint16 { return binary.BigEndian.Uint16(h[12:14]) }
 
 // SetEtherType sets the EtherType field.
 func (h EthHdr) SetEtherType(t uint16) { binary.BigEndian.PutUint16(h[12:14], t) }
-
-// Payload returns the bytes after the Ethernet header.
-func (h EthHdr) Payload() []byte { return h[EthHdrLen:] }
 
 // EthFill is the Fill configuration for an Ethernet header.
 type EthFill struct {

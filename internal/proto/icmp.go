@@ -4,23 +4,15 @@ import "encoding/binary"
 
 // ICMP message types (v4).
 const (
-	ICMPTypeEchoReply   uint8 = 0
-	ICMPTypeDestUnreach uint8 = 3
-	ICMPTypeEcho        uint8 = 8
-	ICMPTypeTimeExceed  uint8 = 11
-)
-
-// ICMPv6 message types.
-const (
-	ICMPv6TypeEchoRequest uint8 = 128
-	ICMPv6TypeEchoReply   uint8 = 129
+	ICMPTypeEchoReply uint8 = 0
+	ICMPTypeEcho      uint8 = 8
 )
 
 // ICMPHdrLen is the fixed ICMP header length (type, code, checksum,
 // rest-of-header).
 const ICMPHdrLen = 8
 
-// ICMPHdr is a zero-copy view of an ICMP (v4 or v6) header.
+// ICMPHdr is a zero-copy view of an ICMPv4 header.
 type ICMPHdr []byte
 
 // Type returns the message type.
@@ -29,26 +21,14 @@ func (h ICMPHdr) Type() uint8 { return h[0] }
 // SetType sets the message type.
 func (h ICMPHdr) SetType(v uint8) { h[0] = v }
 
-// Code returns the message code.
-func (h ICMPHdr) Code() uint8 { return h[1] }
-
 // SetCode sets the message code.
 func (h ICMPHdr) SetCode(v uint8) { h[1] = v }
-
-// Checksum returns the checksum field.
-func (h ICMPHdr) Checksum() uint16 { return binary.BigEndian.Uint16(h[2:4]) }
 
 // SetChecksum sets the checksum field.
 func (h ICMPHdr) SetChecksum(v uint16) { binary.BigEndian.PutUint16(h[2:4], v) }
 
-// ID returns the echo identifier.
-func (h ICMPHdr) ID() uint16 { return binary.BigEndian.Uint16(h[4:6]) }
-
 // SetID sets the echo identifier.
 func (h ICMPHdr) SetID(v uint16) { binary.BigEndian.PutUint16(h[4:6], v) }
-
-// Seq returns the echo sequence number.
-func (h ICMPHdr) Seq() uint16 { return binary.BigEndian.Uint16(h[6:8]) }
 
 // SetSeq sets the echo sequence number.
 func (h ICMPHdr) SetSeq(v uint16) { binary.BigEndian.PutUint16(h[6:8], v) }
@@ -67,13 +47,6 @@ func (h ICMPHdr) CalcChecksumV4(msgLen int) {
 // is valid.
 func (h ICMPHdr) VerifyChecksumV4(msgLen int) bool {
 	return Checksum(h[:msgLen]) == 0
-}
-
-// CalcChecksumV6 computes and stores the ICMPv6 checksum, which covers
-// an IPv6 pseudo header.
-func (h ICMPHdr) CalcChecksumV6(src, dst IPv6, msgLen int) {
-	h.SetChecksum(0)
-	h.SetChecksum(TransportChecksumIPv6(src, dst, IPProtoICMPv6, h[:msgLen]))
 }
 
 // ICMPFill is the Fill configuration for an ICMP header.

@@ -4,12 +4,9 @@ import "encoding/binary"
 
 // IP protocol numbers.
 const (
-	IPProtoICMP   uint8 = 1
-	IPProtoTCP    uint8 = 6
-	IPProtoUDP    uint8 = 17
-	IPProtoESP    uint8 = 50
-	IPProtoAH     uint8 = 51
-	IPProtoICMPv6 uint8 = 58
+	IPProtoICMP uint8 = 1
+	IPProtoTCP  uint8 = 6
+	IPProtoUDP  uint8 = 17
 )
 
 // IPv4HdrLen is the length of an IPv4 header without options.
@@ -19,17 +16,11 @@ const IPv4HdrLen = 20
 // fast-path accessors; HdrLen handles options when parsing).
 type IPv4Hdr []byte
 
-// Version returns the IP version nibble.
-func (h IPv4Hdr) Version() uint8 { return h[0] >> 4 }
-
 // HdrLen returns the header length in bytes.
 func (h IPv4Hdr) HdrLen() int { return int(h[0]&0x0f) * 4 }
 
 // SetVersionIHL writes version 4 and the given header length in bytes.
 func (h IPv4Hdr) SetVersionIHL(hdrLen int) { h[0] = 0x40 | uint8(hdrLen/4) }
-
-// TOS returns the type-of-service / DSCP+ECN byte.
-func (h IPv4Hdr) TOS() uint8 { return h[1] }
 
 // SetTOS sets the TOS byte.
 func (h IPv4Hdr) SetTOS(v uint8) { h[1] = v }
@@ -40,30 +31,11 @@ func (h IPv4Hdr) TotalLength() uint16 { return binary.BigEndian.Uint16(h[2:4]) }
 // SetTotalLength sets the total length field.
 func (h IPv4Hdr) SetTotalLength(v uint16) { binary.BigEndian.PutUint16(h[2:4], v) }
 
-// ID returns the identification field.
-func (h IPv4Hdr) ID() uint16 { return binary.BigEndian.Uint16(h[4:6]) }
-
 // SetID sets the identification field.
 func (h IPv4Hdr) SetID(v uint16) { binary.BigEndian.PutUint16(h[4:6], v) }
 
-// Flags returns the 3 flag bits.
-func (h IPv4Hdr) Flags() uint8 { return h[6] >> 5 }
-
 // SetFlags sets the 3 flag bits, preserving the fragment offset.
 func (h IPv4Hdr) SetFlags(f uint8) { h[6] = h[6]&0x1f | f<<5 }
-
-// FragOffset returns the fragment offset in 8-byte units.
-func (h IPv4Hdr) FragOffset() uint16 {
-	return binary.BigEndian.Uint16(h[6:8]) & 0x1fff
-}
-
-// SetFragOffset sets the fragment offset, preserving the flags.
-func (h IPv4Hdr) SetFragOffset(off uint16) {
-	binary.BigEndian.PutUint16(h[6:8], uint16(h[6]&0xe0)<<8|off&0x1fff)
-}
-
-// TTL returns the time-to-live field.
-func (h IPv4Hdr) TTL() uint8 { return h[8] }
 
 // SetTTL sets the time-to-live field.
 func (h IPv4Hdr) SetTTL(v uint8) { h[8] = v }
@@ -73,9 +45,6 @@ func (h IPv4Hdr) Protocol() uint8 { return h[9] }
 
 // SetProtocol sets the payload protocol number.
 func (h IPv4Hdr) SetProtocol(v uint8) { h[9] = v }
-
-// HeaderChecksum returns the header checksum field.
-func (h IPv4Hdr) HeaderChecksum() uint16 { return binary.BigEndian.Uint16(h[10:12]) }
 
 // SetHeaderChecksum sets the header checksum field.
 func (h IPv4Hdr) SetHeaderChecksum(v uint16) { binary.BigEndian.PutUint16(h[10:12], v) }
@@ -91,10 +60,6 @@ func (h IPv4Hdr) Dst() IPv4 { return IPv4FromBytes(h[16:20]) }
 
 // SetDst sets the destination address.
 func (h IPv4Hdr) SetDst(ip IPv4) { binary.BigEndian.PutUint32(h[16:20], uint32(ip)) }
-
-// Payload returns the bytes after the header (options included in the
-// header per HdrLen).
-func (h IPv4Hdr) Payload() []byte { return h[h.HdrLen():] }
 
 // CalcChecksum computes and writes the header checksum.
 func (h IPv4Hdr) CalcChecksum() {

@@ -97,9 +97,6 @@ func (p TCPPacket) IP() IPv4Hdr { return IPv4Hdr(p.B[EthHdrLen:]) }
 // TCP returns the TCP header view.
 func (p TCPPacket) TCP() TCPHdr { return TCPHdr(p.B[EthHdrLen+IPv4HdrLen:]) }
 
-// Payload returns the TCP payload bytes (20-byte header assumed).
-func (p TCPPacket) Payload() []byte { return p.B[EthHdrLen+IPv4HdrLen+TCPHdrLen:] }
-
 // TCPPacketFill configures a full Ethernet/IPv4/TCP stack.
 type TCPPacketFill struct {
 	PktLength int
@@ -155,67 +152,6 @@ func (p TCPPacket) VerifyChecksums() bool {
 	}
 	seg := p.B[EthHdrLen+IPv4HdrLen : EthHdrLen+int(ip.TotalLength())]
 	acc := PseudoHeaderChecksumIPv4(ip.Src(), ip.Dst(), IPProtoTCP, uint16(len(seg)))
-	return finishChecksum(sum16(seg, acc)) == 0
-}
-
-// UDP6Packet is an Ethernet/IPv6/UDP view of a frame.
-type UDP6Packet struct{ B []byte }
-
-// Eth returns the Ethernet header view.
-func (p UDP6Packet) Eth() EthHdr { return EthHdr(p.B) }
-
-// IP returns the IPv6 header view.
-func (p UDP6Packet) IP() IPv6Hdr { return IPv6Hdr(p.B[EthHdrLen:]) }
-
-// UDP returns the UDP header view.
-func (p UDP6Packet) UDP() UDPHdr { return UDPHdr(p.B[EthHdrLen+IPv6HdrLen:]) }
-
-// Payload returns the UDP payload bytes.
-func (p UDP6Packet) Payload() []byte { return p.B[EthHdrLen+IPv6HdrLen+UDPHdrLen:] }
-
-// UDP6PacketFill configures a full Ethernet/IPv6/UDP stack.
-type UDP6PacketFill struct {
-	PktLength int
-	EthSrc    MAC
-	EthDst    MAC
-	IPSrc     IPv6
-	IPDst     IPv6
-	UDPSrc    uint16
-	UDPDst    uint16
-}
-
-// Fill writes Ethernet, IPv6 and UDP headers.
-func (p UDP6Packet) Fill(cfg UDP6PacketFill) {
-	if cfg.PktLength < EthHdrLen+IPv6HdrLen+UDPHdrLen {
-		panic(fmt.Sprintf("proto: UDPv6 packet length %d too short", cfg.PktLength))
-	}
-	p.Eth().Fill(EthFill{Src: cfg.EthSrc, Dst: cfg.EthDst, EtherType: EtherTypeIPv6})
-	p.IP().Fill(IPv6Fill{
-		Src: cfg.IPSrc, Dst: cfg.IPDst,
-		NextHeader:    IPProtoUDP,
-		PayloadLength: uint16(cfg.PktLength - EthHdrLen - IPv6HdrLen),
-	})
-	p.UDP().Fill(UDPFill{
-		SrcPort: cfg.UDPSrc, DstPort: cfg.UDPDst,
-		Length: uint16(cfg.PktLength - EthHdrLen - IPv6HdrLen),
-	})
-}
-
-// CalcChecksums computes the UDP checksum (IPv6 has no header checksum;
-// the UDP checksum is mandatory under IPv6).
-func (p UDP6Packet) CalcChecksums() {
-	ip := p.IP()
-	udp := p.UDP()
-	udp.SetChecksum(0)
-	seg := p.B[EthHdrLen+IPv6HdrLen : EthHdrLen+IPv6HdrLen+int(ip.PayloadLength())]
-	udp.SetChecksum(TransportChecksumIPv6(ip.Src(), ip.Dst(), IPProtoUDP, seg))
-}
-
-// VerifyChecksums reports whether the UDP checksum is valid.
-func (p UDP6Packet) VerifyChecksums() bool {
-	ip := p.IP()
-	seg := p.B[EthHdrLen+IPv6HdrLen : EthHdrLen+IPv6HdrLen+int(ip.PayloadLength())]
-	acc := PseudoHeaderChecksumIPv6(ip.Src(), ip.Dst(), IPProtoUDP, uint32(len(seg)))
 	return finishChecksum(sum16(seg, acc)) == 0
 }
 
@@ -335,71 +271,4 @@ func (p UDPPTPPacket) Fill(cfg UDPPTPPacketFill) {
 		SequenceID:  cfg.SequenceID,
 		Length:      uint16(cfg.PktLength - EthHdrLen - IPv4HdrLen - UDPHdrLen),
 	})
-}
-
-// ESPPacket is an Ethernet/IPv4/ESP view of a frame (IPsec load
-// generation).
-type ESPPacket struct{ B []byte }
-
-// Eth returns the Ethernet header view.
-func (p ESPPacket) Eth() EthHdr { return EthHdr(p.B) }
-
-// IP returns the IPv4 header view.
-func (p ESPPacket) IP() IPv4Hdr { return IPv4Hdr(p.B[EthHdrLen:]) }
-
-// ESP returns the ESP header view.
-func (p ESPPacket) ESP() ESPHdr { return ESPHdr(p.B[EthHdrLen+IPv4HdrLen:]) }
-
-// ESPPacketFill configures an Ethernet/IPv4/ESP stack.
-type ESPPacketFill struct {
-	PktLength int
-	EthSrc    MAC
-	EthDst    MAC
-	IPSrc     IPv4
-	IPDst     IPv4
-	SPI       uint32
-	SeqNum    uint32
-}
-
-// Fill writes the full stack.
-func (p ESPPacket) Fill(cfg ESPPacketFill) {
-	if cfg.PktLength < EthHdrLen+IPv4HdrLen+ESPHdrLen {
-		panic(fmt.Sprintf("proto: ESP packet length %d too short", cfg.PktLength))
-	}
-	p.Eth().Fill(EthFill{Src: cfg.EthSrc, Dst: cfg.EthDst, EtherType: EtherTypeIPv4})
-	p.IP().Fill(IPv4Fill{
-		Src: cfg.IPSrc, Dst: cfg.IPDst,
-		Protocol: IPProtoESP,
-		Length:   uint16(cfg.PktLength - EthHdrLen),
-	})
-	p.ESP().Fill(ESPFill{SPI: cfg.SPI, SeqNum: cfg.SeqNum})
-}
-
-// ARPPacket is an Ethernet/ARP view of a frame.
-type ARPPacket struct{ B []byte }
-
-// Eth returns the Ethernet header view.
-func (p ARPPacket) Eth() EthHdr { return EthHdr(p.B) }
-
-// ARP returns the ARP body view.
-func (p ARPPacket) ARP() ARPHdr { return ARPHdr(p.B[EthHdrLen:]) }
-
-// ARPPacketFill configures an Ethernet/ARP frame.
-type ARPPacketFill struct {
-	EthSrc MAC
-	EthDst MAC // default broadcast for requests
-	ARPFill
-}
-
-// Fill writes the Ethernet header and ARP body.
-func (p ARPPacket) Fill(cfg ARPPacketFill) {
-	dst := cfg.EthDst
-	if dst == (MAC{}) {
-		dst = BroadcastMAC
-	}
-	p.Eth().Fill(EthFill{Src: cfg.EthSrc, Dst: dst, EtherType: EtherTypeARP})
-	if cfg.ARPFill.SenderMAC == (MAC{}) {
-		cfg.ARPFill.SenderMAC = cfg.EthSrc
-	}
-	p.ARP().Fill(cfg.ARPFill)
 }

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,8 +12,8 @@ func testUDPFill() (UDPPacket, UDPPacketFill) {
 	b := make([]byte, 124)
 	cfg := UDPPacketFill{
 		PktLength: 124,
-		EthSrc:    MustMAC("02:00:00:00:00:01"),
-		EthDst:    MustMAC("10:11:12:13:14:15"),
+		EthSrc:    MAC{0x02, 0, 0, 0, 0, 0x01},
+		EthDst:    MAC{0x10, 0x11, 0x12, 0x13, 0x14, 0x15},
 		IPSrc:     MustIPv4("10.0.0.1"),
 		IPDst:     MustIPv4("192.168.1.1"),
 		UDPSrc:    1234,
@@ -27,18 +29,18 @@ func TestUDPPacketFill(t *testing.T) {
 	if p.Eth().EtherType() != EtherTypeIPv4 {
 		t.Fatalf("ethertype = %#x", p.Eth().EtherType())
 	}
-	if p.Eth().Src() != cfg.EthSrc || p.Eth().Dst() != cfg.EthDst {
+	if p.Eth().Src() != cfg.EthSrc || MAC(p.B[0:6]) != cfg.EthDst {
 		t.Fatal("MACs wrong")
 	}
 	ip := p.IP()
-	if ip.Version() != 4 || ip.HdrLen() != 20 {
-		t.Fatalf("version=%d ihl=%d", ip.Version(), ip.HdrLen())
+	if ip[0]>>4 != 4 || ip.HdrLen() != 20 {
+		t.Fatalf("version=%d ihl=%d", ip[0]>>4, ip.HdrLen())
 	}
 	if ip.TotalLength() != 110 {
 		t.Fatalf("total length = %d", ip.TotalLength())
 	}
-	if ip.TTL() != 64 || ip.Protocol() != IPProtoUDP {
-		t.Fatalf("ttl=%d proto=%d", ip.TTL(), ip.Protocol())
+	if ip[8] != 64 || ip.Protocol() != IPProtoUDP {
+		t.Fatalf("ttl=%d proto=%d", ip[8], ip.Protocol())
 	}
 	if ip.Src() != cfg.IPSrc || ip.Dst() != cfg.IPDst {
 		t.Fatal("IPs wrong")
@@ -47,8 +49,8 @@ func TestUDPPacketFill(t *testing.T) {
 	if udp.SrcPort() != 1234 || udp.DstPort() != 42 {
 		t.Fatalf("ports %d->%d", udp.SrcPort(), udp.DstPort())
 	}
-	if udp.Length() != 90 {
-		t.Fatalf("udp length = %d", udp.Length())
+	if n := binary.BigEndian.Uint16(udp[4:6]); n != 90 {
+		t.Fatalf("udp length = %d", n)
 	}
 	if len(p.Payload()) != 124-42 {
 		t.Fatalf("payload len = %d", len(p.Payload()))
@@ -101,29 +103,26 @@ func TestIPv4HeaderFieldRoundTrip(t *testing.T) {
 	h.SetTOS(0x2e)
 	h.SetTotalLength(1500)
 	h.SetID(0xBEEF)
+	h[6], h[7] = 0x04, 0xd2 // fragment offset 1234
 	h.SetFlags(2)
-	h.SetFragOffset(1234)
 	h.SetTTL(33)
 	h.SetProtocol(IPProtoTCP)
 	h.SetSrc(MustIPv4("1.2.3.4"))
 	h.SetDst(MustIPv4("5.6.7.8"))
-	if h.TOS() != 0x2e || h.TotalLength() != 1500 || h.ID() != 0xBEEF {
-		t.Fatal("basic fields wrong")
+	want := []byte{0x45, 0x2e, 0x05, 0xdc, 0xbe, 0xef, 0x44, 0xd2, 33, IPProtoTCP, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}
+	if !bytes.Equal(h, want) {
+		t.Fatalf("header = % x\nwant     % x", []byte(h), want)
 	}
-	if h.Flags() != 2 || h.FragOffset() != 1234 {
-		t.Fatalf("flags=%d off=%d", h.Flags(), h.FragOffset())
+	if h.HdrLen() != 20 || h.TotalLength() != 1500 || h.Protocol() != IPProtoTCP {
+		t.Fatal("read-back fields wrong")
 	}
-	if h.TTL() != 33 || h.Protocol() != IPProtoTCP {
-		t.Fatal("ttl/proto wrong")
+	if h.Src() != MustIPv4("1.2.3.4") || h.Dst() != MustIPv4("5.6.7.8") {
+		t.Fatal("read-back addresses wrong")
 	}
-	// Setting the offset must not clobber flags and vice versa.
+	// Setting the flags must not clobber the fragment offset.
 	h.SetFlags(5)
-	if h.FragOffset() != 1234 {
-		t.Fatal("SetFlags clobbered FragOffset")
-	}
-	h.SetFragOffset(77)
-	if h.Flags() != 5 {
-		t.Fatal("SetFragOffset clobbered Flags")
+	if h[6] != 0xa4 || h[7] != 0xd2 {
+		t.Fatalf("SetFlags(5): flags/offset bytes = %#02x %#02x", h[6], h[7])
 	}
 }
 
@@ -139,20 +138,18 @@ func TestTCPPacketFill(t *testing.T) {
 		Flags: TCPFlagSYN | TCPFlagACK,
 	})
 	tcp := p.TCP()
-	if tcp.SrcPort() != 4444 || tcp.DstPort() != 80 {
-		t.Fatal("ports wrong")
+	if tcp.SrcPort() != 4444 || tcp.DstPort() != 80 || tcp.DataOffset() != 20 {
+		t.Fatal("ports or data offset wrong")
 	}
-	if tcp.SeqNum() != 1000 || tcp.AckNum() != 2000 {
-		t.Fatal("seq/ack wrong")
+	want := []byte{
+		0x11, 0x5c, 0x00, 0x50, // ports 4444 -> 80
+		0x00, 0x00, 0x03, 0xe8, // seq 1000
+		0x00, 0x00, 0x07, 0xd0, // ack 2000
+		0x50, TCPFlagSYN | TCPFlagACK, 0xff, 0xff, // data offset, flags, window 65535
+		0, 0, 0, 0, // checksum, urgent pointer
 	}
-	if tcp.DataOffset() != 20 {
-		t.Fatalf("data offset = %d", tcp.DataOffset())
-	}
-	if tcp.Flags() != TCPFlagSYN|TCPFlagACK {
-		t.Fatalf("flags = %#x", tcp.Flags())
-	}
-	if tcp.Window() != 65535 {
-		t.Fatalf("window = %d", tcp.Window())
+	if !bytes.Equal(tcp[:TCPHdrLen], want) {
+		t.Fatalf("tcp header = % x\nwant         % x", []byte(tcp[:TCPHdrLen]), want)
 	}
 	p.CalcChecksums()
 	if !p.VerifyChecksums() {
@@ -161,54 +158,6 @@ func TestTCPPacketFill(t *testing.T) {
 	p.B[50] ^= 1
 	if p.VerifyChecksums() {
 		t.Fatal("corrupted TCP packet verified")
-	}
-}
-
-func TestUDP6PacketFill(t *testing.T) {
-	b := make([]byte, 80)
-	p := UDP6Packet{B: b}
-	p.Fill(UDP6PacketFill{
-		PktLength: 80,
-		IPSrc:     MustIPv6("2001:db8::1"),
-		IPDst:     MustIPv6("2001:db8::2"),
-		UDPSrc:    1000, UDPDst: 2000,
-	})
-	ip := p.IP()
-	if ip.Version() != 6 {
-		t.Fatalf("version = %d", ip.Version())
-	}
-	if ip.PayloadLength() != 80-EthHdrLen-IPv6HdrLen {
-		t.Fatalf("payload length = %d", ip.PayloadLength())
-	}
-	if ip.NextHeader() != IPProtoUDP || ip.HopLimit() != 64 {
-		t.Fatal("nexthdr/hoplimit wrong")
-	}
-	p.CalcChecksums()
-	if !p.VerifyChecksums() {
-		t.Fatal("UDPv6 checksum invalid")
-	}
-}
-
-func TestIPv6HeaderBitfields(t *testing.T) {
-	h := IPv6Hdr(make([]byte, IPv6HdrLen))
-	h.Fill(IPv6Fill{TrafficClass: 0xAB, FlowLabel: 0xBEEF5})
-	if h.Version() != 6 {
-		t.Fatalf("version = %d", h.Version())
-	}
-	if h.TrafficClass() != 0xAB {
-		t.Fatalf("tc = %#x", h.TrafficClass())
-	}
-	if h.FlowLabel() != 0xBEEF5 {
-		t.Fatalf("flow = %#x", h.FlowLabel())
-	}
-	// Mutating one field must not disturb the others.
-	h.SetFlowLabel(0x12345)
-	if h.TrafficClass() != 0xAB || h.Version() != 6 {
-		t.Fatal("SetFlowLabel clobbered neighbors")
-	}
-	h.SetTrafficClass(0xCD)
-	if h.FlowLabel() != 0x12345 || h.Version() != 6 {
-		t.Fatal("SetTrafficClass clobbered neighbors")
 	}
 }
 
@@ -222,7 +171,7 @@ func TestICMPPacketFill(t *testing.T) {
 		ID:        7, Seq: 9,
 	})
 	ic := p.ICMP()
-	if ic.Type() != ICMPTypeEcho || ic.ID() != 7 || ic.Seq() != 9 {
+	if ic.Type() != ICMPTypeEcho || binary.BigEndian.Uint16(ic[4:6]) != 7 || binary.BigEndian.Uint16(ic[6:8]) != 9 {
 		t.Fatal("icmp fields wrong")
 	}
 	if !ic.VerifyChecksumV4(64 - EthHdrLen - IPv4HdrLen) {
@@ -278,60 +227,27 @@ func TestUDPPTPPacketFill(t *testing.T) {
 	}
 }
 
-func TestESPPacketFill(t *testing.T) {
-	b := make([]byte, 100)
-	p := ESPPacket{B: b}
-	p.Fill(ESPPacketFill{
-		PktLength: 100,
-		IPSrc:     MustIPv4("10.0.0.1"),
-		IPDst:     MustIPv4("10.0.0.2"),
-		SPI:       0xDEADBEEF, SeqNum: 42,
-	})
-	if p.IP().Protocol() != IPProtoESP {
-		t.Fatal("proto wrong")
-	}
-	if p.ESP().SPI() != 0xDEADBEEF || p.ESP().SeqNum() != 42 {
-		t.Fatal("esp fields wrong")
-	}
-}
-
-func TestAHHdr(t *testing.T) {
-	h := AHHdr(make([]byte, AHHdrLen))
-	h.Fill(AHFill{NextHeader: IPProtoUDP, SPI: 99, SeqNum: 3})
-	if h.NextHeader() != IPProtoUDP || h.SPI() != 99 || h.SeqNum() != 3 {
-		t.Fatal("ah fields wrong")
-	}
-	if h.PayloadLen() != 4 {
-		t.Fatalf("payload len = %d", h.PayloadLen())
-	}
-	if len(h.ICV()) != 12 {
-		t.Fatalf("icv len = %d", len(h.ICV()))
-	}
-}
-
 func TestARPPacketFill(t *testing.T) {
 	b := make([]byte, 60)
-	p := ARPPacket{B: b}
-	src := MustMAC("02:00:00:00:00:01")
-	p.Fill(ARPPacketFill{
-		EthSrc: src,
-		ARPFill: ARPFill{
-			SenderIP: MustIPv4("10.0.0.1"),
-			TargetIP: MustIPv4("10.0.0.2"),
-		},
+	src := MAC{0x02, 0, 0, 0, 0, 1}
+	EthHdr(b).Fill(EthFill{Src: src, Dst: BroadcastMAC, EtherType: EtherTypeARP})
+	a := ARPHdr(b[EthHdrLen:])
+	a.Fill(ARPFill{
+		SenderMAC: src,
+		SenderIP:  MustIPv4("10.0.0.1"),
+		TargetIP:  MustIPv4("10.0.0.2"),
 	})
-	if p.Eth().Dst() != BroadcastMAC {
+	if EthHdr(b).EtherType() != EtherTypeARP || MAC(b[0:6]) != BroadcastMAC {
 		t.Fatal("ARP request not broadcast")
 	}
-	a := p.ARP()
 	if a.Op() != ARPOpRequest {
 		t.Fatalf("op = %d", a.Op())
 	}
 	if a.SenderMAC() != src {
-		t.Fatal("sender MAC not defaulted from EthSrc")
+		t.Fatal("sender MAC wrong")
 	}
-	if a.HType() != ARPHTypeEthernet || a.PType() != EtherTypeIPv4 {
-		t.Fatal("htype/ptype wrong")
+	if binary.BigEndian.Uint16(a[0:2]) != ARPHTypeEthernet || binary.BigEndian.Uint16(a[2:4]) != EtherTypeIPv4 || a[4] != 6 || a[5] != 4 {
+		t.Fatal("htype/ptype/address lengths wrong")
 	}
 	if a.SenderIP().String() != "10.0.0.1" || a.TargetIP().String() != "10.0.0.2" {
 		t.Fatal("IPs wrong")
@@ -354,10 +270,8 @@ func TestFillTooShortPanics(t *testing.T) {
 	fns := []func(){
 		func() { UDPPacket{B: make([]byte, 10)}.Fill(UDPPacketFill{PktLength: 10}) },
 		func() { TCPPacket{B: make([]byte, 10)}.Fill(TCPPacketFill{PktLength: 10}) },
-		func() { UDP6Packet{B: make([]byte, 10)}.Fill(UDP6PacketFill{PktLength: 10}) },
 		func() { ICMPPacket{B: make([]byte, 10)}.Fill(ICMPPacketFill{PktLength: 10}) },
 		func() { PTPPacket{B: make([]byte, 10)}.Fill(PTPPacketFill{PktLength: 10}) },
-		func() { ESPPacket{B: make([]byte, 10)}.Fill(ESPPacketFill{PktLength: 10}) },
 	}
 	for i, fn := range fns {
 		func() {

@@ -46,26 +46,14 @@ func (h PTPHdr) MessageType() uint8 { return h[0] & 0x0f }
 // SetMessageType sets the message-type nibble.
 func (h PTPHdr) SetMessageType(v uint8) { h[0] = h[0]&0xf0 | v&0x0f }
 
-// TransportSpecific returns the high nibble of the first byte.
-func (h PTPHdr) TransportSpecific() uint8 { return h[0] >> 4 }
-
 // Version returns the PTP version byte (low nibble of byte 1).
 func (h PTPHdr) Version() uint8 { return h[1] & 0x0f }
 
 // SetVersion sets the PTP version byte.
 func (h PTPHdr) SetVersion(v uint8) { h[1] = h[1]&0xf0 | v&0x0f }
 
-// MessageLength returns the messageLength field.
-func (h PTPHdr) MessageLength() uint16 { return binary.BigEndian.Uint16(h[2:4]) }
-
 // SetMessageLength sets the messageLength field.
 func (h PTPHdr) SetMessageLength(v uint16) { binary.BigEndian.PutUint16(h[2:4], v) }
-
-// Domain returns the domainNumber field.
-func (h PTPHdr) Domain() uint8 { return h[4] }
-
-// SetDomain sets the domainNumber field.
-func (h PTPHdr) SetDomain(v uint8) { h[4] = v }
 
 // SequenceID returns the sequenceId field.
 func (h PTPHdr) SequenceID() uint16 { return binary.BigEndian.Uint16(h[30:32]) }

@@ -30,14 +30,8 @@ func (h TCPHdr) DstPort() uint16 { return binary.BigEndian.Uint16(h[2:4]) }
 // SetDstPort sets the destination port.
 func (h TCPHdr) SetDstPort(v uint16) { binary.BigEndian.PutUint16(h[2:4], v) }
 
-// SeqNum returns the sequence number.
-func (h TCPHdr) SeqNum() uint32 { return binary.BigEndian.Uint32(h[4:8]) }
-
 // SetSeqNum sets the sequence number.
 func (h TCPHdr) SetSeqNum(v uint32) { binary.BigEndian.PutUint32(h[4:8], v) }
-
-// AckNum returns the acknowledgment number.
-func (h TCPHdr) AckNum() uint32 { return binary.BigEndian.Uint32(h[8:12]) }
 
 // SetAckNum sets the acknowledgment number.
 func (h TCPHdr) SetAckNum(v uint32) { binary.BigEndian.PutUint32(h[8:12], v) }
@@ -48,32 +42,17 @@ func (h TCPHdr) DataOffset() int { return int(h[12]>>4) * 4 }
 // SetDataOffset sets the header length in bytes.
 func (h TCPHdr) SetDataOffset(bytes int) { h[12] = uint8(bytes/4) << 4 }
 
-// Flags returns the flag byte.
-func (h TCPHdr) Flags() uint8 { return h[13] }
-
 // SetFlags sets the flag byte.
 func (h TCPHdr) SetFlags(v uint8) { h[13] = v }
-
-// Window returns the receive window.
-func (h TCPHdr) Window() uint16 { return binary.BigEndian.Uint16(h[14:16]) }
 
 // SetWindow sets the receive window.
 func (h TCPHdr) SetWindow(v uint16) { binary.BigEndian.PutUint16(h[14:16], v) }
 
-// Checksum returns the checksum field.
-func (h TCPHdr) Checksum() uint16 { return binary.BigEndian.Uint16(h[16:18]) }
-
 // SetChecksum sets the checksum field.
 func (h TCPHdr) SetChecksum(v uint16) { binary.BigEndian.PutUint16(h[16:18], v) }
 
-// UrgentPointer returns the urgent pointer.
-func (h TCPHdr) UrgentPointer() uint16 { return binary.BigEndian.Uint16(h[18:20]) }
-
 // SetUrgentPointer sets the urgent pointer.
 func (h TCPHdr) SetUrgentPointer(v uint16) { binary.BigEndian.PutUint16(h[18:20], v) }
-
-// Payload returns the bytes after the header (per DataOffset).
-func (h TCPHdr) Payload() []byte { return h[h.DataOffset():] }
 
 // TCPFill is the Fill configuration for a TCP header.
 type TCPFill struct {

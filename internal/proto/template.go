@@ -81,16 +81,6 @@ func (t *Template) initInvariant(segLen uint16) {
 // its value mod 0xFFFF (what finishChecksum depends on).
 func fold1(acc uint32) uint32 { return acc&0xffff + acc>>16 }
 
-// Len returns the header image length in bytes.
-func (t *Template) Len() int { return len(t.hdr) }
-
-// Bytes exposes the image for read-only inspection (tests, debugging).
-func (t *Template) Bytes() []byte { return t.hdr }
-
-// IP returns the image's IPv4 header view. Mutating it directly
-// bypasses the checksum caches — use the setters for tracked fields.
-func (t *Template) IP() IPv4Hdr { return IPv4Hdr(t.hdr[tmplIPOff:]) }
-
 // Apply restores the flow's constant headers into a frame buffer: the
 // whole Listing-2 prefill body in one copy. The payload bytes beyond
 // the header image are left untouched, exactly like the Fill methods.
@@ -148,10 +138,8 @@ func (t *Template) SetIPDst(ip IPv4) {
 	t.setWord(ipWordDst+2, uint16(ip), true, true)
 }
 
-// SetSrcPort updates the L4 source port (UDP and TCP share the offset).
-func (t *Template) SetSrcPort(p uint16) { t.setWord(tmplL4Off, p, false, true) }
-
-// SetDstPort updates the L4 destination port.
+// SetDstPort updates the L4 destination port (UDP and TCP share the
+// offset).
 func (t *Template) SetDstPort(p uint16) { t.setWord(tmplL4Off+2, p, false, true) }
 
 // TransportChecksum computes the flow's UDP/TCP checksum for a packet

@@ -20,9 +20,6 @@ func (h UDPHdr) DstPort() uint16 { return binary.BigEndian.Uint16(h[2:4]) }
 // SetDstPort sets the destination port.
 func (h UDPHdr) SetDstPort(v uint16) { binary.BigEndian.PutUint16(h[2:4], v) }
 
-// Length returns the UDP length (header + payload).
-func (h UDPHdr) Length() uint16 { return binary.BigEndian.Uint16(h[4:6]) }
-
 // SetLength sets the UDP length.
 func (h UDPHdr) SetLength(v uint16) { binary.BigEndian.PutUint16(h[4:6], v) }
 

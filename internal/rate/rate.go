@@ -12,7 +12,6 @@
 package rate
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -25,8 +24,6 @@ import (
 type Pattern interface {
 	// NextGap returns the next inter-departure time.
 	NextGap(rng *rand.Rand) sim.Duration
-	// Name identifies the pattern in reports.
-	Name() string
 }
 
 // CBR is a constant-bit-rate pattern: every gap equals Interval.
@@ -37,9 +34,6 @@ func NewCBRPPS(pps float64) CBR { return CBR{Interval: sim.FromSeconds(1 / pps)}
 
 // NextGap implements Pattern.
 func (c CBR) NextGap(*rand.Rand) sim.Duration { return c.Interval }
-
-// Name implements Pattern.
-func (c CBR) Name() string { return "cbr" }
 
 // Poisson is a Poisson arrival process: exponentially distributed gaps
 // with the given mean — the pattern that "stresses buffers as the DuT
@@ -53,9 +47,6 @@ func NewPoissonPPS(pps float64) Poisson { return Poisson{MeanInterval: sim.FromS
 func (p Poisson) NextGap(rng *rand.Rand) sim.Duration {
 	return sim.Duration(rng.ExpFloat64() * float64(p.MeanInterval))
 }
-
-// Name implements Pattern.
-func (p Poisson) Name() string { return "poisson" }
 
 // Bursts sends packets back-to-back in groups of Size, with pauses
 // between groups chosen so the average rate matches — l2-bursts.lua.
@@ -81,20 +72,13 @@ func (b *Bursts) NextGap(*rand.Rand) sim.Duration {
 	return total - inBurst
 }
 
-// Name implements Pattern.
-func (b *Bursts) Name() string { return fmt.Sprintf("bursts-%d", b.Size) }
-
 // Custom wraps a function as a Pattern.
 type Custom struct {
-	Fn    func(rng *rand.Rand) sim.Duration
-	Label string
+	Fn func(rng *rand.Rand) sim.Duration
 }
 
 // NextGap implements Pattern.
 func (c Custom) NextGap(rng *rand.Rand) sim.Duration { return c.Fn(rng) }
-
-// Name implements Pattern.
-func (c Custom) Name() string { return c.Label }
 
 // --- CRC-gap software rate control (§8) -----------------------------
 
@@ -136,7 +120,7 @@ func NewGapFiller(byteTime sim.Duration) *GapFiller {
 	return &GapFiller{
 		ByteTime:      byteTime,
 		MinFillerWire: DefaultMinFillerWire,
-		MaxFillerWire: proto.MaxFrameSize + proto.FCSLen + proto.WireOverhead,
+		MaxFillerWire: proto.WireLen(proto.MaxFrameSize),
 	}
 }
 
@@ -264,9 +248,6 @@ func softJitter(rng *rand.Rand) sim.Duration {
 	return sim.FromNanoseconds(ns)
 }
 
-// Name implements Pattern.
-func (s *SoftPush) Name() string { return "pktgen-dpdk-softpush" }
-
 // Bursty models zsend 6.0.2's observed behaviour (§7.3): a large
 // fraction of packets leave back-to-back (28.6% at 500 kpps, 52% at
 // 1000 kpps — "indicating a bug in the PF_RING ZC framework"), with
@@ -319,6 +300,3 @@ func (b *Bursty) NextGap(rng *rand.Rand) sim.Duration {
 	jitter := (rng.Float64()*2 - 1) * 0.35 * gap
 	return sim.Duration(gap + jitter)
 }
-
-// Name implements Pattern.
-func (b *Bursty) Name() string { return "zsend-bursty" }

@@ -258,17 +258,8 @@ func TestBurstyAverageRate(t *testing.T) {
 }
 
 func TestCustomPattern(t *testing.T) {
-	c := Custom{Fn: func(*rand.Rand) sim.Duration { return 42 }, Label: "x"}
-	if c.NextGap(nil) != 42 || c.Name() != "x" {
+	c := Custom{Fn: func(*rand.Rand) sim.Duration { return 42 }}
+	if c.NextGap(nil) != 42 {
 		t.Fatal("custom pattern broken")
-	}
-}
-
-func TestPatternNames(t *testing.T) {
-	if (CBR{}).Name() != "cbr" || (Poisson{}).Name() != "poisson" {
-		t.Fatal("names wrong")
-	}
-	if (&Bursts{Size: 4}).Name() != "bursts-4" {
-		t.Fatal("bursts name wrong")
 	}
 }

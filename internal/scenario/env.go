@@ -116,11 +116,6 @@ func (e *Env) build() {
 // App returns the simulation app (building the testbed on first use).
 func (e *Env) App() *core.App { e.build(); return e.app }
 
-// Recorder returns the telemetry recorder, nil unless
-// Spec.TelemetryInterval is set. Scenarios may register extra probes on
-// it any time before RunAndCollect starts the run.
-func (e *Env) Recorder() *telemetry.Recorder { e.build(); return e.rec }
-
 // TX returns the generator device.
 func (e *Env) TX() *core.Device { e.build(); return e.tx }
 

@@ -41,9 +41,6 @@ func NewEngine(seed int64) *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Seed returns the seed the engine was created with.
-func (e *Engine) Seed() int64 { return e.seed }
-
 // Rand returns the engine's deterministic random source. It must only be
 // used from simulation context (event callbacks and processes).
 func (e *Engine) Rand() *rand.Rand { return e.rng }

@@ -77,9 +77,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Running reports whether the simulation run time is still in progress;
 // the usual main-loop condition (see Engine.Running).
 func (p *Proc) Running() bool { return p.eng.Running() }

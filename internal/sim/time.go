@@ -44,12 +44,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Nanoseconds returns the time as a floating-point number of nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// Microseconds returns the time as a floating-point number of microseconds.
-func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
 // String formats the time with an adaptive unit.
 func (t Time) String() string { return Duration(t).String() }
 

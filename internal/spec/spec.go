@@ -137,18 +137,6 @@ func ParseFaults(src []byte, name string) (fault.Plan, error) {
 	return d.faults, nil
 }
 
-// Validate parses and compiles a spec, returning the first error. This
-// is the entry point the docs CI job drives fenced `yaml` snippets
-// through: a snippet that validates is a snippet that runs.
-func Validate(src []byte, name string) error {
-	d, err := Parse(src, name)
-	if err != nil {
-		return err
-	}
-	_, _, err = d.Compile()
-	return err
-}
-
 // Compile resolves the document into a runnable (scenario name,
 // scenario.Spec) pair: the registered scenario's DefaultSpec overlaid
 // with every field the file sets, then semantically validated as a

@@ -308,11 +308,21 @@ var negativeCases = []struct {
 	},
 }
 
+// validate parses and compiles a spec, returning the first error.
+func validate(src []byte, name string) error {
+	d, err := Parse(src, name)
+	if err != nil {
+		return err
+	}
+	_, _, err = d.Compile()
+	return err
+}
+
 // TestValidateNegative pins the messages of negativeCases.
 func TestValidateNegative(t *testing.T) {
 	for _, tc := range negativeCases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := Validate([]byte(tc.src), "t.yaml")
+			err := validate([]byte(tc.src), "t.yaml")
 			if err == nil {
 				t.Fatalf("spec validated but should not have:\n%s", tc.src)
 			}
@@ -341,7 +351,7 @@ flows:
     dst_ip: 192.168.1.1
     rate: 0.8mpps
 `
-	if err := Validate([]byte(src), "t.yaml"); err != nil {
+	if err := validate([]byte(src), "t.yaml"); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -462,7 +472,7 @@ func TestValidateConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[g] = Validate([]byte(srcs[g%len(srcs)]), "t.yaml")
+			errs[g] = validate([]byte(srcs[g%len(srcs)]), "t.yaml")
 		}()
 	}
 	wg.Wait()

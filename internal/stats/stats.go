@@ -481,9 +481,6 @@ func (h *Histogram) Percentile(p float64) sim.Duration {
 	return q
 }
 
-// Median returns the 50th percentile.
-func (h *Histogram) Median() sim.Duration { return h.Percentile(50) }
-
 // Quartiles returns the 25th, 50th and 75th percentiles — the series
 // plotted in Figures 10 and 11.
 func (h *Histogram) Quartiles() (q1, q2, q3 sim.Duration) {

@@ -148,9 +148,6 @@ func NewRecorder(eng *sim.Engine, cfg Config) *Recorder {
 	return r
 }
 
-// Interval returns the configured window length.
-func (r *Recorder) Interval() sim.Duration { return r.cfg.Interval }
-
 // Windows returns the number of windows recorded so far.
 func (r *Recorder) Windows() uint64 { return r.rows }
 

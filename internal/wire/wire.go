@@ -164,9 +164,8 @@ type delivery struct {
 // Link is one direction of a full-duplex cable between two ports.
 // Create two (one per direction) for a full-duplex connection.
 type Link struct {
-	eng   *sim.Engine
-	speed Speed
-	peer  Endpoint
+	eng  *sim.Engine
+	peer Endpoint
 
 	// byteTime and pathLat cache ByteTime(speed) and
 	// phy.PathLatency(lengthM): both involve float division/rounding
@@ -233,7 +232,7 @@ func NewLink(eng *sim.Engine, speed Speed, phy PHYProfile, lengthM float64, peer
 		panic("wire: nil peer")
 	}
 	l := &Link{
-		eng: eng, speed: speed, peer: peer,
+		eng: eng, peer: peer,
 		byteTime:  ByteTime(speed),
 		pathLat:   phy.PathLatency(lengthM),
 		hasJitter: phy.SmallJitterNS != 0,
@@ -248,12 +247,6 @@ func NewLink(eng *sim.Engine, speed Speed, phy PHYProfile, lengthM float64, peer
 	}
 	return l
 }
-
-// Speed returns the link speed.
-func (l *Link) Speed() Speed { return l.speed }
-
-// ByteTime returns the per-byte serialization time of this link.
-func (l *Link) ByteTime() sim.Duration { return l.byteTime }
 
 // NextTxSlot returns the earliest time a new frame may start
 // transmitting (the wire enforces serialization spacing).

@@ -137,7 +137,7 @@ func TestLinkTransmitDelivery(t *testing.T) {
 		t.Fatalf("wire free at %v", freeAt)
 	}
 	// Delivery at path latency ~320 ns.
-	if math.Abs(ep.times[0].Nanoseconds()-320) > 1 {
+	if math.Abs(sim.Duration(ep.times[0]).Nanoseconds()-320) > 1 {
 		t.Fatalf("delivered at %v", ep.times[0])
 	}
 }
@@ -215,7 +215,7 @@ func TestUtilization(t *testing.T) {
 	// Back-to-back transmission: the wire is busy (frame plus
 	// preamble and IFG) for ~all of the run, up to the trailing
 	// propagation time.
-	busy := sim.Duration(l.TxBytes+uint64(l.TxFrames)*proto.WireOverhead) * l.ByteTime()
+	busy := sim.Duration(l.TxBytes+uint64(l.TxFrames)*proto.WireOverhead) * l.byteTime
 	if u := float64(busy) / float64(eng.Now()); u < 0.9 || u > 1.01 {
 		t.Fatalf("utilization = %f", u)
 	}
