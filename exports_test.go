@@ -50,7 +50,6 @@ var exportAllowlist = map[string]string{
 	"mempool.Pool.Count":                "pool size, the Available == Count leak check",
 	"mempool.Pool.Stats":                "alloc/free totals the shared TX cache leak test compares",
 	"nic.RxQueue.Received":              "per-queue RX counts the RSS steering test checks",
-	"nic.TxQueue.Free":                  "free descriptor slots the bench_test.go feeders fill",
 	"stats.Histogram.Mean":              "sample mean the merge-property, flow-merge and timestamper tests compare",
 	"stats.Histogram.Std":               "spread the histogram merge property compares",
 	"stats.Histogram.WriteCSV":          "text form of the bins the CSV round-trip test pins",

@@ -17,12 +17,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden artifacts instead of diffing")
@@ -78,6 +80,14 @@ func reportCSV(w io.Writer, rep *scenario.Report) {
 // the file with -update).
 func goldenCompare(t *testing.T, name, got string) {
 	t.Helper()
+	goldenCheck(t, name, got, nil)
+}
+
+// goldenCheck is goldenCompare for a CSV whose columns cols describes
+// (nil for free-form artifacts): a mismatch then names every differing
+// column and marks it model or diag.
+func goldenCheck(t *testing.T, name, got string, cols []telemetry.ColumnMeta) {
+	t.Helper()
 	path := filepath.Join("testdata", "golden", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -106,10 +116,58 @@ func goldenCompare(t *testing.T, name, got string) {
 			b = gl[i]
 		}
 		if a != b {
-			t.Fatalf("%s: line %d differs\n golden: %q\n  fresh: %q\n(regenerate with -update if intentional)", name, i+1, a, b)
+			t.Fatalf("%s: line %d differs\n golden: %q\n  fresh: %q\n%s(regenerate with -update if intentional)",
+				name, i+1, a, b, csvColumnDiff(wl, gl, cols))
 		}
 	}
 	t.Fatalf("%s differs from golden (run with -update if intentional)", name)
+}
+
+// csvColumnDiff lists the columns in which two CSV renderings of a
+// telemetry series differ in any row, each with its class, e.g.
+// "differing columns: engine.events (diag), tx.tx_pkts (model)". It
+// returns "" when cols is nil or the headers differ.
+func csvColumnDiff(want, got []string, cols []telemetry.ColumnMeta) string {
+	if cols == nil || len(want) == 0 || len(got) == 0 || want[0] != got[0] {
+		return ""
+	}
+	class := map[string]string{}
+	for _, c := range cols {
+		class[c.Name] = "model"
+		if c.Diag {
+			class[c.Name] = "diag"
+		}
+	}
+	header := strings.Split(want[0], ",")
+	differs := make([]bool, len(header))
+	for i := 1; i < len(want) || i < len(got); i++ {
+		var a, b []string
+		if i < len(want) {
+			a = strings.Split(want[i], ",")
+		}
+		if i < len(got) {
+			b = strings.Split(got[i], ",")
+		}
+		if slices.Equal(a, b) {
+			continue
+		}
+		for c := range header {
+			if c >= len(a) || c >= len(b) || a[c] != b[c] {
+				differs[c] = true
+			}
+		}
+	}
+	var names []string
+	for c, d := range differs {
+		if d {
+			cl := class[header[c]]
+			if cl == "" {
+				cl = "index" // window, t_ns
+			}
+			names = append(names, fmt.Sprintf("%s (%s)", header[c], cl))
+		}
+	}
+	return "differing columns: " + strings.Join(names, ", ") + "\n"
 }
 
 // runGoldenScenario executes a scenario at the canonical golden
@@ -143,7 +201,7 @@ func runGoldenScenario(t *testing.T, name string, cores int, withTelemetry bool)
 // included — is a deterministic function of the seed, so the full
 // series is golden-gateable even though only the model columns are
 // invariant across core counts.
-func goldenTelemetryCSV(t *testing.T, name string) string {
+func goldenTelemetryCSV(t *testing.T, name string) (string, []telemetry.ColumnMeta) {
 	t.Helper()
 	rep := runGoldenScenario(t, name, 2, true)
 	if rep.Telemetry == nil {
@@ -153,7 +211,15 @@ func goldenTelemetryCSV(t *testing.T, name string) string {
 	if err := rep.Telemetry.WriteCSV(&b, true); err != nil {
 		t.Fatal(err)
 	}
-	return b.String()
+	return b.String(), rep.Telemetry.Cols
+}
+
+// goldenCompareTelemetry runs a scenario's golden telemetry series and
+// diffs it against testdata/golden/<file>.
+func goldenCompareTelemetry(t *testing.T, file, scenario string) {
+	t.Helper()
+	got, cols := goldenTelemetryCSV(t, scenario)
+	goldenCheck(t, file, got, cols)
 }
 
 // TestExperimentsGolden is the CI golden-run job's entry point
@@ -190,10 +256,10 @@ func TestExperimentsGolden(t *testing.T) {
 		goldenCompare(t, "reorder.csv", b.String())
 	})
 	t.Run("telemetry-softcbr", func(t *testing.T) {
-		goldenCompare(t, "telemetry_softcbr.csv", goldenTelemetryCSV(t, "softcbr"))
+		goldenCompareTelemetry(t, "telemetry_softcbr.csv", "softcbr")
 	})
 	t.Run("telemetry-loss-overload", func(t *testing.T) {
-		goldenCompare(t, "telemetry_loss_overload.csv", goldenTelemetryCSV(t, "loss-overload"))
+		goldenCompareTelemetry(t, "telemetry_loss_overload.csv", "loss-overload")
 	})
 	t.Run("linkflap", func(t *testing.T) {
 		var b strings.Builder
@@ -209,7 +275,7 @@ func TestExperimentsGolden(t *testing.T) {
 	// the injector's recovery latency (fault.recovery_ns) is pinned
 	// byte-for-byte at the canonical two-core configuration.
 	t.Run("telemetry-linkflap", func(t *testing.T) {
-		goldenCompare(t, "telemetry_linkflap.csv", goldenTelemetryCSV(t, "linkflap"))
+		goldenCompareTelemetry(t, "telemetry_linkflap.csv", "linkflap")
 	})
 	// The remaining slot-grid TX users: churn's fid/seq patching,
 	// softcbr's plain grid and reflect's echo/ARP requester (reflect

@@ -205,6 +205,19 @@ type Allocator interface {
 // Schedule(n); once the task wakes there with the run still live, the
 // Slot hook decides what the slot carries. On an unshaped queue with at
 // most one packet in flight, the wire departure tracks the push time.
+//
+// With Batch > 1 one wake also fills the next Batch-1 slots ahead of
+// their time, the way §7.2 keeps the queue full and lets the NIC own
+// the timing: each such frame carries its slot time as
+// TxMeta.LaunchAt, and the NIC holds it until then. A slot runs ahead
+// only if its time is before the run's stop time. A Send that finds
+// the ring full or the pool dry ahead of time sleeps to the slot time
+// and tries there, so Slot sees the outcome it would see at its time.
+// The departures, counts and stamped times are those of Batch 1 as
+// long as the queue is unshaped (a shaper starts its grid when it
+// first sees a frame, which for a held one is later than its push
+// time), the queue and the pools Slot allocates from are the task's
+// alone, and the run ends at the engine's stop time (not by Stop).
 type PushTx struct {
 	Queue *nic.TxQueue
 	// Schedule returns slot n's deadline as an offset from the task
@@ -216,39 +229,64 @@ type PushTx struct {
 	// not at all to drop the slot, twice to duplicate a frame. Send's
 	// result tells it each frame's outcome.
 	Slot func(n uint64)
+	// Batch is the lookahead depth: how many slots one wake fills
+	// (<= 1: one wake per slot).
+	Batch int
 
 	// Sent counts frames handed to the queue; Failed counts frames lost
 	// to a dry pool or a full descriptor ring.
 	Sent, Failed uint64
 
-	task *Task
+	task  *Task
+	at    sim.Time // the current slot's time
+	ahead bool     // the current slot runs before its time
 }
 
 // Run transmits until the run ends. It must run as its own task.
 func (p *PushTx) Run(t *Task) {
 	p.task = t
 	start := t.Now()
+	left := 0 // slots this wake may still fill ahead
 	for n := uint64(0); t.Running(); n++ {
-		t.SleepUntil(start.Add(p.Schedule(n)))
-		if !t.Running() {
-			break
+		p.at = start.Add(p.Schedule(n))
+		p.ahead = left > 0 && p.at > t.Now() && p.at < t.Engine().StopTime()
+		if p.ahead {
+			left--
+		} else {
+			t.SleepUntil(p.at)
+			if !t.Running() {
+				return
+			}
+			left = p.Batch - 1
 		}
 		p.Slot(n)
 	}
 }
 
 // Send allocates one size-byte frame from a, fills it (fill may be nil
-// for prefilled pools) and hands it to the queue. A frame the ring
-// refuses is freed. It reports whether the frame reached the ring;
-// either failure counts in Failed.
+// for prefilled pools) with the slot's time and hands it to the queue.
+// A frame the ring refuses is freed. It reports whether the frame
+// reached the ring; either failure counts in Failed.
 func (p *PushTx) Send(a Allocator, size int, fill func(m *mempool.Mbuf, now sim.Time)) bool {
+	if p.ahead && p.Queue.Free() == 0 {
+		p.waitSlot()
+	}
 	m := a.Alloc(size)
+	if m == nil && p.ahead {
+		p.waitSlot()
+		m = a.Alloc(size)
+	}
 	if m == nil {
 		p.Failed++
 		return false
 	}
+	now := p.task.Now()
+	if p.ahead {
+		now = p.at
+		m.TxMeta.LaunchAt = now
+	}
 	if fill != nil {
-		fill(m, p.task.Now())
+		fill(m, now)
 	}
 	if !p.Queue.SendOne(m) {
 		m.Free()
@@ -257,6 +295,13 @@ func (p *PushTx) Send(a Allocator, size int, fill func(m *mempool.Mbuf, now sim.
 	}
 	p.Sent++
 	return true
+}
+
+// waitSlot gives up running the current slot ahead: the task sleeps to
+// the slot's time and the rest of the slot runs there.
+func (p *PushTx) waitSlot() {
+	p.ahead = false
+	p.task.SleepUntil(p.at)
 }
 
 // Uniform is the exact software grid: slot n departs at

@@ -13,6 +13,8 @@ package mempool
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/sim"
 )
 
 // DefaultBufSize is the data room of a buffer: enough for a 1518 B
@@ -49,15 +51,13 @@ type Mbuf struct {
 // that the simulated NIC interprets when the packet reaches the
 // hardware, mirroring DPDK DMA-descriptor fields.
 type TxMeta struct {
+	// The flags come first so the struct packs into 32 bytes.
+
 	// Offload checksum computation requests. The NIC fills the
 	// corresponding header checksums when the packet is fetched.
 	OffloadIPChecksum  bool
 	OffloadUDPChecksum bool
 	OffloadTCPChecksum bool
-
-	// L2Len/L3Len locate the headers for offloading, as in DPDK.
-	L2Len int
-	L3Len int
 
 	// InvalidCRC asks the MAC to emit the frame with a corrupted FCS.
 	// This is the transmit side of the paper's §8 CRC-based rate
@@ -68,6 +68,16 @@ type TxMeta struct {
 	// Timestamp asks the NIC to hardware-timestamp this frame on
 	// transmit (PTP path, paper §6).
 	Timestamp bool
+
+	// L2Len/L3Len locate the headers for offloading, as in DPDK.
+	L2Len int
+	L3Len int
+
+	// LaunchAt, when later than the instant the MAC scheduler looks at
+	// the frame, is its earliest departure: the NIC holds the frame at
+	// the head of its ring until then (the LaunchTime descriptor field
+	// of later Intel NICs, SO_TXTIME on Linux). Zero sends at once.
+	LaunchAt sim.Time
 }
 
 // RxMeta is per-packet receive metadata: what the NIC writes alongside

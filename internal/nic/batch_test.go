@@ -1,7 +1,9 @@
 package nic
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -231,4 +233,85 @@ func TestNoGlobalRandState(t *testing.T) {
 			t.Fatalf("run not deterministic under global-rand load at frame %d: %v vs %v", i, first[i], second[i])
 		}
 	}
+}
+
+// TestHeldHeadLaunchTime pins the LaunchTime descriptor model: a frame
+// stamped with TxMeta.LaunchAt departs at max(launch, link free), never
+// earlier, on a one-queue port (the train's fast path) and a two-queue
+// one; a frame on another queue is not blocked behind it; a pause
+// across the launch time delays it to the resume instead of losing it.
+func TestHeldHeadLaunchTime(t *testing.T) {
+	frame := sim.Time(wire.FrameTime(wire.Speed10G, 64)) // 60 B + FCS: 67.2 ns on the wire
+	us := sim.Time(sim.Microsecond)
+	type dep struct {
+		queue int
+		at    sim.Time
+	}
+	bed := func(queues int) (*sim.Engine, *Port, func(q int, launch sim.Time), *[]dep) {
+		eng := sim.NewEngine(3)
+		a := NewPort(eng, PortConfig{Profile: ChipX540, ID: 0, TxQueues: queues})
+		b := NewPort(eng, PortConfig{Profile: ChipX540, ID: 1})
+		ConnectDuplex(eng, a, b, wire.PHY10GBaseT, 2)
+		b.SetDeliverHook(func(*wire.Frame, sim.Time) bool { return true })
+		pool := mempool.New(mempool.Config{Count: 64})
+		deps := &[]dep{}
+		a.SetTxTrace(func(q *TxQueue, m *mempool.Mbuf, at sim.Time) {
+			*deps = append(*deps, dep{q.id, at})
+		})
+		send := func(q int, launch sim.Time) {
+			m := pool.Alloc(60)
+			m.TxMeta.LaunchAt = launch
+			if !a.GetTxQueue(q).SendOne(m) {
+				t.Fatal("ring refused a frame")
+			}
+		}
+		return eng, a, send, deps
+	}
+	check := func(t *testing.T, got []dep, want ...dep) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("departures %v, want %v", got, want)
+		}
+	}
+
+	for _, queues := range []int{1, 2} {
+		t.Run(fmt.Sprintf("max-of-launch-and-link/queues=%d", queues), func(t *testing.T) {
+			eng, _, send, deps := bed(queues)
+			eng.Schedule(0, func() {
+				for i := 0; i < 4; i++ {
+					send(0, 0) // the wire is busy until 4 frame times
+				}
+				send(0, 100*sim.Time(sim.Nanosecond)) // launch before link free
+				send(0, us)                           // launch after link free
+			})
+			eng.RunAll()
+			check(t, *deps, dep{0, 0}, dep{0, frame}, dep{0, 2 * frame}, dep{0, 3 * frame}, dep{0, 4 * frame}, dep{0, us})
+		})
+	}
+
+	t.Run("other-queue-not-blocked", func(t *testing.T) {
+		eng, _, send, deps := bed(2)
+		eng.Schedule(0, func() { send(0, us) })
+		eng.Schedule(100*sim.Time(sim.Nanosecond), func() { send(1, 0) })
+		eng.RunAll()
+		check(t, *deps, dep{1, 100 * sim.Time(sim.Nanosecond)}, dep{0, us})
+	})
+
+	t.Run("pause-across-launch", func(t *testing.T) {
+		eng, a, send, deps := bed(2)
+		eng.Schedule(0, func() { send(0, us) })
+		eng.Schedule(us/2, a.PauseTx)
+		eng.Schedule(2*us, a.ResumeTx)
+		eng.RunAll()
+		check(t, *deps, dep{0, 2 * us})
+	})
+
+	t.Run("pause-before-launch", func(t *testing.T) {
+		eng, a, send, deps := bed(2)
+		eng.Schedule(0, func() { send(0, us) })
+		eng.Schedule(us/4, a.PauseTx)
+		eng.Schedule(us/2, a.ResumeTx)
+		eng.RunAll()
+		check(t, *deps, dep{0, us})
+	})
 }

@@ -88,7 +88,8 @@ func (q *TxQueue) Send(bufs []*mempool.Mbuf) int {
 	return n
 }
 
-// SendOne enqueues a single buffer.
+// SendOne enqueues a single buffer. A buffer whose TxMeta.LaunchAt
+// lies ahead is held on the ring until then.
 func (q *TxQueue) SendOne(m *mempool.Mbuf) bool {
 	ok := q.ring.EnqueueOne(m)
 	if ok {
@@ -96,6 +97,9 @@ func (q *TxQueue) SendOne(m *mempool.Mbuf) bool {
 	}
 	return ok
 }
+
+// held reports whether m waits on the ring for its launch time.
+func held(m *mempool.Mbuf, now sim.Time) bool { return m.TxMeta.LaunchAt > now }
 
 // drawHWOscillation models the shaper's measured imprecision: traffic
 // "oscillates around the targeted inter-arrival time by up to 256 ns"
@@ -265,18 +269,22 @@ func (p *Port) pump() {
 	// frame enqueued on another queue mid-train (a latency probe during
 	// a flood) waits no longer than it would behind one large frame
 	// under the per-packet scheduler.
+	//
+	// A held frame (TxMeta.LaunchAt after now) is never committed
+	// early: to the train it is not on the ring yet, exactly as if its
+	// sender had pushed it at launch time.
 	emitted := 1
 	horizon := now.Add(sim.Duration(p.txTrain) * p.minFrameTime)
 	soleQueue := len(p.txQueues) == 1 // no arbitration possible: skip the rescan
 	for emitted < p.txTrain {
 		var sole *TxQueue
 		if soleQueue {
-			if _, ok := p.txQueues[0].ring.Peek(); ok {
+			if m, ok := p.txQueues[0].ring.Peek(); ok && !held(m, now) {
 				sole = p.txQueues[0]
 			}
 		} else {
 			var multi bool
-			sole, multi = p.soleActiveQueue()
+			sole, multi = p.soleActiveQueue(now)
 			if multi {
 				// Arbitration: its own evaluation event.
 				p.schedulePump(p.link.NextTxSlot())
@@ -289,7 +297,11 @@ func (p *Port) pump() {
 			break
 		}
 		if sole == nil {
-			break // rings drained; the next Send kicks us again
+			// Rings drained, or only held frames left: pumpStep arms
+			// the evaluation of the earliest one, the next Send kicks
+			// us for anything else.
+			p.pumpStep(now)
+			break
 		}
 		start := p.link.NextTxSlot()
 		if start < now {
@@ -314,11 +326,12 @@ func (p *Port) pump() {
 	p.publishStats()
 }
 
-// soleActiveQueue returns the only TX queue with pending frames, or
-// multi=true when more than one queue is active.
-func (p *Port) soleActiveQueue() (sole *TxQueue, multi bool) {
+// soleActiveQueue returns the only TX queue with a frame sendable at
+// now, or multi=true when more than one queue is active. A queue whose
+// head is held is not active.
+func (p *Port) soleActiveQueue(now sim.Time) (sole *TxQueue, multi bool) {
 	for _, q := range p.txQueues {
-		if _, ok := q.ring.Peek(); !ok {
+		if m, ok := q.ring.Peek(); !ok || held(m, now) {
 			continue
 		}
 		if sole != nil {
@@ -351,6 +364,11 @@ func (p *Port) applyRateCeilings(m *mempool.Mbuf, start sim.Time) sim.Time {
 // pumpStep is one per-packet scheduler evaluation: scan, pick, check
 // eligibility, commit if the frame may start now. It reports whether a
 // frame was committed (the train continues only after a commit).
+//
+// A held head is eligible at its launch time, so the pump arms
+// straight at the frame's start, max(launch, link free), under the
+// rate ceilings. A shaper sees a held frame only from that evaluation
+// on.
 func (p *Port) pumpStep(now sim.Time) bool {
 	// Scan queues starting after the last served one: equal-eligibility
 	// queues share the wire round-robin, as the hardware arbiter does.
@@ -359,10 +377,14 @@ func (p *Port) pumpStep(now sim.Time) bool {
 	n := len(p.txQueues)
 	for i := 0; i < n; i++ {
 		q := p.txQueues[(p.rrNext+i)%n]
-		if _, ok := q.ring.Peek(); !ok {
+		m, ok := q.ring.Peek()
+		if !ok {
 			continue
 		}
-		at := q.eligibleAt()
+		at := m.TxMeta.LaunchAt
+		if !held(m, now) {
+			at = q.eligibleAt()
+		}
 		if best == nil || at < bestAt {
 			best = q
 			bestAt = at

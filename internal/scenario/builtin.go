@@ -84,7 +84,7 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 		// invariant in the shard count. The pool is prefilled with the
 		// flow's frame, so a slot only sends it.
 		pool := env.NewFlowPool(flow, size, 4096)
-		soft := &core.PushTx{Queue: q, Schedule: g.at}
+		soft := &core.PushTx{Queue: q, Schedule: g.at, Batch: spec.Batch}
 		soft.Slot = func(uint64) { soft.Send(pool, size, nil) }
 		env.App().LaunchTask("softcbr", soft.Run)
 		finish = func(rep *Report) {

@@ -118,7 +118,7 @@ func (churnScenario) Run(env *Env) (*Report, error) {
 		flow.Stamp(m.Payload()[payloadOff:], seq, now)
 	}
 	WR := uint64(W) * uint64(R)
-	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: g.at}
+	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: g.at, Batch: spec.Batch}
 	tx.Slot = func(n uint64) {
 		j := g.slot(n)
 		gen, loc := j/WR, j%WR

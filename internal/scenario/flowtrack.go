@@ -139,7 +139,7 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 	}
 	const payloadOff = proto.EthHdrLen + proto.IPv4HdrLen + proto.UDPHdrLen
 
-	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: g.at}
+	tx := &core.PushTx{Queue: env.TX().GetTxQueue(0), Schedule: g.at, Batch: spec.Batch}
 	if cfg.slotTime != nil {
 		tx.Schedule = func(n uint64) sim.Duration { return cfg.slotTime(g.slot(n)) }
 	}

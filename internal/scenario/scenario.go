@@ -96,11 +96,14 @@ type Spec struct {
 	// the batched datapath (mempool cache → BufArray → descriptor
 	// ring) as one unit of work. Default 32; 1 reproduces per-packet
 	// processing. The emission schedule is invariant in Batch — the
-	// knob trades host-side event overhead, never timing. Scenarios
-	// that pace one packet per grid tick ignore it: softcbr and every
-	// slot-grid scenario (see Spec.slots). qos (fixed 63-frame bursts,
-	// the example script's bufArray) and imix (one frame per burst)
-	// ignore it too.
+	// knob trades host-side event overhead, never timing. The
+	// slot-grid scenarios (softcbr, churn, loss-overload,
+	// overload-recover, reorder, linkflap; see Spec.slots) use it as
+	// the lookahead depth of core.PushTx: one task wake fills up to
+	// Batch slots onto launch-timed descriptors. qos (fixed 63-frame
+	// bursts, the example script's bufArray) and imix (one frame per
+	// burst) ignore it, and so does reflect, whose requester stays one
+	// wake per slot.
 	Batch int
 	// Runtime is the simulated run time.
 	Runtime sim.Duration

@@ -101,6 +101,11 @@ func (e *Engine) SetStopTime(t Time) { e.stopAt = t }
 // SetRunFor is SetStopTime relative to the current simulated time.
 func (e *Engine) SetRunFor(d Duration) { e.stopAt = e.now.Add(d) }
 
+// StopTime returns the instant Running turns false at (Never when no
+// stop time is set). A process that acts ahead of time, such as a
+// transmit loop filling future slots, reads it to stay inside the run.
+func (e *Engine) StopTime() Time { return e.stopAt }
+
 // Running reports whether the simulated run time is still in progress.
 // It mirrors MoonGen's dpdk.running() main-loop condition.
 func (e *Engine) Running() bool { return !e.stopped && e.now < e.stopAt }
