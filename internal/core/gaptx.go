@@ -210,10 +210,12 @@ type Allocator interface {
 // their time, the way §7.2 keeps the queue full and lets the NIC own
 // the timing: each such frame carries its slot time as
 // TxMeta.LaunchAt, and the NIC holds it until then. A slot runs ahead
-// only if its time is before the run's stop time. A Send that finds
-// the ring full or the pool dry ahead of time sleeps to the slot time
-// and tries there, so Slot sees the outcome it would see at its time.
-// The departures, counts and stamped times are those of Batch 1 as
+// only if its time is before the engine's horizon, the earlier of the
+// stop time and the next telemetry snapshot, so no frame is filled
+// ahead across a window edge. A Send that finds the ring full or the
+// pool dry ahead of time sleeps to the slot time and tries there, so
+// Slot sees the outcome it would see at its time. The departures,
+// counts, stamped times and telemetry windows are those of Batch 1 as
 // long as the queue is unshaped (a shaper starts its grid when it
 // first sees a frame, which for a held one is later than its push
 // time), the queue and the pools Slot allocates from are the task's
@@ -249,7 +251,7 @@ func (p *PushTx) Run(t *Task) {
 	left := 0 // slots this wake may still fill ahead
 	for n := uint64(0); t.Running(); n++ {
 		p.at = start.Add(p.Schedule(n))
-		p.ahead = left > 0 && p.at > t.Now() && p.at < t.Engine().StopTime()
+		p.ahead = left > 0 && p.at > t.Now() && p.at < t.Engine().Horizon()
 		if p.ahead {
 			left--
 		} else {

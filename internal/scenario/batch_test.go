@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/mempool"
@@ -51,6 +52,57 @@ func TestBatchInvariantMergedStats(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestBatchInvariantSlowGridTelemetry pins the lookahead's window-edge
+// bound: with slots longer than a telemetry window, slot times land on
+// window edges, and a frame filled ahead across an edge would be
+// committed before the edge's snapshot instead of after it. The model
+// telemetry and the report at Batch 32 must match Batch 1's byte for
+// byte, on one core and on two.
+func TestBatchInvariantSlowGridTelemetry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rate float64 // Mpps: 2 ms, 1 ms and 4 ms slots
+	}{
+		{"softcbr", 0.0005},
+		{"reorder", 0.001},
+		{"overload-recover", 0.00025},
+	} {
+		for _, cores := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/cores=%d", c.name, cores), func(t *testing.T) {
+				run := func(batch int) (string, string) {
+					sc, ok := scenario.Get(c.name)
+					if !ok {
+						t.Fatalf("scenario %q not registered", c.name)
+					}
+					spec := sc.DefaultSpec()
+					spec.RateMpps = c.rate
+					spec.Runtime = 20 * sim.Millisecond
+					spec.Cores = cores
+					spec.Batch = batch
+					spec.TelemetryInterval = sim.Millisecond
+					rep, err := scenario.Execute(c.name, spec, io.Discard)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var csv strings.Builder
+					if err := rep.Telemetry.WriteCSV(&csv, false); err != nil {
+						t.Fatal(err)
+					}
+					return csv.String(), fingerprint(rep)
+				}
+				csv1, rep1 := run(1)
+				csv32, rep32 := run(32)
+				if csv1 != csv32 {
+					t.Errorf("batch 1 vs 32 telemetry differs\n  1:\n%s\n 32:\n%s", csv1, csv32)
+				}
+				if rep1 != rep32 {
+					t.Errorf("batch 1 vs 32 reports differ:\n  1: %s\n 32: %s", rep1, rep32)
+				}
+			})
 		}
 	}
 }

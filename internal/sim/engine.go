@@ -26,15 +26,19 @@ type Engine struct {
 	// starts returning false. It is the simulation's equivalent of
 	// MoonGen's dpdk.running() runtime limit.
 	stopAt Time
+	// sampleAt is the next instant an observer samples the model at
+	// (SetSampleAt); Never when nothing samples.
+	sampleAt Time
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
 // The same seed always produces the same event trace.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		seed:   seed,
-		rng:    rand.New(rand.NewSource(seed)),
-		stopAt: Never,
+		seed:     seed,
+		rng:      rand.New(rand.NewSource(seed)),
+		stopAt:   Never,
+		sampleAt: Never,
 	}
 }
 
@@ -101,10 +105,18 @@ func (e *Engine) SetStopTime(t Time) { e.stopAt = t }
 // SetRunFor is SetStopTime relative to the current simulated time.
 func (e *Engine) SetRunFor(d Duration) { e.stopAt = e.now.Add(d) }
 
-// StopTime returns the instant Running turns false at (Never when no
-// stop time is set). A process that acts ahead of time, such as a
-// transmit loop filling future slots, reads it to stay inside the run.
-func (e *Engine) StopTime() Time { return e.stopAt }
+// Horizon returns the instant before which a process may act ahead of
+// time, such as a transmit loop filling future slots: the earlier of
+// the stop time and the next sample instant (SetSampleAt). No sample
+// falls between now and an instant before the horizon, so work done
+// ahead for that instant is counted in the same window as work done
+// at it.
+func (e *Engine) Horizon() Time { return min(e.stopAt, e.sampleAt) }
+
+// SetSampleAt records the next instant an observer reads the model at.
+// The telemetry recorder sets it to its next snapshot, which lowers
+// Horizon to the window edge.
+func (e *Engine) SetSampleAt(t Time) { e.sampleAt = t }
 
 // Running reports whether the simulated run time is still in progress.
 // It mirrors MoonGen's dpdk.running() main-loop condition.

@@ -200,7 +200,7 @@ func (r *Recorder) Start() {
 		r.cfg.Stream.Write(r.buf)
 	}
 	r.nextAt = r.epoch.Add(r.cfg.Interval)
-	r.eng.Schedule(r.nextAt, r.tickFn)
+	r.arm()
 }
 
 // tick is the snapshot event: sample every column into the ring slot
@@ -225,8 +225,15 @@ func (r *Recorder) tick() {
 	}
 	if r.eng.Running() {
 		r.nextAt = r.nextAt.Add(r.cfg.Interval)
-		r.eng.Schedule(r.nextAt, r.tickFn)
+		r.arm()
 	}
+}
+
+// arm schedules the snapshot at nextAt and bounds the engine's horizon
+// there, so no process acts ahead across a window edge.
+func (r *Recorder) arm() {
+	r.eng.Schedule(r.nextAt, r.tickFn)
+	r.eng.SetSampleAt(r.nextAt)
 }
 
 // Series exports the retained windows as an immutable time series.

@@ -53,6 +53,33 @@ func TestRecorderWindowGrid(t *testing.T) {
 	}
 }
 
+// TestRecorderBoundsHorizon: between snapshots the engine's horizon is
+// the next window edge, so a process acting ahead never crosses one.
+func TestRecorderBoundsHorizon(t *testing.T) {
+	eng := sim.NewEngine(1)
+	stop := sim.Time(0).Add(5 * sim.Millisecond)
+	eng.SetStopTime(stop)
+	if eng.Horizon() != stop {
+		t.Fatalf("horizon before Start = %v, want the stop time %v", eng.Horizon(), stop)
+	}
+	r := NewRecorder(eng, Config{Interval: 2 * sim.Millisecond})
+	r.Start()
+	var got []sim.Time
+	for _, us := range []sim.Duration{500, 1999, 2000, 3500, 4500} {
+		eng.Schedule(sim.Time(0).Add(us*sim.Microsecond), func() { got = append(got, eng.Horizon()) })
+	}
+	eng.RunAll()
+	// The snapshot at 2 ms was scheduled first, so it fires before the
+	// event at 2 ms and moves the horizon on; the last window is cut at
+	// the stop time.
+	want := []sim.Duration{2, 2, 4, 4, 5}
+	for i, w := range want {
+		if at := sim.Time(0).Add(w * sim.Millisecond); got[i] != at {
+			t.Errorf("horizon at event %d = %v, want %v", i, got[i], at)
+		}
+	}
+}
+
 func TestRecorderRingWrap(t *testing.T) {
 	r, _ := testBed(t, Config{Interval: sim.Millisecond, Capacity: 4}, 10)
 	if r.Windows() != 10 {
