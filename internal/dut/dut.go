@@ -129,13 +129,12 @@ type Forwarder struct {
 	TxRingDrops  uint64
 	Flushed      uint64 // backlog frames discarded by Restart(flush)
 	totalLatency sim.Duration
-
-	// Spy observes every valid ingress frame (diagnostics only).
-	Spy func(fr *wire.Frame, rxTime sim.Time)
 }
 
+// queued is one backlog entry: a retained ingress frame, released back
+// to its link once its payload is copied out or discarded.
 type queued struct {
-	data    []byte
+	fr      *wire.Frame
 	arrived sim.Time
 }
 
@@ -174,9 +173,6 @@ func New(eng *sim.Engine, in, out *nic.Port, cfg Config) *Forwarder {
 
 // onFrame is the NIC-to-driver boundary: enqueue and maybe interrupt.
 func (f *Forwarder) onFrame(fr *wire.Frame, rxTime sim.Time) bool {
-	if f.Spy != nil {
-		f.Spy(fr, rxTime)
-	}
 	now := f.eng.Now()
 	if f.hasArrival {
 		burst := 0.0
@@ -192,10 +188,11 @@ func (f *Forwarder) onFrame(fr *wire.Frame, rxTime sim.Time) bool {
 		f.Dropped++
 		return true
 	}
-	// The driver backlog keeps the frame's payload past the deliver
-	// callback, so the frame must escape the link's recycling.
+	// The driver backlog keeps the frame past the deliver callback, so
+	// it must escape the link's recycling until forward or a flushing
+	// Restart releases it.
 	fr.Retain()
-	f.backlog.Push(queued{data: fr.Data, arrived: now})
+	f.backlog.Push(queued{fr: fr, arrived: now})
 	f.maybeInterrupt()
 	return true
 }
@@ -284,14 +281,17 @@ func (f *Forwarder) jittered(d sim.Duration, pct float64) sim.Duration {
 	return d + sim.Duration(float64(d)*pct*u)
 }
 
-// forward retransmits one packet out the egress port.
+// forward retransmits one packet out the egress port and releases the
+// ingress frame.
 func (f *Forwarder) forward(q queued) {
-	m := f.pool.Alloc(len(q.data))
+	m := f.pool.Alloc(len(q.fr.Data))
 	if m == nil {
+		q.fr.Release()
 		f.TxRingDrops++
 		return
 	}
-	copy(m.Data, q.data)
+	copy(m.Data, q.fr.Data)
+	q.fr.Release()
 	if !f.out.GetTxQueue(0).SendOne(m) {
 		m.Free()
 		f.TxRingDrops++
@@ -309,16 +309,18 @@ func (f *Forwarder) Stall() { f.stalled = true }
 
 // Restart resumes servicing after a Stall. With flush set the backlog
 // is discarded first (a crashed process loses its queues; each frame
-// counted in Flushed); without it the accumulated backlog is serviced
-// normally. An interrupt is raised immediately if work is pending.
-// Idempotent when not stalled.
+// is counted in Flushed and released to its link); without it the
+// accumulated backlog is serviced normally. An interrupt is raised
+// immediately if work is pending. Idempotent when not stalled.
 func (f *Forwarder) Restart(flush bool) {
 	f.stalled = false
 	if flush {
 		for {
-			if _, ok := f.backlog.Pop(); !ok {
+			q, ok := f.backlog.Pop()
+			if !ok {
 				break
 			}
+			q.fr.Release()
 			f.Flushed++
 		}
 	}

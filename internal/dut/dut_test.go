@@ -240,3 +240,38 @@ func TestSaturationPPS(t *testing.T) {
 		t.Fatalf("saturation = %.2f Mpps, want just below 2", sat/1e6)
 	}
 }
+
+// TestRestartFlushReleasesFrames: a flushing Restart hands every
+// discarded backlog frame back to the link it arrived on, so the
+// generator's next frames reuse them instead of allocating.
+func TestRestartFlushReleasesFrames(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BacklogLimit = 512 // below the link's free-list bound
+	tb := newTestbed(1, cfg)
+	tb.fwd.Stall()
+	tb.offerCBR(1e6, 100*sim.Microsecond)
+	tb.eng.RunAll()
+	n := tb.fwd.Backlog()
+	if n == 0 {
+		t.Fatal("the stalled forwarder queued nothing")
+	}
+	flushed := map[*wire.Frame]bool{}
+	for range n {
+		q, _ := tb.fwd.backlog.Pop()
+		flushed[q.fr] = true
+		tb.fwd.backlog.Push(q)
+	}
+
+	tb.fwd.Restart(true)
+	if tb.fwd.Flushed != uint64(n) || tb.fwd.Backlog() != 0 {
+		t.Fatalf("flushed %d with %d left, want %d and 0", tb.fwd.Flushed, tb.fwd.Backlog(), n)
+	}
+	// The free list is LIFO: the n frames released last come out first.
+	link := tb.gen.Link()
+	for range n {
+		delete(flushed, link.AcquireFrame())
+	}
+	if len(flushed) != 0 {
+		t.Fatalf("%d of %d flushed frames did not return to the link", len(flushed), n)
+	}
+}

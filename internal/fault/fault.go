@@ -215,17 +215,7 @@ func (in *Injector) Install(start sim.Time, horizon sim.Duration) {
 	end := start.Add(horizon)
 	for _, ev := range in.plan {
 		in.requireTargets(ev)
-		occ := start.Add(ev.At)
-		for n := 0; occ < end; n++ {
-			if ev.Count > 0 && n >= ev.Count {
-				break
-			}
-			in.scheduleOccurrence(ev, occ, end)
-			if ev.Period <= 0 {
-				break
-			}
-			occ = occ.Add(ev.Period)
-		}
+		in.scheduleEvent(ev, start.Add(ev.At), end)
 	}
 }
 
@@ -256,52 +246,74 @@ func (in *Injector) requireTargets(ev Event) {
 	}
 }
 
-// scheduleOccurrence schedules one onset (and, for windowed kinds, the
-// matching clear, clamped to the run horizon).
-func (in *Injector) scheduleOccurrence(ev Event, onset sim.Time, end sim.Time) {
-	in.scheduled++
+// scheduleEvent schedules every occurrence of ev from first on: its
+// onset and, for windowed kinds, the matching clear, clamped to the run
+// horizon. The occurrences share one onset and one clear callback, so
+// a plan allocates per event, not per occurrence. Clears fire in onset
+// order (every window lasts ev.Duration, ties at the horizon fire in
+// scheduling order), so the k-th clear closes the k-th occurrence.
+func (in *Injector) scheduleEvent(ev Event, first, end sim.Time) {
+	var onsetFn, clearFn func()
 	if ev.Kind == ClockStep {
-		in.eng.Schedule(onset, func() {
+		onsetFn = func() {
 			in.fired++
 			in.t.Clock.Adjust(ev.Offset)
 			if ev.DriftPPM != 0 {
 				in.t.Clock.SetDriftPPM(ev.DriftPPM)
 			}
-		})
-		return
+		}
+	} else {
+		onsetFn = func() {
+			in.fired++
+			in.active++
+			switch ev.Kind {
+			case LinkFlap:
+				in.t.Link.SetDown()
+			case DuTStall:
+				in.t.Fwd.Stall()
+			case QueuePause:
+				in.t.Port.PauseTx()
+			}
+		}
+		closed := 0
+		clearFn = func() {
+			onset := first.Add(sim.Duration(closed) * ev.Period)
+			closed++
+			in.active--
+			rec := uint64(in.eng.Now().Sub(onset).Nanoseconds())
+			in.lastRecNS = rec
+			if rec > in.maxRecNS {
+				in.maxRecNS = rec
+			}
+			switch ev.Kind {
+			case LinkFlap:
+				in.t.Link.SetUp()
+			case DuTStall:
+				in.t.Fwd.Restart(ev.Flush)
+			case QueuePause:
+				in.t.Port.ResumeTx()
+			}
+		}
 	}
-	clear := onset.Add(ev.Duration)
-	if clear > end {
-		clear = end
+	occ := first
+	for n := 0; occ < end; n++ {
+		if ev.Count > 0 && n >= ev.Count {
+			break
+		}
+		in.scheduled++
+		in.eng.Schedule(occ, onsetFn)
+		if clearFn != nil {
+			clear := occ.Add(ev.Duration)
+			if clear > end {
+				clear = end
+			}
+			in.eng.Schedule(clear, clearFn)
+		}
+		if ev.Period <= 0 {
+			break
+		}
+		occ = occ.Add(ev.Period)
 	}
-	in.eng.Schedule(onset, func() {
-		in.fired++
-		in.active++
-		switch ev.Kind {
-		case LinkFlap:
-			in.t.Link.SetDown()
-		case DuTStall:
-			in.t.Fwd.Stall()
-		case QueuePause:
-			in.t.Port.PauseTx()
-		}
-	})
-	in.eng.Schedule(clear, func() {
-		in.active--
-		rec := uint64(in.eng.Now().Sub(onset).Nanoseconds())
-		in.lastRecNS = rec
-		if rec > in.maxRecNS {
-			in.maxRecNS = rec
-		}
-		switch ev.Kind {
-		case LinkFlap:
-			in.t.Link.SetUp()
-		case DuTStall:
-			in.t.Fwd.Restart(ev.Flush)
-		case QueuePause:
-			in.t.Port.ResumeTx()
-		}
-	})
 }
 
 // State returns the lifecycle position: Armed until the first onset,

@@ -20,7 +20,7 @@ package ptpclk
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -173,8 +173,8 @@ func Sync(a, b *Clock) sim.Duration {
 		tol = int64(b.tick)
 	}
 	tol *= 2
-	valid := make([]int64, 0, SyncSamples)
-	all := make([]int64, 0, SyncSamples)
+	var validBuf, allBuf [SyncSamples]int64
+	valid, all := validBuf[:0], allBuf[:0]
 	for i := 0; i < SyncSamples; i++ {
 		// Read in both orders: a then b, then b then a. The two
 		// differences agree iff the clocks were read consistently
@@ -192,7 +192,7 @@ func Sync(a, b *Clock) sim.Duration {
 		// to the plain median.
 		valid = all
 	}
-	sort.Slice(valid, func(i, j int) bool { return valid[i] < valid[j] })
+	slices.Sort(valid)
 	med := valid[len(valid)/2]
 	b.Adjust(sim.Duration(med))
 	return sim.Duration(med)

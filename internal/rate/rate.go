@@ -104,6 +104,9 @@ type GapFiller struct {
 	Skipped uint64
 	// Emitted counts filler frames produced.
 	Emitted uint64
+
+	// fills is FillGap's result buffer, reused across calls.
+	fills []int
 }
 
 // DefaultMinFillerWire is MoonGen's enforced filler minimum (§8.1):
@@ -133,6 +136,8 @@ func (g *GapFiller) GapToWireBytes(gap sim.Duration) int64 {
 // FillGap returns the filler wire lengths to emit after a packet so the
 // next packet starts gapBytes of wire time later. A nil result means
 // back-to-back. Unrepresentable remainders go into the debt account.
+// The result is the filler's own buffer: it stays valid only until the
+// next FillGap call.
 func (g *GapFiller) FillGap(gapBytes int64) []int {
 	gapBytes += g.debt
 	g.debt = 0
@@ -146,7 +151,7 @@ func (g *GapFiller) FillGap(gapBytes int64) []int {
 		g.Skipped++
 		return nil
 	}
-	var out []int
+	out := g.fills[:0]
 	for gapBytes > 0 {
 		switch {
 		case gapBytes <= int64(g.MaxFillerWire):
@@ -162,6 +167,7 @@ func (g *GapFiller) FillGap(gapBytes int64) []int {
 			gapBytes -= int64(g.MaxFillerWire)
 		}
 	}
+	g.fills = out
 	g.Emitted += uint64(len(out))
 	return out
 }

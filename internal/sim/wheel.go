@@ -120,8 +120,18 @@ func (w *timingWheel) alloc() *wheelNode {
 		n.next = nil
 		return n
 	}
-	return &wheelNode{}
+	// Grow the pool a slab at a time: a run that keeps many events
+	// pending (an unrolled fault plan, long timers) then allocates once
+	// per nodeSlab events instead of once per event.
+	slab := make([]wheelNode, nodeSlab)
+	for i := 1; i < nodeSlab; i++ {
+		w.release(&slab[i])
+	}
+	return &slab[0]
 }
+
+// nodeSlab is the number of nodes one pool refill allocates.
+const nodeSlab = 64
 
 // release returns a fired node to the pool. The pool is bounded only by
 // the peak pending-event population, which the simulation bounds by

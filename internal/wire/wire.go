@@ -117,8 +117,9 @@ func (p PHYProfile) PathLatency(lengthM float64) sim.Duration {
 //
 // Frames are recycled by the link after delivery: Data is valid only
 // for the duration of the DeliverFrame call unless the consumer calls
-// Retain, in which case the frame escapes to the consumer and the link
-// allocates a fresh one.
+// Retain. A retained frame belongs to the consumer until it calls
+// Release, which hands the frame (and the capacity of its Data) back to
+// the link that made it, so the steady state allocates no frames.
 type Frame struct {
 	Data     []byte
 	WireSize int
@@ -129,12 +130,27 @@ type Frame struct {
 	SeqNo uint64
 
 	retained bool
+	link     *Link // the link whose AcquireFrame made the frame
 }
 
 // Retain marks the frame as escaped: the link will not recycle it after
-// DeliverFrame returns, so the consumer may keep Data indefinitely (the
-// DuT model queues frames in its driver backlog this way).
+// DeliverFrame returns, so the consumer may keep Data until it calls
+// Release (the DuT model queues frames in its driver backlog this way).
 func (f *Frame) Retain() { f.retained = true }
+
+// Release ends a Retain: the consumer is done with Data and the frame
+// goes back to its link's free list. Releasing a frame that is not
+// retained (or releasing it twice) panics. A frame built outside
+// AcquireFrame has no link and is left to the garbage collector.
+func (f *Frame) Release() {
+	if !f.retained {
+		panic("wire: Release of a frame that is not retained")
+	}
+	f.retained = false
+	if f.link != nil {
+		f.link.recycle(f)
+	}
+}
 
 // Endpoint consumes frames delivered by a link.
 type Endpoint interface {
@@ -205,7 +221,8 @@ type Link struct {
 	// at the wire instead of delivered. See SetDown/SetUp.
 	down bool
 
-	// freeFrames recycles delivered frames (bounded; see release).
+	// freeFrames recycles delivered, dropped and released frames
+	// (bounded; see recycle).
 	freeFrames []*Frame
 
 	// peerFlush, when the endpoint implements StatsFlusher, is called
@@ -316,11 +333,12 @@ func (l *Link) TransmitAt(f *Frame, start sim.Time) sim.Time {
 
 // AcquireFrame returns a recycled (or fresh) frame for transmission.
 // The MAC fills Data/WireSize/CRCOK and hands it to TransmitAt; the
-// link recycles it after delivery unless the consumer Retains it.
+// link recycles it after delivery, or at Release if the consumer
+// Retains it. A recycled frame keeps its Data capacity, length zero.
 func (l *Link) AcquireFrame() *Frame {
 	n := len(l.freeFrames)
 	if n == 0 {
-		return &Frame{}
+		return &Frame{link: l}
 	}
 	f := l.freeFrames[n-1]
 	l.freeFrames[n-1] = nil
@@ -385,10 +403,7 @@ func (l *Link) deliver() {
 		l.pending.Pop()
 		l.peer.DeliverFrame(d.f, d.at)
 		delivered = true
-		if !d.f.retained && len(l.freeFrames) < 1024 {
-			d.f.Data = d.f.Data[:0]
-			l.freeFrames = append(l.freeFrames, d.f)
-		}
+		l.recycle(d.f)
 	}
 	if delivered && l.peerFlush != nil {
 		l.peerFlush()
@@ -399,10 +414,20 @@ func (l *Link) deliver() {
 func (l *Link) drop(f *Frame) {
 	l.DroppedFrames++
 	l.DroppedBytes += uint64(f.WireSize)
-	if !f.retained && len(l.freeFrames) < 1024 {
-		f.Data = f.Data[:0]
-		l.freeFrames = append(l.freeFrames, f)
+	l.recycle(f)
+}
+
+// maxFreeFrames bounds a link's free list.
+const maxFreeFrames = 1024
+
+// recycle puts a frame on the free list unless a consumer retained it
+// (the consumer's Release recycles it later) or the list is full.
+func (l *Link) recycle(f *Frame) {
+	if f.retained || len(l.freeFrames) >= maxFreeFrames {
+		return
 	}
+	f.Data = f.Data[:0]
+	l.freeFrames = append(l.freeFrames, f)
 }
 
 // SetDown takes the link down (fault injection). Frames in flight are

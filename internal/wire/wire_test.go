@@ -351,3 +351,47 @@ func TestTransmitJitterMatchesProfile(t *testing.T) {
 		}
 	}
 }
+
+// retainEndpoint keeps the last delivered frame past its delivery.
+type retainEndpoint struct{ kept *Frame }
+
+func (e *retainEndpoint) DeliverFrame(f *Frame, _ sim.Time) {
+	f.Retain()
+	e.kept = f
+}
+
+// TestReleasedFrameReturnsToLink: a retained frame stays out of the
+// link's free list until the consumer releases it; then AcquireFrame
+// hands it out again with its Data capacity kept, so a retaining
+// consumer costs the link no allocations.
+func TestReleasedFrameReturnsToLink(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ep := &retainEndpoint{}
+	l := NewLink(eng, Speed10G, PHY10GBaseSR, 2, ep)
+	f := l.AcquireFrame()
+	f.Data = append(f.Data, make([]byte, 60)...)
+	f.WireSize, f.CRCOK = 64, true
+	eng.Spawn("tx", func(p *sim.Proc) { l.Transmit(f) })
+	eng.RunAll()
+	if ep.kept != f {
+		t.Fatal("the frame was not delivered")
+	}
+	if got := l.AcquireFrame(); got == f {
+		t.Fatal("the link recycled a retained frame")
+	}
+
+	f.Release()
+	got := l.AcquireFrame()
+	if got != f {
+		t.Fatal("AcquireFrame did not return the released frame")
+	}
+	if len(got.Data) != 0 || cap(got.Data) < 60 {
+		t.Fatalf("recycled Data len %d cap %d, want len 0 and the old capacity", len(got.Data), cap(got.Data))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Release of a frame that is not retained did not panic")
+		}
+	}()
+	got.Release()
+}
