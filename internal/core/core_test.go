@@ -429,17 +429,3 @@ func TestPushTxSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("sent %d failed %d filled %d", p.Sent, p.Failed, seq)
 	}
 }
-
-func TestFreeBatch(t *testing.T) {
-	pool := mempool.New(mempool.Config{Count: 8})
-	bufs := make([]*mempool.Mbuf, 4)
-	pool.AllocBatch(bufs, 60)
-	FreeBatch(bufs, 3)
-	if pool.Available() != 7 || bufs[2] != nil || bufs[3] == nil {
-		t.Fatalf("FreeBatch(3): %d available, want 7, first 3 slots cleared", pool.Available())
-	}
-	FreeBatch(bufs[3:], 1)
-	if pool.Available() != 8 {
-		t.Fatal("FreeBatch did not return buffers")
-	}
-}

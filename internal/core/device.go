@@ -78,16 +78,6 @@ func CreateSizedMemPool(count, bufSize int, prefill func(buf *mempool.Mbuf)) *me
 	return mempool.New(mempool.Config{Count: count, BufSize: bufSize, Prefill: prefill})
 }
 
-// FreeBatch frees the first n buffers of a batch.
-func FreeBatch(bufs []*mempool.Mbuf, n int) {
-	for i := 0; i < n; i++ {
-		if bufs[i] != nil {
-			bufs[i].Free()
-			bufs[i] = nil
-		}
-	}
-}
-
 // UDPFlood is the Listing 2 loadSlave as a reusable task body: a
 // BurstTx over a prefilled pool whose frame hook randomizes the source
 // IP and requests UDP checksum offload. Stop via the app run limit.

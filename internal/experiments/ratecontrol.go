@@ -100,9 +100,9 @@ func RunInterArrival(scale Scale, seed int64, g Generator, pps float64) *InterAr
 	hist := stats.NewHistogram(64 * sim.Nanosecond)
 	var last int64 = -1
 	app.LaunchTask("interarrival", func(t *core.Task) {
-		bufs := make([]*mempool.Mbuf, 256)
+		ba := rx.RxBufArray(256)
 		for t.Running() || rx.GetRxQueue(0).Pending() > 0 {
-			n := rx.GetRxQueue(0).RecvBurst(bufs)
+			n := rx.GetRxQueue(0).RecvBurst(ba.Bufs)
 			if n == 0 {
 				if !t.Running() {
 					break
@@ -110,15 +110,15 @@ func RunInterArrival(scale Scale, seed int64, g Generator, pps float64) *InterAr
 				t.Sleep(20 * sim.Microsecond)
 				continue
 			}
-			for _, m := range bufs[:n] {
+			for _, m := range ba.Slice(n) {
 				if m.RxMeta.HasTimestamp {
 					if last >= 0 {
 						hist.Add(sim.Duration(m.RxMeta.Timestamp - last))
 					}
 					last = m.RxMeta.Timestamp
 				}
-				m.Free()
 			}
+			ba.FreeAll()
 			t.Yield()
 		}
 	})

@@ -2,7 +2,6 @@ package nic
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mempool"
 	"repro/internal/proto"
@@ -52,21 +51,11 @@ type Port struct {
 	rxCache    *mempool.Cache
 	rxPoolSize int
 
-	// Statistics registers. The hot paths stage increments in the plain
-	// stage struct (engine-owned, touched per packet) and publish them
-	// to the atomic registers once per train: the MAC scheduler flushes
-	// at the end of its pump event, and the receive path arms one
-	// same-instant publish event (prebound publishFn) the first time an
-	// instant dirties the staging. Readers go through CounterSnapshot.
-	ctrTxPackets   atomic.Uint64
-	ctrTxBytes     atomic.Uint64
-	ctrRxPackets   atomic.Uint64
-	ctrRxBytes     atomic.Uint64
-	ctrRxCRCErrors atomic.Uint64
-	ctrRxMissed    atomic.Uint64
-	stage          Stats // unpublished deltas, flushed by publishStats
-	pubArmed       bool
-	publishFn      func()
+	// stats holds the statistics registers: plain counters the
+	// datapath increments per packet. Only the port's engine touches
+	// them, so CounterSnapshot (called from an event or process on that
+	// engine) sees every increment made before it.
+	stats Stats
 
 	// PTP timestamping configuration and latch registers. The
 	// datasheet semantics are preserved: one latch per direction, and
@@ -216,7 +205,6 @@ func NewPort(eng *sim.Engine, cfg PortConfig) *Port {
 	}
 	p.pumpFn = p.pumpEvent
 	p.completeFn = p.completeTx
-	p.publishFn = p.publishStats
 	for i := 0; i < cfg.TxQueues; i++ {
 		p.txQueues = append(p.txQueues, newTxQueue(p, i, cfg.TxRingSize))
 	}
@@ -296,68 +284,12 @@ func (p *Port) RxBufArray(size int) *mempool.BufArray {
 	return p.rxCache.BufArray(size)
 }
 
-// CounterSnapshot returns one snapshot of the statistics registers.
-// Read from simulation context (an event or process on the port's
-// engine) the snapshot is exact: staged deltas are published at event
-// granularity, so any event that fires after a train's publish sees the
-// whole train. Cross-goroutine readers get monotonic per-register
-// atomic loads — safe, but a register pair read mid-publish may span a
-// train boundary.
-func (p *Port) CounterSnapshot() Stats {
-	return Stats{
-		TxPackets:   p.ctrTxPackets.Load(),
-		TxBytes:     p.ctrTxBytes.Load(),
-		RxPackets:   p.ctrRxPackets.Load(),
-		RxBytes:     p.ctrRxBytes.Load(),
-		RxCRCErrors: p.ctrRxCRCErrors.Load(),
-		RxMissed:    p.ctrRxMissed.Load(),
-	}
-}
-
-// publishStats flushes the staged counter deltas into the atomic
-// registers. It runs at the end of every transmit pump and as the
-// receive path's same-instant publish event — one atomic add per
-// register per train instead of per packet, which is what keeps the
-// per-packet budget of the sim/wall ≥ 1 contract intact.
-func (p *Port) publishStats() {
-	p.pubArmed = false
-	s := &p.stage
-	if s.TxPackets != 0 {
-		p.ctrTxPackets.Add(s.TxPackets)
-		p.ctrTxBytes.Add(s.TxBytes)
-		s.TxPackets, s.TxBytes = 0, 0
-	}
-	if s.RxPackets != 0 {
-		p.ctrRxPackets.Add(s.RxPackets)
-		p.ctrRxBytes.Add(s.RxBytes)
-		s.RxPackets, s.RxBytes = 0, 0
-	}
-	if s.RxCRCErrors != 0 {
-		p.ctrRxCRCErrors.Add(s.RxCRCErrors)
-		s.RxCRCErrors = 0
-	}
-	if s.RxMissed != 0 {
-		p.ctrRxMissed.Add(s.RxMissed)
-		s.RxMissed = 0
-	}
-}
-
-// FlushStats implements wire.StatsFlusher: the link calls it once at
-// the end of every delivery event, so receive-path staging publishes
-// at train granularity without any extra scheduled event.
-func (p *Port) FlushStats() { p.publishStats() }
-
-// markStatsDirty arms a same-instant publish event for staging dirtied
-// outside the two train flush points (pump epilogue, link delivery
-// end) — e.g. a consumer-side write-back overflow. The event is armed
-// once per dirty instant; re-entrant same-instant staging after the
-// publish fires re-arms it.
-func (p *Port) markStatsDirty() {
-	if !p.pubArmed {
-		p.pubArmed = true
-		p.eng.Schedule(p.eng.Now(), p.publishFn)
-	}
-}
+// CounterSnapshot returns the statistics registers. It must be called
+// on the port's engine (an event or process of it, or after its run
+// returned): every counter is exact as of the current instant, since
+// the datapath increments the registers directly. Sharded runs read
+// each shard's ports on that shard's engine and merge after the join.
+func (p *Port) CounterSnapshot() Stats { return p.stats }
 
 // EnableTimestamps turns on the PTP filter (EtherType 0x88F7 and UDP
 // port udpPort; 0 keeps the default 319).
@@ -484,11 +416,11 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 	// counter moves (§8.1) — the packet processing logic upstream
 	// never sees them.
 	if !f.CRCOK || f.WireSize < proto.MinFrameSizeFCS {
-		p.stage.RxCRCErrors++
+		p.stats.RxCRCErrors++
 		return
 	}
-	p.stage.RxPackets++
-	p.stage.RxBytes += uint64(len(f.Data))
+	p.stats.RxPackets++
+	p.stats.RxBytes += uint64(len(f.Data))
 
 	// 2. PTP filter: latch the receive timestamp if the register is
 	// free ("this register must be read back before a new packet can
@@ -515,7 +447,7 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 	m := p.rxCache.Alloc(len(f.Data))
 	if m == nil {
 		q.missed.Add(1)
-		p.stage.RxMissed++
+		p.stats.RxMissed++
 		return
 	}
 	copy(m.Data, f.Data)

@@ -43,8 +43,7 @@ func newRxQueue(p *Port, id, ringSize, train int) *RxQueue {
 // the queue-full drop of the receive path (RxMissed).
 func (q *RxQueue) dropMissed(m *mempool.Mbuf) {
 	q.missed.Add(1)
-	q.port.stage.RxMissed++
-	q.port.markStatsDirty()
+	q.port.stats.RxMissed++
 	q.port.rxCache.Put(m)
 }
 

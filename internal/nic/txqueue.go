@@ -323,7 +323,6 @@ func (p *Port) pump() {
 		p.schedulePump(p.link.NextTxSlot())
 	}
 	p.armCompletions()
-	p.publishStats()
 }
 
 // soleActiveQueue returns the only TX queue with a frame sendable at
@@ -476,8 +475,8 @@ func (p *Port) transmitFrameAt(q *TxQueue, m *mempool.Mbuf, start sim.Time) {
 	p.lastTxStart = start
 	p.hasTxStart = true
 
-	p.stage.TxPackets++
-	p.stage.TxBytes += uint64(m.Len)
+	p.stats.TxPackets++
+	p.stats.TxBytes += uint64(m.Len)
 
 	if p.txTrace != nil {
 		p.txTrace(q, m, start)

@@ -1,6 +1,9 @@
 package proto
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Checksum computes the Internet checksum (RFC 1071) over data: the
 // one's-complement of the one's-complement sum of 16-bit words, with an
@@ -9,16 +12,34 @@ func Checksum(data []byte) uint16 {
 	return finishChecksum(sum16(data, 0))
 }
 
-// sum16 accumulates the unfolded 16-bit one's-complement sum.
+// sum16 adds data's 16-bit big-endian words (an odd trailing byte
+// padded with zero) to acc in one's-complement arithmetic, RFC 1071
+// §2's wide-word way: it sums 64-bit words with end-around carry and
+// folds the result to 32 bits. Since 2^16 ≡ 1 (mod 0xFFFF), the result
+// is congruent to the plain word sum mod 0xFFFF, and it is zero only
+// when acc and every byte are — all finishChecksum and fold1 rely on.
 func sum16(data []byte, acc uint32) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		acc += uint32(binary.BigEndian.Uint16(data[i:]))
+	s, c := uint64(acc), uint64(0)
+	for ; len(data) >= 8; data = data[8:] {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(data), c)
 	}
-	if n%2 == 1 {
-		acc += uint32(data[n-1]) << 8
+	var t uint64
+	if len(data) >= 4 {
+		t = uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
 	}
-	return acc
+	if len(data) >= 2 {
+		t += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		t += uint64(data[0]) << 8
+	}
+	s, c = bits.Add64(s, t, c)
+	s += c // after a carry s <= t, so the end-around add cannot wrap
+	s = s>>32 + s&0xffffffff
+	s = s>>32 + s&0xffffffff
+	return uint32(s)
 }
 
 func finishChecksum(acc uint32) uint16 {

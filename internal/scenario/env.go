@@ -208,15 +208,15 @@ func (e *Env) DrainRx() {
 	rx := e.rx
 	ctr := e.NewCounter("rx")
 	e.app.LaunchTask("rx-drain", func(t *core.Task) {
-		bufs := make([]*mempool.Mbuf, 512)
+		ba := rx.RxBufArray(512)
 		for t.Running() {
-			if n := rx.GetRxQueue(0).RecvBurst(bufs); n > 0 {
+			if n := rx.GetRxQueue(0).RecvBurst(ba.Bufs); n > 0 {
 				bytes := 0
-				for _, m := range bufs[:n] {
+				for _, m := range ba.Slice(n) {
 					bytes += m.Len
 				}
 				ctr.Update(n, bytes, t.Now())
-				core.FreeBatch(bufs, n)
+				ba.FreeAll()
 			} else {
 				t.Sleep(20 * sim.Microsecond)
 			}
@@ -377,10 +377,10 @@ func NewDuTBed(app *core.App, genTxQueues int) *DuTBed {
 	b.TS.Timeout = 5 * sim.Millisecond
 	sink := b.Sink
 	app.LaunchTask("sink-drain", func(t *core.Task) {
-		bufs := make([]*mempool.Mbuf, 512)
+		ba := sink.RxBufArray(512)
 		for t.Running() {
-			if n := sink.GetRxQueue(0).RecvBurst(bufs); n > 0 {
-				core.FreeBatch(bufs, n)
+			if sink.GetRxQueue(0).RecvBurst(ba.Bufs) > 0 {
+				ba.FreeAll()
 			} else {
 				t.Sleep(50 * sim.Microsecond)
 			}

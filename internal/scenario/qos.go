@@ -90,13 +90,13 @@ func (qosScenario) Run(env *Env) (*Report, error) {
 		ctrs[fi] = env.NewCounter("rx-" + f.Name)
 	}
 	app.LaunchTask("counter", func(t *core.Task) {
-		bufs := make([]*mempool.Mbuf, 256)
+		ba := rx.RxBufArray(256)
 		for {
-			n := t.RecvPoll(rx.GetRxQueue(0), bufs)
+			n := t.RecvPoll(rx.GetRxQueue(0), ba.Bufs)
 			if n == 0 {
 				break
 			}
-			for _, m := range bufs[:n] {
+			for _, m := range ba.Slice(n) {
 				pkt := proto.UDPPacket{B: m.Payload()}
 				if pkt.Eth().EtherType() == proto.EtherTypeIPv4 && pkt.IP().Protocol() == proto.IPProtoUDP {
 					if fi, ok := portToFlow[pkt.UDP().DstPort()]; ok {
@@ -104,8 +104,8 @@ func (qosScenario) Run(env *Env) (*Report, error) {
 						ctrs[fi].CountPacket(m.Len, t.Now())
 					}
 				}
-				m.Free()
 			}
+			ba.FreeAll()
 		}
 		for _, c := range ctrs {
 			c.Finalize(t.Now())

@@ -103,20 +103,20 @@ func (reflectScenario) Run(env *Env) (*Report, error) {
 	var echoAnswered, arpAnswered, badChecksum uint64
 	respPool := core.CreateMemPool(2048, nil)
 	app.LaunchTask("responder", func(t *core.Task) {
-		bufs := make([]*mempool.Mbuf, 256)
+		ba := rx.RxBufArray(256)
 		for {
-			n := t.RecvPoll(rx.GetRxQueue(0), bufs)
+			n := t.RecvPoll(rx.GetRxQueue(0), ba.Bufs)
 			if n == 0 {
 				break
 			}
-			for _, m := range bufs[:n] {
+			for _, m := range ba.Slice(n) {
 				if r := answer(m, rx, respPool, icmpLen, &echoAnswered, &arpAnswered, &badChecksum); r != nil {
 					if !rx.GetTxQueue(0).SendOne(r) {
 						r.Free()
 					}
 				}
-				m.Free()
 			}
+			ba.FreeAll()
 		}
 	})
 
@@ -125,13 +125,13 @@ func (reflectScenario) Run(env *Env) (*Report, error) {
 	var echoReplies, arpReplies uint64
 	rtt := stats.NewHistogram(64 * sim.Nanosecond)
 	app.LaunchTask("collector", func(t *core.Task) {
-		bufs := make([]*mempool.Mbuf, 256)
+		ba := tx.RxBufArray(256)
 		for {
-			n := t.RecvPoll(tx.GetRxQueue(0), bufs)
+			n := t.RecvPoll(tx.GetRxQueue(0), ba.Bufs)
 			if n == 0 {
 				break
 			}
-			for _, m := range bufs[:n] {
+			for _, m := range ba.Slice(n) {
 				data := m.Payload()
 				switch proto.EthHdr(data).EtherType() {
 				case proto.EtherTypeARP:
@@ -146,8 +146,8 @@ func (reflectScenario) Run(env *Env) (*Report, error) {
 						rtt.Add(t.Now().Sub(sent))
 					}
 				}
-				m.Free()
 			}
+			ba.FreeAll()
 		}
 	})
 

@@ -8,11 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// PortProbe samples a port's statistics registers (atomic loads of
-// the published counters — the same snapshot surface the end-of-run
-// reports read via Port.CounterSnapshot). The model columns are
+// PortProbe samples a port's statistics registers through
+// Port.CounterSnapshot, the surface the end-of-run reports read. The
+// snapshot event runs on the port's engine, so it sees every packet
+// counted before it at its instant. The model columns are
 // functions of the modeled wire; rx_pool_avail is the port's receive
-// pool occupancy, a diagnostic (it varies with drain batching).
+// pool occupancy, a diagnostic (it varies with drain batching and with
+// the free buffers parked in the port's receive cache).
 func PortProbe(name string, p *nic.Port) Probe {
 	return Probe{Name: name, Cols: []Column{
 		{Name: "tx_pkts", Rule: RuleSum, Sample: func() uint64 { return p.CounterSnapshot().TxPackets }},

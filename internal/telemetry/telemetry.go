@@ -13,13 +13,13 @@
 // The determinism contract, in detail:
 //
 //   - Sampling is strictly out of band. A Sample function reads state
-//     (atomic counter loads, tracker aggregates); it must not schedule
+//     (port counter registers, tracker aggregates); it must not schedule
 //     events, draw randomness or otherwise perturb the model.
 //   - Snapshot events fire on the engine grid at epoch + w*interval.
 //     Equal-time ordering follows the engine's schedule-sequence rule,
 //     so a window edge always observes exactly the deliveries that
-//     published before it — the same rule the end-of-run report
-//     snapshots follow.
+//     ran before it — the same rule the end-of-run report snapshots
+//     follow.
 //   - Columns are either model columns (port counters, flow
 //     aggregates: functions of the modeled packet timeline, invariant
 //     across batch size and shard count) or diagnostic columns

@@ -162,15 +162,6 @@ type Endpoint interface {
 	DeliverFrame(f *Frame, rxTime sim.Time)
 }
 
-// StatsFlusher is optionally implemented by endpoints that stage
-// per-frame counter updates. The link calls FlushStats once at the end
-// of every delivery event, after the last DeliverFrame of the train —
-// the receive-side mirror of a MAC scheduler publishing its transmit
-// counters once per committed train.
-type StatsFlusher interface {
-	FlushStats()
-}
-
 // delivery is one frame waiting in the link's in-flight FIFO.
 type delivery struct {
 	f  *Frame
@@ -225,12 +216,6 @@ type Link struct {
 	// (bounded; see recycle).
 	freeFrames []*Frame
 
-	// peerFlush, when the endpoint implements StatsFlusher, is called
-	// once at the end of every delivery event — after the last
-	// DeliverFrame of the train — so the endpoint can publish staged
-	// per-frame counter updates at train granularity.
-	peerFlush func()
-
 	// TxFrames / TxBytes count what was put on the wire.
 	TxFrames uint64
 	TxBytes  uint64
@@ -259,9 +244,6 @@ func NewLink(eng *sim.Engine, speed Speed, phy PHYProfile, lengthM float64, peer
 		jitterRNG: eng.NewRand(),
 	}
 	l.deliverFn = l.deliver
-	if sf, ok := peer.(StatsFlusher); ok {
-		l.peerFlush = sf.FlushStats
-	}
 	return l
 }
 
@@ -383,13 +365,11 @@ func (l *Link) push(f *Frame, at sim.Time) {
 // deliver fires at the head frame's receive instant (plus the delivery
 // slack, if set): it delivers every due frame in FIFO order, recycles
 // non-retained frames, and re-arms itself for the next pending frame.
-// A StatsFlusher endpoint gets one FlushStats call after the train.
 // After a link-down drained the FIFO the stale event finds it empty
 // and disarms harmlessly.
 func (l *Link) deliver() {
 	l.deliverArmed = false
 	now := l.eng.Now()
-	delivered := false
 	for {
 		d, ok := l.pending.Peek()
 		if !ok {
@@ -402,11 +382,7 @@ func (l *Link) deliver() {
 		}
 		l.pending.Pop()
 		l.peer.DeliverFrame(d.f, d.at)
-		delivered = true
 		l.recycle(d.f)
-	}
-	if delivered && l.peerFlush != nil {
-		l.peerFlush()
 	}
 }
 
