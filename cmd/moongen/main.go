@@ -27,10 +27,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/spec"
 
 	// Registers the experiment-backed scenarios (interarrival-*,
@@ -48,6 +48,16 @@ type invocation struct {
 	telemetryDiag bool
 	faults        string
 }
+
+// telemetryKey is the spec key -telemetry-interval sets.
+var telemetryKey = func() *spec.Key {
+	for i := range spec.Keys {
+		if spec.Keys[i].Path == "telemetry.interval" {
+			return &spec.Keys[i]
+		}
+	}
+	panic("no telemetry.interval spec key")
+}()
 
 // flagDef registers one flag and gives its fragment of the usage
 // synopsis.
@@ -223,11 +233,13 @@ func runScenario(name string, sp scenario.Spec, args []string, stdout, stderr io
 
 	var telFile *os.File
 	if inv.telemetry != "" {
-		if inv.telemetryMS <= 0 {
-			fmt.Fprintln(stderr, "-telemetry-interval must be > 0")
+		// The interval goes through its spec key's bounded conversion:
+		// a value that rounds to 0 ps or overflows is refused, not
+		// silently recorded as no telemetry.
+		if err := telemetryKey.SetFlag(&sp, strconv.FormatFloat(inv.telemetryMS, 'g', -1, 64)); err != nil {
+			fmt.Fprintf(stderr, "invalid value for flag -telemetry-interval: %v\n", err)
 			return 2
 		}
-		sp.TelemetryInterval = sim.FromSeconds(inv.telemetryMS / 1e3)
 		sp.TelemetryJSONL = strings.HasSuffix(inv.telemetry, ".jsonl")
 		sp.TelemetryDiag = inv.telemetryDiag
 		f, err := os.Create(inv.telemetry)

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -79,6 +80,31 @@ func TestFlagBounds(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%v: stderr %q does not contain %q", tc.args, stderr.String(), tc.want)
+		}
+	}
+}
+
+// TestTelemetryIntervalBounds pins that -telemetry-interval goes through
+// the telemetry.interval key's bounds: an interval that rounds to 0 ps
+// or overflows exits 2 before anything runs instead of recording no
+// telemetry.
+func TestTelemetryIntervalBounds(t *testing.T) {
+	sc, ok := scenario.Get("softcbr")
+	if !ok {
+		t.Fatal("softcbr not registered")
+	}
+	path := filepath.Join(t.TempDir(), "t.csv")
+	for _, iv := range []string{"0", "1e-12", "1e20"} {
+		var stdout, stderr strings.Builder
+		args := []string{"-runtime", "1", "-telemetry", path, "-telemetry-interval", iv}
+		if code := runScenario("softcbr", sc.DefaultSpec(), args, &stdout, &stderr); code != 2 {
+			t.Errorf("-telemetry-interval %s: exit %d, want 2", iv, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-telemetry-interval %s: the scenario ran:\n%s", iv, stdout.String())
+		}
+		if want := "invalid value for flag -telemetry-interval: "; !strings.Contains(stderr.String(), want) || !strings.Contains(stderr.String(), "is out of range: durations are > 0 ms") {
+			t.Errorf("-telemetry-interval %s: stderr %q does not contain %q", iv, stderr.String(), want)
 		}
 	}
 }

@@ -6,16 +6,12 @@ package repro
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/scenario"
 	"repro/internal/spec"
 )
 
@@ -129,74 +125,4 @@ func TestDocsMarkdownLinks(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestDocsSpecKeyTable pins docs/spec-reference.md to spec.Keys: every
-// scalar key has a row, and the row's type column states the key's
-// value kind and, for an integer, its range. A pattern row names every
-// pattern.
-func TestDocsSpecKeyTable(t *testing.T) {
-	raw, err := os.ReadFile("docs/spec-reference.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string][]string{} // key path → cells after the key
-	for _, line := range strings.Split(string(raw), "\n") {
-		cells := strings.Split(line, "|")
-		if len(cells) < 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
-			continue
-		}
-		for i := range cells {
-			cells[i] = strings.TrimSpace(cells[i])
-		}
-		rows[strings.Trim(cells[1], "`")] = cells[2:]
-	}
-	for _, k := range spec.Keys {
-		row, ok := rows[k.Path]
-		if !ok {
-			t.Errorf("docs/spec-reference.md has no row for %q", k.Path)
-			continue
-		}
-		if want := docType(k); row[0] != want {
-			t.Errorf("docs/spec-reference.md: %q has type %q, want %q", k.Path, row[0], want)
-		}
-		if k.Kind == spec.Pattern {
-			for _, p := range []scenario.Pattern{scenario.PatternLineRate, scenario.PatternCBR, scenario.PatternSoftCBR, scenario.PatternPoisson, scenario.PatternBursts} {
-				if !strings.Contains(strings.Join(row, "|"), "`"+string(p)+"`") {
-					t.Errorf("docs/spec-reference.md: the %q row does not name pattern %q", k.Path, p)
-				}
-			}
-		}
-	}
-}
-
-// docType is the type column the reference gives a key.
-func docType(k spec.Key) string {
-	switch k.Kind {
-	case spec.Rate:
-		return "rate"
-	case spec.Duration:
-		return "duration"
-	case spec.Bool:
-		return "bool"
-	case spec.Pattern:
-		return "string"
-	}
-	switch {
-	case k.Min == math.MinInt64 && k.Max == math.MaxInt64:
-		return "int"
-	case k.Max == math.MaxInt32:
-		return fmt.Sprintf("int ≥ %d", k.Min)
-	}
-	return fmt.Sprintf("int %s–%s", docInt(k.Min), docInt(k.Max))
-}
-
-// docInt writes powers of two from 2¹⁶ up as 2 with a superscript
-// exponent, as the reference does.
-func docInt(n int64) string {
-	if n < 1<<16 || n&(n-1) != 0 {
-		return strconv.FormatInt(n, 10)
-	}
-	exp := strconv.Itoa(bits.TrailingZeros64(uint64(n)))
-	return "2" + strings.NewReplacer("0", "⁰", "1", "¹", "2", "²", "3", "³", "4", "⁴", "5", "⁵", "6", "⁶", "7", "⁷", "8", "⁸", "9", "⁹").Replace(exp)
 }

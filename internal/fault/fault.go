@@ -17,6 +17,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/dut"
 	"repro/internal/nic"
@@ -123,6 +124,30 @@ func (p Plan) Validate() error {
 		if ev.Flush && ev.Kind != DuTStall {
 			return at("flush applies only to dut-stall events")
 		}
+	}
+	return nil
+}
+
+// CheckClockSteps rejects a plan whose clock steps, summed as absolute
+// values over every occurrence that fires within horizon, exceed limit.
+// The sum runs in float64, so no plan overflows it.
+func (p Plan) CheckClockSteps(horizon, limit sim.Duration) error {
+	var sum float64
+	for _, ev := range p {
+		if ev.Kind != ClockStep || ev.At >= horizon {
+			continue
+		}
+		n := 1.0
+		if ev.Period > 0 {
+			n = math.Floor(float64(horizon-ev.At-1)/float64(ev.Period)) + 1
+			if ev.Count > 0 {
+				n = min(n, float64(ev.Count))
+			}
+		}
+		sum += n * math.Abs(float64(ev.Offset))
+	}
+	if sum > float64(limit) {
+		return fmt.Errorf("the clock steps within the run add up to %.6gs, more than the %v a clock can be stepped", sum/float64(sim.Second), limit)
 	}
 	return nil
 }

@@ -63,7 +63,7 @@ func TestPlanValidate(t *testing.T) {
 // TestInstallUnroll pins the plan-unrolling arithmetic: periodic events
 // repeat until the horizon or their count cap, and occurrences at or
 // past the horizon are never scheduled (the post-stop drain must stay
-// free of fault actions).
+// free of fault actions). CheckClockSteps counts the same occurrences.
 func TestInstallUnroll(t *testing.T) {
 	ms := sim.Millisecond
 	cases := []struct {
@@ -88,6 +88,13 @@ func TestInstallUnroll(t *testing.T) {
 		eng.RunAll()
 		if in.Fired() != uint64(tc.want) {
 			t.Errorf("%s: fired %d, want %d", tc.name, in.Fired(), tc.want)
+		}
+		sum := sim.Duration(tc.want) * tc.ev.Offset
+		if err := (Plan{tc.ev}).CheckClockSteps(10*ms, sum); err != nil {
+			t.Errorf("%s: steps summing to the limit rejected: %v", tc.name, err)
+		}
+		if tc.want > 0 && (Plan{tc.ev}).CheckClockSteps(10*ms, sum-1) == nil {
+			t.Errorf("%s: steps summing past the limit accepted", tc.name)
 		}
 	}
 }

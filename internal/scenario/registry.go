@@ -89,6 +89,17 @@ func Execute(name string, spec Spec, out io.Writer) (*Report, error) {
 		if spec.Faults.RequiresDuT() && !spec.UseDuT {
 			return nil, fmt.Errorf("scenario %s: fault plan contains dut-stall events but the topology has no DuT", name)
 		}
+		if err := spec.Faults.CheckClockSteps(spec.withDefaults().Runtime, MaxDuration); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", name, err)
+		}
+	}
+	if err := CheckRate(spec.RateMpps); err != nil {
+		return nil, fmt.Errorf("scenario %s: rate: %w", name, err)
+	}
+	for _, f := range spec.Flows {
+		if err := CheckRate(f.RateMpps); err != nil {
+			return nil, fmt.Errorf("scenario %s: flow %q rate: %w", name, f.Name, err)
+		}
 	}
 	var (
 		rep *Report

@@ -15,6 +15,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -246,6 +247,24 @@ func CheckPartition(sc Scenario, s Spec) error {
 	}
 	if n, what := p.Population(s); n%s.Cores != 0 {
 		return fmt.Errorf("cores: %d does not divide the %s (%d) for scenario %q — every flow must live wholly in one shard", s.Cores, what, n, sc.Name())
+	}
+	return nil
+}
+
+// MaxDuration bounds every span a spec sets (run time, telemetry
+// interval, fault times and clock steps) and the slot tick. It is far
+// beyond any run, yet a run time plus a clock step plus the drift a
+// ±10⁶ ppm clock gathers over that run stays inside int64 picoseconds.
+const MaxDuration = 1e6 * sim.Second
+
+// CheckRate rejects a positive rate, a spec's or a flow's, whose slot
+// tick (1/rate, rounded to the picosecond as the slot grid rounds it)
+// falls outside [1 ps, MaxDuration]: at a zero tick the grid never
+// advances, so the run never ends, and a longer tick overflows the
+// pacing arithmetic.
+func CheckRate(mpps float64) error {
+	if tick := math.Round(1 / (mpps * 1e6) * float64(sim.Second)); mpps > 0 && !(tick >= 1 && tick <= float64(MaxDuration)) {
+		return fmt.Errorf("%g Mpps is out of range: its slot tick, 1/rate, must round to 1 ps … %v", mpps, MaxDuration)
 	}
 	return nil
 }

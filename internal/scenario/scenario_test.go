@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -117,6 +118,46 @@ func TestScenariosDeterministic(t *testing.T) {
 func TestExecuteUnknown(t *testing.T) {
 	if _, err := scenario.Execute("no-such-scenario", scenario.Spec{}, io.Discard); err == nil {
 		t.Fatal("Execute of unknown scenario did not error")
+	}
+}
+
+// TestExecuteRejectsRateOffTheSlotGrid pins that Execute refuses, before
+// anything runs, a rate whose slot tick rounds to 0 ps (the grid would
+// never advance and the run would never end) or overflows, at any core
+// count: the spec's rate or, where the scenario declares flows, a
+// flow's. Every registered scenario is tried, so one that paces from
+// the rate cannot hang here.
+func TestExecuteRejectsRateOffTheSlotGrid(t *testing.T) {
+	for _, name := range scenario.Names() {
+		sc, _ := scenario.Get(name)
+		for _, rate := range []float64{1e300, 1e-300} {
+			for _, cores := range []int{1, 2} {
+				spec := sc.DefaultSpec()
+				spec.Runtime, spec.Cores = sim.Microsecond, cores
+				specs := []scenario.Spec{spec}
+				specs[0].RateMpps = rate
+				if len(spec.Flows) > 0 {
+					spec.Flows = append([]scenario.Flow(nil), spec.Flows...)
+					spec.Flows[0].RateMpps = rate
+					specs = append(specs, spec)
+				}
+				for _, spec := range specs {
+					done := make(chan error, 1)
+					go func() {
+						_, err := scenario.Execute(name, spec, io.Discard)
+						done <- err
+					}()
+					select {
+					case err := <-done:
+						if err == nil || !strings.Contains(err.Error(), "is out of range: its slot tick") {
+							t.Errorf("%s rate %g cores %d: error %v, want the slot tick rejected", name, rate, cores, err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatalf("%s rate %g cores %d: Execute ran instead of failing fast", name, rate, cores)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -11,8 +11,10 @@ import (
 var anchored = regexp.MustCompile(`^f\.yaml:[1-9][0-9]*: `)
 
 // FuzzSpecParse drives Parse and Compile from the example specs and the
-// negative cases. Neither may panic on any input, and every error must
-// be anchored to a line of the file.
+// negative cases, which include the hostile numeric inputs: a rate whose
+// slot tick rounds to 0 ps (1e300mpps), drift_ppm: NaN, offset: 1e7s
+// and a sub-picosecond runtime. Neither may panic on any input, and
+// every error must be anchored to a line of the file.
 func FuzzSpecParse(f *testing.F) {
 	files, err := filepath.Glob("../../examples/specs/*")
 	if err != nil || len(files) == 0 {

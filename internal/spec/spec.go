@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/proto"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -128,7 +127,7 @@ func ParseFaults(src []byte, name string) (fault.Plan, error) {
 	if !ok {
 		return nil, d.errAt(1, "missing required key \"faults\" (a list of fault event mappings)")
 	}
-	if err := d.walkFaults(n, line); err != nil {
+	if d.faults, err = walkList(d, &faultRecord, n, line); err != nil {
 		return nil, err
 	}
 	if err := d.faults.Validate(); err != nil {
@@ -245,8 +244,14 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 			return d.errAt(anchor(d.faultsLine),
 				"faults: the plan contains dut-stall events but the topology has no DuT — set topology.dut: true")
 		}
+		if err := s.Faults.CheckClockSteps(s.Runtime, scenario.MaxDuration); err != nil {
+			return d.errAt(anchor(d.faultsLine), "faults: %v", err)
+		}
 	}
 
+	if err := scenario.CheckRate(s.RateMpps); err != nil {
+		return d.errAt(anchor(d.line("load.rate")), "load.rate: %v", err)
+	}
 	if err := scenario.CheckPartition(sc, s); err != nil {
 		return d.errAt(anchor(d.line("cores")), "%v", err)
 	}
@@ -257,6 +262,9 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 			return d.errAt(anchor(d.flowsLine), "flows: duplicate flow name %q (reports merge per-flow stats by name)", f.Name)
 		}
 		seen[f.Name] = true
+		if err := scenario.CheckRate(f.RateMpps); err != nil {
+			return d.errAt(anchor(d.flowsLine), "flows: flow %q rate: %v", f.Name, err)
+		}
 	}
 	return nil
 }
@@ -310,10 +318,6 @@ func (d *Document) errAt(line int, format string, args ...any) error {
 // Schema walk
 // ---------------------------------------------------------------------
 
-var mixKeys = []string{"size", "weight"}
-var flowKeys = []string{"name", "l4", "src_ip", "src_ip_count", "dst_ip", "src_port", "dst_port", "tos", "rate", "size"}
-var faultKeys = []string{"kind", "at", "duration", "period", "count", "flush", "offset", "drift_ppm"}
-
 func (d *Document) walk(root *node) error {
 	if root.kind != mapNode {
 		return d.errAt(root.line, "the document root must be a mapping (\"key: value\" lines), got a %s", root.kindName())
@@ -326,9 +330,13 @@ func (d *Document) walk(root *node) error {
 	if !ok {
 		return d.errAt(1, "missing required key \"version\" (this build reads version %d)", Version)
 	}
-	v, err := d.intField(vn, line, "version", 1, math.MaxInt32)
+	raw, err := d.strField(vn, line, "version")
 	if err != nil {
 		return err
+	}
+	v, err := parseInt(raw, 1, math.MaxInt32)
+	if err != nil {
+		return d.errAt(line, "version: %v", err)
 	}
 	if v != Version {
 		return d.errAt(line, "version: unsupported spec version %d (this build reads version %d); see docs/spec-reference.md for the compatibility policy", v, Version)
@@ -354,249 +362,25 @@ func (d *Document) walk(root *node) error {
 	}
 	if ln, _, ok := root.get("load"); ok {
 		if n, line, ok := ln.get("mix"); ok {
-			if err := d.walkMix(n, line); err != nil {
+			if d.mix, err = walkList(d, &mixRecord, n, line); err != nil {
 				return err
+			}
+			if len(d.mix) == 0 {
+				return d.errAt(line, "load.mix: the mix cannot be empty")
 			}
 		}
 	}
 	if n, line, ok := root.get("flows"); ok {
-		if err := d.walkFlows(n, line); err != nil {
+		if d.flows, err = walkList(d, &flowRecord, n, line); err != nil {
 			return err
 		}
+		d.flowsLine = line
 	}
 	if n, line, ok := root.get("faults"); ok {
-		if err := d.walkFaults(n, line); err != nil {
+		if d.faults, err = walkList(d, &faultRecord, n, line); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// walkMix reads the `load.mix` list of {size, weight} entries.
-func (d *Document) walkMix(mn *node, mline int) error {
-	if mn.kind != listNode {
-		return d.errAt(mline, "load.mix: expected a list of {size, weight} entries, got a %s", mn.kindName())
-	}
-	mix := make([]scenario.SizeShare, 0, len(mn.items))
-	for _, item := range mn.items {
-		if item.kind != mapNode {
-			return d.errAt(item.line, "load.mix: each entry must be a {size, weight} mapping, got a %s", item.kindName())
-		}
-		if err := d.checkKeys(item, mixKeys, "load.mix."); err != nil {
-			return err
-		}
-		sn, sline, ok := item.get("size")
-		if !ok {
-			return d.errAt(item.line, "load.mix: entry is missing \"size\"")
-		}
-		size, err := d.frameSize(sn, sline, "load.mix.size")
-		if err != nil {
-			return err
-		}
-		wn, wline, ok := item.get("weight")
-		if !ok {
-			return d.errAt(item.line, "load.mix: entry is missing \"weight\"")
-		}
-		w, err := d.intField(wn, wline, "load.mix.weight", 1, math.MaxInt32)
-		if err != nil {
-			return err
-		}
-		mix = append(mix, scenario.SizeShare{Size: size, Weight: int(w)})
-	}
-	if len(mix) == 0 {
-		return d.errAt(mline, "load.mix: the mix cannot be empty")
-	}
-	d.mix = mix
-	return nil
-}
-
-func (d *Document) walkFlows(n *node, line int) error {
-	if n.kind != listNode {
-		return d.errAt(line, "flows: expected a list of flow mappings, got a %s", n.kindName())
-	}
-	d.flowsLine = line
-	d.flows = make([]scenario.Flow, 0, len(n.items))
-	for i, item := range n.items {
-		if item.kind != mapNode {
-			return d.errAt(item.line, "flows: each entry must be a mapping, got a %s", item.kindName())
-		}
-		if err := d.checkKeys(item, flowKeys, "flows."); err != nil {
-			return err
-		}
-		f := scenario.Flow{L4: "udp"}
-		if nn, nline, ok := item.get("name"); ok {
-			v, err := d.strField(nn, nline, "flows.name")
-			if err != nil {
-				return err
-			}
-			f.Name = v
-		} else {
-			f.Name = fmt.Sprintf("f%d", i)
-		}
-		if ln, lline, ok := item.get("l4"); ok {
-			v, err := d.strField(ln, lline, "flows.l4")
-			if err != nil {
-				return err
-			}
-			if v != "udp" && v != "tcp" {
-				return d.errAt(lline, "flows.l4: unknown transport %q (one of: udp, tcp)", v)
-			}
-			f.L4 = v
-		}
-		sn, sline, ok := item.get("src_ip")
-		if !ok {
-			return d.errAt(item.line, "flows: flow %q is missing \"src_ip\"", f.Name)
-		}
-		ip, err := d.ipField(sn, sline, "flows.src_ip")
-		if err != nil {
-			return err
-		}
-		f.SrcIP = ip
-		if cn, cline, ok := item.get("src_ip_count"); ok {
-			v, err := d.intField(cn, cline, "flows.src_ip_count", 1, 1<<24)
-			if err != nil {
-				return err
-			}
-			f.SrcIPCount = int(v)
-		}
-		dn, dline, ok := item.get("dst_ip")
-		if !ok {
-			return d.errAt(item.line, "flows: flow %q is missing \"dst_ip\"", f.Name)
-		}
-		ip, err = d.ipField(dn, dline, "flows.dst_ip")
-		if err != nil {
-			return err
-		}
-		f.DstIP = ip
-		if pn, pline, ok := item.get("src_port"); ok {
-			v, err := d.intField(pn, pline, "flows.src_port", 0, 65535)
-			if err != nil {
-				return err
-			}
-			f.SrcPort = uint16(v)
-		}
-		if pn, pline, ok := item.get("dst_port"); ok {
-			v, err := d.intField(pn, pline, "flows.dst_port", 0, 65535)
-			if err != nil {
-				return err
-			}
-			f.DstPort = uint16(v)
-		}
-		if tn, tline, ok := item.get("tos"); ok {
-			v, err := d.intField(tn, tline, "flows.tos", 0, 255)
-			if err != nil {
-				return err
-			}
-			f.TOS = uint8(v)
-		}
-		if rn, rline, ok := item.get("rate"); ok {
-			v, err := d.rateField(rn, rline, "flows.rate")
-			if err != nil {
-				return err
-			}
-			f.RateMpps = v
-		}
-		if zn, zline, ok := item.get("size"); ok {
-			v, err := d.frameSize(zn, zline, "flows.size")
-			if err != nil {
-				return err
-			}
-			f.PktSize = v
-		}
-		d.flows = append(d.flows, f)
-	}
-	return nil
-}
-
-// walkFaults reads the `faults:` block — a list of typed fault events
-// executed on the run's global sim-time grid (see internal/fault). The
-// walk checks keys, types and units per event; plan-level coherence
-// (window/period arithmetic, kind-specific field rules, target
-// availability) runs in check against the merged spec, still anchored
-// to this block's line.
-func (d *Document) walkFaults(n *node, line int) error {
-	if n.kind != listNode {
-		return d.errAt(line, "faults: expected a list of fault event mappings, got a %s", n.kindName())
-	}
-	d.faultsLine = line
-	d.faults = make(fault.Plan, 0, len(n.items))
-	for _, item := range n.items {
-		if item.kind != mapNode {
-			return d.errAt(item.line, "faults: each entry must be a mapping, got a %s", item.kindName())
-		}
-		if err := d.checkKeys(item, faultKeys, "faults."); err != nil {
-			return err
-		}
-		var ev fault.Event
-		kn, kline, ok := item.get("kind")
-		if !ok {
-			return d.errAt(item.line, "faults: event is missing \"kind\" (one of: linkflap, dut-stall, queue-pause, clock-step)")
-		}
-		kind, err := d.strField(kn, kline, "faults.kind")
-		if err != nil {
-			return err
-		}
-		switch fault.Kind(kind) {
-		case fault.LinkFlap, fault.DuTStall, fault.QueuePause, fault.ClockStep:
-			ev.Kind = fault.Kind(kind)
-		default:
-			return d.errAt(kline, "faults.kind: unknown fault kind %q (one of: linkflap, dut-stall, queue-pause, clock-step)", kind)
-		}
-		if an, aline, ok := item.get("at"); ok {
-			v, err := d.durFieldZero(an, aline, "faults.at")
-			if err != nil {
-				return err
-			}
-			ev.At = v
-		}
-		if dn, dline, ok := item.get("duration"); ok {
-			v, err := d.durField(dn, dline, "faults.duration")
-			if err != nil {
-				return err
-			}
-			ev.Duration = v
-		}
-		if pn, pline, ok := item.get("period"); ok {
-			v, err := d.durField(pn, pline, "faults.period")
-			if err != nil {
-				return err
-			}
-			ev.Period = v
-		}
-		if cn, cline, ok := item.get("count"); ok {
-			v, err := d.intField(cn, cline, "faults.count", 1, math.MaxInt32)
-			if err != nil {
-				return err
-			}
-			ev.Count = int(v)
-		}
-		if fn, fline, ok := item.get("flush"); ok {
-			v, err := d.boolField(fn, fline, "faults.flush")
-			if err != nil {
-				return err
-			}
-			ev.Flush = v
-		}
-		if on, oline, ok := item.get("offset"); ok {
-			// A clock step may go backwards: signed duration.
-			v, err := d.durFieldSigned(on, oline, "faults.offset")
-			if err != nil {
-				return err
-			}
-			ev.Offset = v
-		}
-		if rn, rline, ok := item.get("drift_ppm"); ok {
-			raw, err := d.scalar(rn, rline, "faults.drift_ppm")
-			if err != nil {
-				return err
-			}
-			v, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return d.errAt(rline, "faults.drift_ppm: %q is not a number", raw)
-			}
-			ev.DriftPPM = v
-		}
-		d.faults = append(d.faults, ev)
+		d.faultsLine = line
 	}
 	return nil
 }
@@ -657,34 +441,15 @@ func editDistance(a, b string) int {
 // Scalar field readers
 // ---------------------------------------------------------------------
 
-func (d *Document) scalar(n *node, line int, field string) (string, error) {
-	if n.kind != scalarNode {
-		return "", d.errAt(line, "%s: expected a scalar value, got a %s", field, n.kindName())
-	}
-	return n.val, nil
-}
-
+// strField reads the text of a scalar node, which must not be empty.
 func (d *Document) strField(n *node, line int, field string) (string, error) {
-	v, err := d.scalar(n, line, field)
-	if err != nil {
-		return "", err
-	}
-	if v == "" {
+	switch {
+	case n.kind != scalarNode:
+		return "", d.errAt(line, "%s: expected a scalar value, got a %s", field, n.kindName())
+	case n.val == "":
 		return "", d.errAt(line, "%s: value is empty", field)
 	}
-	return v, nil
-}
-
-func (d *Document) intField(n *node, line int, field string, lo, hi int64) (int64, error) {
-	raw, err := d.scalar(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	v, err := parseInt(raw, lo, hi)
-	if err != nil {
-		return 0, d.errAt(line, "%s: %v", field, err)
-	}
-	return v, nil
+	return n.val, nil
 }
 
 // parseInt reads an integer in [lo, hi]. Base 0 accepts 0x-prefixed
@@ -700,135 +465,9 @@ func parseInt(raw string, lo, hi int64) (int64, error) {
 	return v, nil
 }
 
-func (d *Document) boolField(n *node, line int, field string) (bool, error) {
-	raw, err := d.scalar(n, line, field)
-	if err != nil {
-		return false, err
-	}
-	switch raw {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, d.errAt(line, "%s: %q is not a boolean (true or false)", field, raw)
-}
-
 // minFrame and maxFrame bound a frame size in bytes without FCS to what
 // the modeled 10GbE MAC accepts.
 const minFrame, maxFrame = 60, 1514
-
-// frameSize reads a frame size in bytes without FCS.
-func (d *Document) frameSize(n *node, line int, field string) (int, error) {
-	v, err := d.intField(n, line, field, minFrame, maxFrame)
-	if err != nil {
-		return 0, err
-	}
-	return int(v), nil
-}
-
-// durField reads a duration scalar with an explicit unit: "50ms",
-// "2s", "100us", "500ns". A bare number is rejected — durations
-// without units have caused enough outages elsewhere.
-func (d *Document) durField(n *node, line int, field string) (sim.Duration, error) {
-	dur, err := d.durFieldSigned(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	if dur <= 0 {
-		return 0, d.errAt(line, "%s: duration must be positive, got %v", field, dur)
-	}
-	return dur, nil
-}
-
-// durFieldZero is durField but admits zero ("at: 0ms" — a fault at the
-// exact run start).
-func (d *Document) durFieldZero(n *node, line int, field string) (sim.Duration, error) {
-	dur, err := d.durFieldSigned(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	if dur < 0 {
-		return 0, d.errAt(line, "%s: duration must be ≥ 0, got %v", field, dur)
-	}
-	return dur, nil
-}
-
-// durFieldSigned reads a duration that may be negative (a clock step
-// backwards). Units are still mandatory.
-func (d *Document) durFieldSigned(n *node, line int, field string) (sim.Duration, error) {
-	raw, err := d.scalar(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	num, unit := splitUnit(raw)
-	var scale sim.Duration
-	switch unit {
-	case "ns":
-		scale = sim.Nanosecond
-	case "us", "µs":
-		scale = sim.Microsecond
-	case "ms":
-		scale = sim.Millisecond
-	case "s":
-		scale = sim.Second
-	case "":
-		return 0, d.errAt(line, "%s: %q is missing a unit — write e.g. \"50ms\" (units: ns, us, ms, s)", field, raw)
-	default:
-		return 0, d.errAt(line, "%s: unknown unit %q in %q (units: ns, us, ms, s)", field, unit, raw)
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || num == "" {
-		return 0, d.errAt(line, "%s: %q is not a duration — write e.g. \"50ms\"", field, raw)
-	}
-	return sim.Duration(math.Round(v * float64(scale))), nil
-}
-
-// rateField reads a packet rate in Mpps: "2mpps", "500kpps",
-// "14880952pps", or the word "line" for unshaped line rate.
-func (d *Document) rateField(n *node, line int, field string) (float64, error) {
-	raw, err := d.scalar(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	if raw == "line" {
-		return 0, nil
-	}
-	num, unit := splitUnit(raw)
-	var scale float64
-	switch unit {
-	case "mpps":
-		scale = 1
-	case "kpps":
-		scale = 1e-3
-	case "pps":
-		scale = 1e-6
-	case "":
-		return 0, d.errAt(line, "%s: %q is missing a unit — write e.g. \"2mpps\" (units: pps, kpps, mpps) or \"line\"", field, raw)
-	default:
-		return 0, d.errAt(line, "%s: unknown unit %q in %q (units: pps, kpps, mpps; or \"line\")", field, unit, raw)
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || num == "" {
-		return 0, d.errAt(line, "%s: %q is not a rate — write e.g. \"2mpps\"", field, raw)
-	}
-	if v <= 0 {
-		return 0, d.errAt(line, "%s: rate must be positive, got %q", field, raw)
-	}
-	return v * scale, nil
-}
-
-func (d *Document) ipField(n *node, line int, field string) (proto.IPv4, error) {
-	raw, err := d.strField(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	ip, err := proto.ParseIPv4(raw)
-	if err != nil {
-		return 0, d.errAt(line, "%s: %v", field, err)
-	}
-	return ip, nil
-}
 
 // splitUnit splits "12.5ms" into ("12.5", "ms"). The unit is the
 // trailing run of letters (lowercased); the number is everything

@@ -306,6 +306,71 @@ var negativeCases = []struct {
 		"version: 1\nscenario: reorder\ncores: 3\n",
 		[]string{"t.yaml:3:", "cores: 3 does not divide the flow count (4)", "reorder"},
 	},
+	{
+		"slot tick rounds to zero",
+		"version: 1\nscenario: softcbr\nruntime: 1us\nload:\n  rate: 1e300mpps\n",
+		[]string{"t.yaml:5:", "load.rate: 1e+300 Mpps is out of range", "1 ps"},
+	},
+	{
+		"slot tick overflows",
+		"version: 1\nscenario: churn\nload:\n  rate: 1e-300mpps\n",
+		[]string{"t.yaml:4:", "load.rate: 1e-300 Mpps is out of range"},
+	},
+	{
+		"flow rate off the slot grid",
+		"version: 1\nscenario: qos\nflows:\n  - name: fg\n    src_ip: 10.0.0.1\n    dst_ip: 10.1.0.1\n    dst_port: 43\n    rate: 1e-300mpps\n",
+		[]string{"t.yaml:3:", `flows: flow "fg" rate: 1e-300 Mpps is out of range`},
+	},
+	{
+		"rate beyond float64",
+		"version: 1\nscenario: softcbr\nload:\n  rate: 1e400mpps\n",
+		[]string{"t.yaml:4:", `load.rate: "1e400mpps" is not a rate`},
+	},
+	{
+		"drift not a finite number",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: clock-step\n    drift_ppm: NaN\n",
+		[]string{"t.yaml:5:", "faults.drift_ppm: NaN is out of range [-1000000, 1000000]"},
+	},
+	{
+		"drift infinite",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: clock-step\n    drift_ppm: -Inf\n",
+		[]string{"t.yaml:5:", "faults.drift_ppm: -Inf is out of range"},
+	},
+	{
+		"drift out of range",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: clock-step\n    drift_ppm: 1e300\n",
+		[]string{"t.yaml:5:", "faults.drift_ppm: 1e300 is out of range"},
+	},
+	{
+		"clock step overflows",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: clock-step\n    offset: 1e7s\n",
+		[]string{"t.yaml:5:", "faults.offset: duration must be ≥ -1e+06s and ≤ 1e+06s, got 1e7s"},
+	},
+	{
+		"sub-picosecond runtime",
+		"version: 1\nscenario: softcbr\nruntime: 0.0001ns\n",
+		[]string{"t.yaml:3:", "runtime: duration must be positive"},
+	},
+	{
+		"runtime overflows",
+		"version: 1\nscenario: softcbr\nruntime: 1e20ms\n",
+		[]string{"t.yaml:3:", "runtime: duration must be positive and ≤ 1e+06s, got 1e20ms"},
+	},
+	{
+		"negative fault onset",
+		"version: 1\nscenario: linkflap\nfaults:\n  - kind: linkflap\n    at: -1ms\n    duration: 1ms\n",
+		[]string{"t.yaml:5:", "faults.at: duration must be ≥ 0"},
+	},
+	{
+		"clock steps add up past the bound",
+		"version: 1\nscenario: latency\nruntime: 2ms\nfaults:\n  - kind: clock-step\n    at: 1ms\n    offset: 1000000s\n    period: 1us\n",
+		[]string{"t.yaml:4:", "faults: the clock steps within the run add up to 1e+09s"},
+	},
+	{
+		"mix entry missing weight",
+		"version: 1\nscenario: imix\nload:\n  mix:\n    - size: 60\n",
+		[]string{"t.yaml:5:", `load.mix: entry is missing "weight"`},
+	},
 }
 
 // validate parses and compiles a spec, returning the first error.
@@ -484,6 +549,28 @@ func TestValidateConcurrent(t *testing.T) {
 	for i, want := range []string{"valid keys: batch, churn,", "valid keys: dst_ip, dst_port,"} {
 		if !strings.Contains(errs[i].Error(), want) {
 			t.Fatalf("error %q does not list the valid keys sorted", errs[i])
+		}
+	}
+}
+
+// TestKeysFlagBounds pins that a Duration flag goes through the bounded
+// conversion the spec reader uses: a value that overflows int64
+// picoseconds or rounds to 0 ps is rejected, not replaced by a default.
+func TestKeysFlagBounds(t *testing.T) {
+	var runtime *Key
+	for i := range Keys {
+		if Keys[i].Flag == "runtime" {
+			runtime = &Keys[i]
+		}
+	}
+	for _, arg := range []string{"1e20", "1e-12", "-5", "NaN", "+Inf"} {
+		s := scenario.Spec{Runtime: 5 * sim.Millisecond}
+		err := runtime.SetFlag(&s, arg)
+		if err == nil || !strings.Contains(err.Error(), "is out of range: durations are > 0 ms") {
+			t.Errorf("-runtime %s: error %v, want out of range", arg, err)
+		}
+		if s.Runtime != 5*sim.Millisecond {
+			t.Errorf("-runtime %s changed the runtime to %v", arg, s.Runtime)
 		}
 	}
 }
