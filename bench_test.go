@@ -473,7 +473,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // BenchmarkRxBurstSteadyState is the batched RX hot path in isolation:
 // one 63-packet burst per op through the full receive pipeline — wire
-// delivery, per-port receive cache, write-back train into the SPSC
+// delivery pulled by RecvBurst, per-port receive cache, the SPSC
 // ring, RecvBurst into a cache-bound BufArray, flow-tracker
 // attribution (key parse, sequence classification, inter-arrival
 // statistics) and batched recycling. The steady state allocates

@@ -35,7 +35,6 @@ var exportAllowlist = map[string]string{
 	"sim.Engine.Procs":                  "live process count, pins that procs exit",
 	"wire.Link.Transmit":                "drives a bare link without a NIC in front",
 	"wire.Link.IsDown":                  "administrative link state under link-flap faults",
-	"nic.RxQueue.Missed":                "per-queue RX drops (the port total is a register)",
 	"nic.Port.SetTxTrace":               "departure instants the batching invariance pins compare",
 	"dut.Forwarder.Backlog":             "DuT queue depth under overload",
 	"dut.Forwarder.MeanInternalLatency": "DuT sojourn time, the ~2 ms overload latency",
@@ -49,7 +48,6 @@ var exportAllowlist = map[string]string{
 	"mempool.Cache.Flush":               "returns cached buffers so leak tests can see a whole pool",
 	"mempool.Pool.Count":                "pool size, the Available == Count leak check",
 	"mempool.Pool.Stats":                "alloc/free totals the shared TX cache leak test compares",
-	"nic.RxQueue.Received":              "per-queue RX counts the RSS steering test checks",
 	"stats.Histogram.Mean":              "sample mean the merge-property, flow-merge and timestamper tests compare",
 	"stats.Histogram.Std":               "spread the histogram merge property compares",
 	"stats.Histogram.WriteCSV":          "text form of the bins the CSV round-trip test pins",

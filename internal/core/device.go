@@ -27,9 +27,6 @@ type DeviceConfig struct {
 	TxRing int
 	// RxPool overrides the receive pool size.
 	RxPool int
-	// RxTrain overrides the receive write-back train (1 = per-packet
-	// publication; default nic.DefaultRxTrain).
-	RxTrain int
 	// TxTrain overrides how many frames the MAC scheduler commits per
 	// event (default nic.DefaultTxTrain). Departure times are computed
 	// on the same per-frame wire grid regardless, so this is a pure
@@ -48,7 +45,6 @@ func (a *App) ConfigDevice(cfg DeviceConfig) *Device {
 		RxRingSize:    cfg.RxRing,
 		TxRingSize:    cfg.TxRing,
 		RxPoolSize:    cfg.RxPool,
-		RxTrain:       cfg.RxTrain,
 		TxTrain:       cfg.TxTrain,
 		ClockDriftPPM: cfg.DriftPPM,
 	})

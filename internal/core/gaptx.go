@@ -219,7 +219,12 @@ type Allocator interface {
 // long as the queue is unshaped (a shaper starts its grid when it
 // first sees a frame, which for a held one is later than its push
 // time), the queue and the pools Slot allocates from are the task's
-// alone, and the run ends at the engine's stop time (not by Stop).
+// alone (a frame filled ahead takes its buffer and its descriptor at
+// the wake, not at its slot), and the run ends at the engine's stop
+// time (not by Stop). The NIC adds no condition: the ring room and
+// the pool level a wake sees are exact, because the port commits held
+// frames and reclaims sent buffers only up to the next pending event
+// (Engine.QuietUntil, Engine.Due), which a wake always is.
 type PushTx struct {
 	Queue *nic.TxQueue
 	// Schedule returns slot n's deadline as an offset from the task

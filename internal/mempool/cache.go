@@ -70,6 +70,7 @@ func (c *Cache) refill() int {
 // the pool on a cache miss. Returns nil only when pool and cache are
 // both exhausted.
 func (c *Cache) Alloc(length int) *Mbuf {
+	c.pool.runSync()
 	if len(c.local) == 0 {
 		if c.refill() == 0 {
 			return nil
@@ -91,6 +92,7 @@ func (c *Cache) Alloc(length int) *Mbuf {
 // The batch is served from the cached stock in bulk; the pool lock is
 // taken at most once per refill, not per buffer.
 func (c *Cache) AllocBatch(out []*Mbuf, length int) int {
+	c.pool.runSync()
 	filled := 0
 	for filled < len(out) {
 		fromStock := len(c.local) > 0
@@ -132,6 +134,11 @@ func (c *Cache) BufArray(size int) *BufArray {
 // it spills back to the pool in one batch. Freeing the same buffer
 // twice — whether through the pool or the cache — panics.
 func (c *Cache) Put(m *Mbuf) {
+	c.pool.runSync()
+	c.put(m)
+}
+
+func (c *Cache) put(m *Mbuf) {
 	if m.pool != c.pool {
 		panic("mempool: buffer returned to cache of wrong pool")
 	}
@@ -170,4 +177,7 @@ func (c *Cache) spill(n int) {
 }
 
 // Flush returns every cached buffer to the pool (end-of-run cleanup).
-func (c *Cache) Flush() { c.spill(len(c.local)) }
+func (c *Cache) Flush() {
+	c.pool.runSync()
+	c.spill(len(c.local))
+}

@@ -12,6 +12,7 @@ package mempool
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -125,13 +126,37 @@ func (m *Mbuf) Free() {
 // use; the free list is protected by a mutex, which is not the hot path
 // in the simulation (batched alloc/free amortizes it exactly as DPDK's
 // per-core mempool caches do).
+//
+// Sent buffers come back lazily, the way a poll-mode driver reclaims
+// transmit descriptors (FreeAt): at the first operation on the pool
+// (alloc, cache refill, free, Available, Stats) at or after their
+// completion, so the free list is exactly what completion events would
+// have left — recycled buffers keep their contents. While buffers are
+// owed, the pool belongs to the engine that owes them.
 type Pool struct {
 	mu   sync.Mutex
 	bufs []*Mbuf
 	free []int // indices of free buffers, LIFO for cache locality
 
+	// owed holds sent buffers not yet reclaimed from owedHead on,
+	// sorted by completion (instant, then arm sequence); sync is the
+	// SetSync hook.
+	owed     []Sent
+	owedHead int
+	eng      *sim.Engine
+	sync     func()
+
 	allocs uint64
 	frees  uint64
+}
+
+// Sent is a buffer the NIC sent, owed to its pool as of its transmit
+// completion: the event that would free it fires at At, right after
+// the Schedule call numbered Arm.
+type Sent struct {
+	M   *Mbuf
+	At  sim.Time
+	Arm uint64
 }
 
 // Config configures a pool.
@@ -185,16 +210,76 @@ func New(cfg Config) *Pool {
 // Count returns the total number of buffers in the pool.
 func (p *Pool) Count() int { return len(p.bufs) }
 
+// SetSync installs fn to run before every operation on the pool or
+// its caches, so a producer that fills buffers lazily (a port pulling
+// its arrivals) catches up first. fn may re-enter the pool.
+func (p *Pool) SetSync(fn func()) { p.sync = fn }
+
+func (p *Pool) runSync() {
+	if p.sync != nil {
+		p.sync()
+	}
+}
+
+// lock runs the sync hook, takes the pool lock and reclaims the owed
+// buffers that are due.
+func (p *Pool) lock() {
+	p.runSync()
+	p.mu.Lock()
+	n := p.owedHead
+	for n < len(p.owed) && p.eng.Due(p.owed[n].At, p.owed[n].Arm) {
+		p.putLocked(p.owed[n].M)
+		n++
+	}
+	if n > 0 && 2*n >= len(p.owed) { // drop the reclaimed prefix
+		p.owed = p.owed[:copy(p.owed, p.owed[n:])]
+		n = 0
+	}
+	p.owedHead = n
+}
+
+// FreeAt hands sent buffers of p back, in completion order, on eng.
+// Each rejoins the free list at the first operation its completion is
+// due for (sim.Engine.Due).
+func (p *Pool) FreeAt(sent []Sent, eng *sim.Engine) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.eng != eng {
+		p.eng = eng
+		eng.AddDeferred(p.lastOwed)
+	}
+	for _, s := range sent {
+		i := len(p.owed) // another port's train may complete earlier
+		for i > p.owedHead && (p.owed[i-1].At > s.At || p.owed[i-1].At == s.At && p.owed[i-1].Arm > s.Arm) {
+			i--
+		}
+		if i == len(p.owed) {
+			p.owed = append(p.owed, s)
+		} else {
+			p.owed = slices.Insert(p.owed, i, s)
+		}
+	}
+}
+
+// lastOwed is the completion instant of the last owed buffer (0 for
+// none), for sim.Engine.AddDeferred.
+func (p *Pool) lastOwed() sim.Time {
+	if n := len(p.owed); n > p.owedHead {
+		return p.owed[n-1].At
+	}
+	return 0
+}
+
 // Available returns the number of free buffers.
 func (p *Pool) Available() int {
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	return len(p.free)
 }
 
 // Stats returns cumulative allocation and free counts.
 func (p *Pool) Stats() (allocs, frees uint64) {
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	return p.allocs, p.frees
 }
@@ -202,7 +287,7 @@ func (p *Pool) Stats() (allocs, frees uint64) {
 // Alloc takes one buffer with the given packet length, or nil if the
 // pool is exhausted.
 func (p *Pool) Alloc(length int) *Mbuf {
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	return p.allocLocked(length)
 }
@@ -224,7 +309,7 @@ func (p *Pool) allocLocked(length int) *Mbuf {
 // AllocBatch fills out with freshly allocated buffers of the given
 // length and returns how many it could allocate.
 func (p *Pool) AllocBatch(out []*Mbuf, length int) int {
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	for i := range out {
 		m := p.allocLocked(length)
@@ -237,7 +322,7 @@ func (p *Pool) AllocBatch(out []*Mbuf, length int) int {
 }
 
 func (p *Pool) put(m *Mbuf) {
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	p.putLocked(m)
 }
@@ -260,7 +345,7 @@ func (p *Pool) putLocked(m *Mbuf) {
 // FreeBatch returns a batch of this pool's buffers under one lock
 // acquisition — the spill path of the per-core Cache.
 func (p *Pool) FreeBatch(bufs []*Mbuf) {
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	for _, m := range bufs {
 		p.putLocked(m)
@@ -307,12 +392,15 @@ func (a *BufArray) Alloc(size int) int {
 // FreeAll returns every non-nil buffer (through the cache when bound to
 // one) and clears the slots (bufs:freeAll()).
 func (a *BufArray) FreeAll() {
+	if a.cache != nil {
+		a.cache.pool.runSync()
+	}
 	for i, m := range a.Bufs {
 		if m == nil {
 			continue
 		}
 		if a.cache != nil && m.pool == a.cache.pool {
-			a.cache.Put(m)
+			a.cache.put(m)
 		} else {
 			m.Free()
 		}

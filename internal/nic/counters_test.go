@@ -49,7 +49,7 @@ func TestCountersVisibleAfterTxTrain(t *testing.T) {
 
 // missWatch is the receiving end of a link: it delivers into port and,
 // after every delivery that cost a ring-full drop, schedules onDrop at
-// the same instant with the queue's miss count right after the drop.
+// the same instant with the port's miss count right after the drop.
 type missWatch struct {
 	eng    *sim.Engine
 	port   *Port
@@ -57,10 +57,9 @@ type missWatch struct {
 }
 
 func (w *missWatch) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
-	q := w.port.GetRxQueue(0)
-	before := q.Missed()
+	before := w.port.stats.RxMissed
 	w.port.DeliverFrame(f, rxTime)
-	if missed := q.Missed(); missed > before {
+	if missed := w.port.stats.RxMissed; missed > before {
 		w.eng.Schedule(w.eng.Now(), func() { w.onDrop(missed) })
 	}
 }

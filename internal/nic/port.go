@@ -6,7 +6,6 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/proto"
 	"repro/internal/ptpclk"
-	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -81,7 +80,6 @@ type Port struct {
 	pumpFn        func()
 	txPaused      bool // MAC scheduler gated (PFC-style backpressure)
 	rrNext        int
-	fifoBytes     int // bytes fetched into the on-chip TX FIFO
 	lastTxStart   sim.Time
 	hasTxStart    bool
 	txTrain       int          // max frames the MAC commits per scheduler event
@@ -90,17 +88,14 @@ type Port struct {
 	runtMinGap    sim.Duration // precomputed 1/RuntMaxPPS (0 = no ceiling)
 	portMinGap    sim.Duration // precomputed 1/PortMaxPPS (0 = no ceiling)
 
-	// completions is the transmit-completion FIFO: buffers owned by
-	// the NIC until their frame leaves the FIFO, recycled in batches
-	// by the prebound completeFn (one event per train, no closures).
-	// freeBatch is the reusable scratch that returns a completed train
-	// to its pool under a single lock acquisition.
-	completions     ring.FIFO[txCompletion]
-	lastCompletion  sim.Time
-	completeFn      func()
-	completionArmed bool
-	completionAt    sim.Time
-	freeBatch       []*mempool.Mbuf
+	// sent holds the buffers this pump event sent, those from
+	// trainStart on by the running evaluation, the last of which leaves
+	// the wire at trainEnd (endTrain).
+	sent       []mempool.Sent
+	trainStart int
+	trainEnd   sim.Time
+
+	in *wire.Link // the link into the port (pullArrivals)
 
 	// txTrace, when set, observes every departure commit with its
 	// exact wire start instant (tests pin the batched scheduler's
@@ -110,12 +105,6 @@ type Port struct {
 	// onDeliver, when set, intercepts valid received frames before
 	// queue steering (used by the DuT model for custom processing).
 	onDeliver func(f *wire.Frame, rxTime sim.Time) bool
-}
-
-// txCompletion is one entry of the transmit-completion FIFO.
-type txCompletion struct {
-	m  *mempool.Mbuf
-	at sim.Time
 }
 
 // PortConfig configures a port at creation.
@@ -136,11 +125,6 @@ type PortConfig struct {
 	// event on the batched fast path (default DefaultTxTrain; 1
 	// reproduces the per-packet scheduler event for event).
 	TxTrain int
-	// RxTrain is the receive write-back train: how many validated
-	// frames are staged per queue before one burst publication to the
-	// descriptor ring (default DefaultRxTrain; 1 reproduces per-packet
-	// publication).
-	RxTrain int
 	// ClockDriftPPM desynchronizes this port's PTP clock rate.
 	ClockDriftPPM float64
 	// ClockOffset desynchronizes this port's PTP clock phase.
@@ -204,12 +188,12 @@ func NewPort(eng *sim.Engine, cfg PortConfig) *Port {
 		p.portMinGap = sim.FromSeconds(1 / cfg.Profile.PortMaxPPS)
 	}
 	p.pumpFn = p.pumpEvent
-	p.completeFn = p.completeTx
+	p.Clock.SetSync(p.pullArrivals)
 	for i := 0; i < cfg.TxQueues; i++ {
 		p.txQueues = append(p.txQueues, newTxQueue(p, i, cfg.TxRingSize))
 	}
 	for i := 0; i < cfg.RxQueues; i++ {
-		p.rxQueues = append(p.rxQueues, newRxQueue(p, i, cfg.RxRingSize, cfg.RxTrain))
+		p.rxQueues = append(p.rxQueues, newRxQueue(p, i, cfg.RxRingSize))
 	}
 	return p
 }
@@ -238,6 +222,32 @@ func ConnectDuplex(eng *sim.Engine, a, b *Port, phy wire.PHYProfile, lengthM flo
 	}
 	a.Connect(wire.NewLink(eng, a.profile.Speed, phy, lengthM, b))
 	b.Connect(wire.NewLink(eng, b.profile.Speed, phy, lengthM, a))
+	a.in, b.in = b.link, a.link
+	a.setDeliveryMode()
+	b.setDeliveryMode()
+}
+
+// setDeliveryMode lets the link into the port take events only for
+// frames a deliver hook must see at their instant (valid ones), and
+// none without a hook.
+func (p *Port) setDeliveryMode() {
+	if p.in != nil {
+		mode := wire.Pull
+		if p.onDeliver != nil {
+			mode = wire.PushValid
+		}
+		p.in.SetDelivery(mode, len(p.rxQueues)*p.rxQueues[0].ring.Cap())
+	}
+}
+
+// pullArrivals takes the due frames off the link into the receive
+// path. Every surface that observes receive state calls it first:
+// RecvBurst/Pending, CounterSnapshot, ReadRxTimestamp, the receive
+// pool and its cache (Pool.SetSync) and clock steps (Clock.SetSync).
+func (p *Port) pullArrivals() {
+	if p.in != nil {
+		p.in.Pull()
+	}
 }
 
 // MAC returns the port's hardware address (ethSrc = queue in MoonGen
@@ -264,6 +274,7 @@ func (p *Port) NumTxQueues() int { return len(p.txQueues) }
 func (p *Port) ensureRxPool() {
 	if p.rxPool == nil {
 		p.rxPool = mempool.New(mempool.Config{Count: p.rxPoolSize})
+		p.rxPool.SetSync(p.pullArrivals)
 		p.rxCache = p.rxPool.NewCache(0)
 	}
 }
@@ -286,14 +297,18 @@ func (p *Port) RxBufArray(size int) *mempool.BufArray {
 
 // CounterSnapshot returns the statistics registers. It must be called
 // on the port's engine (an event or process of it, or after its run
-// returned): every counter is exact as of the current instant, since
-// the datapath increments the registers directly. Sharded runs read
-// each shard's ports on that shard's engine and merge after the join.
-func (p *Port) CounterSnapshot() Stats { return p.stats }
+// returned): it pulls the due arrivals first, so every counter is
+// exact as of the current instant. Sharded runs read each shard's
+// ports on that shard's engine and merge after the join.
+func (p *Port) CounterSnapshot() Stats {
+	p.pullArrivals()
+	return p.stats
+}
 
 // EnableTimestamps turns on the PTP filter (EtherType 0x88F7 and UDP
 // port udpPort; 0 keeps the default 319).
 func (p *Port) EnableTimestamps(udpPort uint16) {
+	p.pullArrivals()
 	p.tsEnabled = true
 	if udpPort != 0 {
 		p.tsUDPPort = udpPort
@@ -311,6 +326,7 @@ func (p *Port) ReadTxTimestamp() (ts sim.Time, seq uint16, ok bool) {
 
 // ReadRxTimestamp reads and clears the RX timestamp latch.
 func (p *Port) ReadRxTimestamp() (ts sim.Time, seq uint16, ok bool) {
+	p.pullArrivals()
 	if !p.rxTSValid {
 		return 0, 0, false
 	}
@@ -322,9 +338,12 @@ func (p *Port) ReadRxTimestamp() (ts sim.Time, seq uint16, ok bool) {
 // returning true consumes the frame (skipping queue steering). The DuT
 // model uses this to process packets without the full driver stack.
 // The frame is recycled by the link after the hook returns unless the
-// hook calls Frame.Retain.
+// hook calls Frame.Retain. A hooked port takes a delivery event per
+// valid arrival, since the hook reacts to each arrival's instant.
 func (p *Port) SetDeliverHook(fn func(f *wire.Frame, rxTime sim.Time) bool) {
+	p.pullArrivals()
 	p.onDeliver = fn
+	p.setDeliveryMode()
 }
 
 // SetTxTrace installs an observer called at every departure commit
@@ -415,7 +434,7 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 	// length are dropped before queue assignment; only an error
 	// counter moves (§8.1) — the packet processing logic upstream
 	// never sees them.
-	if !f.CRCOK || f.WireSize < proto.MinFrameSizeFCS {
+	if !f.Valid() {
 		p.stats.RxCRCErrors++
 		return
 	}
@@ -439,14 +458,11 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 
 	// 3. Steer into a receive queue, drop (missed) when pool or ring is
 	// full. Buffers come from the port's receive cache (one pool lock
-	// per refill) and are published to the ring in write-back trains
-	// (one producer-index store per RxTrain frames) — the batched RX
-	// datapath mirroring the MAC scheduler's transmit trains.
+	// per refill).
 	q := p.rxQueues[p.rssQueue(f.Data)]
 	p.ensureRxPool()
 	m := p.rxCache.Alloc(len(f.Data))
 	if m == nil {
-		q.missed.Add(1)
 		p.stats.RxMissed++
 		return
 	}

@@ -5,6 +5,13 @@
 // documented per-chip limits (FIFO sizes, timestamp granularities, the
 // XL710's bandwidth caps, the >9 Mpps rate-control anomaly, the 33-byte
 // minimum wire frame and the 15.6 Mpps runt-frame limit).
+//
+// The datapath works like a poll-mode driver: a port pulls its due
+// arrivals when its receive state is observed, sent buffers return to
+// their pools lazily (mempool.Pool.FreeAt), and the MAC scheduler runs
+// its next evaluations in the same event up to the engine's next event
+// (sim.Engine.QuietUntil), so no frame costs an event of its own. A
+// hooked port (the DuT) takes an event per valid arrival.
 package nic
 
 import (

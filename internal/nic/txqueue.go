@@ -3,6 +3,11 @@ package nic
 import (
 	"fmt"
 	"math/rand"
+	// The compiler inlines the generic descriptor rings' atomic index
+	// loads and stores (Peek, DequeueOne, EnqueueOne) into this
+	// package's instantiation only when the package imports sync/atomic
+	// itself; without it each is a call, ~40 ns per frame on overload4.
+	_ "sync/atomic"
 
 	"repro/internal/mempool"
 	"repro/internal/proto"
@@ -135,13 +140,13 @@ func drawHWOscillation(rng *rand.Rand) sim.Duration {
 }
 
 // eligibleAt returns when the head frame of this queue may start
-// transmitting according to the queue's shaper.
-func (q *TxQueue) eligibleAt() sim.Time {
+// transmitting according to the queue's shaper, for a scheduler
+// evaluation at now.
+func (q *TxQueue) eligibleAt(now sim.Time) sim.Time {
 	if q.interval == 0 {
-		return q.port.eng.Now()
+		return now
 	}
 	if !q.pendingValid {
-		now := q.port.eng.Now()
 		if q.idealNext < now {
 			// The queue was empty or newly rated: restart the grid.
 			q.idealNext = now
@@ -219,12 +224,20 @@ func (p *Port) ResumeTx() {
 // allocation — and pumpEvent discards stale firings by comparing the
 // armed instant, so the event population stays O(1) per port.
 func (p *Port) schedulePump(at sim.Time) {
+	if p.rearm(at) {
+		p.eng.Schedule(at, p.pumpFn)
+	}
+}
+
+// rearm records the next evaluation at at unless one is armed at or
+// before it, reporting a change; inside pump it only records.
+func (p *Port) rearm(at sim.Time) bool {
 	if p.pumpScheduled && p.pumpAt <= at {
-		return
+		return false
 	}
 	p.pumpScheduled = true
 	p.pumpAt = at
-	p.eng.Schedule(at, p.pumpFn)
+	return true
 }
 
 // pumpEvent is the scheduled entry point: it runs the scheduler only
@@ -237,35 +250,69 @@ func (p *Port) pumpEvent() {
 	p.pump()
 }
 
-// pump is the port's MAC transmit scheduler: it picks the next eligible
-// frame across all queues (round-robin at equal times via queue index),
-// honors per-queue rate limiters, the wire's serialization spacing, the
-// runt-frame rate ceiling and the XL710's per-port packet ceiling, then
-// emits the frame onto the link.
+// pump runs the scheduler evaluation armed for now, then, in the same
+// event, each next one while it falls strictly before the engine's
+// QuietUntil and fewer than txTrain frames went out. Nothing else acts
+// before then, so each evaluation sees what it would in its own event:
+// a held frame is committed at max(launch, link free, rate ceilings)
+// without an event. Telemetry windows, pause and link edges, probes on
+// other queues, the ring room a sender sees and the run end are all
+// events, so this one bound covers them. The bound is re-read after
+// events the train schedules itself (push deliveries into a hooked
+// peer). Each evaluation is one train (endTrain).
+func (p *Port) pump() {
+	now := p.eng.Now()
+	quiet, seen := p.eng.QuietUntil(), p.eng.LastSeq()
+	sent := 0
+	for {
+		p.pumpScheduled = false
+		sent += p.evaluate(now)
+		if !p.pumpScheduled || sent >= p.txTrain {
+			break
+		}
+		if s := p.eng.LastSeq(); s != seen {
+			quiet, seen = p.eng.QuietUntil(), s
+		}
+		if p.pumpAt >= quiet {
+			break
+		}
+		p.endTrain()
+		now = p.pumpAt
+	}
+	if p.pumpScheduled {
+		p.eng.Schedule(p.pumpAt, p.pumpFn)
+	}
+	p.endTrain()
+	p.returnSent()
+}
+
+// evaluate is one scheduler evaluation at now: it picks the next
+// eligible frame across all queues (round-robin at equal times via
+// queue index), honors per-queue rate limiters, the wire's
+// serialization spacing, the runt-frame rate ceiling and the XL710's
+// per-port packet ceiling, then emits the frame onto the link. It
+// returns the frames sent and arms the next evaluation, if any.
 //
 // Batching: after the first commit, the scheduler keeps emitting from
-// the same queue — up to txTrain frames in this one event — as long as
-// it is the only active queue and unshaped, stamping each departure on
-// the exact per-frame wire grid (serialization spacing plus the rate
-// ceilings). The grid arithmetic is identical to the per-packet
-// evaluation, so departure times are bit-identical; only the event
-// count drops. Shaped queues and multi-queue arbitration points are
-// always evaluated in their own event, exactly as before, which keeps
-// the §7.2 shaper oscillation model untouched.
-func (p *Port) pump() {
-	p.pumpScheduled = false
+// the same queue — up to txTrain frames — as long as it is the only
+// active queue and unshaped, stamping each departure on the exact
+// per-frame wire grid (serialization spacing plus the rate ceilings).
+// The grid arithmetic is identical to the per-packet evaluation, so
+// departure times are bit-identical. Shaped queues and multi-queue
+// arbitration points always end the train, which keeps the §7.2
+// shaper oscillation model untouched.
+func (p *Port) evaluate(now sim.Time) int {
 	if p.txPaused {
-		return // gated (PauseTx): frames wait in the rings
+		return 0 // gated (PauseTx): frames wait in the rings
 	}
 	if p.link == nil {
-		return // unconnected port: frames pile up in the rings
+		return 0 // unconnected port: frames pile up in the rings
 	}
-	now := p.eng.Now()
 	if !p.pumpStep(now) {
-		return
+		return 0
 	}
 	// Train continuation: same-queue burst on the pure wire grid. The
-	// horizon bounds how much wire time one event may pre-commit, so a
+	// horizon bounds how much wire time one train may pre-commit, so a
 	// frame enqueued on another queue mid-train (a latency probe during
 	// a flood) waits no longer than it would behind one large frame
 	// under the per-packet scheduler.
@@ -286,32 +333,28 @@ func (p *Port) pump() {
 			var multi bool
 			sole, multi = p.soleActiveQueue(now)
 			if multi {
-				// Arbitration: its own evaluation event.
-				p.schedulePump(p.link.NextTxSlot())
-				break
+				// Arbitration: its own evaluation.
+				p.rearm(p.txSlot(now))
+				return emitted
 			}
 		}
 		if sole != nil && sole.interval != 0 {
-			// Shaping: its own evaluation event.
-			p.schedulePump(p.link.NextTxSlot())
-			break
+			// Shaping: its own evaluation.
+			p.rearm(p.txSlot(now))
+			return emitted
 		}
 		if sole == nil {
 			// Rings drained, or only held frames left: pumpStep arms
 			// the evaluation of the earliest one, the next Send kicks
 			// us for anything else.
 			p.pumpStep(now)
-			break
-		}
-		start := p.link.NextTxSlot()
-		if start < now {
-			start = now
+			return emitted
 		}
 		m, _ := sole.ring.Peek()
-		start = p.applyRateCeilings(m, start)
+		start := p.applyRateCeilings(m, p.txSlot(now))
 		if start > horizon {
-			p.schedulePump(start)
-			break
+			p.rearm(start)
+			return emitted
 		}
 		m, _ = sole.ring.DequeueOne()
 		sole.advance()
@@ -319,11 +362,12 @@ func (p *Port) pump() {
 		p.transmitFrameAt(sole, m, start)
 		emitted++
 	}
-	if emitted == p.txTrain {
-		p.schedulePump(p.link.NextTxSlot())
-	}
-	p.armCompletions()
+	p.rearm(p.txSlot(now))
+	return emitted
 }
+
+// txSlot is the earliest wire start for an evaluation at now.
+func (p *Port) txSlot(now sim.Time) sim.Time { return max(p.link.NextTxSlot(), now) }
 
 // soleActiveQueue returns the only TX queue with a frame sendable at
 // now, or multi=true when more than one queue is active. A queue whose
@@ -382,7 +426,7 @@ func (p *Port) pumpStep(now sim.Time) bool {
 		}
 		at := m.TxMeta.LaunchAt
 		if !held(m, now) {
-			at = q.eligibleAt()
+			at = q.eligibleAt(now)
 		}
 		if best == nil || at < bestAt {
 			best = q
@@ -393,19 +437,10 @@ func (p *Port) pumpStep(now sim.Time) bool {
 		return false // idle; the next Send kicks us again
 	}
 
-	start := bestAt
-	if w := p.link.NextTxSlot(); w > start {
-		start = w
-	}
-	if start < now {
-		start = now
-	}
-
 	m, _ := best.ring.Peek()
-	start = p.applyRateCeilings(m, start)
-
+	start := p.applyRateCeilings(m, max(bestAt, p.txSlot(now)))
 	if start > now {
-		p.schedulePump(start)
+		p.rearm(start)
 		return false
 	}
 
@@ -482,64 +517,34 @@ func (p *Port) transmitFrameAt(q *TxQueue, m *mempool.Mbuf, start sim.Time) {
 		p.txTrace(q, m, start)
 	}
 
-	// The NIC owns the buffer until the frame has left the FIFO; then
-	// DPDK-style recycling returns it to its pool. Completions are
-	// queued here and armed once per train (armCompletions).
-	p.pushCompletion(m, busyUntil)
+	// The NIC owns the buffer until the frame has left the wire.
+	p.sent = append(p.sent, mempool.Sent{M: m})
+	p.trainEnd = busyUntil
 }
 
-// pushCompletion appends a buffer to the transmit-completion FIFO
-// (completion times are monotonic: busyUntil only moves forward).
-func (p *Port) pushCompletion(m *mempool.Mbuf, at sim.Time) {
-	p.lastCompletion = at
-	p.completions.Push(txCompletion{m: m, at: at})
-}
-
-// armCompletions schedules one recycling event at the end of the train
-// just committed. The event frees every buffer whose frame has left the
-// FIFO by then; with single-frame trains this is exactly the per-packet
-// free-at-busyUntil behavior. An event already armed at the same
-// instant is not duplicated (duplicates were harmless no-ops; now they
-// are not scheduled at all).
-func (p *Port) armCompletions() {
-	if p.completions.Len() > 0 && !(p.completionArmed && p.completionAt == p.lastCompletion) {
-		p.completionArmed = true
-		p.completionAt = p.lastCompletion
-		p.eng.Schedule(p.lastCompletion, p.completeFn)
+// endTrain dates the running evaluation's buffers by its completion
+// event: at the last frame's wire end, right after the latest Schedule
+// call.
+func (p *Port) endTrain() {
+	arm := p.eng.LastSeq()
+	for i := p.trainStart; i < len(p.sent); i++ {
+		p.sent[i].At, p.sent[i].Arm = p.trainEnd, arm
 	}
+	p.trainStart = len(p.sent)
 }
 
-// completeTx frees every buffer whose transmit completed by now.
-// Frees are batched per pool (one lock acquisition per run of
-// same-pool buffers — in practice the whole train) instead of paying
-// the pool mutex per packet.
-func (p *Port) completeTx() {
-	now := p.eng.Now()
-	if now >= p.completionAt {
-		p.completionArmed = false
-	}
-	for {
-		c, ok := p.completions.Peek()
-		if !ok || c.at > now {
-			break
+// returnSent hands the pump event's buffers to their pools, one pool
+// lock per run of same-pool buffers.
+func (p *Port) returnSent() {
+	for i := 0; i < len(p.sent); {
+		pool := p.sent[i].M.Pool()
+		j := i + 1
+		for j < len(p.sent) && p.sent[j].M.Pool() == pool {
+			j++
 		}
-		if n := len(p.freeBatch); n > 0 && p.freeBatch[n-1].Pool() != c.m.Pool() {
-			p.flushFreeBatch()
-		}
-		p.completions.Pop()
-		p.freeBatch = append(p.freeBatch, c.m)
+		pool.FreeAt(p.sent[i:j], p.eng)
+		i = j
 	}
-	p.flushFreeBatch()
-}
-
-// flushFreeBatch returns the accumulated same-pool completions.
-func (p *Port) flushFreeBatch() {
-	if len(p.freeBatch) == 0 {
-		return
-	}
-	p.freeBatch[0].Pool().FreeBatch(p.freeBatch)
-	for i := range p.freeBatch {
-		p.freeBatch[i] = nil
-	}
-	p.freeBatch = p.freeBatch[:0]
+	clear(p.sent)
+	p.sent, p.trainStart = p.sent[:0], 0
 }

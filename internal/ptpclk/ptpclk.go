@@ -49,6 +49,8 @@ type Clock struct {
 	// accumulated drift is (now-driftEpoch) * driftPPM / 1e6.
 	driftEpoch sim.Time
 
+	sync func() // SetSync hook
+
 	// readOutlierProb is the probability that a PCIe register read
 	// returns a bogus value (paper §6.2: ~5%).
 	readOutlierProb float64
@@ -132,9 +134,17 @@ func (c *Clock) Read() sim.Time {
 	return v
 }
 
+// SetSync installs fn to run before the clock is stepped (Adjust,
+// SetDriftPPM), so a port pulls its due arrivals before they are
+// stamped by the stepped clock.
+func (c *Clock) SetSync(fn func()) { c.sync = fn }
+
 // Adjust shifts the clock by delta using the NIC's atomic
 // read-modify-write timer adjustment (required for PTP, §6.2).
 func (c *Clock) Adjust(delta sim.Duration) {
+	if c.sync != nil {
+		c.sync()
+	}
 	// Fold accumulated drift into the offset so the adjustment is
 	// atomic with respect to the drift model.
 	now := c.eng.Now()
@@ -144,6 +154,9 @@ func (c *Clock) Adjust(delta sim.Duration) {
 
 // SetDriftPPM changes the drift rate (e.g. when a link renegotiates).
 func (c *Clock) SetDriftPPM(ppm float64) {
+	if c.sync != nil {
+		c.sync()
+	}
 	now := c.eng.Now()
 	c.offset = c.raw(now).Sub(now)
 	c.driftEpoch = now

@@ -44,6 +44,9 @@ func (f *FIFO[T]) Peek() (T, bool) {
 	return f.buf[f.head], true
 }
 
+// At returns the i-th queued item (0 is the head).
+func (f *FIFO[T]) At(i int) T { return f.buf[f.head+i] }
+
 // Pop removes and returns the head item.
 func (f *FIFO[T]) Pop() (T, bool) {
 	if f.head == len(f.buf) {

@@ -22,6 +22,13 @@ type Engine struct {
 	procs   int    // live processes, for diagnostics
 	events  uint64 // total events fired, for diagnostics
 
+	// firing is the sequence of the event being fired (noEvent outside
+	// one), until the instant the current Run returns at, deferred the
+	// AddDeferred components.
+	firing   uint64
+	until    Time
+	deferred []func() Time
+
 	// stopAt, when non-zero, is the simulated time at which Running()
 	// starts returning false. It is the simulation's equivalent of
 	// MoonGen's dpdk.running() runtime limit.
@@ -39,8 +46,14 @@ func NewEngine(seed int64) *Engine {
 		rng:      rand.New(rand.NewSource(seed)),
 		stopAt:   Never,
 		sampleAt: Never,
+		firing:   noEvent,
+		until:    Never,
 	}
 }
+
+// noEvent orders after every event: outside one, Due counts the
+// current instant as past.
+const noEvent = ^uint64(0)
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -98,6 +111,34 @@ func (e *Engine) ScheduleAfter(d Duration, fn func()) {
 	e.Schedule(e.now.Add(d), fn)
 }
 
+// LastSeq returns the sequence number of the latest Schedule call:
+// model code that folds an event into lazy work records it where the
+// event would have been scheduled, and later asks Due.
+func (e *Engine) LastSeq() uint64 { return e.seq }
+
+// Due reports whether an event for at, scheduled right after the
+// Schedule call numbered armSeq, would have fired before the code now
+// running: before the current instant, or at it when the firing event
+// was scheduled later. This is the lazy datapath's same-instant rule.
+func (e *Engine) Due(at Time, armSeq uint64) bool {
+	return at < e.now || at == e.now && armSeq < e.firing
+}
+
+// AddDeferred registers a component that folds events into lazy work
+// (a pulled link, a pool reclaiming sent buffers); last reports its
+// latest folded event not yet caught up with (0 for none). When RunAll
+// empties the queue the clock advances to the latest of them.
+func (e *Engine) AddDeferred(last func() Time) { e.deferred = append(e.deferred, last) }
+
+// NextAt returns the time of the earliest pending event, or Never.
+func (e *Engine) NextAt() Time { return e.wheel.peek() }
+
+// QuietUntil returns the instant before which nothing outside the
+// running event can act: the next pending event or the end of the
+// current Run. Work done now for an instant strictly before it is seen
+// by every observer as if done at that instant. Scheduling lowers it.
+func (e *Engine) QuietUntil() Time { return min(e.NextAt(), e.until) }
+
 // SetStopTime arranges for Running() to become false at t. Processes that
 // loop on Running (the dpdk.running() idiom) terminate shortly after.
 func (e *Engine) SetStopTime(t Time) { e.stopAt = t }
@@ -131,8 +172,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // until. It returns the number of events fired.
 func (e *Engine) Run(until Time) int {
 	n := 0
+	e.until = until
 	for {
-		at, fn, ok := e.wheel.popAtMost(until)
+		at, seq, fn, ok := e.wheel.popAtMost(until)
 		if !ok {
 			break
 		}
@@ -141,10 +183,16 @@ func (e *Engine) Run(until Time) int {
 		}
 		e.now = at
 		e.events++
+		e.firing = seq
 		fn()
 		n++
 	}
-	if e.now < until && until != Never {
+	e.firing = noEvent
+	if until == Never {
+		for _, last := range e.deferred {
+			e.now = max(e.now, last())
+		}
+	} else if e.now < until {
 		e.now = until
 	}
 	return n

@@ -27,6 +27,7 @@ type schedulerUnderTest interface {
 	Now() Time
 	Step() bool
 	Run(until Time) int
+	NextAt() Time
 }
 
 func (h *heapEngine) Now() Time { return h.now }
@@ -53,6 +54,14 @@ func (h *heapEngine) Schedule(at Time, fn func()) {
 		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
 		i = parent
 	}
+}
+
+// NextAt returns the earliest pending time, or Never.
+func (h *heapEngine) NextAt() Time {
+	if len(h.ev) == 0 {
+		return Never
+	}
+	return h.ev[0].at
 }
 
 // Step pops and fires the earliest event.

@@ -7,12 +7,14 @@ func (e *Engine) Step() bool {
 	if e.wheel.len() == 0 {
 		return false
 	}
-	at, fn, _ := e.wheel.popAtMost(Never)
+	at, seq, fn, _ := e.wheel.popAtMost(Never)
 	if at < e.now {
 		panic("sim: time went backwards")
 	}
 	e.now = at
 	e.events++
+	e.firing = seq
 	fn()
+	e.firing = noEvent
 	return true
 }

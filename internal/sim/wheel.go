@@ -296,7 +296,7 @@ func (w *timingWheel) load(slot int) {
 // time is ≤ until. One traversal serves both the peek and the pop of
 // the engine's Run loop. Must only be called when len() > 0 or with a
 // finite until.
-func (w *timingWheel) popAtMost(until Time) (Time, func(), bool) {
+func (w *timingWheel) popAtMost(until Time) (Time, uint64, func(), bool) {
 	w.promote()
 	if !w.loaded {
 		if w.slotLen > 0 {
@@ -304,31 +304,31 @@ func (w *timingWheel) popAtMost(until Time) (Time, func(), bool) {
 			if n := w.slots[slot]; n.next == nil {
 				// Singleton slot: fire without materializing a buffer.
 				if n.at > until {
-					return 0, nil, false
+					return 0, 0, nil, false
 				}
 				w.slots[slot] = nil
 				w.occupied[slot>>6] &^= 1 << (slot & 63)
 				w.slotLen--
 				w.cursor = tickOf(n.at)
-				at, fn := n.at, n.fn
+				at, seq, fn := n.at, n.seq, n.fn
 				w.release(n)
-				return at, fn, true
+				return at, seq, fn, true
 			}
 			w.load(slot)
 		} else {
 			if len(w.over.ns) == 0 || w.over.head().at > until {
-				return 0, nil, false
+				return 0, 0, nil, false
 			}
 			n := w.over.popHead()
 			w.cursor = tickOf(n.at)
-			at, fn := n.at, n.fn
+			at, seq, fn := n.at, n.seq, n.fn
 			w.release(n)
-			return at, fn, true
+			return at, seq, fn, true
 		}
 	}
 	n := w.fired[w.firedIdx]
 	if n.at > until {
-		return 0, nil, false
+		return 0, 0, nil, false
 	}
 	w.fired[w.firedIdx] = nil
 	w.firedIdx++
@@ -338,9 +338,30 @@ func (w *timingWheel) popAtMost(until Time) (Time, func(), bool) {
 		w.loaded = false
 	}
 	w.cursor = w.firedTick
-	at, fn := n.at, n.fn
+	at, seq, fn := n.at, n.seq, n.fn
 	w.release(n)
-	return at, fn, true
+	return at, seq, fn, true
+}
+
+// peek returns the earliest pending time, or Never: the loaded
+// remainder's head, else the minimum of the first occupied slot's
+// (unordered) list, else the overflow heap's head.
+func (w *timingWheel) peek() Time {
+	w.promote()
+	switch {
+	case w.loaded:
+		return w.fired[w.firedIdx].at
+	case w.slotLen > 0:
+		n := w.slots[w.firstOccupied()]
+		at := n.at
+		for n = n.next; n != nil; n = n.next {
+			at = min(at, n.at)
+		}
+		return at
+	case len(w.over.ns) > 0:
+		return w.over.head().at
+	}
+	return Never
 }
 
 // nodeHeap is a binary min-heap of overflow nodes ordered by (at, seq).

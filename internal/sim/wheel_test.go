@@ -103,6 +103,69 @@ func TestWheelMatchesHeapOrder(t *testing.T) {
 	}
 }
 
+// TestNextAtMatchesHeap pins the engine's next-event query against the
+// reference heap: over random schedule/pop runs — exact ties, intra-tick
+// clusters, far-future overflow that must be promoted, and re-entrant
+// inserts at the firing instant and in the firing tick — NextAt
+// reports the reference's earliest pending time before every step and
+// from inside every callback.
+func TestNextAtMatchesHeap(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		logs := map[string][]Time{}
+		for name, e := range bothSchedulers() {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			var log []Time
+			var sched func(d Duration, depth int)
+			sched = func(d Duration, depth int) {
+				e.Schedule(e.Now().Add(d), func() {
+					log = append(log, e.NextAt())
+					if depth < 2 {
+						sched(0, depth+1)                                         // re-entrant, same instant
+						sched(Duration(rng.Int63n(int64(wheelTickDur))), depth+1) // same or next tick
+					}
+					log = append(log, e.NextAt())
+				})
+			}
+			for i := 0; i < 200; i++ {
+				var d Duration
+				switch rng.Intn(4) {
+				case 0:
+					d = Duration(rng.Int63n(100))
+				case 1:
+					d = Duration(rng.Int63n(int64(10 * wheelTickDur)))
+				case 2:
+					d = Duration(rng.Int63n(int64(horizonDur)))
+				case 3:
+					d = horizonDur + Duration(rng.Int63n(int64(4*horizonDur)))
+				}
+				sched(d, rng.Intn(3))
+			}
+			for {
+				log = append(log, e.NextAt())
+				if !e.Step() {
+					break
+				}
+			}
+			logs[name] = log
+			if eng, ok := e.(*Engine); ok && eng.wheel.promotions == 0 {
+				t.Fatalf("trial %d: no overflow event was promoted", trial)
+			}
+		}
+		w, h := logs["wheel"], logs["heap"]
+		if len(w) != len(h) {
+			t.Fatalf("trial %d: %d NextAt samples on the wheel, %d on the heap", trial, len(w), len(h))
+		}
+		for i := range w {
+			if w[i] != h[i] {
+				t.Fatalf("trial %d: sample %d: wheel NextAt %v, heap %v", trial, i, w[i], h[i])
+			}
+		}
+		if w[len(w)-1] != Never {
+			t.Fatalf("trial %d: NextAt on an empty queue is %v, want Never", trial, w[len(w)-1])
+		}
+	}
+}
+
 // TestWheelSameTickReentrancy pins the same-instant re-entrancy rule:
 // an event scheduling at now fires in the same pass, after every event
 // already pending at that instant — on the Engine and the reference.

@@ -204,32 +204,31 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 	// oversubscribe the link — a spec asking for more than line rate is
 	// a mistake, not an overload experiment (softcbr models overload:
 	// it pushes the exact software grid regardless of wire capacity and
-	// lets the link drop).
+	// lets the link drop). A flow's own rate is always a hardware
+	// shaper's (qos shapes every flow on the NIC, whatever the pattern),
+	// so it is held to the line rate at its frame size.
+	size := s.PktSize
+	if size <= 0 {
+		size = 60
+	}
 	if s.Pattern == scenario.PatternCBR {
-		size := s.PktSize
-		if size <= 0 {
-			size = 60
-		}
 		capMpps := wire.LineRatePPS(wire.Speed10G, size+proto.FCSLen) / 1e6
 		if s.RateMpps > capMpps {
 			return d.errAt(anchor(d.line("load.rate")),
 				"load.rate: %g Mpps exceeds the 10GbE line rate (%.2f Mpps at %d-byte frames) — the cbr hardware shaper cannot oversubscribe the link; use pattern softcbr to model overload",
 				s.RateMpps, capMpps, size+proto.FCSLen)
 		}
-		for _, f := range s.Flows {
-			if f.RateMpps <= 0 {
-				continue
-			}
-			fsize := f.PktSize
-			if fsize <= 0 {
-				fsize = size
-			}
-			fcap := wire.LineRatePPS(wire.Speed10G, fsize+proto.FCSLen) / 1e6
-			if f.RateMpps > fcap {
-				return d.errAt(anchor(d.flowsLine),
-					"flows: flow %q rate %g Mpps exceeds the 10GbE line rate (%.2f Mpps at %d-byte frames)",
-					f.Name, f.RateMpps, fcap, fsize+proto.FCSLen)
-			}
+	}
+	for _, f := range s.Flows {
+		fsize := f.PktSize
+		if fsize <= 0 {
+			fsize = size
+		}
+		fcap := wire.LineRatePPS(wire.Speed10G, fsize+proto.FCSLen) / 1e6
+		if f.RateMpps > fcap {
+			return d.errAt(anchor(d.flowsLine),
+				"flows: flow %q rate %g Mpps exceeds the 10GbE line rate (%.2f Mpps at %d-byte frames)",
+				f.Name, f.RateMpps, fcap, fsize+proto.FCSLen)
 		}
 	}
 

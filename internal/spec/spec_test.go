@@ -371,6 +371,11 @@ var negativeCases = []struct {
 		"version: 1\nscenario: imix\nload:\n  mix:\n    - size: 60\n",
 		[]string{"t.yaml:5:", `load.mix: entry is missing "weight"`},
 	},
+	{
+		"qos flow rate over link capacity",
+		"version: 1\nscenario: qos\nload:\n  size: 120\nflows:\n  - {name: fg, src_ip: 10.0.0.1, dst_ip: 10.1.0.1, src_port: 1, dst_port: 2, rate: 16mpps}\n",
+		[]string{"t.yaml:5:", `flow "fg" rate 16 Mpps exceeds the 10GbE line rate`, "8.68 Mpps at 124-byte frames"},
+	},
 }
 
 // validate parses and compiles a spec, returning the first error.

@@ -2,6 +2,14 @@
 // preamble/IFG accounting, cable propagation delay, PHY modulation
 // constants, and the timestamp-relevant quirks of fiber (10GBASE-SR)
 // versus copper (10GBASE-T) PHYs from the paper's Table 3.
+//
+// A link delivers by push or pull (SetDelivery). Push: an event at the
+// head frame's receive instant hands every due frame over. Pull (a NIC
+// port without a deliver hook): no event; frames wait in flight until
+// the endpoint observes its receive state and calls Pull, which hands
+// over every frame due by then with its exact receive instant. A frame
+// exactly at the observing instant is due when it was committed before
+// the observing event was scheduled (sim.Engine.Due).
 package wire
 
 import (
@@ -162,10 +170,12 @@ type Endpoint interface {
 	DeliverFrame(f *Frame, rxTime sim.Time)
 }
 
-// delivery is one frame waiting in the link's in-flight FIFO.
+// delivery is one frame in flight; arm is the engine's LastSeq at its
+// commit.
 type delivery struct {
-	f  *Frame
-	at sim.Time
+	f   *Frame
+	at  sim.Time
+	arm uint64
 }
 
 // Link is one direction of a full-duplex cable between two ports.
@@ -199,13 +209,18 @@ type Link struct {
 
 	// pending is the in-flight FIFO (a serial link preserves order).
 	// At most one delivery event is outstanding (deliverArmed), for the
-	// head frame; deliverFn is the prebound callback so the steady state
-	// schedules deliveries without any closure allocation.
+	// first frame that takes one (wakes); deliverFn is the prebound
+	// callback so the steady state schedules deliveries without any
+	// closure allocation. pulling guards Pull against re-entry.
 	pending      ring.FIFO[delivery]
 	deliverFn    func()
 	deliverArmed bool
 	lastRx       sim.Time
 	slack        sim.Duration // delivery-train deferral (see SetDeliverySlack)
+	mode         Delivery
+	pulling      bool
+	pullCap      int      // pulled frames kept in flight (SetDelivery)
+	staleAt      sim.Time // a down edge's leftover delivery event
 
 	// down marks the link administratively down (fault injection): the
 	// TX side keeps its serialization grid, but every frame is dropped
@@ -244,6 +259,7 @@ func NewLink(eng *sim.Engine, speed Speed, phy PHYProfile, lengthM float64, peer
 		jitterRNG: eng.NewRand(),
 	}
 	l.deliverFn = l.deliver
+	eng.AddDeferred(l.lastEvent)
 	return l
 }
 
@@ -351,39 +367,109 @@ func (l *Link) SetDeliverySlack(d sim.Duration) {
 	l.slack = d
 }
 
-// push appends to the in-flight FIFO and arms the head delivery event
-// when none is outstanding. rxTimes are monotonic (see TransmitAt), so
-// a single outstanding event per link suffices.
-func (l *Link) push(f *Frame, at sim.Time) {
+// Delivery is how a link hands frames to its endpoint.
+type Delivery uint8
+
+const (
+	Push      Delivery = iota // an event per frame (the default)
+	PushValid                 // events for valid frames; the rest are pulled
+	Pull                      // no events: the endpoint pulls every frame
+)
+
+// SetDelivery sets how the link delivers. Past capacity pulled frames
+// in flight (the endpoint's receive descriptors), the due ones are
+// handed over at once — exact, because they are due.
+func (l *Link) SetDelivery(mode Delivery, capacity int) {
+	l.Pull()
+	l.mode, l.pullCap = mode, capacity
 	if !l.deliverArmed {
-		l.deliverArmed = true
-		l.eng.Schedule(at.Add(l.slack), l.deliverFn)
+		l.armNext(l.eng.Now())
 	}
-	l.pending.Push(delivery{f: f, at: at})
 }
 
-// deliver fires at the head frame's receive instant (plus the delivery
-// slack, if set): it delivers every due frame in FIFO order, recycles
-// non-retained frames, and re-arms itself for the next pending frame.
-// After a link-down drained the FIFO the stale event finds it empty
-// and disarms harmlessly.
-func (l *Link) deliver() {
-	l.deliverArmed = false
-	now := l.eng.Now()
+// Valid reports whether a receiving MAC accepts the frame (good FCS,
+// at least 64 B); it drops any other into an error counter (§8.1).
+func (f *Frame) Valid() bool { return f.CRCOK && f.WireSize >= proto.MinFrameSizeFCS }
+
+// wakes reports whether f takes a delivery event of its own.
+func (l *Link) wakes(f *Frame) bool {
+	return l.mode == Push || l.mode == PushValid && f.Valid()
+}
+
+// Pull hands the endpoint the due frames that wait to be pulled, in
+// order, up to the first that takes its own event.
+func (l *Link) Pull() {
+	if l.pulling {
+		return
+	}
+	l.pulling = true
 	for {
 		d, ok := l.pending.Peek()
-		if !ok {
-			break
-		}
-		if d.at > now {
-			l.deliverArmed = true
-			l.eng.Schedule(d.at.Add(l.slack), l.deliverFn)
+		if !ok || l.wakes(d.f) || !l.eng.Due(d.at, d.arm) {
 			break
 		}
 		l.pending.Pop()
 		l.peer.DeliverFrame(d.f, d.at)
 		l.recycle(d.f)
 	}
+	l.pulling = false
+}
+
+// lastEvent is the latest delivery event folded into pulls (for
+// sim.Engine.AddDeferred).
+func (l *Link) lastEvent() sim.Time {
+	last := l.staleAt
+	if n := l.pending.Len(); n > 0 {
+		last = max(last, l.pending.At(n-1).at)
+	}
+	return last
+}
+
+// push appends to the in-flight FIFO and, for a frame that wakes the
+// endpoint, arms the delivery event when none is outstanding (rxTimes
+// are monotonic, see TransmitAt).
+func (l *Link) push(f *Frame, at sim.Time) {
+	l.pending.Push(delivery{f: f, at: at, arm: l.eng.LastSeq()})
+	if !l.wakes(f) {
+		if l.pending.Len() > l.pullCap {
+			l.Pull()
+		}
+		return
+	}
+	if !l.deliverArmed {
+		l.deliverArmed = true
+		l.eng.Schedule(at.Add(l.slack), l.deliverFn)
+	}
+}
+
+// armNext arms the delivery event for the first frame that wakes.
+func (l *Link) armNext(now sim.Time) {
+	for i := range l.pending.Len() {
+		if d := l.pending.At(i); l.wakes(d.f) {
+			l.deliverArmed = true
+			l.eng.Schedule(max(d.at.Add(l.slack), now), l.deliverFn)
+			return
+		}
+	}
+}
+
+// deliver fires at a waking frame's receive instant (plus the delivery
+// slack, if set): it delivers every due frame in FIFO order, recycles
+// non-retained frames, and re-arms itself. After a link-down drained
+// the FIFO the stale event finds it empty and disarms harmlessly.
+func (l *Link) deliver() {
+	l.deliverArmed = false
+	now := l.eng.Now()
+	for {
+		d, ok := l.pending.Peek()
+		if !ok || d.at > now {
+			break
+		}
+		l.pending.Pop()
+		l.peer.DeliverFrame(d.f, d.at)
+		l.recycle(d.f)
+	}
+	l.armNext(now)
 }
 
 // drop counts a frame lost at the fault boundary and recycles it.
@@ -407,8 +493,9 @@ func (l *Link) recycle(f *Frame) {
 }
 
 // SetDown takes the link down (fault injection). Frames in flight are
-// dropped immediately — each counted exactly once in DroppedFrames —
-// and every subsequent TransmitAt drops at the wire until SetUp. The
+// dropped immediately — each counted exactly once in DroppedFrames;
+// pulled frames already due are delivered first — and every
+// subsequent TransmitAt drops at the wire until SetUp. The
 // TX serialization grid (NextTxSlot/busyUntil) is unaffected, so the
 // MAC scheduler's timing is identical whether the wire is alive or
 // dead — which is what keeps link-flap runs batch/train invariant.
@@ -417,7 +504,11 @@ func (l *Link) SetDown() {
 	if l.down {
 		return
 	}
+	l.Pull()
 	l.down = true
+	if d, ok := l.pending.Peek(); ok {
+		l.staleAt = max(l.staleAt, d.at) // its event stays armed
+	}
 	for {
 		d, ok := l.pending.Pop()
 		if !ok {
