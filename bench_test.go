@@ -123,17 +123,13 @@ func BenchmarkPacketSizeSweep(b *testing.B) {
 // offloads cost more than IP offload.
 
 // benchPair builds a connected port pair outside the timed section.
+// Nothing drains rx: as in the scaling beds, a 32-deep ring and pool
+// fill once and every later frame is missed.
 func benchPair(seed int64) (*core.App, *core.Device, *core.Device, *mempool.Pool) {
 	app := core.NewApp(seed)
-	// TxTrain matches the 63-frame feed bursts: the MAC commits one
-	// whole burst per scheduler event. Train length only coalesces
-	// events — frame departure times stay on the per-frame wire grid —
-	// so the benchmarked datapath work per packet is unchanged.
-	tx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0, TxTrain: 63})
-	rx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1})
+	tx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0})
+	rx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1, RxRing: 32, RxPool: 32})
 	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
-	rx.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { return true })
-	tx.Link().SetDeliverySlack(nic.SinkDeliverySlack(tx.Speed()))
 	pool := core.CreateSizedMemPool(8192, 256, func(m *mempool.Mbuf) {
 		p := proto.UDPPacket{B: m.Data[:60]}
 		p.Fill(proto.UDPPacketFill{PktLength: 60,
@@ -141,6 +137,31 @@ func benchPair(seed int64) (*core.App, *core.Device, *core.Device, *mempool.Pool
 			UDPSrc: 1234, UDPDst: 5678})
 	})
 	return app, tx, rx, pool
+}
+
+// feedLineRate starts the line-rate feeder of the datapath benchmarks:
+// a self-rearming engine callback that refills tx's first ring once per
+// 63-frame train period.
+func feedLineRate(app *core.App, tx *core.Device, pool *mempool.Pool) {
+	q := tx.GetTxQueue(0)
+	ba := pool.BufArray(63)
+	period := 63 * wire.FrameTime(wire.Speed10G, 64)
+	var feed func()
+	feed = func() {
+		for q.Free() >= len(ba.Bufs) {
+			n := pool.AllocBatch(ba.Bufs, 60)
+			sent := q.Send(ba.Bufs[:n])
+			for i := sent; i < n; i++ {
+				ba.Bufs[i].Free()
+			}
+			ba.Clear(n)
+			if sent < n {
+				break
+			}
+		}
+		app.Eng.ScheduleAfter(period, feed)
+	}
+	app.Eng.Schedule(app.Eng.Now(), feed)
 }
 
 // BenchmarkTable1PacketIO is the baseline: alloc a batch, send it,
@@ -386,25 +407,7 @@ func BenchmarkCRCGapScheduling(b *testing.B) {
 // frame recycling together allocate nothing.
 func BenchmarkSimulatedLineRate(b *testing.B) {
 	app, tx, _, pool := benchPair(20)
-	q := tx.GetTxQueue(0)
-	ba := pool.BufArray(63)
-	period := 63 * wire.FrameTime(wire.Speed10G, 64)
-	var feed func()
-	feed = func() {
-		for q.Free() >= len(ba.Bufs) {
-			n := pool.AllocBatch(ba.Bufs, 60)
-			sent := q.Send(ba.Bufs[:n])
-			for i := sent; i < n; i++ {
-				ba.Bufs[i].Free()
-			}
-			ba.Clear(n)
-			if sent < n {
-				break
-			}
-		}
-		app.Eng.ScheduleAfter(period, feed)
-	}
-	app.Eng.Schedule(app.Eng.Now(), feed)
+	feedLineRate(app, tx, pool)
 	app.Eng.Run(app.Eng.Now().Add(sim.Millisecond)) // warmup millisecond
 	warm := tx.CounterSnapshot().TxPackets
 	b.ReportAllocs()
@@ -436,25 +439,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	rec.Register(telemetry.PortProbe("rx", rx.Port))
 	rec.Register(telemetry.EngineProbe(app.Eng))
 	rec.Start()
-	q := tx.GetTxQueue(0)
-	ba := pool.BufArray(63)
-	period := 63 * wire.FrameTime(wire.Speed10G, 64)
-	var feed func()
-	feed = func() {
-		for q.Free() >= len(ba.Bufs) {
-			n := pool.AllocBatch(ba.Bufs, 60)
-			sent := q.Send(ba.Bufs[:n])
-			for i := sent; i < n; i++ {
-				ba.Bufs[i].Free()
-			}
-			ba.Clear(n)
-			if sent < n {
-				break
-			}
-		}
-		app.Eng.ScheduleAfter(period, feed)
-	}
-	app.Eng.Schedule(app.Eng.Now(), feed)
+	feedLineRate(app, tx, pool)
 	app.Eng.Run(app.Eng.Now().Add(sim.Millisecond)) // warmup: first window recorded
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -587,11 +572,7 @@ func BenchmarkSpecCompiledLineRate(b *testing.B) {
 		b.Fatalf("spec compiles to %q, want flood", name)
 	}
 	env := scenario.NewEnv(sp, nil)
-	// Sink setup as in benchPair: the receiver consumes every frame at
-	// the wire as a pure function of (bytes, rxTime), so deliveries may
-	// coalesce into trains without observable difference.
-	env.RX().SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { return true })
-	env.TX().Link().SetDeliverySlack(nic.SinkDeliverySlack(env.TX().Speed()))
+	env.DrainRx()
 	if _, err := scenario.LaunchLoad(env); err != nil {
 		b.Fatal(err)
 	}
@@ -625,25 +606,7 @@ func BenchmarkFaultInjectorOverhead(b *testing.B) {
 		{Kind: fault.LinkFlap, At: sim.Duration(3600) * sim.Second, Duration: sim.Millisecond},
 	})
 	inj.Install(app.Eng.Now(), sim.Duration(7200)*sim.Second)
-	q := tx.GetTxQueue(0)
-	ba := pool.BufArray(63)
-	period := 63 * wire.FrameTime(wire.Speed10G, 64)
-	var feed func()
-	feed = func() {
-		for q.Free() >= len(ba.Bufs) {
-			n := pool.AllocBatch(ba.Bufs, 60)
-			sent := q.Send(ba.Bufs[:n])
-			for i := sent; i < n; i++ {
-				ba.Bufs[i].Free()
-			}
-			ba.Clear(n)
-			if sent < n {
-				break
-			}
-		}
-		app.Eng.ScheduleAfter(period, feed)
-	}
-	app.Eng.Schedule(app.Eng.Now(), feed)
+	feedLineRate(app, tx, pool)
 	app.Eng.Run(app.Eng.Now().Add(sim.Millisecond)) // warmup millisecond
 	warm := tx.CounterSnapshot().TxPackets
 	b.ReportAllocs()

@@ -27,12 +27,6 @@ type DeviceConfig struct {
 	TxRing int
 	// RxPool overrides the receive pool size.
 	RxPool int
-	// TxTrain overrides how many frames the MAC scheduler commits per
-	// event (default nic.DefaultTxTrain). Departure times are computed
-	// on the same per-frame wire grid regardless, so this is a pure
-	// event-coalescing knob: larger trains mean fewer scheduler events
-	// for the same bit-identical wire timing.
-	TxTrain int
 }
 
 // ConfigDevice creates and configures a device on the app's testbed.
@@ -45,7 +39,6 @@ func (a *App) ConfigDevice(cfg DeviceConfig) *Device {
 		RxRingSize:    cfg.RxRing,
 		TxRingSize:    cfg.TxRing,
 		RxPoolSize:    cfg.RxPool,
-		TxTrain:       cfg.TxTrain,
 		ClockDriftPPM: cfg.DriftPPM,
 	})
 	return &Device{Port: port}

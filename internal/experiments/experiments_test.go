@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/nic"
+	"repro/internal/sim"
 )
 
 // The experiment tests assert the paper's qualitative results — who
@@ -378,5 +381,18 @@ func TestMulticoreScalingDeterministic(t *testing.T) {
 	}
 	if a.PerCoreMpps != b.PerCoreMpps || a.PerCoreStd != b.PerCoreStd {
 		t.Errorf("merged counter stats differ across runs")
+	}
+}
+
+// TestScalingBedTakesNoDeliveryEvents: nothing observes a scaling
+// bed's sink, so its link is pulled and a 1-port costLoad costs 0.068
+// events per sent packet; delivery events, even 32 to one, cost 0.099.
+func TestScalingBedTakesNoDeliveryEvents(t *testing.T) {
+	app := core.NewApp(1)
+	l := &costLoad{freq: 2.4 * cpu.GHz, workload: cpu.SimpleUDPWorkload, pktSize: 60, queues: buildPortPairs(app, nic.ChipX540, 1, 1)}
+	l.run(app, sim.Millisecond)
+	tx := l.queues[0][0].Port().CounterSnapshot().TxPackets
+	if perPkt := float64(app.Eng.EventsProcessed()) / float64(tx); tx == 0 || perPkt > 0.08 {
+		t.Fatalf("%d engine events for %d sent packets (%.3f each), want at most 0.08", app.Eng.EventsProcessed(), tx, perPkt)
 	}
 }

@@ -37,9 +37,17 @@ func loadPoolBufSize(pktSize int) int {
 	return (pktSize + grain - 1) / grain * grain
 }
 
+// sinkRxDepth is the receive ring and pool size of a scaling bed's
+// sink. Nothing drains the sink, so its buffers are taken once and
+// every later frame is missed; a small ring keeps few frames in flight
+// on the pulled link into it, and a pool no larger than the ring keeps
+// the receive slab small.
+const sinkRxDepth = 32
+
 // buildPortPairs creates ports generator ports with cores TX queues
-// each, every port cabled to a sink that discards traffic in hardware,
-// and returns one queue list per core: queue c of every port.
+// each, every port cabled to an undrained sink, and returns one queue
+// list per core: queue c of every port. The sinks take no delivery
+// events: their links are pulled (wire.Pull) and nothing observes them.
 func buildPortPairs(app *core.App, profile nic.Profile, ports, cores int) [][]*nic.TxQueue {
 	phy := wire.PHY10GBaseT
 	if profile.Speed == wire.Speed40G {
@@ -48,13 +56,8 @@ func buildPortPairs(app *core.App, profile nic.Profile, ports, cores int) [][]*n
 	out := make([][]*nic.TxQueue, cores)
 	for i := 0; i < ports; i++ {
 		gen := app.ConfigDevice(core.DeviceConfig{Profile: profile, ID: 2 * i, TxQueues: cores})
-		sink := app.ConfigDevice(core.DeviceConfig{Profile: profile, ID: 2*i + 1})
+		sink := app.ConfigDevice(core.DeviceConfig{Profile: profile, ID: 2*i + 1, RxRing: sinkRxDepth, RxPool: sinkRxDepth})
 		app.ConnectDevices(gen, sink, phy, 2)
-		sink.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { return true })
-		// The sink consumes every frame in the hook above as a pure
-		// function of (bytes, rxTime): the link into it may coalesce
-		// deliveries into RX trains without observable difference.
-		gen.Link().SetDeliverySlack(nic.SinkDeliverySlack(profile.Speed))
 		for c := range out {
 			out[c] = append(out[c], gen.GetTxQueue(c))
 		}

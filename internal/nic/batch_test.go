@@ -14,11 +14,11 @@ import (
 )
 
 // batchBed builds one TX port wired to a sink that records delivery
-// instants, with the given MAC train cap.
-func batchBed(seed int64, txTrain int) (*sim.Engine, *Port, *mempool.Pool, *[]sim.Time, *[]sim.Time) {
+// instants.
+func batchBed(seed int64) (*sim.Engine, *Port, *mempool.Pool, *[]sim.Time, *[]sim.Time) {
 	eng := sim.NewEngine(seed)
-	a := NewPort(eng, PortConfig{Profile: ChipX540, ID: 0, TxQueues: 2, TxTrain: txTrain})
-	b := NewPort(eng, PortConfig{Profile: ChipX540, ID: 1, TxTrain: txTrain})
+	a := NewPort(eng, PortConfig{Profile: ChipX540, ID: 0, TxQueues: 2})
+	b := NewPort(eng, PortConfig{Profile: ChipX540, ID: 1})
 	ConnectDuplex(eng, a, b, wire.PHY10GBaseT, 2)
 	pool := mempool.New(mempool.Config{Count: 4096})
 	departures := &[]sim.Time{}
@@ -33,76 +33,11 @@ func batchBed(seed int64, txTrain int) (*sim.Engine, *Port, *mempool.Pool, *[]si
 	return eng, a, pool, departures, arrivals
 }
 
-// TestTrainMatchesPerPacketScheduler: the MAC's burst fast path must
-// be pure event coalescing — with TxTrain=32 versus TxTrain=1 (the
-// per-packet reference), every departure and every delivery lands at
-// the identical instant, while the scheduler fires far fewer events.
-func TestTrainMatchesPerPacketScheduler(t *testing.T) {
-	run := func(txTrain int) (dep, arr []sim.Time, events int) {
-		eng, a, pool, departures, arrivals := batchBed(5, txTrain)
-		q := a.GetTxQueue(0)
-		eng.SetStopTime(sim.Time(2 * sim.Millisecond))
-		eng.Spawn("tx", func(p *sim.Proc) {
-			batch := make([]*mempool.Mbuf, 63)
-			for p.Running() {
-				n := pool.AllocBatch(batch, 60)
-				if n == 0 {
-					p.Sleep(sim.Microsecond)
-					continue
-				}
-				for _, m := range batch[:n] {
-					pk := proto.UDPPacket{B: m.Payload()}
-					pk.Fill(proto.UDPPacketFill{PktLength: 60, UDPSrc: 7, UDPDst: 42,
-						IPSrc: proto.MustIPv4("10.0.0.1"), IPDst: proto.MustIPv4("10.0.0.2")})
-				}
-				sent := 0
-				for sent < n {
-					k := q.Send(batch[sent:n])
-					sent += k
-					if k == 0 {
-						p.Sleep(sim.Microsecond)
-					}
-				}
-				p.Yield()
-			}
-		})
-		events = eng.RunAll()
-		return *departures, *arrivals, events
-	}
-	dep1, arr1, events1 := run(1)
-	dep32, arr32, events32 := run(32)
-
-	if len(dep1) < 20000 {
-		t.Fatalf("per-packet reference emitted only %d frames", len(dep1))
-	}
-	if len(dep1) != len(dep32) || len(arr1) != len(arr32) {
-		t.Fatalf("frame counts differ: %d/%d departures, %d/%d arrivals",
-			len(dep1), len(dep32), len(arr1), len(arr32))
-	}
-	for i := range dep1 {
-		if dep1[i] != dep32[i] {
-			t.Fatalf("departure %d differs: %v vs %v", i, dep1[i], dep32[i])
-		}
-	}
-	for i := range arr1 {
-		if arr1[i] != arr32[i] {
-			t.Fatalf("arrival %d differs: %v vs %v", i, arr1[i], arr32[i])
-		}
-	}
-	// The whole point: the batched scheduler does the same work in far
-	// fewer events. The hooked sink takes one delivery event per arrival
-	// either way, so those are left out of the comparison.
-	sched1, sched32 := events1-len(arr1), events32-len(arr32)
-	if float64(sched32) > 0.5*float64(sched1) {
-		t.Errorf("train batching fired %d scheduler events vs %d per-packet — expected a large reduction", sched32, sched1)
-	}
-}
-
 // TestTrainBackToBackGrid pins the batched scheduler's timing grid
 // directly: a burst committed in one event departs on exact
 // frame-time spacing — 67.2 ns for 64 B frames at 10 GbE, byte-exact.
 func TestTrainBackToBackGrid(t *testing.T) {
-	eng, a, pool, departures, _ := batchBed(6, 32)
+	eng, a, pool, departures, _ := batchBed(6)
 	q := a.GetTxQueue(0)
 	eng.Schedule(0, func() {
 		batch := make([]*mempool.Mbuf, 32)
@@ -129,7 +64,7 @@ func TestTrainBackToBackGrid(t *testing.T) {
 // arbitration — with a second queue active, the scheduler falls back
 // to per-slot evaluation and round-robins the wire.
 func TestTrainYieldsToOtherQueue(t *testing.T) {
-	eng, a, pool, _, _ := batchBed(7, 32)
+	eng, a, pool, _, _ := batchBed(7)
 	q0, q1 := a.GetTxQueue(0), a.GetTxQueue(1)
 	var order []int
 	a.SetTxTrace(func(q *TxQueue, m *mempool.Mbuf, at sim.Time) {
@@ -166,7 +101,7 @@ func TestTrainYieldsToOtherQueue(t *testing.T) {
 // different batch size would) must not move a single arrival.
 func TestJitterStreamIndependentOfEngineDraws(t *testing.T) {
 	run := func(extraDraws int) []sim.Time {
-		eng, a, pool, _, arrivals := batchBed(9, 32)
+		eng, a, pool, _, arrivals := batchBed(9)
 		q := a.GetTxQueue(0)
 		eng.Schedule(0, func() {
 			for i := 0; i < extraDraws; i++ {
@@ -217,7 +152,7 @@ func TestNoGlobalRandState(t *testing.T) {
 		}()
 	}
 	run := func() []sim.Time {
-		eng, a, pool, _, arrivals := batchBed(11, 32)
+		eng, a, pool, _, arrivals := batchBed(11)
 		q := a.GetTxQueue(0)
 		eng.SetStopTime(sim.Time(200 * sim.Microsecond))
 		eng.Spawn("tx", func(p *sim.Proc) { pumpQueue(p, pool, q, 60, 1) })

@@ -43,9 +43,9 @@ type Port struct {
 	// allocation front over it, so the steady-state receive path takes
 	// the pool lock once per half-cache refill instead of per packet —
 	// the RX mirror of the per-core transmit caches. The pool is
-	// created on first use: TX-only ports (every sink of the scaling
-	// beds consumes frames in a deliver hook) never pay for zeroing a
-	// receive slab they will not touch.
+	// created on first use: TX-only ports (the generators, a hooked
+	// DuT port) never pay for zeroing a receive slab they will not
+	// touch.
 	rxPool     *mempool.Pool
 	rxCache    *mempool.Cache
 	rxPoolSize int
@@ -82,7 +82,6 @@ type Port struct {
 	rrNext        int
 	lastTxStart   sim.Time
 	hasTxStart    bool
-	txTrain       int          // max frames the MAC commits per scheduler event
 	minFrameTime  sim.Duration // wire time of a minimum frame (train horizon unit)
 	shaped        int          // queues with an active rate limiter (see kickPump)
 	runtMinGap    sim.Duration // precomputed 1/RuntMaxPPS (0 = no ceiling)
@@ -121,10 +120,6 @@ type PortConfig struct {
 	TxRingSize int
 	// RxRingSize is the per-queue receive ring size (default 512).
 	RxRingSize int
-	// TxTrain caps how many frames the MAC scheduler commits per
-	// event on the batched fast path (default DefaultTxTrain; 1
-	// reproduces the per-packet scheduler event for event).
-	TxTrain int
 	// ClockDriftPPM desynchronizes this port's PTP clock rate.
 	ClockDriftPPM float64
 	// ClockOffset desynchronizes this port's PTP clock phase.
@@ -175,11 +170,7 @@ func NewPort(eng *sim.Engine, cfg PortConfig) *Port {
 		}),
 		rxPoolSize:   cfg.RxPoolSize,
 		tsUDPPort:    proto.PTPUDPPort,
-		txTrain:      cfg.TxTrain,
 		minFrameTime: wire.FrameTime(cfg.Profile.Speed, proto.MinFrameSizeFCS),
-	}
-	if p.txTrain <= 0 {
-		p.txTrain = DefaultTxTrain
 	}
 	if cfg.Profile.RuntMaxPPS > 0 {
 		p.runtMinGap = sim.FromSeconds(1 / cfg.Profile.RuntMaxPPS)
@@ -205,15 +196,6 @@ func (p *Port) Connect(l *wire.Link) { p.link = l }
 
 // Link returns the port's outgoing link (nil when unconnected).
 func (p *Port) Link() *wire.Link { return p.link }
-
-// SinkDeliverySlack returns the canonical RX delivery-train deferral
-// for links into counting sinks: one TX train's worth of minimum-sized
-// frames, so steady-state deliveries coalesce into trains of the same
-// depth the MAC scheduler commits. See wire.Link.SetDeliverySlack for
-// the opt-in contract.
-func SinkDeliverySlack(speed wire.Speed) sim.Duration {
-	return sim.Duration(DefaultTxTrain) * wire.FrameTime(speed, proto.MinFrameSizeFCS)
-}
 
 // ConnectDuplex wires a<->b with identical PHY and cable length.
 func ConnectDuplex(eng *sim.Engine, a, b *Port, phy wire.PHYProfile, lengthM float64) {

@@ -7,6 +7,7 @@ import (
 	// loads and stores (Peek, DequeueOne, EnqueueOne) into this
 	// package's instantiation only when the package imports sync/atomic
 	// itself; without it each is a call, ~40 ns per frame on overload4.
+	// CI's "ring inlining guard" step fails when the inlining is lost.
 	_ "sync/atomic"
 
 	"repro/internal/mempool"
@@ -15,11 +16,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultTxTrain is the default cap on frames the MAC scheduler
-// commits per event on the batched fast path — matched to the burst
-// sizes the tasks use so one descriptor-ring burst drains in one
-// scheduler evaluation. Raising it lengthens the precommit horizon,
-// which the §8 CRC-gap stager observes through ring backpressure —
+// DefaultTxTrain is the MAC's descriptor fetch depth: the most frames
+// one scheduler evaluation commits — matched to the burst sizes the
+// tasks use so one descriptor-ring burst drains in one evaluation. It
+// is part of the model: senders see the fetched descriptors as ring
+// room, the §8 CRC-gap stager through ring backpressure —
 // TestFig10Equivalence pins that 32 keeps the gap quartiles honest.
 const DefaultTxTrain = 32
 
@@ -252,14 +253,14 @@ func (p *Port) pumpEvent() {
 
 // pump runs the scheduler evaluation armed for now, then, in the same
 // event, each next one while it falls strictly before the engine's
-// QuietUntil and fewer than txTrain frames went out. Nothing else acts
-// before then, so each evaluation sees what it would in its own event:
-// a held frame is committed at max(launch, link free, rate ceilings)
-// without an event. Telemetry windows, pause and link edges, probes on
-// other queues, the ring room a sender sees and the run end are all
-// events, so this one bound covers them. The bound is re-read after
-// events the train schedules itself (push deliveries into a hooked
-// peer). Each evaluation is one train (endTrain).
+// QuietUntil and fewer than DefaultTxTrain frames went out. Nothing
+// else acts before then, so each evaluation sees what it would in its
+// own event: a held frame is committed at max(launch, link free, rate
+// ceilings) without an event. Telemetry windows, pause and link edges,
+// probes on other queues, the ring room a sender sees and the run end
+// are all events, so this one bound covers them. The bound is re-read
+// after events the train schedules itself (push deliveries into a
+// hooked peer). Each evaluation is one train (endTrain).
 func (p *Port) pump() {
 	now := p.eng.Now()
 	quiet, seen := p.eng.QuietUntil(), p.eng.LastSeq()
@@ -267,7 +268,7 @@ func (p *Port) pump() {
 	for {
 		p.pumpScheduled = false
 		sent += p.evaluate(now)
-		if !p.pumpScheduled || sent >= p.txTrain {
+		if !p.pumpScheduled || sent >= DefaultTxTrain {
 			break
 		}
 		if s := p.eng.LastSeq(); s != seen {
@@ -293,14 +294,13 @@ func (p *Port) pump() {
 // per-port packet ceiling, then emits the frame onto the link. It
 // returns the frames sent and arms the next evaluation, if any.
 //
-// Batching: after the first commit, the scheduler keeps emitting from
-// the same queue — up to txTrain frames — as long as it is the only
-// active queue and unshaped, stamping each departure on the exact
-// per-frame wire grid (serialization spacing plus the rate ceilings).
-// The grid arithmetic is identical to the per-packet evaluation, so
-// departure times are bit-identical. Shaped queues and multi-queue
-// arbitration points always end the train, which keeps the §7.2
-// shaper oscillation model untouched.
+// Descriptor fetch: after the first commit, the scheduler keeps
+// emitting from the same queue — up to DefaultTxTrain frames — as long
+// as it is the only active queue and unshaped, stamping each departure
+// on the exact per-frame wire grid (serialization spacing plus the rate
+// ceilings). Shaped queues and multi-queue arbitration points always
+// end the train, which keeps the §7.2 shaper oscillation model
+// untouched.
 func (p *Port) evaluate(now sim.Time) int {
 	if p.txPaused {
 		return 0 // gated (PauseTx): frames wait in the rings
@@ -321,9 +321,9 @@ func (p *Port) evaluate(now sim.Time) int {
 	// early: to the train it is not on the ring yet, exactly as if its
 	// sender had pushed it at launch time.
 	emitted := 1
-	horizon := now.Add(sim.Duration(p.txTrain) * p.minFrameTime)
+	horizon := now.Add(sim.Duration(DefaultTxTrain) * p.minFrameTime)
 	soleQueue := len(p.txQueues) == 1 // no arbitration possible: skip the rescan
-	for emitted < p.txTrain {
+	for emitted < DefaultTxTrain {
 		var sole *TxQueue
 		if soleQueue {
 			if m, ok := p.txQueues[0].ring.Peek(); ok && !held(m, now) {

@@ -216,7 +216,6 @@ type Link struct {
 	deliverFn    func()
 	deliverArmed bool
 	lastRx       sim.Time
-	slack        sim.Duration // delivery-train deferral (see SetDeliverySlack)
 	mode         Delivery
 	pulling      bool
 	pullCap      int      // pulled frames kept in flight (SetDelivery)
@@ -344,29 +343,6 @@ func (l *Link) AcquireFrame() *Frame {
 	return f
 }
 
-// SetDeliverySlack enables the RX delivery train — the receive-side
-// mirror of the MAC scheduler's transmit trains. Instead of one event
-// per frame at its exact receive instant, the link arms the delivery
-// event up to slack past the head frame's rxTime; every frame due by
-// then (the frames that accumulated one serialization time apart) is
-// delivered in that single event. Each DeliverFrame call still carries
-// the frame's exact rxTime — only the engine instant at which the
-// callback executes is deferred, by at most slack. Zero restores
-// per-frame delivery.
-//
-// Opt-in contract: only enable this on links whose endpoint consumes
-// every frame as a pure function of the frame bytes and the rxTime
-// argument — the counting deliver-hook sinks of the scaling testbeds.
-// Endpoints that admit frames into receive rings, latch PTP
-// timestamps, or forward frames onward observe the delivery instant
-// itself as simulation state and must keep per-frame delivery.
-func (l *Link) SetDeliverySlack(d sim.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("wire: negative delivery slack %v", d))
-	}
-	l.slack = d
-}
-
 // Delivery is how a link hands frames to its endpoint.
 type Delivery uint8
 
@@ -438,7 +414,7 @@ func (l *Link) push(f *Frame, at sim.Time) {
 	}
 	if !l.deliverArmed {
 		l.deliverArmed = true
-		l.eng.Schedule(at.Add(l.slack), l.deliverFn)
+		l.eng.Schedule(at, l.deliverFn)
 	}
 }
 
@@ -447,16 +423,16 @@ func (l *Link) armNext(now sim.Time) {
 	for i := range l.pending.Len() {
 		if d := l.pending.At(i); l.wakes(d.f) {
 			l.deliverArmed = true
-			l.eng.Schedule(max(d.at.Add(l.slack), now), l.deliverFn)
+			l.eng.Schedule(max(d.at, now), l.deliverFn)
 			return
 		}
 	}
 }
 
-// deliver fires at a waking frame's receive instant (plus the delivery
-// slack, if set): it delivers every due frame in FIFO order, recycles
-// non-retained frames, and re-arms itself. After a link-down drained
-// the FIFO the stale event finds it empty and disarms harmlessly.
+// deliver fires at a waking frame's receive instant: it delivers every
+// due frame in FIFO order, recycles non-retained frames, and re-arms
+// itself. After a link-down drained the FIFO the stale event finds it
+// empty and disarms harmlessly.
 func (l *Link) deliver() {
 	l.deliverArmed = false
 	now := l.eng.Now()

@@ -252,71 +252,6 @@ func TestBimodalQuantization(t *testing.T) {
 
 // slackEndpoint records each delivery with both the frame's rxTime
 // argument and the engine instant the callback executed at.
-type slackEndpoint struct {
-	eng     *sim.Engine
-	rxTimes []sim.Time
-	evTimes []sim.Time
-	seqs    []uint64
-}
-
-func (s *slackEndpoint) DeliverFrame(f *Frame, at sim.Time) {
-	s.rxTimes = append(s.rxTimes, at)
-	s.evTimes = append(s.evTimes, s.eng.Now())
-	s.seqs = append(s.seqs, f.SeqNo)
-}
-
-// TestDeliverySlackInvariance pins the RX delivery-train contract: with
-// SetDeliverySlack, every frame is delivered with exactly the same
-// rxTime argument, in the same order, as with per-frame delivery — only
-// the engine instant of the callback is deferred, by at most the slack.
-func TestDeliverySlackInvariance(t *testing.T) {
-	const frames = 500
-	slack := 32 * FrameTime(Speed10G, 64)
-	run := func(d sim.Duration) *slackEndpoint {
-		eng := sim.NewEngine(7)
-		ep := &slackEndpoint{eng: eng}
-		l := NewLink(eng, Speed10G, PHY10GBaseT, 2, ep) // copper: jitter path
-		l.SetDeliverySlack(d)
-		eng.Spawn("tx", func(p *sim.Proc) {
-			for i := 0; i < frames; i++ {
-				p.SleepUntil(l.NextTxSlot())
-				if i%7 == 0 { // occasional idle gap: FIFO drains between trains
-					p.Sleep(FrameTime(Speed10G, 64) * 40)
-				}
-				l.Transmit(&Frame{Data: make([]byte, 60), WireSize: 64, CRCOK: true})
-			}
-		})
-		eng.RunAll()
-		return ep
-	}
-	ref, got := run(0), run(slack)
-	if len(got.rxTimes) != frames || len(ref.rxTimes) != frames {
-		t.Fatalf("delivered %d/%d frames, want %d", len(got.rxTimes), len(ref.rxTimes), frames)
-	}
-	coalesced := false
-	for i := range ref.rxTimes {
-		if got.rxTimes[i] != ref.rxTimes[i] || got.seqs[i] != ref.seqs[i] {
-			t.Fatalf("frame %d: rxTime %v seq %d, want %v seq %d",
-				i, got.rxTimes[i], got.seqs[i], ref.rxTimes[i], ref.seqs[i])
-		}
-		if got.evTimes[i] < got.rxTimes[i] || got.evTimes[i] > got.rxTimes[i].Add(slack) {
-			t.Fatalf("frame %d delivered at engine instant %v, rxTime %v, slack %v",
-				i, got.evTimes[i], got.rxTimes[i], slack)
-		}
-		if i > 0 && got.evTimes[i] == got.evTimes[i-1] {
-			coalesced = true
-		}
-	}
-	for i := range ref.rxTimes {
-		if ref.evTimes[i] != ref.rxTimes[i] {
-			t.Fatalf("per-frame delivery %d at %v, want exactly rxTime %v", i, ref.evTimes[i], ref.rxTimes[i])
-		}
-	}
-	if !coalesced {
-		t.Fatal("slack run never coalesced two deliveries into one event")
-	}
-}
-
 // TestTransmitJitterMatchesProfile pins the transmit path's inlined
 // jitter draw against refJitter: same seed, same sequence of receive
 // instants.
