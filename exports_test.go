@@ -35,7 +35,7 @@ var exportAllowlist = map[string]string{
 	"sim.Engine.Procs":                  "live process count, pins that procs exit",
 	"wire.Link.Transmit":                "drives a bare link without a NIC in front",
 	"wire.Link.IsDown":                  "administrative link state under link-flap faults",
-	"nic.Port.SetTxTrace":               "departure instants TestDatapathMatchesOracle checks against the per-frame oracle",
+	"nic.Port.SetTxTrace":               "departure instants and bytes: TestDatapathMatchesOracle checks them against the per-frame oracle, TestEmittedFrameDigests hashes them",
 	"dut.Forwarder.Backlog":             "DuT queue depth under overload",
 	"dut.Forwarder.MeanInternalLatency": "DuT sojourn time, the ~2 ms overload latency",
 	"rate.GapFiller.Debt":               "unrepresented gap debt of the CRC-gap filler",

@@ -69,7 +69,8 @@ func CreateSizedMemPool(count, bufSize int, prefill func(buf *mempool.Mbuf)) *me
 
 // UDPFlood is the Listing 2 loadSlave as a reusable task body: a
 // BurstTx over a prefilled pool whose frame hook randomizes the source
-// IP and requests UDP checksum offload. Stop via the app run limit.
+// IP and patches both checksums (proto.UDPPacket.PatchSrc), requesting
+// NIC offload only on a buffer's first use. Stop via the app run limit.
 type UDPFlood struct {
 	Queue   *nic.TxQueue
 	PktSize int
@@ -95,9 +96,10 @@ func (u *UDPFlood) Run(t *Task) {
 	rng := t.Engine().Rand()
 	b := &BurstTx{Queue: u.Queue, Bufs: u.Pool.BufArray(txBatch(u.Batch)), Size: u.PktSize,
 		Frame: func(m *mempool.Mbuf, _ uint64) {
-			proto.UDPPacket{B: m.Payload()}.IP().SetSrc(u.BaseIP + proto.IPv4(rng.Intn(randomize)))
-			m.TxMeta.OffloadIPChecksum = true
-			m.TxMeta.OffloadUDPChecksum = true
+			if !(proto.UDPPacket{B: m.Payload()}).PatchSrc(u.BaseIP + proto.IPv4(rng.Intn(randomize))) {
+				m.TxMeta.OffloadIPChecksum = true
+				m.TxMeta.OffloadUDPChecksum = true
+			}
 		}}
 	b.Run(t)
 	u.Sent = b.Sent

@@ -4,13 +4,12 @@ import "fmt"
 
 // Cache is a per-core allocation front for a Pool — DPDK's per-lcore
 // mempool cache (§4.2: "each task uses its own queues and mempools").
-// The owning core allocates and frees through the cache; the shared
-// pool (and its lock) is touched only to refill or spill a batch at a
-// time, so in the steady state most operations are lock-free slice
-// pushes and pops.
+// The owning core allocates and frees through the cache; the pool's
+// free list is touched only to refill or spill a batch at a time, so
+// in the steady state most operations are plain slice pushes and pops.
 //
-// A Cache is NOT safe for concurrent use: it belongs to exactly one
-// core (one multicore shard, one engine goroutine). Buffers held in
+// Like its Pool, a Cache belongs to one engine and the procs on it
+// (one multicore shard) and takes no lock. Buffers held in
 // the cache are accounted as in-use by the pool — Pool.Available does
 // not count them — and may be returned to the pool at any time with
 // Flush. Buffers freed elsewhere (e.g. by the NIC model after
@@ -51,10 +50,10 @@ func (p *Pool) NewCache(size int) *Cache {
 	}
 }
 
-// refill pulls up to half the cache capacity from the pool (one lock
-// acquisition, no allocation). Returns the number obtained.
+// refill pulls up to half the cache capacity from the pool (one batch,
+// no allocation; the caller ran the sync hook) and returns the count.
 func (c *Cache) refill() int {
-	n := c.pool.AllocBatch(c.scratch, 0)
+	n := c.pool.allocBatch(c.scratch, 0)
 	if n > 0 {
 		c.Refills++
 		for i := 0; i < n; i++ {
@@ -89,8 +88,8 @@ func (c *Cache) Alloc(length int) *Mbuf {
 
 // AllocBatch fills out with buffers of the given length and returns
 // how many it could allocate (short only when pool and cache ran dry).
-// The batch is served from the cached stock in bulk; the pool lock is
-// taken at most once per refill, not per buffer.
+// The batch is served from the cached stock in bulk; the pool's free
+// list is touched once per refill, not per buffer.
 func (c *Cache) AllocBatch(out []*Mbuf, length int) int {
 	c.pool.runSync()
 	filled := 0
@@ -155,8 +154,7 @@ func (c *Cache) put(m *Mbuf) {
 	c.local = append(c.local, m)
 }
 
-// spill returns n cached buffers to the pool in one batch (one lock
-// acquisition).
+// spill returns n cached buffers to the pool in one batch.
 func (c *Cache) spill(n int) {
 	if n > len(c.local) {
 		n = len(c.local)
@@ -169,7 +167,7 @@ func (c *Cache) spill(n int) {
 	for _, m := range victims {
 		m.cached = false
 	}
-	c.pool.FreeBatch(victims)
+	c.pool.freeBatch(victims)
 	for i := range victims {
 		victims[i] = nil
 	}

@@ -92,6 +92,48 @@ func TestCacheExhaustion(t *testing.T) {
 	}
 }
 
+// TestCacheSyncsOnce: a cache operation runs the pool's sync hook once.
+// The refill behind a miss at a dry pool and the spill behind a Put
+// into a full cache do not run it again, and a refill still sees what
+// the hook freed.
+func TestCacheSyncsOnce(t *testing.T) {
+	p := New(Config{Count: 4})
+	c := p.NewCache(2)
+	bufs := make([]*Mbuf, 4)
+	if n := c.AllocBatch(bufs, 60); n != 4 {
+		t.Fatalf("alloc batch = %d", n)
+	}
+	syncs := 0
+	p.SetSync(func() { syncs++ })
+	if m := c.Alloc(60); m != nil {
+		t.Fatal("alloc from exhausted pool succeeded")
+	}
+	if n := c.AllocBatch(bufs[:1], 60); n != 0 {
+		t.Fatalf("dry AllocBatch = %d, want 0", n)
+	}
+	if syncs != 2 {
+		t.Fatalf("two dry allocations ran the sync hook %d times, want 2", syncs)
+	}
+	c.Put(bufs[1])
+	c.Put(bufs[2])
+	syncs = 0
+	c.Put(bufs[3]) // spills
+	if syncs != 1 || c.Spills != 1 {
+		t.Fatalf("a spilling Put ran the sync hook %d times (%d spills), want 1", syncs, c.Spills)
+	}
+	for c.Alloc(60) != nil { // empty the cache and the pool again
+	}
+	p.SetSync(func() {
+		if m := bufs[0]; m != nil {
+			bufs[0] = nil
+			m.Free() // re-enters the pool, as a lazily pulling producer does
+		}
+	})
+	if m := c.Alloc(60); m == nil {
+		t.Fatal("alloc after the sync hook freed a buffer failed")
+	}
+}
+
 func TestCacheDoubleFreePanics(t *testing.T) {
 	p := New(Config{Count: 8})
 	c := p.NewCache(4)

@@ -13,7 +13,6 @@ package mempool
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -122,19 +121,17 @@ func (m *Mbuf) Free() {
 	m.pool.put(m)
 }
 
-// Pool is a fixed-size packet buffer pool. A Pool is safe for concurrent
-// use; the free list is protected by a mutex, which is not the hot path
-// in the simulation (batched alloc/free amortizes it exactly as DPDK's
-// per-core mempool caches do).
+// Pool is a fixed-size packet buffer pool. A Pool belongs to one
+// engine and the procs on it (§4.2: each task uses its own mempools):
+// it takes no lock, because the engine's handoffs already order every
+// access, and a sharded run builds separate pools on each shard.
 //
 // Sent buffers come back lazily, the way a poll-mode driver reclaims
 // transmit descriptors (FreeAt): at the first operation on the pool
 // (alloc, cache refill, free, Available, Stats) at or after their
 // completion, so the free list is exactly what completion events would
-// have left — recycled buffers keep their contents. While buffers are
-// owed, the pool belongs to the engine that owes them.
+// have left — recycled buffers keep their contents.
 type Pool struct {
-	mu   sync.Mutex
 	bufs []*Mbuf
 	free []int // indices of free buffers, LIFO for cache locality
 
@@ -221,14 +218,18 @@ func (p *Pool) runSync() {
 	}
 }
 
-// lock runs the sync hook, takes the pool lock and reclaims the owed
-// buffers that are due.
-func (p *Pool) lock() {
+// catchUp runs the sync hook and reclaims the owed buffers that are due:
+// the step before every pool operation.
+func (p *Pool) catchUp() {
 	p.runSync()
-	p.mu.Lock()
+	p.reclaim()
+}
+
+// reclaim returns the owed buffers that are due to the free list.
+func (p *Pool) reclaim() {
 	n := p.owedHead
 	for n < len(p.owed) && p.eng.Due(p.owed[n].At, p.owed[n].Arm) {
-		p.putLocked(p.owed[n].M)
+		p.putOne(p.owed[n].M)
 		n++
 	}
 	if n > 0 && 2*n >= len(p.owed) { // drop the reclaimed prefix
@@ -242,8 +243,6 @@ func (p *Pool) lock() {
 // Each rejoins the free list at the first operation its completion is
 // due for (sim.Engine.Due).
 func (p *Pool) FreeAt(sent []Sent, eng *sim.Engine) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.eng != eng {
 		p.eng = eng
 		eng.AddDeferred(p.lastOwed)
@@ -272,27 +271,24 @@ func (p *Pool) lastOwed() sim.Time {
 
 // Available returns the number of free buffers.
 func (p *Pool) Available() int {
-	p.lock()
-	defer p.mu.Unlock()
+	p.catchUp()
 	return len(p.free)
 }
 
 // Stats returns cumulative allocation and free counts.
 func (p *Pool) Stats() (allocs, frees uint64) {
-	p.lock()
-	defer p.mu.Unlock()
+	p.catchUp()
 	return p.allocs, p.frees
 }
 
 // Alloc takes one buffer with the given packet length, or nil if the
 // pool is exhausted.
 func (p *Pool) Alloc(length int) *Mbuf {
-	p.lock()
-	defer p.mu.Unlock()
-	return p.allocLocked(length)
+	p.catchUp()
+	return p.allocOne(length)
 }
 
-func (p *Pool) allocLocked(length int) *Mbuf {
+func (p *Pool) allocOne(length int) *Mbuf {
 	n := len(p.free)
 	if n == 0 {
 		return nil
@@ -309,10 +305,16 @@ func (p *Pool) allocLocked(length int) *Mbuf {
 // AllocBatch fills out with freshly allocated buffers of the given
 // length and returns how many it could allocate.
 func (p *Pool) AllocBatch(out []*Mbuf, length int) int {
-	p.lock()
-	defer p.mu.Unlock()
+	p.runSync()
+	return p.allocBatch(out, length)
+}
+
+// allocBatch is AllocBatch for a caller that ran the sync hook: a
+// Cache refill, which would otherwise run it twice.
+func (p *Pool) allocBatch(out []*Mbuf, length int) int {
+	p.reclaim()
 	for i := range out {
-		m := p.allocLocked(length)
+		m := p.allocOne(length)
 		if m == nil {
 			return i
 		}
@@ -322,12 +324,11 @@ func (p *Pool) AllocBatch(out []*Mbuf, length int) int {
 }
 
 func (p *Pool) put(m *Mbuf) {
-	p.lock()
-	defer p.mu.Unlock()
-	p.putLocked(m)
+	p.catchUp()
+	p.putOne(m)
 }
 
-func (p *Pool) putLocked(m *Mbuf) {
+func (p *Pool) putOne(m *Mbuf) {
 	if m.pool != p {
 		panic("mempool: buffer returned to wrong pool")
 	}
@@ -342,13 +343,12 @@ func (p *Pool) putLocked(m *Mbuf) {
 	p.frees++
 }
 
-// FreeBatch returns a batch of this pool's buffers under one lock
-// acquisition — the spill path of the per-core Cache.
-func (p *Pool) FreeBatch(bufs []*Mbuf) {
-	p.lock()
-	defer p.mu.Unlock()
+// freeBatch returns a batch of this pool's buffers at once — the spill
+// path of the per-core Cache, whose callers ran the sync hook.
+func (p *Pool) freeBatch(bufs []*Mbuf) {
+	p.reclaim()
 	for _, m := range bufs {
-		p.putLocked(m)
+		p.putOne(m)
 	}
 }
 

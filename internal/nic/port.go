@@ -40,9 +40,9 @@ type Port struct {
 	link     *wire.Link // outgoing side
 
 	// rxPool backs the receive buffers; rxCache is the port's
-	// allocation front over it, so the steady-state receive path takes
-	// the pool lock once per half-cache refill instead of per packet —
-	// the RX mirror of the per-core transmit caches. The pool is
+	// allocation front over it, so the steady-state receive path touches
+	// the pool once per half-cache refill instead of per packet — the RX
+	// mirror of the per-core transmit caches. The pool is
 	// created on first use: TX-only ports (the generators, a hooked
 	// DuT port) never pay for zeroing a receive slab they will not
 	// touch.
@@ -269,8 +269,8 @@ func (p *Port) RxPoolPeek() *mempool.Pool { return p.rxPool }
 
 // RxBufArray returns a burst wrapper for draining this port's receive
 // queues: its FreeAll recycles buffers through the port's receive
-// cache, so a drain loop returns a whole burst under at most one pool
-// lock — the counterpart of the transmit loops' cache-bound arrays.
+// cache, so a drain loop returns a whole burst in at most one pool
+// batch — the counterpart of the transmit loops' cache-bound arrays.
 // Size <= 0 selects the default batch size.
 func (p *Port) RxBufArray(size int) *mempool.BufArray {
 	p.ensureRxPool()
@@ -439,7 +439,7 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 	}
 
 	// 3. Steer into a receive queue, drop (missed) when pool or ring is
-	// full. Buffers come from the port's receive cache (one pool lock
+	// full. Buffers come from the port's receive cache (one pool batch
 	// per refill).
 	q := p.rxQueues[p.rssQueue(f.Data)]
 	p.ensureRxPool()

@@ -533,8 +533,8 @@ func (p *Port) endTrain() {
 	p.trainStart = len(p.sent)
 }
 
-// returnSent hands the pump event's buffers to their pools, one pool
-// lock per run of same-pool buffers.
+// returnSent hands the pump event's buffers to their pools, one FreeAt
+// per run of same-pool buffers.
 func (p *Port) returnSent() {
 	for i := 0; i < len(p.sent); {
 		pool := p.sent[i].M.Pool()

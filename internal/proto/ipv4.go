@@ -46,6 +46,9 @@ func (h IPv4Hdr) Protocol() uint8 { return h[9] }
 // SetProtocol sets the payload protocol number.
 func (h IPv4Hdr) SetProtocol(v uint8) { h[9] = v }
 
+// HeaderChecksum returns the header checksum field.
+func (h IPv4Hdr) HeaderChecksum() uint16 { return binary.BigEndian.Uint16(h[10:12]) }
+
 // SetHeaderChecksum sets the header checksum field.
 func (h IPv4Hdr) SetHeaderChecksum(v uint16) { binary.BigEndian.PutUint16(h[10:12], v) }
 

@@ -70,6 +70,33 @@ func (p UDPPacket) CalcChecksums() {
 	udp.SetChecksum(TransportChecksumIPv4(ip.Src(), ip.Dst(), IPProtoUDP, seg))
 }
 
+// PatchSrc rewrites the IPv4 source address. When the UDP checksum is
+// set, it patches that and the IPv4 header checksum for the new address
+// in place (RFC 1624, RFC 768's computed zero sent as 0xFFFF), so both
+// stay exactly what a full recompute would give, and reports true.
+// A UDP checksum of 0 was never computed (RFC 768 never sends a computed
+// zero): a buffer fresh from its prefill. Then only the address changes,
+// and PatchSrc reports false: the caller must have both checksums
+// computed in full (CalcChecksums or NIC offload). Recycled buffers
+// keep their contents (§4.2), so a pool buffer pays that once.
+func (p UDPPacket) PatchSrc(src IPv4) bool {
+	ip, udp := p.IP(), p.UDP()
+	old := ip.Src()
+	ip.SetSrc(src)
+	cs := udp.Checksum()
+	if cs == 0 {
+		return false
+	}
+	// RFC 1624 §3 over both address words at once: HC' = ~(~HC + ~m + m').
+	d := uint32(^uint16(old>>16)) + uint32(^uint16(old)) + uint32(src>>16) + uint32(uint16(src))
+	ip.SetHeaderChecksum(finishChecksum(uint32(^ip.HeaderChecksum()) + d))
+	if cs = finishChecksum(uint32(^cs) + d); cs == 0 {
+		cs = 0xffff
+	}
+	udp.SetChecksum(cs)
+	return true
+}
+
 // VerifyChecksums reports whether both the IPv4 header checksum and the
 // UDP checksum are valid.
 func (p UDPPacket) VerifyChecksums() bool {

@@ -1,0 +1,75 @@
+package scenario_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"io"
+	"testing"
+
+	"repro/internal/mempool"
+	"repro/internal/nic"
+	"repro/internal/proto"
+	"repro/internal/scenario"
+	"repro/internal/sim"
+)
+
+// TestEmittedFrameDigests pins every byte the Listing 2 flood puts on
+// the wire, and when: each transmitted frame's wire start instant,
+// length and bytes (checksums as the wire carries them) are hashed in
+// departure order. The runs are long enough that every pool buffer is
+// sent several times, so recycled buffers — which keep their contents,
+// checksums included — are covered as well as first uses. Every UDP
+// frame must also carry valid IPv4 and UDP checksums.
+func TestEmittedFrameDigests(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		spec   func(scenario.Spec) scenario.Spec
+		frames int
+		digest string
+	}{
+		{"flood", func(s scenario.Spec) scenario.Spec {
+			s.Runtime = 2 * sim.Millisecond
+			return s
+		}, 30784, "db58c23f2855279d78c79126d9d819b8f7e4cc01bbe64c1e8a89fbf0fa331c04"},
+		// Both flows well above their defaults, so each flow's 4096
+		// buffer pool is recycled within the run.
+		{"qos", func(s scenario.Spec) scenario.Spec {
+			s.Runtime = 10 * sim.Millisecond
+			s.Flows = append([]scenario.Flow(nil), s.Flows...)
+			s.Flows[0].RateMpps, s.Flows[1].RateMpps = 2, 5
+			return s
+		}, 69654, "58b03e6baaf9c4828919fea5d672db8a799626eab5cddfcef0f96d8939fa4825"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc, ok := scenario.Get(c.name)
+			if !ok {
+				t.Fatalf("scenario %q not registered", c.name)
+			}
+			spec := c.spec(sc.DefaultSpec())
+			spec.Seed = 1
+			env := scenario.NewEnv(spec, io.Discard)
+			h := sha256.New()
+			frames := 0
+			var hdr [10]byte
+			env.TX().SetTxTrace(func(_ *nic.TxQueue, m *mempool.Mbuf, at sim.Time) {
+				data := m.Payload()
+				binary.BigEndian.PutUint64(hdr[:8], uint64(at))
+				binary.BigEndian.PutUint16(hdr[8:], uint16(len(data)))
+				h.Write(hdr[:])
+				h.Write(data)
+				frames++
+				pkt := proto.UDPPacket{B: data}
+				if pkt.Eth().EtherType() == proto.EtherTypeIPv4 && pkt.IP().Protocol() == proto.IPProtoUDP && !pkt.VerifyChecksums() {
+					t.Errorf("frame %d at %v: invalid IPv4 or UDP checksum", frames, at)
+				}
+			})
+			if _, err := sc.Run(env); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); frames != c.frames || got != c.digest {
+				t.Fatalf("%d frames, digest %s; want %d frames, digest %s", frames, got, c.frames, c.digest)
+			}
+		})
+	}
+}

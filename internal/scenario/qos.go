@@ -52,7 +52,7 @@ func (qosScenario) Run(env *Env) (*Report, error) {
 
 	// Transmit: one shaped queue and one Listing 2 flood task per flow
 	// (core.UDPFlood is exactly that loop: batch alloc, source-IP
-	// randomization, checksum offload, blocking send), in fixed bursts
+	// randomization with patched checksums, blocking send), in fixed bursts
 	// of the example script's 63-packet bufArray whatever Spec.Batch.
 	floods := make([]*core.UDPFlood, len(flows))
 	for fi, f := range flows {
