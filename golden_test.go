@@ -349,4 +349,14 @@ func TestExperimentsGolden(t *testing.T) {
 		tableCSV(&b, &experiments.RunFig10(experiments.ScaleTest, 10).Table)
 		goldenCompare(t, "fig10.csv", b.String())
 	})
+	t.Run("fig7", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunFig7(experiments.ScaleTest, 11).Table)
+		goldenCompare(t, "fig7.csv", b.String())
+	})
+	t.Run("fig11", func(t *testing.T) {
+		var b strings.Builder
+		tableCSV(&b, &experiments.RunFig11(experiments.ScaleTest, 13).Table)
+		goldenCompare(t, "fig11.csv", b.String())
+	})
 }
