@@ -33,7 +33,6 @@ var exportAllowlist = map[string]string{
 	"sim.Engine.Stop":                   "stops a run early to test draining after Ctrl-C",
 	"sim.Engine.SetStopTime":            "absolute run limit for engine-level tests",
 	"sim.Engine.Procs":                  "live process count, pins that procs exit",
-	"wire.Link.Transmit":                "drives a bare link without a NIC in front",
 	"wire.Link.IsDown":                  "administrative link state under link-flap faults",
 	"nic.Port.SetTxTrace":               "departure instants and bytes: TestDatapathMatchesOracle checks them against the per-frame oracle, TestEmittedFrameDigests hashes them",
 	"dut.Forwarder.Backlog":             "DuT queue depth under overload",

@@ -29,8 +29,8 @@ func TestBurstTxDryPoolBacksOff(t *testing.T) {
 	if b.Sent < 400 || partial == 0 {
 		t.Fatalf("sent %d in %d partial bursts; want >= 400 through a dry pool", b.Sent, partial)
 	}
-	if written != b.Sent || uint64(*delivered) != b.Sent {
-		t.Fatalf("wrote %d, sent %d, delivered %d; want all equal", written, b.Sent, *delivered)
+	if written != b.Sent || uint64(delivered()) != b.Sent {
+		t.Fatalf("wrote %d, sent %d, delivered %d; want all equal", written, b.Sent, delivered())
 	}
 	if pool.Available() != pool.Count() {
 		t.Fatalf("pool back to %d of %d", pool.Available(), pool.Count())
@@ -71,8 +71,8 @@ func TestBurstTxRingFullRunEnd(t *testing.T) {
 	app.RunFor(100 * sim.Microsecond)
 
 	st := q.Port().CounterSnapshot()
-	if b.Sent < 100 || b.Sent != st.TxPackets || uint64(*delivered) != b.Sent {
-		t.Fatalf("sent %d, port transmitted %d, delivered %d", b.Sent, st.TxPackets, *delivered)
+	if b.Sent < 100 || b.Sent != st.TxPackets || uint64(delivered()) != b.Sent {
+		t.Fatalf("sent %d, port transmitted %d, delivered %d", b.Sent, st.TxPackets, delivered())
 	}
 	if shortSent != 1 || written-b.Sent == 0 || written-b.Sent >= 32 {
 		t.Fatalf("%d short sends, %d of %d written frames unsent; want the last burst only", shortSent, written-b.Sent, written)
@@ -104,9 +104,9 @@ func TestGapTxRunEndRollback(t *testing.T) {
 		app.LaunchTask("gap", g.Run)
 		app.RunFor(2 * sim.Millisecond)
 		st := q.Port().CounterSnapshot()
-		if g.Sent+g.Fillers != st.TxPackets || uint64(*delivered) != g.Sent {
+		if g.Sent+g.Fillers != st.TxPackets || uint64(delivered()) != g.Sent {
 			t.Fatalf("batch %d: %d real + %d fillers, port transmitted %d, %d delivered",
-				batch, g.Sent, g.Fillers, st.TxPackets, *delivered)
+				batch, g.Sent, g.Fillers, st.TxPackets, delivered())
 		}
 		app.TxCache().Flush()
 		if pool := app.TxPool(); pool.Available() != pool.Count() {

@@ -75,6 +75,7 @@ func TestUDPFloodLineRate(t *testing.T) {
 	var atStop uint64
 	app.Eng.Schedule(sim.Time(runFor), func() { atStop = tx.CounterSnapshot().TxPackets })
 	app.RunFor(runFor)
+	rx.PullRx()
 
 	pps := float64(atStop) / sim.Duration(runFor).Seconds()
 	if math.Abs(pps-14.88e6) > 0.05e6 {
@@ -176,6 +177,7 @@ func TestGapTxExactCBR(t *testing.T) {
 	app.LaunchTask("gaptx", g.Run)
 	app.RunFor(10 * sim.Millisecond)
 
+	st := rx.CounterSnapshot()
 	if len(arrivals) < 5000 {
 		t.Fatalf("only %d valid arrivals", len(arrivals))
 	}
@@ -185,7 +187,6 @@ func TestGapTxExactCBR(t *testing.T) {
 		}
 	}
 	// The receiving NIC saw the fillers only as CRC errors.
-	st := rx.CounterSnapshot()
 	if st.RxCRCErrors == 0 {
 		t.Fatal("no filler frames observed")
 	}
@@ -215,7 +216,7 @@ func TestGapTxPoissonAccuracy(t *testing.T) {
 	app.LaunchTask("gaptx", g.Run)
 	const runFor = 20 * sim.Millisecond
 	atStop := 0
-	app.Eng.Schedule(sim.Time(runFor), func() { atStop = count })
+	app.Eng.Schedule(sim.Time(runFor), func() { rx.PullRx(); atStop = count })
 	app.RunFor(runFor)
 
 	got := float64(atStop) / sim.Duration(runFor).Seconds()
@@ -263,7 +264,7 @@ func TestHWRateTx(t *testing.T) {
 	app.LaunchTask("hwtx", h.Run)
 	const runFor = 10 * sim.Millisecond
 	atStop := 0
-	app.Eng.Schedule(sim.Time(runFor), func() { atStop = count })
+	app.Eng.Schedule(sim.Time(runFor), func() { rx.PullRx(); atStop = count })
 	app.RunFor(runFor)
 	got := float64(atStop) / sim.Duration(runFor).Seconds()
 	if math.Abs(got-1e6)/1e6 > 0.005 {
@@ -272,15 +273,16 @@ func TestHWRateTx(t *testing.T) {
 }
 
 // pushBed is a two-port 10GbE testbed whose receiver counts (and
-// consumes) every delivered frame.
-func pushBed(seed int64, txRing int) (*App, *nic.TxQueue, *int) {
-	app := NewApp(seed)
+// consumes) every delivered frame; delivered pulls it and returns the
+// count.
+func pushBed(seed int64, txRing int) (app *App, q *nic.TxQueue, delivered func() int) {
+	app = NewApp(seed)
 	tx := app.ConfigDevice(DeviceConfig{Profile: nic.ChipX540, ID: 0, TxRing: txRing})
 	rx := app.ConfigDevice(DeviceConfig{Profile: nic.ChipX540, ID: 1})
 	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
-	delivered := new(int)
-	rx.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { *delivered++; return true })
-	return app, tx.GetTxQueue(0), delivered
+	n := 0
+	rx.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { n++; return true })
+	return app, tx.GetTxQueue(0), func() int { rx.PullRx(); return n }
 }
 
 // TestPushTxFollowsSchedule pins the kernel's pacing contract: slot n is
@@ -337,8 +339,8 @@ func TestPushTxFollowsSchedule(t *testing.T) {
 			if p.Sent != uint64(len(want)) || p.Failed != 0 {
 				t.Fatalf("sent %d, failed %d; want %d slots, none failed", p.Sent, p.Failed, len(want))
 			}
-			if *delivered != len(want) || pool.Available() != 64 {
-				t.Fatalf("delivered %d of %d, pool back to %d of 64", *delivered, len(want), pool.Available())
+			if delivered() != len(want) || pool.Available() != 64 {
+				t.Fatalf("delivered %d of %d, pool back to %d of 64", delivered(), len(want), pool.Available())
 			}
 		})
 	}
@@ -373,8 +375,8 @@ func TestPushTxCountsFailedSlots(t *testing.T) {
 		if p.Sent != 75 || p.Failed != 25 || ok != p.Sent || failed != p.Failed {
 			t.Fatalf("sent %d failed %d (hook saw %d/%d), want 75/25", p.Sent, p.Failed, ok, failed)
 		}
-		if *delivered != 75 || pool.Available() != 64 || dry.Available() != 1 {
-			t.Fatalf("delivered %d, pools back to %d/64 and %d/1", *delivered, pool.Available(), dry.Available())
+		if delivered() != 75 || pool.Available() != 64 || dry.Available() != 1 {
+			t.Fatalf("delivered %d, pools back to %d/64 and %d/1", delivered(), pool.Available(), dry.Available())
 		}
 	})
 	t.Run("ring-full", func(t *testing.T) {
@@ -397,8 +399,8 @@ func TestPushTxCountsFailedSlots(t *testing.T) {
 		if p.Sent+p.Failed != 100 || p.Sent < 8 || p.Failed == 0 || ok != p.Sent || failed != p.Failed {
 			t.Fatalf("sent %d failed %d (hook saw %d/%d) over 100 slots", p.Sent, p.Failed, ok, failed)
 		}
-		if *delivered != int(p.Sent) || pool.Available() != 64 {
-			t.Fatalf("delivered %d of %d sent, pool back to %d of 64", *delivered, p.Sent, pool.Available())
+		if delivered() != int(p.Sent) || pool.Available() != 64 {
+			t.Fatalf("delivered %d of %d sent, pool back to %d of 64", delivered(), p.Sent, pool.Available())
 		}
 	})
 }
@@ -406,7 +408,7 @@ func TestPushTxCountsFailedSlots(t *testing.T) {
 // TestPushTxSteadyStateAllocs pins the kernel's hot path at zero heap
 // allocations per slot once the testbed is warm.
 func TestPushTxSteadyStateAllocs(t *testing.T) {
-	app, q, _ := pushBed(14, 0)
+	app, q, delivered := pushBed(14, 0)
 	pool := CreateSizedMemPool(64, 60, udpPrefill(60))
 	var seq uint64
 	stamp := func(m *mempool.Mbuf, now sim.Time) { seq++ }
@@ -419,6 +421,7 @@ func TestPushTxSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		until = until.Add(10 * sim.Microsecond)
 		app.Eng.Run(until)
+		delivered() // the receiver drains, so sent frames recycle
 	})
 	app.Eng.Stop()
 	app.Eng.RunAll()

@@ -69,8 +69,9 @@ func CreateSizedMemPool(count, bufSize int, prefill func(buf *mempool.Mbuf)) *me
 
 // UDPFlood is the Listing 2 loadSlave as a reusable task body: a
 // BurstTx over a prefilled pool whose frame hook randomizes the source
-// IP and patches both checksums (proto.UDPPacket.PatchSrc), requesting
-// NIC offload only on a buffer's first use. Stop via the app run limit.
+// IP and patches both checksums (proto.UDPPacket.PatchSrc, or
+// proto.TCPPacket.PatchSrc for a TCP template), requesting NIC offload
+// only on a buffer's first use. Stop via the app run limit.
 type UDPFlood struct {
 	Queue   *nic.TxQueue
 	PktSize int
@@ -96,7 +97,13 @@ func (u *UDPFlood) Run(t *Task) {
 	rng := t.Engine().Rand()
 	b := &BurstTx{Queue: u.Queue, Bufs: u.Pool.BufArray(txBatch(u.Batch)), Size: u.PktSize,
 		Frame: func(m *mempool.Mbuf, _ uint64) {
-			if !(proto.UDPPacket{B: m.Payload()}).PatchSrc(u.BaseIP + proto.IPv4(rng.Intn(randomize))) {
+			b, src := m.Payload(), u.BaseIP+proto.IPv4(rng.Intn(randomize))
+			if proto.IPv4Hdr(b[proto.EthHdrLen:]).Protocol() == proto.IPProtoTCP {
+				if !(proto.TCPPacket{B: b}).PatchSrc(src) {
+					m.TxMeta.OffloadIPChecksum = true
+					m.TxMeta.OffloadTCPChecksum = true
+				}
+			} else if !(proto.UDPPacket{B: b}).PatchSrc(src) {
 				m.TxMeta.OffloadIPChecksum = true
 				m.TxMeta.OffloadUDPChecksum = true
 			}

@@ -7,7 +7,9 @@
 //
 //   - NAPI: an interrupt schedules a poll run; the poll processes
 //     packets (fixed per-packet service cost) until the backlog is
-//     empty or the budget is spent, then re-enables interrupts.
+//     empty or the budget is spent, then re-enables interrupts. The
+//     ingress ring is read only at an RX interrupt (nic.Port.ArmRx) or
+//     a poll step: an arrival costs no event of its own.
 //   - Interrupt throttling (ixgbe ITR, §7.4): the driver adapts the
 //     minimum interrupt spacing to the observed batch size, so bursty
 //     traffic (micro-bursts) yields a low interrupt rate — Figure 7's
@@ -94,12 +96,10 @@ type Forwarder struct {
 
 	backlog ring.FIFO[queued]
 
-	intsEnabled  bool
-	polling      bool
+	polling      bool // interrupts are disabled while the poll runs
 	stalled      bool // fault injection: servicing paused (Stall/Restart)
 	lastInt      sim.Time
 	itrInterval  sim.Duration
-	pktsThisInt  int
 	intScheduled bool
 
 	// Prebound event callbacks: the poll loop schedules one event per
@@ -108,6 +108,7 @@ type Forwarder struct {
 	// strictly serial (one poll chain at a time), so a single staged
 	// service slot (svcQ/svcDone) suffices.
 	rearmFn     func()
+	irqFn       func()
 	pollStartFn func()
 	serviceFn   func()
 	svcQ        queued
@@ -119,13 +120,12 @@ type Forwarder struct {
 	// "trigger the interrupt rate moderation feature of the driver
 	// earlier than expected" (§7.4).
 	lastArrival sim.Time
-	hasArrival  bool
 	burstEWMA   float64
 
 	// Counters.
 	Interrupts   uint64
 	Forwarded    uint64
-	Dropped      uint64
+	Dropped      uint64 // tail drops, counted as arrivals are pulled (Backlog syncs)
 	TxRingDrops  uint64
 	Flushed      uint64 // backlog frames discarded by Restart(flush)
 	totalLatency sim.Duration
@@ -140,7 +140,8 @@ type queued struct {
 
 // New attaches a forwarder between in and out. It installs a deliver
 // hook on in; the hook replaces the generic driver path (the backlog
-// models NIC ring plus driver queue together).
+// models NIC ring plus driver queue together) and runs when the
+// forwarder pulls its arrivals. in must be connected already.
 func New(eng *sim.Engine, in, out *nic.Port, cfg Config) *Forwarder {
 	if cfg.ServiceTime == 0 {
 		cfg = DefaultConfig()
@@ -151,38 +152,36 @@ func New(eng *sim.Engine, in, out *nic.Port, cfg Config) *Forwarder {
 		in:          in,
 		out:         out,
 		pool:        mempool.New(mempool.Config{Count: cfg.TxPoolSize}),
-		intsEnabled: true,
 		itrInterval: cfg.ITRLow,
 		lastInt:     -sim.Time(sim.Second),
+		lastArrival: -sim.Time(sim.Second), // the first arrival is no burst
 	}
 	f.rearmFn = func() {
 		f.intScheduled = false
-		f.maybeInterrupt()
+		f.interrupt()
 	}
+	f.irqFn = f.interrupt
 	f.pollStartFn = func() { f.pollRun(0) }
 	f.serviceFn = func() {
 		q := f.svcQ
 		f.svcQ = queued{}
 		f.forward(q)
-		f.pktsThisInt++
 		f.pollRun(f.svcDone + 1)
 	}
 	in.SetDeliverHook(f.onFrame)
+	f.listen()
 	return f
 }
 
-// onFrame is the NIC-to-driver boundary: enqueue and maybe interrupt.
+// onFrame is the NIC-to-driver boundary: one pulled arrival joins the
+// backlog, or is tail-dropped, as of its receive instant.
 func (f *Forwarder) onFrame(fr *wire.Frame, rxTime sim.Time) bool {
-	now := f.eng.Now()
-	if f.hasArrival {
-		burst := 0.0
-		if now.Sub(f.lastArrival) < 500*sim.Nanosecond {
-			burst = 1.0
-		}
-		f.burstEWMA = 0.995*f.burstEWMA + 0.005*burst
+	burst := 0.0
+	if rxTime.Sub(f.lastArrival) < 500*sim.Nanosecond {
+		burst = 1.0
 	}
-	f.lastArrival = now
-	f.hasArrival = true
+	f.burstEWMA = 0.995*f.burstEWMA + 0.005*burst
+	f.lastArrival = rxTime
 
 	if f.backlog.Len() >= f.cfg.BacklogLimit {
 		f.Dropped++
@@ -192,23 +191,25 @@ func (f *Forwarder) onFrame(fr *wire.Frame, rxTime sim.Time) bool {
 	// it must escape the link's recycling until forward or a flushing
 	// Restart releases it.
 	fr.Retain()
-	f.backlog.Push(queued{fr: fr, arrived: now})
-	f.maybeInterrupt()
+	f.backlog.Push(queued{fr: fr, arrived: rxTime})
 	return true
 }
 
-// maybeInterrupt fires or defers an interrupt respecting the throttle.
-func (f *Forwarder) maybeInterrupt() {
-	if f.stalled || f.polling || !f.intsEnabled || f.backlog.Len() == 0 {
-		return
-	}
+// interrupt pulls the due arrivals and, when the forwarder could take
+// an interrupt and has work, fires one or defers it respecting the
+// throttle; then it re-arms the RX line.
+func (f *Forwarder) interrupt() {
+	f.in.PullRx()
 	now := f.eng.Now()
 	eligible := f.lastInt.Add(f.itrInterval)
-	if now >= eligible {
-		f.fireInterrupt()
-		return
-	}
-	if !f.intScheduled {
+	switch {
+	case f.stalled || f.polling || f.backlog.Len() == 0:
+	case now >= eligible:
+		f.Interrupts++
+		f.lastInt = now
+		f.polling = true
+		f.eng.ScheduleAfter(f.jittered(f.cfg.IntDelay, f.cfg.IntDelayJitterPct), f.pollStartFn)
+	case !f.intScheduled:
 		f.intScheduled = true
 		// The throttle timer is not cycle-exact on a real system: the
 		// re-arm fires with scheduler noise after the eligibility
@@ -217,25 +218,31 @@ func (f *Forwarder) maybeInterrupt() {
 		late := sim.Duration(f.eng.Rand().Int63n(int64(f.itrInterval) / 4))
 		f.eng.Schedule(eligible.Add(late), f.rearmFn)
 	}
+	f.listen()
 }
 
-func (f *Forwarder) fireInterrupt() {
-	f.Interrupts++
-	f.lastInt = f.eng.Now()
-	f.intsEnabled = false
-	f.polling = true
-	f.pktsThisInt = 0
-	f.eng.ScheduleAfter(f.jittered(f.cfg.IntDelay, f.cfg.IntDelayJitterPct), f.pollStartFn)
+// listen arms the RX interrupt line while the forwarder could take an
+// interrupt: at the next valid arrival, or at the first from the
+// throttle's eligibility on while a throttled re-arm is pending.
+func (f *Forwarder) listen() {
+	if f.stalled || f.polling {
+		return
+	}
+	notBefore := f.eng.Now()
+	if f.intScheduled {
+		notBefore = f.lastInt.Add(f.itrInterval)
+	}
+	f.in.ArmRx(notBefore, f.irqFn)
 }
 
-// pollRun processes packets NAPI-style. done counts packets handled in
-// the current budget slice.
+// pollRun processes packets NAPI-style, pulling the due arrivals
+// first. done counts packets handled in the current budget slice.
 func (f *Forwarder) pollRun(done int) {
+	f.in.PullRx()
 	if f.stalled {
 		// The core stopped servicing mid-poll: abandon the chain. The
 		// backlog keeps filling (and tail-dropping) until Restart.
 		f.polling = false
-		f.intsEnabled = true
 		return
 	}
 	if f.backlog.Len() == 0 {
@@ -255,7 +262,6 @@ func (f *Forwarder) pollRun(done int) {
 
 func (f *Forwarder) exitPoll() {
 	f.polling = false
-	f.intsEnabled = true
 	// Adaptive ITR: classify by arrival burstiness. Smooth CBR stays
 	// in the low-latency class (high interrupt ceiling); micro-bursty
 	// traffic moves to the bulk class (heavy moderation).
@@ -267,9 +273,7 @@ func (f *Forwarder) exitPoll() {
 	default:
 		f.itrInterval = f.cfg.ITRBulk
 	}
-	// Packets that arrived during the last service slot still need an
-	// interrupt.
-	f.maybeInterrupt()
+	f.listen()
 }
 
 // jittered draws d ± pct uniform noise (mean preserved).
@@ -305,7 +309,10 @@ func (f *Forwarder) forward(q queued) {
 // scheduling the forwarder). Arriving frames keep accumulating in the
 // backlog and tail-drop at BacklogLimit; no interrupt fires and any
 // in-flight poll chain abandons at its next step. Idempotent.
-func (f *Forwarder) Stall() { f.stalled = true }
+func (f *Forwarder) Stall() {
+	f.in.PullRx()
+	f.stalled = true
+}
 
 // Restart resumes servicing after a Stall. With flush set the backlog
 // is discarded first (a crashed process loses its queues; each frame
@@ -313,6 +320,7 @@ func (f *Forwarder) Stall() { f.stalled = true }
 // accumulated backlog is serviced normally. An interrupt is raised
 // immediately if work is pending. Idempotent when not stalled.
 func (f *Forwarder) Restart(flush bool) {
+	f.in.PullRx()
 	f.stalled = false
 	if flush {
 		for {
@@ -324,11 +332,15 @@ func (f *Forwarder) Restart(flush bool) {
 			f.Flushed++
 		}
 	}
-	f.maybeInterrupt()
+	f.interrupt()
 }
 
-// Backlog returns the current queue depth.
-func (f *Forwarder) Backlog() int { return f.backlog.Len() }
+// Backlog pulls the due arrivals and returns the queue depth; Dropped
+// is exact after it.
+func (f *Forwarder) Backlog() int {
+	f.in.PullRx()
+	return f.backlog.Len()
+}
 
 // MeanInternalLatency returns the average ingress-to-egress latency of
 // forwarded packets (excluding wire times).
@@ -337,13 +349,4 @@ func (f *Forwarder) MeanInternalLatency() sim.Duration {
 		return 0
 	}
 	return f.totalLatency / sim.Duration(f.Forwarded)
-}
-
-// InterruptRate returns the average interrupt rate (Hz) over the run up
-// to now — the Figure 7 metric.
-func (f *Forwarder) InterruptRate(span sim.Duration) float64 {
-	if span <= 0 {
-		return 0
-	}
-	return float64(f.Interrupts) / span.Seconds()
 }

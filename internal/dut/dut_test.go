@@ -71,6 +71,7 @@ func TestForwardingBasic(t *testing.T) {
 	tb := newTestbed(1, DefaultConfig())
 	tb.offerCBR(100e3, 5*sim.Millisecond)
 	tb.eng.RunAll()
+	tb.sink.PullRx()
 	if tb.fwd.Forwarded < 450 || tb.fwd.Dropped > 0 {
 		t.Fatalf("forwarded=%d dropped=%d", tb.fwd.Forwarded, tb.fwd.Dropped)
 	}
@@ -152,7 +153,7 @@ func TestInterruptModerationUnderBursts(t *testing.T) {
 			}
 		})
 		tb.eng.RunAll()
-		return tb.fwd.InterruptRate(runFor)
+		return float64(tb.fwd.Interrupts) / sim.Duration(runFor).Seconds()
 	}
 
 	b2b := wire.FrameTime(wire.Speed10G, 64)
@@ -174,7 +175,7 @@ func TestInterruptRateCollapsesAtHighLoad(t *testing.T) {
 		const runFor = 20 * sim.Millisecond
 		tb.offerCBR(pps, runFor)
 		tb.eng.RunAll()
-		return tb.fwd.InterruptRate(runFor)
+		return float64(tb.fwd.Interrupts) / sim.Duration(runFor).Seconds()
 	}
 	mid := rateAt(20, 1.0e6)
 	high := rateAt(21, 1.95e6)

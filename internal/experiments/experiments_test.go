@@ -385,8 +385,8 @@ func TestMulticoreScalingDeterministic(t *testing.T) {
 }
 
 // TestScalingBedTakesNoDeliveryEvents: nothing observes a scaling
-// bed's sink, so its link is pulled and a 1-port costLoad costs 0.068
-// events per sent packet; delivery events, even 32 to one, cost 0.099.
+// bed's sink, so its link takes no event and a 1-port costLoad costs
+// 0.068 events per sent packet.
 func TestScalingBedTakesNoDeliveryEvents(t *testing.T) {
 	app := core.NewApp(1)
 	l := &costLoad{freq: 2.4 * cpu.GHz, workload: cpu.SimpleUDPWorkload, pktSize: 60, queues: buildPortPairs(app, nic.ChipX540, 1, 1)}

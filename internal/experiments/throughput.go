@@ -46,8 +46,8 @@ const sinkRxDepth = 32
 
 // buildPortPairs creates ports generator ports with cores TX queues
 // each, every port cabled to an undrained sink, and returns one queue
-// list per core: queue c of every port. The sinks take no delivery
-// events: their links are pulled (wire.Pull) and nothing observes them.
+// list per core: queue c of every port. The sinks take no events:
+// nothing pulls their links but a full FIFO (wire.Link.SetCapacity).
 func buildPortPairs(app *core.App, profile nic.Profile, ports, cores int) [][]*nic.TxQueue {
 	phy := wire.PHY10GBaseT
 	if profile.Speed == wire.Speed40G {

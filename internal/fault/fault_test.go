@@ -99,7 +99,7 @@ func TestInstallUnroll(t *testing.T) {
 	}
 }
 
-// frameSink counts deliveries; the minimal wire endpoint.
+// frameSink counts pulled deliveries; the minimal wire endpoint.
 type frameSink struct{ delivered uint64 }
 
 func (s *frameSink) DeliverFrame(f *wire.Frame, rxTime sim.Time) { s.delivered++ }
@@ -125,7 +125,7 @@ func TestLinkFlapLifecycle(t *testing.T) {
 		f.Data = append(f.Data[:0], make([]byte, 60)...)
 		f.WireSize = 64
 		f.CRCOK = true
-		link.Transmit(f)
+		link.TransmitAt(f, eng.Now())
 		sent++
 		if sent < 100 {
 			eng.Schedule(eng.Now().Add(100*sim.Microsecond), send)
@@ -145,6 +145,7 @@ func TestLinkFlapLifecycle(t *testing.T) {
 	}
 
 	eng.RunAll()
+	link.Pull()
 	if in.State() != Recovered {
 		t.Fatalf("final state = %v, want recovered", in.State())
 	}

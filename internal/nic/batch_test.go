@@ -14,23 +14,23 @@ import (
 )
 
 // batchBed builds one TX port wired to a sink that records delivery
-// instants.
-func batchBed(seed int64) (*sim.Engine, *Port, *mempool.Pool, *[]sim.Time, *[]sim.Time) {
-	eng := sim.NewEngine(seed)
-	a := NewPort(eng, PortConfig{Profile: ChipX540, ID: 0, TxQueues: 2})
+// instants; arrivals pulls the sink and returns them.
+func batchBed(seed int64) (eng *sim.Engine, a *Port, pool *mempool.Pool, departures *[]sim.Time, arrivals func() []sim.Time) {
+	eng = sim.NewEngine(seed)
+	a = NewPort(eng, PortConfig{Profile: ChipX540, ID: 0, TxQueues: 2})
 	b := NewPort(eng, PortConfig{Profile: ChipX540, ID: 1})
 	ConnectDuplex(eng, a, b, wire.PHY10GBaseT, 2)
-	pool := mempool.New(mempool.Config{Count: 4096})
-	departures := &[]sim.Time{}
-	arrivals := &[]sim.Time{}
+	pool = mempool.New(mempool.Config{Count: 4096})
+	departures = &[]sim.Time{}
+	var arrived []sim.Time
 	a.SetTxTrace(func(q *TxQueue, m *mempool.Mbuf, at sim.Time) {
 		*departures = append(*departures, at)
 	})
 	b.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool {
-		*arrivals = append(*arrivals, at)
+		arrived = append(arrived, at)
 		return true
 	})
-	return eng, a, pool, departures, arrivals
+	return eng, a, pool, departures, func() []sim.Time { b.PullRx(); return arrived }
 }
 
 // TestTrainBackToBackGrid pins the batched scheduler's timing grid
@@ -115,7 +115,7 @@ func TestJitterStreamIndependentOfEngineDraws(t *testing.T) {
 			q.Send(batch[:n])
 		})
 		eng.RunAll()
-		return *arrivals
+		return arrivals()
 	}
 	base, perturbed := run(0), run(17)
 	if len(base) != 32 || len(perturbed) != 32 {
@@ -157,7 +157,7 @@ func TestNoGlobalRandState(t *testing.T) {
 		eng.SetStopTime(sim.Time(200 * sim.Microsecond))
 		eng.Spawn("tx", func(p *sim.Proc) { pumpQueue(p, pool, q, 60, 1) })
 		eng.RunAll()
-		return *arrivals
+		return arrivals()
 	}
 	first, second := run(), run()
 	close(stop)

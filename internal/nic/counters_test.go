@@ -47,9 +47,10 @@ func TestCountersVisibleAfterTxTrain(t *testing.T) {
 	}
 }
 
-// missWatch is the receiving end of a link: it delivers into port and,
-// after every delivery that cost a ring-full drop, schedules onDrop at
-// the same instant with the port's miss count right after the drop.
+// missWatch is the receiving end of a link: it delivers every pulled
+// frame into port and, after every delivery that cost a ring-full drop,
+// schedules onDrop at the same instant with the port's miss count right
+// after the drop.
 type missWatch struct {
 	eng    *sim.Engine
 	port   *Port
@@ -66,7 +67,7 @@ func (w *missWatch) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 
 // TestCountersVisibleAfterRxDrop: an event scheduled right after a
 // ring-full receive drop, at the same instant, sees the RxMissed it
-// caused.
+// caused. A polling process pulls the link every 50 ns.
 func TestCountersVisibleAfterRxDrop(t *testing.T) {
 	eng := sim.NewEngine(32)
 	a := NewPort(eng, PortConfig{Profile: ChipX540, ID: 0})
@@ -78,7 +79,8 @@ func TestCountersVisibleAfterRxDrop(t *testing.T) {
 			t.Fatalf("at %v: snapshot RxMissed %d, the drop made it %d", eng.Now(), st.RxMissed, missed)
 		}
 	}}
-	a.Connect(wire.NewLink(eng, a.Speed(), wire.PHY10GBaseT, 2, w))
+	link := wire.NewLink(eng, a.Speed(), wire.PHY10GBaseT, 2, w)
+	a.Connect(link)
 	pool := mempool.New(mempool.Config{Count: 256})
 	q := a.GetTxQueue(0)
 	eng.Schedule(0, func() {
@@ -86,6 +88,13 @@ func TestCountersVisibleAfterRxDrop(t *testing.T) {
 			q.SendOne(makeUDP(pool, 60, uint16(i)))
 		}
 	})
+	eng.Spawn("poll", func(p *sim.Proc) {
+		for p.Running() {
+			link.Pull()
+			p.Sleep(50 * sim.Nanosecond)
+		}
+	})
+	eng.SetRunFor(10 * sim.Microsecond)
 	eng.RunAll()
 	if st := b.CounterSnapshot(); checks == 0 || st.RxMissed != 32 {
 		t.Fatalf("%d checks, RxMissed %d, want 32 drops behind a ring of 8", checks, st.RxMissed)

@@ -198,6 +198,7 @@ func TestHWRateControlAccuracy(t *testing.T) {
 	eng.SetStopTime(sim.Time(20 * sim.Millisecond))
 	eng.Spawn("tx", func(p *sim.Proc) { pumpQueue(p, pool, q, 60, 1) })
 	eng.RunAll()
+	b.PullRx()
 	if len(arrivals) < 1000 {
 		t.Fatalf("only %d arrivals", len(arrivals))
 	}
@@ -239,7 +240,7 @@ func TestHWRateAnomaly(t *testing.T) {
 			eng.Spawn("tx", func(p *sim.Proc) { pumpQueue(p, pool, q, 60, 1) })
 		}
 		atStop := 0
-		eng.Schedule(sim.Time(runFor), func() { atStop = count })
+		eng.Schedule(sim.Time(runFor), func() { b.PullRx(); atStop = count })
 		eng.RunAll()
 		return float64(atStop) / sim.Duration(runFor).Seconds()
 	}
@@ -546,6 +547,7 @@ func TestXL710PortCap(t *testing.T) {
 	eng.SetStopTime(sim.Time(runFor))
 	eng.Spawn("tx", func(p *sim.Proc) { pumpQueue(p, pool, q, 60, 1) })
 	eng.RunAll()
+	b.PullRx()
 	pps := float64(count) / sim.Duration(runFor).Seconds()
 	if pps > 30.5e6 {
 		t.Fatalf("XL710 emitted %.1f Mpps, cap is 30", pps/1e6)
@@ -578,7 +580,7 @@ func TestQueueIndependence(t *testing.T) {
 		eng.Spawn("tx", func(p *sim.Proc) { pumpQueue(p, pool, q, 60, port) })
 	}
 	var c0, c1 int
-	eng.Schedule(sim.Time(runFor), func() { c0, c1 = counts[100], counts[101] })
+	eng.Schedule(sim.Time(runFor), func() { b.PullRx(); c0, c1 = counts[100], counts[101] })
 	eng.RunAll()
 	r0 := float64(c0) / sim.Duration(runFor).Seconds()
 	r1 := float64(c1) / sim.Duration(runFor).Seconds()

@@ -94,7 +94,7 @@ type Port struct {
 	trainStart int
 	trainEnd   sim.Time
 
-	in *wire.Link // the link into the port (pullArrivals)
+	in *wire.Link // the link into the port (PullRx)
 
 	// txTrace, when set, observes every departure commit with its
 	// exact wire start instant (tests pin the batched scheduler's
@@ -179,7 +179,7 @@ func NewPort(eng *sim.Engine, cfg PortConfig) *Port {
 		p.portMinGap = sim.FromSeconds(1 / cfg.Profile.PortMaxPPS)
 	}
 	p.pumpFn = p.pumpEvent
-	p.Clock.SetSync(p.pullArrivals)
+	p.Clock.SetSync(p.PullRx)
 	for i := 0; i < cfg.TxQueues; i++ {
 		p.txQueues = append(p.txQueues, newTxQueue(p, i, cfg.TxRingSize))
 	}
@@ -205,31 +205,27 @@ func ConnectDuplex(eng *sim.Engine, a, b *Port, phy wire.PHYProfile, lengthM flo
 	a.Connect(wire.NewLink(eng, a.profile.Speed, phy, lengthM, b))
 	b.Connect(wire.NewLink(eng, b.profile.Speed, phy, lengthM, a))
 	a.in, b.in = b.link, a.link
-	a.setDeliveryMode()
-	b.setDeliveryMode()
+	a.in.SetCapacity(len(a.rxQueues) * a.rxQueues[0].ring.Cap())
+	b.in.SetCapacity(len(b.rxQueues) * b.rxQueues[0].ring.Cap())
 }
 
-// setDeliveryMode lets the link into the port take events only for
-// frames a deliver hook must see at their instant (valid ones), and
-// none without a hook.
-func (p *Port) setDeliveryMode() {
-	if p.in != nil {
-		mode := wire.Pull
-		if p.onDeliver != nil {
-			mode = wire.PushValid
-		}
-		p.in.SetDelivery(mode, len(p.rxQueues)*p.rxQueues[0].ring.Cap())
-	}
-}
-
-// pullArrivals takes the due frames off the link into the receive
-// path. Every surface that observes receive state calls it first:
-// RecvBurst/Pending, CounterSnapshot, ReadRxTimestamp, the receive
-// pool and its cache (Pool.SetSync) and clock steps (Clock.SetSync).
-func (p *Port) pullArrivals() {
+// PullRx takes the due frames off the link into the receive path. Every
+// surface that observes receive state calls it first: RecvBurst/Pending,
+// CounterSnapshot, ReadRxTimestamp, the receive pool (Pool.SetSync),
+// clock steps (Clock.SetSync) and a deliver hook's owner.
+func (p *Port) PullRx() {
 	if p.in != nil {
 		p.in.Pull()
 	}
+}
+
+// ArmRx arms the RX interrupt line of the link into the port, which must
+// be connected: fn runs once, at the first valid arrival from notBefore.
+func (p *Port) ArmRx(notBefore sim.Time, fn func()) {
+	if p.in == nil {
+		panic("nic: ArmRx on a port with no link into it")
+	}
+	p.in.Arm(notBefore, fn)
 }
 
 // MAC returns the port's hardware address (ethSrc = queue in MoonGen
@@ -256,7 +252,7 @@ func (p *Port) NumTxQueues() int { return len(p.txQueues) }
 func (p *Port) ensureRxPool() {
 	if p.rxPool == nil {
 		p.rxPool = mempool.New(mempool.Config{Count: p.rxPoolSize})
-		p.rxPool.SetSync(p.pullArrivals)
+		p.rxPool.SetSync(p.PullRx)
 		p.rxCache = p.rxPool.NewCache(0)
 	}
 }
@@ -283,14 +279,14 @@ func (p *Port) RxBufArray(size int) *mempool.BufArray {
 // exact as of the current instant. Sharded runs read each shard's
 // ports on that shard's engine and merge after the join.
 func (p *Port) CounterSnapshot() Stats {
-	p.pullArrivals()
+	p.PullRx()
 	return p.stats
 }
 
 // EnableTimestamps turns on the PTP filter (EtherType 0x88F7 and UDP
 // port udpPort; 0 keeps the default 319).
 func (p *Port) EnableTimestamps(udpPort uint16) {
-	p.pullArrivals()
+	p.PullRx()
 	p.tsEnabled = true
 	if udpPort != 0 {
 		p.tsUDPPort = udpPort
@@ -308,7 +304,7 @@ func (p *Port) ReadTxTimestamp() (ts sim.Time, seq uint16, ok bool) {
 
 // ReadRxTimestamp reads and clears the RX timestamp latch.
 func (p *Port) ReadRxTimestamp() (ts sim.Time, seq uint16, ok bool) {
-	p.pullArrivals()
+	p.PullRx()
 	if !p.rxTSValid {
 		return 0, 0, false
 	}
@@ -319,13 +315,13 @@ func (p *Port) ReadRxTimestamp() (ts sim.Time, seq uint16, ok bool) {
 // SetDeliverHook installs an interceptor for valid received frames;
 // returning true consumes the frame (skipping queue steering). The DuT
 // model uses this to process packets without the full driver stack.
-// The frame is recycled by the link after the hook returns unless the
-// hook calls Frame.Retain. A hooked port takes a delivery event per
-// valid arrival, since the hook reacts to each arrival's instant.
+// The hook is a pulled consumer: it takes no event, and runs whenever
+// the port pulls (PullRx), once per valid frame, in arrival order, with
+// the frame's own rxTime. The frame is recycled by the link after the
+// hook returns unless the hook calls Frame.Retain.
 func (p *Port) SetDeliverHook(fn func(f *wire.Frame, rxTime sim.Time) bool) {
-	p.pullArrivals()
+	p.PullRx()
 	p.onDeliver = fn
-	p.setDeliveryMode()
 }
 
 // SetTxTrace installs an observer called at every departure commit

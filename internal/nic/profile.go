@@ -10,8 +10,8 @@
 // arrivals when its receive state is observed, sent buffers return to
 // their pools lazily (mempool.Pool.FreeAt), and the MAC scheduler runs
 // its next evaluations in the same event up to the engine's next event
-// (sim.Engine.QuietUntil), so no frame costs an event of its own. A
-// hooked port (the DuT) takes an event per valid arrival.
+// (sim.Engine.QuietUntil), so no frame costs an event of its own. An
+// armed receive line (Port.ArmRx) takes one at the next valid arrival.
 package nic
 
 import (

@@ -35,7 +35,7 @@ func (q *RxQueue) Port() *Port { return q.port }
 
 // Pending returns the number of packets waiting in the ring.
 func (q *RxQueue) Pending() int {
-	q.port.pullArrivals()
+	q.port.PullRx()
 	return q.ring.Len()
 }
 
@@ -45,6 +45,6 @@ func (q *RxQueue) Pending() int {
 // must recycle them (Port.RxBufArray gives a batch wrapper whose
 // FreeAll goes through the port's receive cache).
 func (q *RxQueue) RecvBurst(out []*mempool.Mbuf) int {
-	q.port.pullArrivals()
+	q.port.PullRx()
 	return q.ring.DequeueBurst(out)
 }

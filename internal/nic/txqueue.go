@@ -259,8 +259,8 @@ func (p *Port) pumpEvent() {
 // ceilings) without an event. Telemetry windows, pause and link edges,
 // probes on other queues, the ring room a sender sees and the run end
 // are all events, so this one bound covers them. The bound is re-read
-// after events the train schedules itself (push deliveries into a
-// hooked peer). Each evaluation is one train (endTrain).
+// after events the train schedules itself (an armed receive line its
+// commits ring). Each evaluation is one train (endTrain).
 func (p *Port) pump() {
 	now := p.eng.Now()
 	quiet, seen := p.eng.QuietUntil(), p.eng.LastSeq()

@@ -87,14 +87,21 @@ func (p UDPPacket) PatchSrc(src IPv4) bool {
 	if cs == 0 {
 		return false
 	}
-	// RFC 1624 §3 over both address words at once: HC' = ~(~HC + ~m + m').
-	d := uint32(^uint16(old>>16)) + uint32(^uint16(old)) + uint32(src>>16) + uint32(uint16(src))
-	ip.SetHeaderChecksum(finishChecksum(uint32(^ip.HeaderChecksum()) + d))
+	d := patchSrcIP(ip, old, src)
 	if cs = finishChecksum(uint32(^cs) + d); cs == 0 {
 		cs = 0xffff
 	}
 	udp.SetChecksum(cs)
 	return true
+}
+
+// patchSrcIP patches the IPv4 header checksum for a source change from
+// old to src (RFC 1624 §3 over both address words: HC' = ~(~HC + ~m +
+// m')) and returns ~m + m', which patches a pseudo-header sum alike.
+func patchSrcIP(ip IPv4Hdr, old, src IPv4) uint32 {
+	d := uint32(^uint16(old>>16)) + uint32(^uint16(old)) + uint32(src>>16) + uint32(uint16(src))
+	ip.SetHeaderChecksum(finishChecksum(uint32(^ip.HeaderChecksum()) + d))
+	return d
 }
 
 // VerifyChecksums reports whether both the IPv4 header checksum and the
@@ -169,6 +176,21 @@ func (p TCPPacket) CalcChecksums() {
 	tcp.SetChecksum(0)
 	seg := p.B[EthHdrLen+IPv4HdrLen : EthHdrLen+int(ip.TotalLength())]
 	tcp.SetChecksum(TransportChecksumIPv4(ip.Src(), ip.Dst(), IPProtoTCP, seg))
+}
+
+// PatchSrc is UDPPacket.PatchSrc for TCP, which has no "no checksum"
+// value: a zero in either checksum marks a buffer fresh from its
+// prefill (a sum that computes to zero only costs one more full
+// computation), and then only the address changes.
+func (p TCPPacket) PatchSrc(src IPv4) bool {
+	ip, tcp := p.IP(), p.TCP()
+	old := ip.Src()
+	ip.SetSrc(src)
+	if ip.HeaderChecksum() == 0 || tcp.Checksum() == 0 {
+		return false
+	}
+	tcp.SetChecksum(finishChecksum(uint32(^tcp.Checksum()) + patchSrcIP(ip, old, src)))
+	return true
 }
 
 // VerifyChecksums reports whether both checksums are valid.

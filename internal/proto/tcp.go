@@ -48,6 +48,9 @@ func (h TCPHdr) SetFlags(v uint8) { h[13] = v }
 // SetWindow sets the receive window.
 func (h TCPHdr) SetWindow(v uint16) { binary.BigEndian.PutUint16(h[14:16], v) }
 
+// Checksum returns the checksum field.
+func (h TCPHdr) Checksum() uint16 { return binary.BigEndian.Uint16(h[16:18]) }
+
 // SetChecksum sets the checksum field.
 func (h TCPHdr) SetChecksum(v uint16) { binary.BigEndian.PutUint16(h[16:18], v) }
 

@@ -269,11 +269,13 @@ func (e *Env) CollectDuT(rep *Report) {
 	if e.fwd == nil {
 		return
 	}
+	// The snapshot pulls the DuT's due arrivals, which settles Dropped.
+	ingress := e.dutIn.CounterSnapshot()
 	rep.AddRow("DuT forwarded", float64(e.fwd.Forwarded), "packets")
 	rep.AddRow("DuT dropped", float64(e.fwd.Dropped), "packets")
 	rep.AddRow("DuT interrupts", float64(e.fwd.Interrupts), "ints")
-	rep.AddRow("DuT interrupt rate", e.fwd.InterruptRate(e.Spec.Runtime), "Hz")
-	rep.AddRow("DuT-ingress crc-dropped (fillers)", float64(e.dutIn.CounterSnapshot().RxCRCErrors), "packets")
+	rep.AddRow("DuT interrupt rate", float64(e.fwd.Interrupts)/e.Spec.Runtime.Seconds(), "Hz")
+	rep.AddRow("DuT-ingress crc-dropped (fillers)", float64(ingress.RxCRCErrors), "packets")
 }
 
 // LaunchProbes starts the latency-probing task when Spec.Probes > 0:

@@ -20,21 +20,31 @@ import (
 // departure order. The runs are long enough that every pool buffer is
 // sent several times, so recycled buffers — which keep their contents,
 // checksums included — are covered as well as first uses. Every UDP
-// frame must also carry valid IPv4 and UDP checksums.
+// frame must also carry valid IPv4 and UDP checksums, and every TCP
+// frame valid IPv4 and TCP checksums and its template's sequence
+// number (0).
 func TestEmittedFrameDigests(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		spec   func(scenario.Spec) scenario.Spec
-		frames int
-		digest string
+		name, scenario string
+		spec           func(scenario.Spec) scenario.Spec
+		frames         int
+		digest         string
 	}{
-		{"flood", func(s scenario.Spec) scenario.Spec {
+		{"flood", "flood", func(s scenario.Spec) scenario.Spec {
 			s.Runtime = 2 * sim.Millisecond
 			return s
 		}, 30784, "db58c23f2855279d78c79126d9d819b8f7e4cc01bbe64c1e8a89fbf0fa331c04"},
+		// A TCP flow through the same flood hook.
+		{"flood-tcp", "flood", func(s scenario.Spec) scenario.Spec {
+			s.Runtime = 2 * sim.Millisecond
+			f := scenario.DefaultFlow()
+			f.L4 = "tcp"
+			s.Flows = []scenario.Flow{f}
+			return s
+		}, 30784, "ea5383dbefdfc62172723c1831fd7403bb6d93bde34746bf831a65e4df8cdf07"},
 		// Both flows well above their defaults, so each flow's 4096
 		// buffer pool is recycled within the run.
-		{"qos", func(s scenario.Spec) scenario.Spec {
+		{"qos", "qos", func(s scenario.Spec) scenario.Spec {
 			s.Runtime = 10 * sim.Millisecond
 			s.Flows = append([]scenario.Flow(nil), s.Flows...)
 			s.Flows[0].RateMpps, s.Flows[1].RateMpps = 2, 5
@@ -42,9 +52,9 @@ func TestEmittedFrameDigests(t *testing.T) {
 		}, 69654, "58b03e6baaf9c4828919fea5d672db8a799626eab5cddfcef0f96d8939fa4825"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			sc, ok := scenario.Get(c.name)
+			sc, ok := scenario.Get(c.scenario)
 			if !ok {
-				t.Fatalf("scenario %q not registered", c.name)
+				t.Fatalf("scenario %q not registered", c.scenario)
 			}
 			spec := c.spec(sc.DefaultSpec())
 			spec.Seed = 1
@@ -60,8 +70,19 @@ func TestEmittedFrameDigests(t *testing.T) {
 				h.Write(data)
 				frames++
 				pkt := proto.UDPPacket{B: data}
-				if pkt.Eth().EtherType() == proto.EtherTypeIPv4 && pkt.IP().Protocol() == proto.IPProtoUDP && !pkt.VerifyChecksums() {
-					t.Errorf("frame %d at %v: invalid IPv4 or UDP checksum", frames, at)
+				if pkt.Eth().EtherType() != proto.EtherTypeIPv4 {
+					return
+				}
+				switch pkt.IP().Protocol() {
+				case proto.IPProtoUDP:
+					if !pkt.VerifyChecksums() {
+						t.Errorf("frame %d at %v: invalid IPv4 or UDP checksum", frames, at)
+					}
+				case proto.IPProtoTCP:
+					tcp := proto.TCPPacket{B: data}
+					if seq := binary.BigEndian.Uint32(tcp.TCP()[4:8]); !tcp.VerifyChecksums() || seq != 0 {
+						t.Errorf("frame %d at %v: TCP checksums valid %v, sequence number %#x", frames, at, tcp.VerifyChecksums(), seq)
+					}
 				}
 			})
 			if _, err := sc.Run(env); err != nil {

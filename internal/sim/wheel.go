@@ -135,7 +135,7 @@ const nodeSlab = 64
 
 // release returns a fired node to the pool. The pool is bounded only by
 // the peak pending-event population, which the simulation bounds by
-// construction (one event per port pump, per link delivery, per task).
+// construction (one event per port pump, per armed receive line, per task).
 func (w *timingWheel) release(n *wheelNode) {
 	n.fn = nil // release the closure for GC
 	n.next = w.free

@@ -6,8 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// downEndpoint counts deliveries and remembers the last receive
-// instant.
+// downEndpoint counts pulled deliveries and remembers the last
+// receive instant.
 type downEndpoint struct {
 	delivered uint64
 	lastRx    sim.Time
@@ -18,14 +18,16 @@ func (d *downEndpoint) DeliverFrame(f *Frame, at sim.Time) {
 	d.lastRx = at
 }
 
+// transmit puts f on the wire now.
+func transmit(l *Link, f *Frame) sim.Time { return l.TransmitAt(f, l.eng.Now()) }
+
 func frame64() *Frame {
 	return &Frame{Data: make([]byte, 60), WireSize: 64, CRCOK: true}
 }
 
 // TestLinkDownDropsInFlightOnce: taking the link down drains the
-// in-flight FIFO — each pending frame counted exactly once — and the
-// stale delivery event finds the FIFO empty and disarms without side
-// effects.
+// in-flight FIFO — each pending frame counted exactly once — and a
+// later pull finds nothing left to deliver.
 func TestLinkDownDropsInFlightOnce(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ep := &downEndpoint{}
@@ -34,7 +36,7 @@ func TestLinkDownDropsInFlightOnce(t *testing.T) {
 	eng.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			p.SleepUntil(l.NextTxSlot())
-			l.Transmit(frame64())
+			transmit(l, frame64())
 		}
 	})
 	// All three frames serialize within ~202 ns; their receive instants
@@ -45,6 +47,7 @@ func TestLinkDownDropsInFlightOnce(t *testing.T) {
 		l.SetDown() // idempotent: a second call must not recount
 	})
 	eng.RunAll()
+	l.Pull()
 
 	if ep.delivered != 0 {
 		t.Fatalf("delivered %d frames across a dead wire", ep.delivered)
@@ -61,9 +64,10 @@ func TestLinkDownDropsInFlightOnce(t *testing.T) {
 	l.SetUp()
 	eng.Spawn("tx2", func(p *sim.Proc) {
 		p.SleepUntil(l.NextTxSlot())
-		l.Transmit(frame64())
+		transmit(l, frame64())
 	})
 	eng.RunAll()
+	l.Pull()
 	if ep.delivered != 1 {
 		t.Fatalf("delivered %d after SetUp, want 1", ep.delivered)
 	}
@@ -93,10 +97,11 @@ func TestLinkDownKeepsSerializationGrid(t *testing.T) {
 					p.Sleep(400 * sim.Nanosecond)
 				}
 				slots = append(slots, l.NextTxSlot())
-				l.Transmit(frame64())
+				transmit(l, frame64())
 			}
 		})
 		eng.RunAll()
+		l.Pull()
 		return slots, l, ep
 	}
 	ref, refLink, refEp := run(false)

@@ -3,13 +3,12 @@
 // constants, and the timestamp-relevant quirks of fiber (10GBASE-SR)
 // versus copper (10GBASE-T) PHYs from the paper's Table 3.
 //
-// A link delivers by push or pull (SetDelivery). Push: an event at the
-// head frame's receive instant hands every due frame over. Pull (a NIC
-// port without a deliver hook): no event; frames wait in flight until
-// the endpoint observes its receive state and calls Pull, which hands
-// over every frame due by then with its exact receive instant. A frame
+// A link has one delivery mode, pull: frames wait in flight until the
+// endpoint observes its receive state and calls Pull, which hands over
+// every frame due by then with its exact receive instant. A frame
 // exactly at the observing instant is due when it was committed before
-// the observing event was scheduled (sim.Engine.Due).
+// the observing event was scheduled (sim.Engine.Due). An endpoint that
+// must react to an arrival arms the link's receive line (Arm).
 package wire
 
 import (
@@ -123,8 +122,8 @@ func (p PHYProfile) PathLatency(lengthM float64) sim.Duration {
 // the frame size including FCS — possibly below the legal 64 B minimum
 // for short filler frames.
 //
-// Frames are recycled by the link after delivery: Data is valid only
-// for the duration of the DeliverFrame call unless the consumer calls
+// Frames are recycled by the link once pulled: Data is valid only for
+// the duration of the DeliverFrame call unless the consumer calls
 // Retain. A retained frame belongs to the consumer until it calls
 // Release, which hands the frame (and the capacity of its Data) back to
 // the link that made it, so the steady state allocates no frames.
@@ -132,10 +131,6 @@ type Frame struct {
 	Data     []byte
 	WireSize int
 	CRCOK    bool
-
-	// SeqNo is the link-level emission sequence number, used by tests
-	// to check that delivery order matches transmission order.
-	SeqNo uint64
 
 	retained bool
 	link     *Link // the link whose AcquireFrame made the frame
@@ -162,11 +157,11 @@ func (f *Frame) Release() {
 
 // Endpoint consumes frames delivered by a link.
 type Endpoint interface {
-	// DeliverFrame is called when the first bit's receive timestamp
-	// instant is reached (arrival + demodulation); the frame is fully
-	// received serTime later. rxTime is the PHY-level timestamp
-	// instant including jitter. The frame's Data is only valid during
-	// the call unless Frame.Retain is invoked.
+	// DeliverFrame hands over one pulled frame, in transmission order,
+	// at or after rxTime: the PHY-level receive timestamp instant of
+	// its first bit (arrival + demodulation, including jitter). The
+	// frame's Data is only valid during the call unless Frame.Retain is
+	// invoked.
 	DeliverFrame(f *Frame, rxTime sim.Time)
 }
 
@@ -199,7 +194,6 @@ type Link struct {
 	largePct  float64 // phy.LargeJitterPct
 
 	busyUntil sim.Time // wire occupied until this instant (TX side)
-	seq       uint64
 
 	// jitterRNG is the link's private deterministic stream for PHY
 	// receive-timestamp jitter. Frame i's jitter depends only on i —
@@ -207,19 +201,20 @@ type Link struct {
 	// what makes batched and per-packet emission bit-identical.
 	jitterRNG *rand.Rand
 
-	// pending is the in-flight FIFO (a serial link preserves order).
-	// At most one delivery event is outstanding (deliverArmed), for the
-	// first frame that takes one (wakes); deliverFn is the prebound
-	// callback so the steady state schedules deliveries without any
-	// closure allocation. pulling guards Pull against re-entry.
-	pending      ring.FIFO[delivery]
-	deliverFn    func()
-	deliverArmed bool
-	lastRx       sim.Time
-	mode         Delivery
-	pulling      bool
-	pullCap      int      // pulled frames kept in flight (SetDelivery)
-	staleAt      sim.Time // a down edge's leftover delivery event
+	// pending is the in-flight FIFO (a serial link preserves order);
+	// pulling guards Pull against re-entry.
+	pending ring.FIFO[delivery]
+	lastRx  sim.Time
+	pulling bool
+	pullCap int // due frames kept in flight (SetCapacity)
+
+	// The receive line (Arm): lineFn runs at lineAt, the receive
+	// instant of the first valid frame from lineFrom on (Never while
+	// none is in flight); lineFire is the prebound event callback.
+	lineFn   func()
+	lineFrom sim.Time
+	lineAt   sim.Time
+	lineFire func()
 
 	// down marks the link administratively down (fault injection): the
 	// TX side keeps its serialization grid, but every frame is dropped
@@ -257,7 +252,7 @@ func NewLink(eng *sim.Engine, speed Speed, phy PHYProfile, lengthM float64, peer
 		largePct:  phy.LargeJitterPct,
 		jitterRNG: eng.NewRand(),
 	}
-	l.deliverFn = l.deliver
+	l.lineFire = l.fireLine
 	eng.AddDeferred(l.lastEvent)
 	return l
 }
@@ -271,18 +266,12 @@ func (l *Link) NextTxSlot() sim.Time {
 	return l.eng.Now()
 }
 
-// Transmit puts a frame on the wire at the current time, which must be
-// ≥ NextTxSlot (the MAC model is responsible for waiting). It returns
-// the time the wire becomes free again. The receive side gets a
-// DeliverFrame callback at start-of-frame + path latency (+ jitter).
-func (l *Link) Transmit(f *Frame) sim.Time {
-	return l.TransmitAt(f, l.eng.Now())
-}
-
 // TransmitAt puts a frame on the wire starting at the given instant,
 // which may be in the future: the MAC scheduler commits a whole burst
 // of departures in one event, each frame stamped on the exact
-// per-frame timing grid. start must be ≥ now and ≥ NextTxSlot.
+// per-frame timing grid. start must be ≥ now and ≥ NextTxSlot. It
+// returns the time the wire becomes free again. The frame is due at
+// the receive side at start + path latency (+ jitter).
 func (l *Link) TransmitAt(f *Frame, start sim.Time) sim.Time {
 	if start < l.eng.Now() {
 		panic(fmt.Sprintf("wire: transmit at past instant %v (now %v)", start, l.eng.Now()))
@@ -292,8 +281,6 @@ func (l *Link) TransmitAt(f *Frame, start sim.Time) sim.Time {
 	}
 	occupancy := sim.Duration(f.WireSize+proto.WireOverhead) * l.byteTime
 	l.busyUntil = start.Add(occupancy)
-	l.seq++
-	f.SeqNo = l.seq
 	l.TxFrames++
 	l.TxBytes += uint64(f.WireSize)
 
@@ -343,37 +330,16 @@ func (l *Link) AcquireFrame() *Frame {
 	return f
 }
 
-// Delivery is how a link hands frames to its endpoint.
-type Delivery uint8
-
-const (
-	Push      Delivery = iota // an event per frame (the default)
-	PushValid                 // events for valid frames; the rest are pulled
-	Pull                      // no events: the endpoint pulls every frame
-)
-
-// SetDelivery sets how the link delivers. Past capacity pulled frames
-// in flight (the endpoint's receive descriptors), the due ones are
-// handed over at once — exact, because they are due.
-func (l *Link) SetDelivery(mode Delivery, capacity int) {
-	l.Pull()
-	l.mode, l.pullCap = mode, capacity
-	if !l.deliverArmed {
-		l.armNext(l.eng.Now())
-	}
-}
+// SetCapacity bounds the due frames held in flight for the endpoint
+// (its receive descriptors): past it, a commit hands the due ones over
+// at once, which is exact because they are due.
+func (l *Link) SetCapacity(n int) { l.pullCap = n }
 
 // Valid reports whether a receiving MAC accepts the frame (good FCS,
 // at least 64 B); it drops any other into an error counter (§8.1).
 func (f *Frame) Valid() bool { return f.CRCOK && f.WireSize >= proto.MinFrameSizeFCS }
 
-// wakes reports whether f takes a delivery event of its own.
-func (l *Link) wakes(f *Frame) bool {
-	return l.mode == Push || l.mode == PushValid && f.Valid()
-}
-
-// Pull hands the endpoint the due frames that wait to be pulled, in
-// order, up to the first that takes its own event.
+// Pull hands the endpoint every due frame in flight, in order.
 func (l *Link) Pull() {
 	if l.pulling {
 		return
@@ -381,7 +347,7 @@ func (l *Link) Pull() {
 	l.pulling = true
 	for {
 		d, ok := l.pending.Peek()
-		if !ok || l.wakes(d.f) || !l.eng.Due(d.at, d.arm) {
+		if !ok || !l.eng.Due(d.at, d.arm) {
 			break
 		}
 		l.pending.Pop()
@@ -391,61 +357,58 @@ func (l *Link) Pull() {
 	l.pulling = false
 }
 
-// lastEvent is the latest delivery event folded into pulls (for
-// sim.Engine.AddDeferred).
-func (l *Link) lastEvent() sim.Time {
-	last := l.staleAt
-	if n := l.pending.Len(); n > 0 {
-		last = max(last, l.pending.At(n-1).at)
-	}
-	return last
-}
-
-// push appends to the in-flight FIFO and, for a frame that wakes the
-// endpoint, arms the delivery event when none is outstanding (rxTimes
-// are monotonic, see TransmitAt).
-func (l *Link) push(f *Frame, at sim.Time) {
-	l.pending.Push(delivery{f: f, at: at, arm: l.eng.LastSeq()})
-	if !l.wakes(f) {
-		if l.pending.Len() > l.pullCap {
-			l.Pull()
-		}
-		return
-	}
-	if !l.deliverArmed {
-		l.deliverArmed = true
-		l.eng.Schedule(at, l.deliverFn)
-	}
-}
-
-// armNext arms the delivery event for the first frame that wakes.
-func (l *Link) armNext(now sim.Time) {
+// Arm arms the receive line, a NIC's interrupt-enable bit: fn runs once,
+// in an event at the receive instant of the first valid frame whose
+// rxTime is ≥ notBefore (at once if it is due already), scheduled at
+// that frame's commit if it is not in flight yet. The frame is due when
+// fn runs. Arming again replaces the pending arm.
+func (l *Link) Arm(notBefore sim.Time, fn func()) {
+	l.lineFn, l.lineFrom, l.lineAt = fn, notBefore, sim.Never
 	for i := range l.pending.Len() {
-		if d := l.pending.At(i); l.wakes(d.f) {
-			l.deliverArmed = true
-			l.eng.Schedule(max(d.at, now), l.deliverFn)
+		if d := l.pending.At(i); d.at >= notBefore && d.f.Valid() {
+			l.ringLine(d.at)
 			return
 		}
 	}
 }
 
-// deliver fires at a waking frame's receive instant: it delivers every
-// due frame in FIFO order, recycles non-retained frames, and re-arms
-// itself. After a link-down drained the FIFO the stale event finds it
-// empty and disarms harmlessly.
-func (l *Link) deliver() {
-	l.deliverArmed = false
-	now := l.eng.Now()
-	for {
-		d, ok := l.pending.Peek()
-		if !ok || d.at > now {
-			break
-		}
-		l.pending.Pop()
-		l.peer.DeliverFrame(d.f, d.at)
-		l.recycle(d.f)
+// ringLine schedules the armed line's event.
+func (l *Link) ringLine(at sim.Time) {
+	l.lineAt = max(at, l.eng.Now())
+	l.eng.Schedule(l.lineAt, l.lineFire)
+}
+
+// fireLine runs the armed fn unless the arm was replaced or its frame
+// dropped since.
+func (l *Link) fireLine() {
+	if l.lineFn == nil || l.lineAt != l.eng.Now() {
+		return
 	}
-	l.armNext(now)
+	fn := l.lineFn
+	l.lineFn, l.lineAt = nil, sim.Never
+	fn()
+}
+
+// lastEvent is the latest receive instant folded into pulls (for
+// sim.Engine.AddDeferred).
+func (l *Link) lastEvent() sim.Time {
+	if n := l.pending.Len(); n > 0 {
+		return l.pending.At(n - 1).at
+	}
+	return 0
+}
+
+// push appends to the in-flight FIFO, rings an armed line waiting for
+// this frame, and hands due frames over past the capacity (rxTimes are
+// monotonic, see TransmitAt).
+func (l *Link) push(f *Frame, at sim.Time) {
+	l.pending.Push(delivery{f: f, at: at, arm: l.eng.LastSeq()})
+	if l.lineFn != nil && l.lineAt == sim.Never && at >= l.lineFrom && f.Valid() {
+		l.ringLine(at)
+	}
+	if l.pending.Len() > l.pullCap {
+		l.Pull()
+	}
 }
 
 // drop counts a frame lost at the fault boundary and recycles it.
@@ -482,8 +445,8 @@ func (l *Link) SetDown() {
 	}
 	l.Pull()
 	l.down = true
-	if d, ok := l.pending.Peek(); ok {
-		l.staleAt = max(l.staleAt, d.at) // its event stays armed
+	if l.lineFn != nil {
+		l.lineAt = sim.Never // wait for the next commit
 	}
 	for {
 		d, ok := l.pending.Pop()

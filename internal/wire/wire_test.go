@@ -128,8 +128,9 @@ func TestLinkTransmitDelivery(t *testing.T) {
 	l := NewLink(eng, Speed10G, PHY10GBaseSR, 2, ep)
 	f := &Frame{Data: make([]byte, 60), WireSize: 64, CRCOK: true}
 	var freeAt sim.Time
-	eng.Schedule(0, func() { freeAt = l.Transmit(f) })
+	eng.Schedule(0, func() { freeAt = transmit(l, f) })
 	eng.RunAll()
+	l.Pull()
 	if len(ep.frames) != 1 {
 		t.Fatalf("delivered %d frames", len(ep.frames))
 	}
@@ -146,13 +147,13 @@ func TestLinkBusyPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
 	l := NewLink(eng, Speed10G, PHY10GBaseSR, 2, &collectEndpoint{})
 	eng.Schedule(0, func() {
-		l.Transmit(&Frame{WireSize: 64, CRCOK: true})
+		transmit(l, &Frame{WireSize: 64, CRCOK: true})
 		defer func() {
 			if recover() == nil {
 				t.Error("transmit on busy wire did not panic")
 			}
 		}()
-		l.Transmit(&Frame{WireSize: 64, CRCOK: true})
+		transmit(l, &Frame{WireSize: 64, CRCOK: true})
 	})
 	eng.RunAll()
 }
@@ -171,25 +172,29 @@ func TestWireOrderAndSpacingProperty(t *testing.T) {
 		eng := sim.NewEngine(3)
 		ep := &collectEndpoint{}
 		l := NewLink(eng, Speed10G, PHY10GBaseSR, 10, ep)
-		var sent []int
+		var sent []*Frame
 		eng.Spawn("tx", func(p *sim.Proc) {
 			for i, sz := range sizes {
-				size := 64 + int(sz)%1455
-				sent = append(sent, size)
+				f := &Frame{WireSize: 64 + int(sz)%1455, CRCOK: true}
+				sent = append(sent, f)
 				p.SleepUntil(l.NextTxSlot())
 				p.SleepUntil(l.NextTxSlot().Add(sim.Duration(gaps[i]) * sim.Picosecond))
-				l.Transmit(&Frame{WireSize: size, CRCOK: true})
+				transmit(l, f)
 			}
 		})
 		eng.RunAll()
+		l.Pull()
 		if len(ep.frames) != len(sent) {
 			return false
 		}
-		for i := 1; i < len(ep.frames); i++ {
-			if ep.frames[i].SeqNo <= ep.frames[i-1].SeqNo {
+		for i := range ep.frames {
+			if ep.frames[i] != sent[i] {
 				return false // reordered
 			}
-			minGap := sim.Duration(sent[i-1]+20) * ByteTime(Speed10G)
+			if i == 0 {
+				continue
+			}
+			minGap := sim.Duration(sent[i-1].WireSize+20) * ByteTime(Speed10G)
 			if ep.times[i].Sub(ep.times[i-1]) < minGap {
 				return false // arrived faster than serialization allows
 			}
@@ -208,7 +213,7 @@ func TestUtilization(t *testing.T) {
 	eng.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			p.SleepUntil(l.NextTxSlot())
-			l.Transmit(&Frame{WireSize: 64, CRCOK: true})
+			transmit(l, &Frame{WireSize: 64, CRCOK: true})
 		}
 	})
 	eng.RunAll()
@@ -250,8 +255,6 @@ func TestBimodalQuantization(t *testing.T) {
 	}
 }
 
-// slackEndpoint records each delivery with both the frame's rxTime
-// argument and the engine instant the callback executed at.
 // TestTransmitJitterMatchesProfile pins the transmit path's inlined
 // jitter draw against refJitter: same seed, same sequence of receive
 // instants.
@@ -273,10 +276,11 @@ func TestTransmitJitterMatchesProfile(t *testing.T) {
 			}
 			last = rx
 			want = append(want, rx)
-			l.Transmit(&Frame{WireSize: 64, CRCOK: true})
+			transmit(l, &Frame{WireSize: 64, CRCOK: true})
 		}
 	})
 	eng.RunAll()
+	l.Pull()
 	if len(ep.times) != len(want) {
 		t.Fatalf("delivered %d, want %d", len(ep.times), len(want))
 	}
@@ -306,8 +310,9 @@ func TestReleasedFrameReturnsToLink(t *testing.T) {
 	f := l.AcquireFrame()
 	f.Data = append(f.Data, make([]byte, 60)...)
 	f.WireSize, f.CRCOK = 64, true
-	eng.Spawn("tx", func(p *sim.Proc) { l.Transmit(f) })
+	eng.Spawn("tx", func(p *sim.Proc) { transmit(l, f) })
 	eng.RunAll()
+	l.Pull()
 	if ep.kept != f {
 		t.Fatal("the frame was not delivered")
 	}
@@ -329,4 +334,60 @@ func TestReleasedFrameReturnsToLink(t *testing.T) {
 		}
 	}()
 	got.Release()
+}
+
+// TestArmFiresAtFirstValidArrival pins the receive line: an arm fires
+// once, at the receive instant of the first valid frame from notBefore
+// on, with that frame due; it skips invalid and earlier frames, waits
+// for a commit when none is in flight, and a replaced arm or one whose
+// frame a down edge dropped does not fire.
+func TestArmFiresAtFirstValidArrival(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ep := &collectEndpoint{}
+	l := NewLink(eng, Speed10G, PHY10GBaseSR, 2, ep)
+	var fired []sim.Time
+	var pulled []int
+	fn := func() {
+		fired = append(fired, eng.Now())
+		l.Pull()
+		pulled = append(pulled, len(ep.frames))
+	}
+	var rx []sim.Time // receive instants of the burst at 0
+	eng.Schedule(0, func() {
+		for i := range 4 {
+			start := l.NextTxSlot()
+			l.TransmitAt(&Frame{WireSize: 64, CRCOK: i != 1}, start)
+			rx = append(rx, start.Add(l.pathLat))
+		}
+		l.Arm(rx[0]+1, fn) // skips frame 0 (too early) and 1 (bad FCS)
+	})
+	eng.Run(sim.Time(sim.Microsecond))
+	if len(fired) != 1 || fired[0] != rx[2] || pulled[0] != 3 {
+		t.Fatalf("arm fired at %v having pulled %v, want once at %v with 3 frames due", fired, pulled, rx[2])
+	}
+
+	// Nothing in flight: the arm waits for the next commit.
+	l.Arm(eng.Now(), fn)
+	var late sim.Time
+	eng.Schedule(sim.Time(2*sim.Microsecond), func() {
+		late = eng.Now().Add(l.pathLat)
+		transmit(l, &Frame{WireSize: 64, CRCOK: true})
+	})
+	eng.Run(sim.Time(3 * sim.Microsecond))
+	if len(fired) != 2 || fired[1] != late || pulled[1] != 5 {
+		t.Fatalf("arm fired at %v having pulled %v, want a second firing at %v with 5 frames", fired, pulled, late)
+	}
+
+	// Replaced past its frame, then dropped by a down edge: neither fires.
+	eng.Schedule(sim.Time(4*sim.Microsecond), func() {
+		l.Arm(eng.Now(), fn)
+		transmit(l, &Frame{WireSize: 64, CRCOK: true})
+		l.Arm(eng.Now().Add(l.pathLat+1), fn)
+		l.TransmitAt(&Frame{WireSize: 64, CRCOK: true}, l.NextTxSlot())
+		l.SetDown()
+	})
+	eng.RunAll()
+	if len(fired) != 2 || l.DroppedFrames != 2 {
+		t.Fatalf("arm fired %d times, %d frames dropped; want no third firing and 2 drops", len(fired), l.DroppedFrames)
+	}
 }
