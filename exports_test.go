@@ -1,6 +1,8 @@
 // Dead-API gate: every exported function and method under internal/
 // must be reached from the code that ships — the non-test files of
-// this module (cmd/, internal/) and of the bench/ module. The gate
+// this module (cmd/, internal/) and of the bench/ module — and every
+// exported field of an exported internal/ struct must be written by
+// it: a knob that only tests set is dead configuration. The gate
 // type-checks those packages and follows resolved objects, so a dead
 // method is caught even when another type has a live method of the
 // same name.
@@ -23,11 +25,13 @@ import (
 )
 
 // exportAllowlist names exported internal/ functions and methods that
-// no shipped code reaches but that stay on purpose, each with its
-// reason: tests use them as a reference or to observe model state that
-// has no other accessor. Keys are "pkg.Func" or "pkg.Type.Method". An
-// entry the gate would not flag (a caller appeared, or the method is
-// gone) fails as stale, so the list holds only what it must.
+// no shipped code reaches, and exported fields that no shipped code
+// writes, but that stay on purpose, each with its reason: tests use
+// them as a reference, to observe model state that has no other
+// accessor, or to shrink the model. Keys are "pkg.Func",
+// "pkg.Type.Method" or "pkg.Type.Field". An entry the gate would not
+// flag (a caller or writer appeared, or the name is gone) fails as
+// stale, so the list holds only what it must.
 var exportAllowlist = map[string]string{
 	"flow.Tracker.Record":               "per-frame reference RecordBatch is pinned against",
 	"sim.Engine.Stop":                   "stops a run early to test draining after Ctrl-C",
@@ -49,7 +53,6 @@ var exportAllowlist = map[string]string{
 	"mempool.Pool.Stats":                "alloc/free totals the shared TX cache leak test compares",
 	"stats.Histogram.Mean":              "sample mean the merge-property, flow-merge and timestamper tests compare",
 	"stats.Histogram.Std":               "spread the histogram merge property compares",
-	"stats.Histogram.WriteCSV":          "text form of the bins the CSV round-trip test pins",
 	"telemetry.Recorder.Windows":        "windows recorded, what the telemetry tests and overhead benchmark check",
 	"proto.UDPPacket.CalcChecksums":     "software reference the UDP checksum-offload tests and BenchmarkTable1OffloadUDP compare against",
 	"proto.UDPPacket.VerifyChecksums":   "checks frames the NIC's UDP checksum offload wrote",
@@ -59,6 +62,12 @@ var exportAllowlist = map[string]string{
 	"proto.Template.TransportChecksum":  "full-recompute reference for the template's transport checksum",
 	"proto.Template.SetIPSrc":           "RFC 1624 address update TestTemplateIncrementalChecksums pins",
 	"proto.Template.SetIPID":            "RFC 1624 field update TestTemplateIncrementalChecksums pins",
+	"stats.Histogram.Bins":              "non-empty bins in ascending order, what the histogram merge and flow-table reference tests compare",
+	"core.DeviceConfig.TxRing":          "descriptor ring size; tests shrink the TX ring so a short run fills it",
+	"core.DeviceConfig.DriftPPM":        "PTP clock drift the timestamper's per-probe resync test (§6.3) sets",
+	"core.Timestamper.UDP":              "UDP PTP probes, whose 80-byte timestamping floor (§6.4) the timestamper test pins",
+	"proto.TCPPacketFill.SeqNum":        "nonzero sequence numbers the TCP fill and checksum-patch tests write; shipped TCP frames carry 0",
+	"proto.TCPPacketFill.AckNum":        "nonzero acknowledgment number the TCP fill test writes; shipped TCP frames carry 0",
 }
 
 // srcPkg is one package of shipped source, parsed but not yet checked.
@@ -122,21 +131,32 @@ func (im checkedImporter) Import(path string) (*types.Package, error) {
 	return im.std.Import(path)
 }
 
+// deadAPI is one exported name the gate flags: where it is declared
+// and what shipped code fails to do with it.
+type deadAPI struct {
+	pos   token.Position
+	fault string
+}
+
 // deadExports type-checks pkgs in dependency order and returns, keyed
-// "pkg.Func" or "pkg.Type.Method", every exported function and method
-// declared in a package under repro/internal/ that no resolved use in
-// pkgs reaches. A use inside the function's own body does not count.
-// A method also counts as reached when it implements an interface
+// "pkg.Func", "pkg.Type.Method" or "pkg.Type.Field", every exported
+// function and method declared in a package under repro/internal/
+// that no resolved use in pkgs reaches, and every exported field of an
+// exported struct type declared there that no code in pkgs writes (see
+// markWrites). A use inside the function's own body does not count. A
+// method also counts as reached when it implements an interface
 // method that is called through the interface; String and Error
 // always count, because fmt calls them.
-func deadExports(fset *token.FileSet, pkgs []*srcPkg) (map[string]token.Position, error) {
+func deadExports(fset *token.FileSet, pkgs []*srcPkg) (map[string]deadAPI, error) {
 	byPath := map[string]*srcPkg{}
 	for _, p := range pkgs {
 		byPath[p.path] = p
 	}
 	im := checkedImporter{checked: map[string]*types.Package{}, std: importer.Default()}
 	uses := map[*ast.Ident]types.Object{}
+	info := &types.Info{Uses: uses, Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	decls := map[*types.Func]*ast.FuncDecl{}
+	fields := map[*types.Var]string{} // exported fields of exported internal/ structs, keyed "pkg.Type.Field"
 	var check func(p *srcPkg) error
 	check = func(p *srcPkg) error {
 		if _, done := im.checked[p.path]; done {
@@ -150,13 +170,27 @@ func deadExports(fset *token.FileSet, pkgs []*srcPkg) (map[string]token.Position
 			}
 		}
 		defs := map[*ast.Ident]types.Object{}
-		tp, err := (&types.Config{Importer: im}).Check(p.path, fset, p.files, &types.Info{Uses: uses, Defs: defs})
+		info.Defs = defs
+		tp, err := (&types.Config{Importer: im}).Check(p.path, fset, p.files, info)
 		if err != nil {
 			return err
 		}
 		im.checked[p.path] = tp
 		if !strings.HasPrefix(p.path, "repro/internal/") {
 			return nil
+		}
+		for _, name := range tp.Scope().Names() {
+			tn, ok := tp.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						fields[f] = tp.Name() + "." + name + "." + f.Name()
+					}
+				}
+			}
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
@@ -197,13 +231,141 @@ func deadExports(fset *token.FileSet, pkgs []*srcPkg) (map[string]token.Position
 		}
 	}
 
-	dead := map[string]token.Position{}
+	dead := map[string]deadAPI{}
 	for fn, fd := range decls {
 		if !used[fn] && !implementsCalled(fn, called) {
-			dead[funcKey(fn)] = fset.Position(fd.Name.Pos())
+			dead[funcKey(fn)] = deadAPI{fset.Position(fd.Name.Pos()), "has no caller outside tests"}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			markWrites(info, f, written)
+		}
+	}
+	for f, key := range fields {
+		if !written[f] {
+			dead[key] = deadAPI{fset.Position(f.Pos()), "is written by no shipped code"}
 		}
 	}
 	return dead, nil
+}
+
+// heldByValue reports whether a variable of type t holds its contents
+// in place, so that writing inside it writes the variable: anything but
+// a pointer.
+func heldByValue(t types.Type) bool {
+	_, ptr := t.Underlying().(*types.Pointer)
+	return !ptr
+}
+
+// markWrites records in written every field that code in f writes: a
+// keyed or unkeyed composite literal, an assignment or ++/-- to the
+// field or through an index into it, taking its address, or calling a
+// pointer-receiver method on it. Writing inside a value the field holds
+// in place (not through a pointer) writes the field too, and so does
+// writing a field promoted through it.
+func markWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
+	var lvalue func(e ast.Expr)
+	// selector records the writes of modifying x in place: a field
+	// selection writes the field, a pointer-receiver method call its
+	// receiver operand. Either write reaches the embedded fields the
+	// selection passes through, and then x.X, for as long as each holds
+	// the next by value.
+	selector := func(x *ast.SelectorExpr, sel *types.Selection) {
+		path := sel.Index()
+		if sel.Kind() == types.MethodVal {
+			path = path[:len(path)-1] // the last index picks the method
+		}
+		var chain []*types.Var
+		t := sel.Recv()
+		for _, i := range path {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			v := t.Underlying().(*types.Struct).Field(i)
+			chain = append(chain, v)
+			t = v.Type()
+		}
+		i := len(chain) - 1
+		if sel.Kind() == types.FieldVal {
+			written[chain[i].Origin()] = true
+			i--
+		}
+		for ; i >= 0; i-- {
+			if !heldByValue(chain[i].Type()) {
+				return
+			}
+			written[chain[i].Origin()] = true
+		}
+		if heldByValue(sel.Recv()) {
+			lvalue(x.X)
+		}
+	}
+	lvalue = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			lvalue(x.X)
+		case *ast.IndexExpr:
+			lvalue(x.X)
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				selector(x, sel)
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range x.Lhs {
+				lvalue(l)
+			}
+		case *ast.IncDecStmt:
+			lvalue(x.X)
+		case *ast.RangeStmt:
+			if x.Tok == token.ASSIGN {
+				if x.Key != nil {
+					lvalue(x.Key)
+				}
+				if x.Value != nil {
+					lvalue(x.Value)
+				}
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				lvalue(x.X)
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				return true
+			}
+			recv := sel.Obj().Type().(*types.Signature).Recv()
+			if _, ptrRecv := recv.Type().(*types.Pointer); ptrRecv {
+				selector(x, sel)
+			}
+		case *ast.CompositeLit:
+			t := info.Types[x].Type
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, el := range x.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						written[v.Origin()] = true
+					}
+				} else {
+					written[st.Field(i).Origin()] = true
+				}
+			}
+		}
+		return true
+	})
 }
 
 // funcKey names fn "pkg.Func" or "pkg.Type.Method".
@@ -246,8 +408,9 @@ func implementsCalled(fn *types.Func, called map[*types.Func]bool) bool {
 
 // TestInternalExportsHaveCallers fails, naming each offender, for any
 // exported function or method declared in a non-test file under
-// internal/ that no shipped code reaches (see deadExports), unless
-// exportAllowlist names it with a reason.
+// internal/ that no shipped code reaches, and any exported field of an
+// exported struct there that no shipped code writes (see deadExports),
+// unless exportAllowlist names it with a reason.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	dead, err := deadExports(fset, shippedPackages(t, fset))
@@ -255,14 +418,14 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var offenders []string
-	for key, pos := range dead {
+	for key, d := range dead {
 		if _, ok := exportAllowlist[key]; !ok {
-			offenders = append(offenders, pos.String()+": "+key)
+			offenders = append(offenders, d.pos.String()+": "+key+" "+d.fault)
 		}
 	}
 	sort.Strings(offenders)
 	for _, o := range offenders {
-		t.Errorf("%s has no caller outside tests: delete it, or allowlist it with a reason", o)
+		t.Errorf("%s: delete it, or allowlist it with a reason", o)
 	}
 	for key, reason := range exportAllowlist {
 		if _, ok := dead[key]; !ok {
@@ -338,6 +501,82 @@ func Main() int {
 	// is its own recursive call; Live.Run and ViaIface.Run are reached
 	// through Runner.Run.
 	want := []string{"lib.Countdown", "lib.Dead.Stop"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("dead exports = %v, want %v", got, want)
+	}
+}
+
+// TestDeadExportsCountsFieldWrites pins what counts as writing a field:
+// keyed and unkeyed composite literals, assignment, ++, assignment
+// through an index, taking the address, a pointer-receiver method call
+// on the field, and writing inside a struct the field holds by value or
+// through a field promoted from it. A method call through a pointer
+// field does not write that field, and a read writes nothing.
+func TestDeadExportsCountsFieldWrites(t *testing.T) {
+	const lib = `package lib
+
+type Counter struct{ n int }
+
+func (c *Counter) Inc() { c.n++ }
+
+type Inner struct{ N int }
+
+type Pair struct{ A, B int }
+
+type Knobs struct {
+	Keyed    int
+	Assigned int
+	Bumped   int
+	Indexed  []int
+	Addr     int
+	Ctr      Counter
+	ViaPtr   *Counter
+	Nested   Inner
+	Inner
+	ReadOnly int
+	Unset    int
+}
+`
+	const app = `package app
+
+import "repro/internal/lib"
+
+func Main() int {
+	_ = lib.Pair{1, 2}
+	k := &lib.Knobs{Keyed: 1}
+	k.Assigned = 2
+	k.Bumped++
+	k.Indexed[0] = 3
+	p := &k.Addr
+	*p = 4
+	k.Ctr.Inc()
+	k.ViaPtr.Inc()
+	k.Nested.N = 5
+	k.N = 6
+	return k.ReadOnly
+}
+`
+	fset := token.NewFileSet()
+	parse := func(name, src string) *ast.File {
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	dead, err := deadExports(fset, []*srcPkg{
+		{path: "repro/app", files: []*ast.File{parse("app.go", app)}, imports: []string{"repro/internal/lib"}},
+		{path: "repro/internal/lib", files: []*ast.File{parse("lib.go", lib)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for key := range dead {
+		got = append(got, key)
+	}
+	sort.Strings(got)
+	want := []string{"lib.Knobs.ReadOnly", "lib.Knobs.Unset", "lib.Knobs.ViaPtr"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("dead exports = %v, want %v", got, want)
 	}

@@ -54,23 +54,17 @@ func TestQoSScenario(t *testing.T) {
 
 	counts := map[uint16]int{}
 	badChecksums := 0
-	app.LaunchTask("counter", func(tk *core.Task) {
-		bufs := make([]*mempool.Mbuf, 256)
-		for {
-			n := tk.RecvPoll(rDev.GetRxQueue(0), bufs)
-			if n == 0 {
-				break
-			}
-			for _, m := range bufs[:n] {
+	counter := &core.PollRx{Queue: rDev.GetRxQueue(0), Batch: 256, Poll: sim.Microsecond,
+		Burst: func(bufs []*mempool.Mbuf, _ sim.Time) {
+			for _, m := range bufs {
 				p := proto.UDPPacket{B: m.Payload()}
 				if !p.VerifyChecksums() {
 					badChecksums++
 				}
 				counts[p.UDP().DstPort()]++
-				m.Free()
 			}
-		}
-	})
+		}}
+	app.LaunchTask("counter", counter.Run)
 
 	const runFor = 50 * sim.Millisecond
 	var bg, fg int
@@ -149,17 +143,11 @@ func TestReflectorRoundTrip(t *testing.T) {
 
 	// Reflector on device b.
 	reflPool := core.CreateMemPool(2048, nil)
-	app.LaunchTask("reflector", func(tk *core.Task) {
-		bufs := make([]*mempool.Mbuf, 64)
-		for {
-			n := tk.RecvPoll(b.GetRxQueue(0), bufs)
-			if n == 0 {
-				break
-			}
-			for _, m := range bufs[:n] {
+	reflector := &core.PollRx{Queue: b.GetRxQueue(0), Batch: 64, Poll: sim.Microsecond,
+		Burst: func(bufs []*mempool.Mbuf, _ sim.Time) {
+			for _, m := range bufs {
 				out := reflPool.Alloc(m.Len)
 				if out == nil {
-					m.Free()
 					continue
 				}
 				copy(out.Data, m.Payload())
@@ -174,13 +162,12 @@ func TestReflectorRoundTrip(t *testing.T) {
 				ip.SetDst(s)
 				out.TxMeta.OffloadIPChecksum = true
 				out.TxMeta.OffloadUDPChecksum = true
-				m.Free()
 				if !b.GetTxQueue(0).SendOne(out) {
 					out.Free()
 				}
 			}
-		}
-	})
+		}}
+	app.LaunchTask("reflector", reflector.Run)
 
 	// Originator on device a: send marked packets, verify echoes.
 	pool := core.CreateMemPool(2048, nil)

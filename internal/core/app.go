@@ -24,10 +24,6 @@ type App struct {
 	// ordinary single-engine apps.
 	Shard int
 
-	// TxPoolSize overrides the shared transmit pool's buffer count
-	// when set before the pool is first used (default 8192).
-	TxPoolSize int
-
 	txPool  *mempool.Pool
 	txCache *mempool.Cache
 }
@@ -37,9 +33,9 @@ func NewApp(seed int64) *App {
 	return &App{Eng: sim.NewEngine(seed)}
 }
 
-// defaultTxPoolCount sizes the shared transmit pool: comfortably more
+// txPoolCount sizes the shared transmit pool: comfortably more
 // than a descriptor ring plus the frames in flight on a 10 GbE wire.
-const defaultTxPoolCount = 8192
+const txPoolCount = 8192
 
 // TxPool returns the app's shared transmit mempool (created on first
 // use). TX loops that fill every packet from scratch draw from it
@@ -47,11 +43,7 @@ const defaultTxPoolCount = 8192
 // their own pools.
 func (a *App) TxPool() *mempool.Pool {
 	if a.txPool == nil {
-		count := a.TxPoolSize
-		if count <= 0 {
-			count = defaultTxPoolCount
-		}
-		a.txPool = mempool.New(mempool.Config{Count: count})
+		a.txPool = mempool.New(mempool.Config{Count: txPoolCount})
 	}
 	return a.txPool
 }
@@ -75,7 +67,7 @@ func (a *App) TxCache() *mempool.Cache {
 }
 
 // Task is the execution context handed to slave functions — MoonGen's
-// per-task Lua VM. It embeds the simulation process (Sleep/Yield/
+// per-task Lua VM. It embeds the simulation process (Sleep/
 // Running) and adds the blocking packet-IO idioms.
 type Task struct {
 	*sim.Proc
@@ -135,20 +127,5 @@ func (t *Task) SendAll(q *nic.TxQueue, bufs []*mempool.Mbuf) int {
 		if sent < len(bufs) {
 			t.Sleep(backoff)
 		}
-	}
-}
-
-// RecvPoll receives a burst, polling until at least one packet arrives
-// or the run ends — the counterSlave loop of Listing 3.
-func (t *Task) RecvPoll(q *nic.RxQueue, out []*mempool.Mbuf) int {
-	for {
-		if n := q.RecvBurst(out); n > 0 {
-			return n
-		}
-		if !t.Running() {
-			// Final drain.
-			return q.RecvBurst(out)
-		}
-		t.Sleep(backoff)
 	}
 }

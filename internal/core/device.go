@@ -17,7 +17,6 @@ type Device struct {
 type DeviceConfig struct {
 	Profile  nic.Profile
 	ID       int
-	RxQueues int
 	TxQueues int
 	// DriftPPM desynchronizes this device's PTP clock (for drift
 	// experiments; 0 for none).
@@ -34,7 +33,6 @@ func (a *App) ConfigDevice(cfg DeviceConfig) *Device {
 	port := nic.NewPort(a.Eng, nic.PortConfig{
 		Profile:       cfg.Profile,
 		ID:            cfg.ID,
-		RxQueues:      cfg.RxQueues,
 		TxQueues:      cfg.TxQueues,
 		RxRingSize:    cfg.RxRing,
 		TxRingSize:    cfg.TxRing,

@@ -58,7 +58,7 @@ func TestFlowSinkDetectsMultiQueueReorder(t *testing.T) {
 	})
 
 	tr := flow.NewTracker(flow.Config{})
-	sink := &FlowSink{Queue: rx.GetRxQueue(0), Tracker: tr, Batch: 32}
+	sink := &PollRx{Queue: rx.GetRxQueue(0), Batch: 32, Drain: FlowDrain, Burst: TrackFlows(tr)}
 	app.LaunchTask("sink", sink.Run)
 	app.RunFor(5 * sim.Millisecond)
 
@@ -116,7 +116,7 @@ func TestFlowSinkBatchInvariant(t *testing.T) {
 			src.Run(tk)
 		})
 		tr := flow.NewTracker(flow.Config{})
-		sink := &FlowSink{Queue: rx.GetRxQueue(0), Tracker: tr, Batch: batch}
+		sink := &PollRx{Queue: rx.GetRxQueue(0), Batch: batch, Drain: FlowDrain, Burst: TrackFlows(tr)}
 		app.LaunchTask("sink", sink.Run)
 		app.RunFor(2 * sim.Millisecond)
 		fs := tr.Flows()[0]

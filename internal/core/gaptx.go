@@ -29,8 +29,6 @@ type GapTx struct {
 	PktSize int
 	// Fill crafts each real packet (sequence number i).
 	Fill func(m *mempool.Mbuf, i uint64)
-	// MinFillerWire overrides the 76-byte filler floor (§8.1).
-	MinFillerWire int
 	// Batch is the reusable burst size (default DefaultTxBatch; 1
 	// reproduces per-packet sends). The emission schedule — every
 	// departure byte on the wire — is invariant in Batch: batching
@@ -53,9 +51,6 @@ type GapTx struct {
 func (g *GapTx) Run(t *Task) {
 	port := g.Queue.Port()
 	filler := rate.NewGapFiller(wire.ByteTime(port.Speed()))
-	if g.MinFillerWire > 0 {
-		filler.MinFillerWire = g.MinFillerWire
-	}
 	batch := txBatch(g.Batch)
 	rng := t.Engine().Rand()
 	realWire := int64(proto.WireLen(g.PktSize))

@@ -24,9 +24,6 @@ type Timestamper struct {
 	// UDP selects UDP PTP probes instead of layer-2 PTP. UDP probes
 	// below the NIC's 80-byte floor are never timestamped (§6.4).
 	UDP bool
-	// Resync disables the per-probe clock resynchronization when
-	// false is explicitly configured via NoResync.
-	NoResync bool
 	// Timeout bounds the wait for a probe's timestamps (lost probes).
 	Timeout sim.Duration
 
@@ -56,11 +53,9 @@ func NewTimestamper(txq *nic.TxQueue, rxPort *nic.Port) *Timestamper {
 func (ts *Timestamper) Probe(t *Task) (lat sim.Duration, ok bool) {
 	txPort := ts.TxQueue.Port()
 
-	if !ts.NoResync {
-		// Resynchronize the receive clock to the transmit clock
-		// before each timestamped packet (§6.3).
-		ptpclk.Sync(txPort.Clock, ts.RxPort.Clock)
-	}
+	// Resynchronize the receive clock to the transmit clock before
+	// each timestamped packet (§6.3).
+	ptpclk.Sync(txPort.Clock, ts.RxPort.Clock)
 
 	// Drain stale latch values so this probe's timestamps are
 	// unambiguous.

@@ -154,10 +154,9 @@ func (o Offload) Cycles() float64 {
 type Workload struct {
 	Name string
 
-	// RandFields and CounterFields are varying header/payload fields
+	// RandFields is the number of random header/payload fields
 	// generated per packet.
-	RandFields    int
-	CounterFields int
+	RandFields int
 
 	// ExtraCachelines is the number of cachelines touched beyond the
 	// first when modifying the packet (0 for ≤64 B of writes).
@@ -181,12 +180,11 @@ type Workload struct {
 // part only; see TimePerPacket for the full time).
 func (w Workload) Cycles() float64 {
 	c := CostPacketIO + w.ExtraCycles
-	if w.RandFields > 0 || w.CounterFields > 0 || w.ExtraCachelines > 0 {
+	if w.RandFields > 0 || w.ExtraCachelines > 0 {
 		c += CostModify
 	}
 	c += float64(w.ExtraCachelines) * (CostModifyTwoCachelines - CostModify)
 	c += RandFieldCycles(w.RandFields)
-	c += CounterFieldCycles(w.CounterFields)
 	c += w.Offload.Cycles()
 	return c
 }
@@ -197,7 +195,7 @@ func (w Workload) CyclesStd() float64 {
 	var varsum float64
 	add := func(s float64) { varsum += s * s }
 	add(CostPacketIOStd)
-	if w.RandFields > 0 || w.CounterFields > 0 || w.ExtraCachelines > 0 {
+	if w.RandFields > 0 || w.ExtraCachelines > 0 {
 		add(CostModifyStd)
 	}
 	if w.ExtraCachelines > 0 {
@@ -205,11 +203,6 @@ func (w Workload) CyclesStd() float64 {
 	}
 	for _, fc := range RandFieldCosts {
 		if fc.Fields == w.RandFields {
-			add(fc.Std)
-		}
-	}
-	for _, fc := range CounterFieldCosts {
-		if fc.Fields == w.CounterFields {
 			add(fc.Std)
 		}
 	}

@@ -62,7 +62,7 @@ func (tb *testbed) offerCBR(pps float64, runFor sim.Duration) {
 				p.Sleep(2 * sim.Microsecond)
 				continue
 			}
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 }

@@ -99,18 +99,9 @@ func RunInterArrival(scale Scale, seed int64, g Generator, pps float64) *InterAr
 
 	hist := stats.NewHistogram(64 * sim.Nanosecond)
 	var last int64 = -1
-	app.LaunchTask("interarrival", func(t *core.Task) {
-		ba := rx.RxBufArray(256)
-		for t.Running() || rx.GetRxQueue(0).Pending() > 0 {
-			n := rx.GetRxQueue(0).RecvBurst(ba.Bufs)
-			if n == 0 {
-				if !t.Running() {
-					break
-				}
-				t.Sleep(20 * sim.Microsecond)
-				continue
-			}
-			for _, m := range ba.Slice(n) {
+	recv := &core.PollRx{Queue: rx.GetRxQueue(0), Batch: 256,
+		Burst: func(bufs []*mempool.Mbuf, _ sim.Time) {
+			for _, m := range bufs {
 				if m.RxMeta.HasTimestamp {
 					if last >= 0 {
 						hist.Add(sim.Duration(m.RxMeta.Timestamp - last))
@@ -118,10 +109,8 @@ func RunInterArrival(scale Scale, seed int64, g Generator, pps float64) *InterAr
 					last = m.RxMeta.Timestamp
 				}
 			}
-			ba.FreeAll()
-			t.Yield()
-		}
-	})
+		}}
+	app.LaunchTask("interarrival", recv.Run)
 
 	window := sim.Duration(float64(scale.Samples) / pps * float64(sim.Second))
 	app.RunFor(window)

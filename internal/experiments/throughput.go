@@ -143,9 +143,6 @@ func (l *costLoad) run(app *core.App, window sim.Duration) (pkts, bytes uint64, 
 						}
 					}
 				}
-				for f := 0; f < workload.CounterFields; f++ {
-					pkt.UDP().SetSrcPort(uint16(m.Len) + uint16(f))
-				}
 				switch workload.Offload {
 				case cpu.OffloadIP:
 					m.TxMeta.OffloadIPChecksum = true

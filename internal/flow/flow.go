@@ -145,9 +145,6 @@ type Config struct {
 	// times. Off by default: the steady-state RX loop then performs no
 	// histogram-sample appends at all.
 	Latency bool
-	// LatencyBinWidth is the latency histogram bin width (default 1 ns;
-	// percentiles are exact while the per-flow sample cap holds).
-	LatencyBinWidth sim.Duration
 }
 
 // Stats is the per-flow state of a Tracker. Counters follow RFC-4737
@@ -193,7 +190,7 @@ type Stats struct {
 // timestamped probes) rather than from payload stamps.
 func (fs *Stats) AddLatency(d sim.Duration) {
 	if fs.Latency == nil {
-		fs.Latency = stats.NewHistogram(sim.Nanosecond)
+		fs.Latency = stats.NewHistogram(latencyBinWidth)
 	}
 	fs.Latency.Add(d)
 }
@@ -278,7 +275,7 @@ func (fs *Stats) track(seq uint64) {
 // Stats.merge) is independent of storage; table_test.go pins the table
 // against a map-based reference that calls the same methods.
 type Tracker struct {
-	latBin sim.Duration // LatencyBinWidth when Config.Latency, else 0
+	latBin sim.Duration // latencyBinWidth when Config.Latency, else 0
 
 	table flowTable
 
@@ -300,6 +297,10 @@ type Tracker struct {
 	// Unparsed counts packets that carried no IPv4 UDP/TCP flow key.
 	Unparsed uint64
 }
+
+// latencyBinWidth is the per-flow latency histogram bin width:
+// percentiles are exact while the per-flow sample cap holds.
+const latencyBinWidth = sim.Nanosecond
 
 // memoSize is the direct-mapped lookup cache size (power of two).
 const memoSize = 8
@@ -324,12 +325,9 @@ func NewTracker(cfg Config) *Tracker {
 		cfg.SeqWindow = 1024
 	}
 	cfg.SeqWindow = ceilPow2(cfg.SeqWindow)
-	if cfg.LatencyBinWidth <= 0 {
-		cfg.LatencyBinWidth = sim.Nanosecond
-	}
 	t := &Tracker{}
 	if cfg.Latency {
-		t.latBin = cfg.LatencyBinWidth
+		t.latBin = latencyBinWidth
 	}
 	t.table.init(cfg.SeqWindow)
 	return t

@@ -69,10 +69,6 @@ type TxMeta struct {
 	// transmit (PTP path, paper §6).
 	Timestamp bool
 
-	// L2Len/L3Len locate the headers for offloading, as in DPDK.
-	L2Len int
-	L3Len int
-
 	// LaunchAt, when later than the instant the MAC scheduler looks at
 	// the frame, is its earliest departure: the NIC holds the frame at
 	// the head of its ring until then (the LaunchTime descriptor field

@@ -136,9 +136,9 @@ func TestRxBufferConservation(t *testing.T) {
 		eng.SetRunFor(500 * sim.Microsecond)
 		eng.RunAll()
 		b.rxCache.Flush()
-		if got, want := b.rxPool.Available()+rxq.Pending(), b.rxPool.Count(); got != want {
+		if got, want := b.rxPool.Available()+pending(rxq), b.rxPool.Count(); got != want {
 			t.Fatalf("pool %d ring %d per-buffer %v: %d free + %d in the ring, pool holds %d",
-				poolSize, ringSize, perBuffer, b.rxPool.Available(), rxq.Pending(), want)
+				poolSize, ringSize, perBuffer, b.rxPool.Available(), pending(rxq), want)
 		}
 		return b.CounterSnapshot().RxMissed
 	}

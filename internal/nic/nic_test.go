@@ -30,6 +30,13 @@ func rxCount(q *RxQueue) int {
 	return n
 }
 
+// pending pulls the port's due arrivals and returns how many frames
+// wait in q's ring.
+func pending(q *RxQueue) int {
+	q.port.PullRx()
+	return q.ring.Len()
+}
+
 // testPair builds two connected X540 ports.
 func testPair(t *testing.T, seed int64) (*sim.Engine, *Port, *Port) {
 	t.Helper()
@@ -75,7 +82,7 @@ func pumpQueue(p *sim.Proc, pool *mempool.Pool, q *TxQueue, size int, udpSrc uin
 			p.Sleep(2 * sim.Microsecond)
 			continue
 		}
-		p.Yield()
+		p.Sleep(0)
 	}
 }
 
@@ -161,12 +168,12 @@ func TestLineRate(t *testing.T) {
 				p.Sleep(sim.Microsecond)
 				continue
 			}
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	eng.Spawn("rxdrain", func(p *sim.Proc) {
 		out := make([]*mempool.Mbuf, 64)
-		for p.Running() || b.GetRxQueue(0).Pending() > 0 {
+		for p.Running() || pending(b.GetRxQueue(0)) > 0 {
 			n := b.GetRxQueue(0).RecvBurst(out)
 			n += b.GetRxQueue(1).RecvBurst(out[n:])
 			for i := 0; i < n; i++ {
@@ -282,7 +289,7 @@ func TestBadCRCDroppedEarly(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < len(b.rxQueues); i++ {
-		total += b.GetRxQueue(i).Pending()
+		total += pending(b.GetRxQueue(i))
 	}
 	if total != 1 {
 		t.Fatalf("%d packets in rx queues, want 1", total)

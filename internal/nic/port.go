@@ -122,8 +122,6 @@ type PortConfig struct {
 	RxRingSize int
 	// ClockDriftPPM desynchronizes this port's PTP clock rate.
 	ClockDriftPPM float64
-	// ClockOffset desynchronizes this port's PTP clock phase.
-	ClockOffset sim.Duration
 }
 
 // NewPort creates a port. It mirrors MoonGen's device.config(port,
@@ -166,7 +164,6 @@ func NewPort(eng *sim.Engine, cfg PortConfig) *Port {
 			PhaseNS:         phase,
 			DriftPPM:        cfg.ClockDriftPPM,
 			ReadOutlierProb: 0.05,
-			InitialOffset:   cfg.ClockOffset,
 		}),
 		rxPoolSize:   cfg.RxPoolSize,
 		tsUDPPort:    proto.PTPUDPPort,
@@ -210,7 +207,7 @@ func ConnectDuplex(eng *sim.Engine, a, b *Port, phy wire.PHYProfile, lengthM flo
 }
 
 // PullRx takes the due frames off the link into the receive path. Every
-// surface that observes receive state calls it first: RecvBurst/Pending,
+// surface that observes receive state calls it first: RecvBurst,
 // CounterSnapshot, ReadRxTimestamp, the receive pool (Pool.SetSync),
 // clock steps (Clock.SetSync) and a deliver hook's owner.
 func (p *Port) PullRx() {

@@ -8,7 +8,7 @@ import (
 // RxQueue is one hardware receive queue. The port's receive path
 // steers validated frames into it (RSS hash); the application drains
 // it in bursts, DPDK style. Like the port's counters it belongs to the
-// port's engine: RecvBurst and Pending pull the port's due arrivals
+// port's engine: RecvBurst pulls the port's due arrivals
 // first, so they must run on that engine (or after its run returned).
 type RxQueue struct {
 	port *Port
@@ -32,12 +32,6 @@ func (q *RxQueue) deliver(m *mempool.Mbuf) {
 
 // Port returns the owning port.
 func (q *RxQueue) Port() *Port { return q.port }
-
-// Pending returns the number of packets waiting in the ring.
-func (q *RxQueue) Pending() int {
-	q.port.PullRx()
-	return q.ring.Len()
-}
 
 // RecvBurst fills out with received buffers and returns the count
 // (possibly zero — the non-blocking burst receive MoonGen's

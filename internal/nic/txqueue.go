@@ -461,21 +461,15 @@ func (p *Port) transmitFrameAt(q *TxQueue, m *mempool.Mbuf, start sim.Time) {
 	data := m.Payload()
 
 	// Checksum offload engine: executed when the hardware fetches the
-	// descriptor. L2Len/L3Len default to plain Ethernet/IPv4 offsets.
+	// descriptor, on plain Ethernet/IPv4 framing.
 	meta := &m.TxMeta
-	l2 := meta.L2Len
-	if l2 == 0 {
-		l2 = proto.EthHdrLen
-	}
+	const l2 = proto.EthHdrLen
 	if meta.OffloadIPChecksum && len(data) >= l2+proto.IPv4HdrLen {
 		proto.IPv4Hdr(data[l2:]).CalcChecksum()
 	}
 	if (meta.OffloadUDPChecksum || meta.OffloadTCPChecksum) && len(data) >= l2+proto.IPv4HdrLen {
 		ip := proto.IPv4Hdr(data[l2:])
-		l3 := meta.L3Len
-		if l3 == 0 {
-			l3 = ip.HdrLen()
-		}
+		l3 := ip.HdrLen()
 		segEnd := l2 + int(ip.TotalLength())
 		if segEnd > len(data) {
 			segEnd = len(data)

@@ -52,7 +52,6 @@ func (h ICMPHdr) VerifyChecksumV4(msgLen int) bool {
 // ICMPFill is the Fill configuration for an ICMP header.
 type ICMPFill struct {
 	Type uint8
-	Code uint8
 	ID   uint16
 	Seq  uint16
 }
@@ -60,7 +59,7 @@ type ICMPFill struct {
 // Fill writes the fixed header with a zero checksum.
 func (h ICMPHdr) Fill(cfg ICMPFill) {
 	h.SetType(cfg.Type)
-	h.SetCode(cfg.Code)
+	h.SetCode(0)
 	h.SetChecksum(0)
 	h.SetID(cfg.ID)
 	h.SetSeq(cfg.Seq)

@@ -34,9 +34,6 @@ func (h IPv4Hdr) SetTotalLength(v uint16) { binary.BigEndian.PutUint16(h[2:4], v
 // SetID sets the identification field.
 func (h IPv4Hdr) SetID(v uint16) { binary.BigEndian.PutUint16(h[4:6], v) }
 
-// SetFlags sets the 3 flag bits, preserving the fragment offset.
-func (h IPv4Hdr) SetFlags(f uint8) { h[6] = h[6]&0x1f | f<<5 }
-
 // SetTTL sets the time-to-live field.
 func (h IPv4Hdr) SetTTL(v uint8) { h[8] = v }
 
@@ -75,16 +72,16 @@ func (h IPv4Hdr) VerifyChecksum() bool {
 	return Checksum(h[:h.HdrLen()]) == 0
 }
 
+// ipv4TTL is the time-to-live Fill writes.
+const ipv4TTL = 64
+
 // IPv4Fill is the Fill configuration for an IPv4 header.
 type IPv4Fill struct {
 	Src      IPv4
 	Dst      IPv4
 	Protocol uint8
-	TTL      uint8 // default 64
 	TOS      uint8
-	ID       uint16
 	Length   uint16 // total length including header; required
-	DontFrag bool
 }
 
 // Fill writes the whole header. The checksum field is zeroed; either
@@ -93,15 +90,9 @@ func (h IPv4Hdr) Fill(cfg IPv4Fill) {
 	h.SetVersionIHL(IPv4HdrLen)
 	h.SetTOS(cfg.TOS)
 	h.SetTotalLength(cfg.Length)
-	h.SetID(cfg.ID)
-	binary.BigEndian.PutUint16(h[6:8], 0)
-	if cfg.DontFrag {
-		h.SetFlags(2)
-	}
-	if cfg.TTL == 0 {
-		cfg.TTL = 64
-	}
-	h.SetTTL(cfg.TTL)
+	h.SetID(0)
+	binary.BigEndian.PutUint16(h[6:8], 0) // no flags, offset 0
+	h.SetTTL(ipv4TTL)
 	h.SetProtocol(cfg.Protocol)
 	h.SetHeaderChecksum(0)
 	h.SetSrc(cfg.Src)

@@ -30,7 +30,6 @@ type UDPPacketFill struct {
 	EthDst    MAC
 	IPSrc     IPv4
 	IPDst     IPv4
-	TTL       uint8
 	TOS       uint8
 	UDPSrc    uint16
 	UDPDst    uint16
@@ -48,7 +47,6 @@ func (p UDPPacket) Fill(cfg UDPPacketFill) {
 		Src:      cfg.IPSrc,
 		Dst:      cfg.IPDst,
 		Protocol: IPProtoUDP,
-		TTL:      cfg.TTL,
 		TOS:      cfg.TOS,
 		Length:   uint16(cfg.PktLength - EthHdrLen),
 	})
@@ -143,7 +141,6 @@ type TCPPacketFill struct {
 	SeqNum    uint32
 	AckNum    uint32
 	Flags     uint8 // default SYN
-	Window    uint16
 }
 
 // Fill writes Ethernet, IPv4 and TCP headers.
@@ -164,7 +161,7 @@ func (p TCPPacket) Fill(cfg TCPPacketFill) {
 	p.TCP().Fill(TCPFill{
 		SrcPort: cfg.TCPSrc, DstPort: cfg.TCPDst,
 		SeqNum: cfg.SeqNum, AckNum: cfg.AckNum,
-		Flags: cfg.Flags, Window: cfg.Window,
+		Flags: cfg.Flags,
 	})
 }
 

@@ -57,6 +57,10 @@ func (h TCPHdr) SetChecksum(v uint16) { binary.BigEndian.PutUint16(h[16:18], v) 
 // SetUrgentPointer sets the urgent pointer.
 func (h TCPHdr) SetUrgentPointer(v uint16) { binary.BigEndian.PutUint16(h[18:20], v) }
 
+// tcpWindow is the receive window Fill advertises: the largest one
+// without window scaling.
+const tcpWindow = 65535
+
 // TCPFill is the Fill configuration for a TCP header.
 type TCPFill struct {
 	SrcPort uint16
@@ -64,7 +68,6 @@ type TCPFill struct {
 	SeqNum  uint32
 	AckNum  uint32
 	Flags   uint8
-	Window  uint16 // default 65535
 }
 
 // Fill writes a 20-byte header with a zero checksum.
@@ -76,10 +79,7 @@ func (h TCPHdr) Fill(cfg TCPFill) {
 	h.SetDataOffset(TCPHdrLen)
 	h[12] &= 0xf0 // reserved bits zero
 	h.SetFlags(cfg.Flags)
-	if cfg.Window == 0 {
-		cfg.Window = 65535
-	}
-	h.SetWindow(cfg.Window)
+	h.SetWindow(tcpWindow)
 	h.SetChecksum(0)
 	h.SetUrgentPointer(0)
 }

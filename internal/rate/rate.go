@@ -72,14 +72,6 @@ func (b *Bursts) NextGap(*rand.Rand) sim.Duration {
 	return total - inBurst
 }
 
-// Custom wraps a function as a Pattern.
-type Custom struct {
-	Fn func(rng *rand.Rand) sim.Duration
-}
-
-// NextGap implements Pattern.
-func (c Custom) NextGap(rng *rand.Rand) sim.Duration { return c.Fn(rng) }
-
 // --- CRC-gap software rate control (§8) -----------------------------
 
 // GapFiller converts target inter-packet gaps into sequences of invalid

@@ -256,10 +256,3 @@ func TestBurstyAverageRate(t *testing.T) {
 		t.Fatalf("zsend avg rate = %.0f", rate)
 	}
 }
-
-func TestCustomPattern(t *testing.T) {
-	c := Custom{Fn: func(*rand.Rand) sim.Duration { return 42 }}
-	if c.NextGap(nil) != 42 {
-		t.Fatal("custom pattern broken")
-	}
-}

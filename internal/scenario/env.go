@@ -37,6 +37,9 @@ type Env struct {
 	ts    *core.Timestamper
 	rec   *telemetry.Recorder
 	inj   *fault.Injector
+
+	// dutInts counts the DuT's interrupts at the window edge.
+	dutInts uint64
 }
 
 // NewEnv prepares an environment for spec. The testbed itself is built
@@ -205,22 +208,17 @@ func (e *Env) DrainRx() {
 	if e.Spec.UseDuT {
 		return
 	}
-	rx := e.rx
 	ctr := e.NewCounter("rx")
-	e.app.LaunchTask("rx-drain", func(t *core.Task) {
-		ba := rx.RxBufArray(512)
-		for t.Running() {
-			if n := rx.GetRxQueue(0).RecvBurst(ba.Bufs); n > 0 {
-				bytes := 0
-				for _, m := range ba.Slice(n) {
-					bytes += m.Len
-				}
-				ctr.Update(n, bytes, t.Now())
-				ba.FreeAll()
-			} else {
-				t.Sleep(20 * sim.Microsecond)
+	drain := &core.PollRx{Queue: e.rx.GetRxQueue(0), Batch: 512,
+		Burst: func(bufs []*mempool.Mbuf, now sim.Time) {
+			bytes := 0
+			for _, m := range bufs {
+				bytes += m.Len
 			}
-		}
+			ctr.Update(len(bufs), bytes, now)
+		}}
+	e.app.LaunchTask("rx-drain", func(t *core.Task) {
+		drain.Run(t)
 		ctr.Finalize(t.Now())
 	})
 }
@@ -228,9 +226,10 @@ func (e *Env) DrainRx() {
 // LaunchFlowSink starts the receiver-side flow analysis task on the
 // sink's first receive queue: every received frame is attributed to
 // its flow in tr (sequence tracking, inter-arrival and stamped-latency
-// statistics) through the batched RX datapath. Scenarios that call it
-// must not also call DrainRx.
-func (e *Env) LaunchFlowSink(tr *flow.Tracker) *core.FlowSink {
+// statistics) by a PollRx kernel with the TrackFlows hook, polling on
+// for core.FlowDrain after the run. Scenarios that call it must not
+// also call DrainRx.
+func (e *Env) LaunchFlowSink(tr *flow.Tracker) *core.PollRx {
 	e.build()
 	if e.rec != nil {
 		// Per-flow columns only for explicitly declared flows: a
@@ -244,7 +243,8 @@ func (e *Env) LaunchFlowSink(tr *flow.Tracker) *core.FlowSink {
 		}
 		e.rec.Register(telemetry.FlowProbe(tr, cols))
 	}
-	s := &core.FlowSink{Queue: e.rx.GetRxQueue(0), Tracker: tr, Batch: e.Spec.Batch}
+	s := &core.PollRx{Queue: e.rx.GetRxQueue(0), Batch: e.Spec.Batch,
+		Drain: core.FlowDrain, Burst: core.TrackFlows(tr)}
 	e.app.LaunchTask("flow-sink", s.Run)
 	return s
 }
@@ -264,7 +264,9 @@ func (e *Env) NewCounter(name string) *stats.Counter {
 // CollectDuT appends the forwarder-side counters to rep when the
 // testbed routes through a DuT — the data the Figure 7/11 setups
 // report (forwarded/dropped packets, interrupt rate, and the CRC-gap
-// filler frames the DuT's NIC dropped in hardware).
+// filler frames the DuT's NIC dropped in hardware). The interrupt rows
+// are windowed like the rx counters, as in Figure 7; forwarded and
+// dropped packets and the fillers are run totals.
 func (e *Env) CollectDuT(rep *Report) {
 	if e.fwd == nil {
 		return
@@ -273,8 +275,8 @@ func (e *Env) CollectDuT(rep *Report) {
 	ingress := e.dutIn.CounterSnapshot()
 	rep.AddRow("DuT forwarded", float64(e.fwd.Forwarded), "packets")
 	rep.AddRow("DuT dropped", float64(e.fwd.Dropped), "packets")
-	rep.AddRow("DuT interrupts", float64(e.fwd.Interrupts), "ints")
-	rep.AddRow("DuT interrupt rate", float64(e.fwd.Interrupts)/e.Spec.Runtime.Seconds(), "Hz")
+	rep.AddRow("DuT interrupts", float64(e.dutInts), "ints")
+	rep.AddRow("DuT interrupt rate", float64(e.dutInts)/e.Spec.Runtime.Seconds(), "Hz")
 	rep.AddRow("DuT-ingress crc-dropped (fillers)", float64(ingress.RxCRCErrors), "packets")
 }
 
@@ -327,6 +329,9 @@ func (e *Env) RunAndCollect(rep *Report) {
 	e.app.Eng.Schedule(e.app.Now().Add(window), func() {
 		txStop = e.tx.CounterSnapshot()
 		rxStop = e.rx.CounterSnapshot()
+		if e.fwd != nil {
+			e.dutInts = e.fwd.Interrupts
+		}
 	})
 	e.app.RunFor(window)
 
@@ -377,17 +382,8 @@ func NewDuTBed(app *core.App, genTxQueues int) *DuTBed {
 	b.Fwd = dut.New(app.Eng, b.DuTIn.Port, b.DuTOut.Port, dut.DefaultConfig())
 	b.TS = core.NewTimestamper(b.Gen.GetTxQueue(genTxQueues-1), b.Sink.Port)
 	b.TS.Timeout = 5 * sim.Millisecond
-	sink := b.Sink
-	app.LaunchTask("sink-drain", func(t *core.Task) {
-		ba := sink.RxBufArray(512)
-		for t.Running() {
-			if sink.GetRxQueue(0).RecvBurst(ba.Bufs) > 0 {
-				ba.FreeAll()
-			} else {
-				t.Sleep(50 * sim.Microsecond)
-			}
-		}
-	})
+	sink := &core.PollRx{Queue: b.Sink.GetRxQueue(0), Batch: 512}
+	app.LaunchTask("sink-drain", sink.Run)
 	return b
 }
 

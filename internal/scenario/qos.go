@@ -89,24 +89,20 @@ func (qosScenario) Run(env *Env) (*Report, error) {
 	for fi, f := range flows {
 		ctrs[fi] = env.NewCounter("rx-" + f.Name)
 	}
-	app.LaunchTask("counter", func(t *core.Task) {
-		ba := rx.RxBufArray(256)
-		for {
-			n := t.RecvPoll(rx.GetRxQueue(0), ba.Bufs)
-			if n == 0 {
-				break
-			}
-			for _, m := range ba.Slice(n) {
+	counter := &core.PollRx{Queue: rx.GetRxQueue(0), Batch: 256, Poll: sim.Microsecond,
+		Burst: func(bufs []*mempool.Mbuf, now sim.Time) {
+			for _, m := range bufs {
 				pkt := proto.UDPPacket{B: m.Payload()}
 				if pkt.Eth().EtherType() == proto.EtherTypeIPv4 && pkt.IP().Protocol() == proto.IPProtoUDP {
 					if fi, ok := portToFlow[pkt.UDP().DstPort()]; ok {
 						rxCount[fi]++
-						ctrs[fi].CountPacket(m.Len, t.Now())
+						ctrs[fi].CountPacket(m.Len, now)
 					}
 				}
 			}
-			ba.FreeAll()
-		}
+		}}
+	app.LaunchTask("counter", func(t *core.Task) {
+		counter.Run(t)
 		for _, c := range ctrs {
 			c.Finalize(t.Now())
 		}

@@ -102,36 +102,25 @@ func (reflectScenario) Run(env *Env) (*Report, error) {
 	// transmit queue — the duplex link carries the replies back.
 	var echoAnswered, arpAnswered, badChecksum uint64
 	respPool := core.CreateMemPool(2048, nil)
-	app.LaunchTask("responder", func(t *core.Task) {
-		ba := rx.RxBufArray(256)
-		for {
-			n := t.RecvPoll(rx.GetRxQueue(0), ba.Bufs)
-			if n == 0 {
-				break
-			}
-			for _, m := range ba.Slice(n) {
+	responder := &core.PollRx{Queue: rx.GetRxQueue(0), Batch: 256, Poll: sim.Microsecond,
+		Burst: func(bufs []*mempool.Mbuf, _ sim.Time) {
+			for _, m := range bufs {
 				if r := answer(m, rx, respPool, icmpLen, &echoAnswered, &arpAnswered, &badChecksum); r != nil {
 					if !rx.GetTxQueue(0).SendOne(r) {
 						r.Free()
 					}
 				}
 			}
-			ba.FreeAll()
-		}
-	})
+		}}
+	app.LaunchTask("responder", responder.Run)
 
 	// Collector: the generator's receive side matches replies and
 	// recovers the embedded send time for the RTT histogram.
 	var echoReplies, arpReplies uint64
 	rtt := stats.NewHistogram(64 * sim.Nanosecond)
-	app.LaunchTask("collector", func(t *core.Task) {
-		ba := tx.RxBufArray(256)
-		for {
-			n := t.RecvPoll(tx.GetRxQueue(0), ba.Bufs)
-			if n == 0 {
-				break
-			}
-			for _, m := range ba.Slice(n) {
+	collector := &core.PollRx{Queue: tx.GetRxQueue(0), Batch: 256, Poll: sim.Microsecond,
+		Burst: func(bufs []*mempool.Mbuf, now sim.Time) {
+			for _, m := range bufs {
 				data := m.Payload()
 				switch proto.EthHdr(data).EtherType() {
 				case proto.EtherTypeARP:
@@ -143,13 +132,12 @@ func (reflectScenario) Run(env *Env) (*Report, error) {
 					if p.IP().Protocol() == proto.IPProtoICMP && p.ICMP().Type() == proto.ICMPTypeEchoReply {
 						echoReplies++
 						sent := sim.Time(binary.BigEndian.Uint64(p.ICMP().Payload()))
-						rtt.Add(t.Now().Sub(sent))
+						rtt.Add(now.Sub(sent))
 					}
 				}
 			}
-			ba.FreeAll()
-		}
-	})
+		}}
+	app.LaunchTask("collector", collector.Run)
 
 	rep := &Report{}
 	env.RunAndCollect(rep)

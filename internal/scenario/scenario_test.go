@@ -180,3 +180,36 @@ func TestDefaultSpecsRunnable(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectDuTCountsInterruptsAtWindowEdge: the DuT interrupt rows
+// are windowed like the rx counters — the count the forwarder held at
+// the window edge, and that count over the runtime — not the run total
+// that includes the interrupts of the post-stop drain.
+func TestCollectDuTCountsInterruptsAtWindowEdge(t *testing.T) {
+	sc, _ := scenario.Get("cbr")
+	spec := sc.DefaultSpec()
+	spec.UseDuT = true
+	spec.RateMpps = 1
+	spec.Runtime = 5 * sim.Millisecond
+	env := scenario.NewEnv(spec, nil)
+	eng := env.App().Eng
+	var atEdge uint64
+	eng.Schedule(eng.Now().Add(env.Spec.Runtime), func() { atEdge = env.Fwd().Interrupts })
+	rep, err := sc.Run(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := env.Fwd().Interrupts; total <= atEdge {
+		t.Fatalf("no interrupt after the window edge (%d at the edge, %d in total): the run cannot tell a windowed count from a total", atEdge, total)
+	}
+	rows := map[string]float64{}
+	for _, r := range rep.Rows {
+		rows[r.Label] = r.Value
+	}
+	if got := rows["DuT interrupts"]; got != float64(atEdge) {
+		t.Errorf("DuT interrupts = %g, want %d at the window edge", got, atEdge)
+	}
+	if got, want := rows["DuT interrupt rate"], float64(atEdge)/spec.Runtime.Seconds(); got != want {
+		t.Errorf("DuT interrupt rate = %g Hz, want %g", got, want)
+	}
+}

@@ -8,7 +8,7 @@ import (
 // Proc is a cooperatively scheduled simulation process.
 //
 // A process is a coroutine that the engine resumes directly: the engine
-// wakes it, the process executes until it blocks in Sleep or Yield (or
+// wakes it, the process executes until it blocks in Sleep (or
 // returns), and only then does the engine resume the event loop. Control
 // passes by a coroutine switch, not through the Go scheduler. At most one
 // process (or event callback) executes at a time, so the simulation
@@ -50,7 +50,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // ScheduleProc arms a wake-up for p at time at through the process's
 // prebound dispatch function — the zero-allocation event path of the
-// hot loops. Sleep/SleepUntil/Yield all go through it; model code that
+// hot loops. Sleep and SleepUntil go through it; model code that
 // wants to wake a process at an explicit instant should too, instead
 // of capturing the process in a fresh closure.
 func (e *Engine) ScheduleProc(at Time, p *Proc) { e.Schedule(at, p.dispatchFn) }
@@ -103,7 +103,3 @@ func (p *Proc) SleepUntil(t Time) {
 	e.ScheduleProc(t, p)
 	p.park()
 }
-
-// Yield lets every other event scheduled for the current instant run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }

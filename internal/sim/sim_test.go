@@ -18,7 +18,7 @@ func TestTimeArithmetic(t *testing.T) {
 	if d := tm.Sub(Time(1000)); d != 4*Nanosecond {
 		t.Fatalf("sub: got %v", d)
 	}
-	if s := Time(Second).Seconds(); s != 1.0 {
+	if s := Second.Seconds(); s != 1.0 {
 		t.Fatalf("seconds: got %v", s)
 	}
 }
@@ -208,7 +208,7 @@ func TestProcYieldFairness(t *testing.T) {
 		e.Spawn("p", func(p *Proc) {
 			for i := 0; i < 3; i++ {
 				trace = append(trace, id)
-				p.Yield()
+				p.Sleep(0)
 			}
 		})
 	}

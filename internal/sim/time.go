@@ -41,9 +41,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Seconds returns the time as a floating-point number of seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String formats the time with an adaptive unit.
 func (t Time) String() string { return Duration(t).String() }
 

@@ -33,8 +33,8 @@ import (
 //     the reference heap engine in heapref_test.go is pinned by
 //     TestWheelMatchesHeapOrder.
 //
-// Re-entrancy: an event scheduling at the current instant (Yield, a
-// pump kicked from a send) lands in the currently-firing tick's buffer
+// Re-entrancy: an event scheduling at the current instant (Sleep(0),
+// a pump kicked from a send) lands in the currently-firing tick's buffer
 // at its sorted position and fires in the same pass.
 const (
 	// wheelTickShift sets the tick to 2^16 ps = 65.536 ns — on the

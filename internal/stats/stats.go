@@ -68,15 +68,14 @@ func (o *OnlineStats) Variance() float64 {
 // Std returns the population standard deviation.
 func (o *OnlineStats) Std() float64 { return math.Sqrt(o.Variance()) }
 
-// Format selects a counter output format. MoonGen defaults to CSV "for
-// easy post-processing"; the example scripts use plain.
+// Format selects a counter output format: the example scripts' plain
+// lines, or none.
 type Format int
 
 // Formats.
 const (
 	FormatPlain Format = iota
-	FormatCSV
-	FormatNone // collect silently; read via accessors
+	FormatNone         // collect silently; read via accessors
 )
 
 // Counter tracks packet and byte counts and samples throughput over
@@ -128,9 +127,6 @@ func NewCounter(cfg CounterConfig) *Counter {
 	if c.out == nil {
 		c.format = FormatNone
 	}
-	if c.format == FormatCSV && c.out != nil {
-		fmt.Fprintf(c.out, "counter,time_s,mpps,gbps\n")
-	}
 	return c
 }
 
@@ -158,11 +154,8 @@ func (c *Counter) closeWindow() {
 	c.byteRate.Add(gbps)
 	c.windowStart = c.windowStart.Add(c.window)
 	c.winPkts, c.winBytes = 0, 0
-	switch c.format {
-	case FormatPlain:
+	if c.format == FormatPlain {
 		fmt.Fprintf(c.out, "[%s] %.2f Mpps, %.2f Gbit/s\n", c.Name, mpps, gbps)
-	case FormatCSV:
-		fmt.Fprintf(c.out, "%s,%.6f,%.4f,%.4f\n", c.Name, c.windowStart.Seconds(), mpps, gbps)
 	}
 }
 
@@ -176,13 +169,10 @@ func (c *Counter) Finalize(now sim.Time) {
 	for now.Sub(c.windowStart) >= c.window && c.windowStart.Add(c.window) <= now {
 		c.closeWindow()
 	}
-	switch c.format {
-	case FormatPlain:
+	if c.format == FormatPlain {
 		fmt.Fprintf(c.out, "[%s] TOTAL: %d packets, %d bytes, %.2f ± %.2f Mpps, %.2f ± %.2f Gbit/s\n",
 			c.Name, c.TotalPackets, c.TotalBytes,
 			c.pktRate.Mean(), c.pktRate.Std(), c.byteRate.Mean(), c.byteRate.Std())
-	case FormatCSV:
-		fmt.Fprintf(c.out, "%s,total,%d,%d\n", c.Name, c.TotalPackets, c.TotalBytes)
 	}
 }
 
@@ -593,12 +583,4 @@ func (h *Histogram) Bins() []Bin {
 		return true
 	})
 	return out
-}
-
-// WriteCSV dumps "bin_lo_ns,count,probability" rows.
-func (h *Histogram) WriteCSV(w io.Writer) {
-	fmt.Fprintf(w, "bin_lo_ns,count,probability\n")
-	for _, b := range h.Bins() {
-		fmt.Fprintf(w, "%.1f,%d,%.6f\n", b.Lo.Nanoseconds(), b.Count, float64(b.Count)/float64(h.count))
-	}
 }
