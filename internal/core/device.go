@@ -13,7 +13,8 @@ type Device struct {
 	*nic.Port
 }
 
-// DeviceConfig mirrors device.config(port, rxQueues, txQueues).
+// DeviceConfig mirrors device.config(port, rxQueues, txQueues); a
+// device has one receive queue.
 type DeviceConfig struct {
 	Profile  nic.Profile
 	ID       int
