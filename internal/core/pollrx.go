@@ -26,7 +26,8 @@ type PollRx struct {
 	// first empty poll at or after the run end.
 	Drain sim.Duration
 	// Burst inspects one received burst at the instant now (may be
-	// nil). The kernel frees the buffers when it returns.
+	// nil). Received and Bytes already count the burst; the kernel
+	// frees the buffers when Burst returns.
 	Burst func(bufs []*mempool.Mbuf, now sim.Time)
 
 	// Received / Bytes count every frame the kernel received.
@@ -47,10 +48,12 @@ func (r *PollRx) Run(t *Task) {
 	for {
 		if n := r.Queue.RecvBurst(ba.Bufs); n > 0 {
 			bufs := ba.Slice(n)
+			var bytes uint64
 			for _, m := range bufs {
-				r.Bytes += uint64(m.Len)
+				bytes += uint64(m.Len)
 			}
 			r.Received += uint64(n)
+			r.Bytes += bytes
 			if r.Burst != nil {
 				r.Burst(bufs, t.Now())
 			}

@@ -209,14 +209,12 @@ func (e *Env) DrainRx() {
 		return
 	}
 	ctr := e.NewCounter("rx")
-	drain := &core.PollRx{Queue: e.rx.GetRxQueue(0), Batch: 512,
-		Burst: func(bufs []*mempool.Mbuf, now sim.Time) {
-			bytes := 0
-			for _, m := range bufs {
-				bytes += m.Len
-			}
-			ctr.Update(len(bufs), bytes, now)
-		}}
+	drain := &core.PollRx{Queue: e.rx.GetRxQueue(0), Batch: 512}
+	var counted uint64 // drain.Bytes at the last counter update
+	drain.Burst = func(bufs []*mempool.Mbuf, now sim.Time) {
+		ctr.Update(len(bufs), int(drain.Bytes-counted), now)
+		counted = drain.Bytes
+	}
 	e.app.LaunchTask("rx-drain", func(t *core.Task) {
 		drain.Run(t)
 		ctr.Finalize(t.Now())
