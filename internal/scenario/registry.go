@@ -112,7 +112,7 @@ func Execute(name string, spec Spec, out io.Writer) (*Report, error) {
 		if err := CheckPartition(sc, spec); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", name, err)
 		}
-		rep, err = executeSharded(sc, spec, out)
+		rep, err = executeSharded(sc, spec)
 	} else {
 		rep, err = sc.Run(NewEnv(spec, out))
 	}

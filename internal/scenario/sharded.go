@@ -98,19 +98,16 @@ func (s Spec) ShardSpec(i, k int) Spec {
 // executeSharded runs sc once per modeled core on a multicore group —
 // independent engines on real goroutines, each against its own Env
 // testbed built on the shard's app — and merges the per-shard reports
-// in shard order. Shard 0 owns the streaming output; the other shards
-// run silently so the stream stays deterministic.
-func executeSharded(sc Scenario, spec Spec, out io.Writer) (*Report, error) {
+// in shard order. Every shard runs silently: a shard's streamed lines
+// would carry its partial counters, so the merged report is the
+// sharded run's output.
+func executeSharded(sc Scenario, spec Spec) (*Report, error) {
 	spec = spec.withDefaults()
 	k := spec.Cores
 	g := multicore.NewGroup(k, spec.Seed)
 	reports := make([]*Report, k)
 	err := g.Each(func(s *multicore.Shard) error {
-		shardOut := io.Discard
-		if s.ID == 0 {
-			shardOut = out
-		}
-		env := NewEnv(spec.ShardSpec(s.ID, k), shardOut)
+		env := NewEnv(spec.ShardSpec(s.ID, k), io.Discard)
 		env.Adopt(s.App)
 		rep, err := sc.Run(env)
 		if err != nil {

@@ -149,6 +149,25 @@ func TestShardedDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardedStreamsNothing: a shard's [rx] lines would count one
+// shard's frames, so a sharded run streams none; the same run on one
+// core streams its window and TOTAL lines.
+func TestShardedStreamsNothing(t *testing.T) {
+	for _, cores := range []int{1, 2} {
+		spec := scenario.Spec{
+			Pattern: scenario.PatternCBR, RateMpps: 1,
+			Runtime: 25 * sim.Millisecond, Seed: 3, Cores: cores,
+		}
+		var out strings.Builder
+		if _, err := scenario.Execute("cbr", spec, &out); err != nil {
+			t.Fatal(err)
+		}
+		if streamed := strings.Contains(out.String(), "[rx]"); streamed != (cores == 1) {
+			t.Errorf("cores=%d streamed:\n%s", cores, out.String())
+		}
+	}
+}
+
 // TestShardedFloodScales: at line rate each shard drives its own port
 // pair, so Cores=4 moves ~4x the packets of Cores=1 — Figure 4's
 // one-port-per-core scaling inside the scenario subsystem.
