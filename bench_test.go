@@ -403,7 +403,7 @@ func BenchmarkCRCGapScheduling(b *testing.B) {
 // stays at Never, so it never observes a stop boundary — and the first
 // simulated millisecond warms every recycling path outside the timer.
 // The steady state is the zero-alloc pin of the whole datapath:
-// mempool caches, descriptor rings, MAC trains, wheel slot nodes and
+// mempools, descriptor rings, MAC trains, wheel slot nodes and
 // frame recycling together allocate nothing.
 func BenchmarkSimulatedLineRate(b *testing.B) {
 	app, tx, _, pool := benchPair(20)
@@ -458,8 +458,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // BenchmarkRxBurstSteadyState is the batched RX hot path in isolation:
 // one 63-packet burst per op through the full receive pipeline — wire
-// delivery pulled by RecvBurst, per-port receive cache, the SPSC
-// ring, RecvBurst into a cache-bound BufArray, flow-tracker
+// delivery pulled by RecvBurst, the per-port receive pool, the SPSC
+// ring, RecvBurst into the port's BufArray, flow-tracker
 // attribution (key parse, sequence classification, inter-arrival
 // statistics) and batched recycling. The steady state allocates
 // nothing — the 0 allocs/op pin of the RX analysis subsystem.
@@ -504,7 +504,7 @@ func BenchmarkRxBurstSteadyState(b *testing.B) {
 		}
 		ba.Clear(cur)
 	}
-	// Warm the recycling paths (caches, frame pools, the flow entry)
+	// Warm the recycling paths (mempools, frame pools, the flow entry)
 	// outside the measured region.
 	for i := 0; i < 8; i++ {
 		iter()
@@ -524,14 +524,14 @@ func BenchmarkRxBurstSteadyState(b *testing.B) {
 }
 
 // BenchmarkTxBurstSteadyState is the batched TX hot path in isolation:
-// one 63-packet burst per op through cache → BufArray → descriptor
+// one 63-packet burst per op through pool → BufArray → descriptor
 // ring → MAC train → wire → recycling, with every event callback
 // prebound and every frame recycled. The steady state allocates
 // nothing — this is the 0 allocs/op pin of the batched datapath.
 func BenchmarkTxBurstSteadyState(b *testing.B) {
 	app, tx, _, _ := benchPair(21)
 	q := tx.GetTxQueue(0)
-	ba := app.TxCache().BufArray(63)
+	ba := app.TxPool().BufArray(63)
 	cur := 0
 	send := func() { q.Send(ba.Bufs[:cur]) }
 	// Warm the recycling paths (slice growth, frame pools) outside the

@@ -48,9 +48,8 @@ var exportAllowlist = map[string]string{
 	"ptpclk.Clock.Offset":               "offset from true time, what the drift and clock-step tests observe",
 	"flow.Tracker.Flows":                "every per-flow record in key order, what the flow and flow-sink tests inspect",
 	"flow.Tracker.Merge":                "per-shard merge the sharded flow tests compare against the unsharded run",
-	"mempool.Cache.Flush":               "returns cached buffers so leak tests can see a whole pool",
 	"mempool.Pool.Count":                "pool size, the Available == Count leak check",
-	"mempool.Pool.Stats":                "alloc/free totals the shared TX cache leak test compares",
+	"mempool.Pool.Stats":                "alloc/free totals the shared TX pool leak test compares",
 	"stats.Histogram.Mean":              "sample mean the merge-property, flow-merge and timestamper tests compare",
 	"stats.Histogram.Std":               "spread the histogram merge property compares",
 	"telemetry.Recorder.Windows":        "windows recorded, what the telemetry tests and overhead benchmark check",

@@ -24,8 +24,7 @@ type App struct {
 	// ordinary single-engine apps.
 	Shard int
 
-	txPool  *mempool.Pool
-	txCache *mempool.Cache
+	txPool *mempool.Pool
 }
 
 // NewApp creates an App with a deterministic seed.
@@ -38,9 +37,10 @@ func NewApp(seed int64) *App {
 const txPoolCount = 8192
 
 // TxPool returns the app's shared transmit mempool (created on first
-// use). TX loops that fill every packet from scratch draw from it
-// through TxCache; scenarios with prefilled per-flow templates keep
-// their own pools.
+// use). One App is one engine is one modeled core, and all tasks of the
+// engine run serialized, so the TX loops that fill every packet from
+// scratch share this one pool directly; scenarios with prefilled
+// per-flow templates keep their own pools.
 func (a *App) TxPool() *mempool.Pool {
 	if a.txPool == nil {
 		a.txPool = mempool.New(mempool.Config{Count: txPoolCount})
@@ -54,18 +54,6 @@ func (a *App) TxPool() *mempool.Pool {
 // own sized pools never materializes the shared pool.
 func (a *App) TxPoolPeek() *mempool.Pool { return a.txPool }
 
-// TxCache returns the engine's allocation front over TxPool — the
-// per-core mempool cache of this modeled core (one App is one engine
-// is one core; all tasks of the engine run serialized, so they share
-// the cache safely). This is what makes every TX loop draw from one
-// per-core pool instead of allocating a private pool per task.
-func (a *App) TxCache() *mempool.Cache {
-	if a.txCache == nil {
-		a.txCache = a.TxPool().NewCache(0)
-	}
-	return a.txCache
-}
-
 // Task is the execution context handed to slave functions — MoonGen's
 // per-task Lua VM. It embeds the simulation process (Sleep/
 // Running) and adds the blocking packet-IO idioms.
@@ -73,10 +61,6 @@ type Task struct {
 	*sim.Proc
 	app *App
 }
-
-// Cache returns the engine's shared per-core mempool cache (see
-// App.TxCache).
-func (t *Task) Cache() *mempool.Cache { return t.app.TxCache() }
 
 // LaunchTask starts fn as a new task — mg.launchLua("slave", args...)
 // with the args captured by the closure.

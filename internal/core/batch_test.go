@@ -183,30 +183,28 @@ func TestPushTxBatchInvariantDepartures(t *testing.T) {
 	}
 }
 
-// TestSharedTxCache: the TX loops draw from the engine's shared
-// per-core pool — launching a loop must not create a private mempool,
-// and the pool drains back to full after the run.
-func TestSharedTxCache(t *testing.T) {
+// TestSharedTxPool: the TX loops draw from the engine's shared
+// transmit pool — launching a loop must not create a private mempool —
+// and every buffer they took is back in the pool once the run drains.
+func TestSharedTxPool(t *testing.T) {
 	app := core.NewApp(3)
-	tx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0})
+	tx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0, TxQueues: 2})
 	rx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1})
 	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
 	rx.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { return true })
 
 	g := &core.GapTx{Queue: tx.GetTxQueue(0), Pattern: rate.NewCBRPPS(1e6), PktSize: 60}
+	h := &core.HWRateTx{Queue: tx.GetTxQueue(1), PPS: 1e6, PktSize: 60}
 	app.LaunchTask("gap", g.Run)
+	app.LaunchTask("hw", h.Run)
 	app.RunFor(2 * sim.Millisecond)
 
 	pool := app.TxPool()
 	allocs, frees := pool.Stats()
-	if allocs == 0 {
-		t.Fatal("GapTx did not allocate from the shared pool")
+	if sent := g.Sent + g.Fillers + h.Sent; g.Sent == 0 || h.Sent == 0 || allocs < sent {
+		t.Fatalf("%d allocations from the shared pool for %d frames sent (gap %d, hw %d)", allocs, sent, g.Sent, h.Sent)
 	}
-	app.TxCache().Flush()
-	if frees = func() uint64 { _, f := pool.Stats(); return f }(); frees != allocs {
-		t.Fatalf("pool leaked: %d allocs, %d frees", allocs, frees)
-	}
-	if pool.Available() != pool.Count() {
-		t.Fatalf("pool not full after drain: %d of %d", pool.Available(), pool.Count())
+	if frees != allocs || pool.Available() != pool.Count() {
+		t.Fatalf("pool leaked: %d allocs, %d frees, %d of %d free", allocs, frees, pool.Available(), pool.Count())
 	}
 }

@@ -52,7 +52,7 @@ func TestBurstTxRingFullRunEnd(t *testing.T) {
 		tally     [3]uint64
 		shortSent int
 	)
-	b := &BurstTx{Queue: q, Bufs: app.TxCache().BufArray(32), Size: 60,
+	b := &BurstTx{Queue: q, Bufs: app.TxPool().BufArray(32), Size: 60,
 		Frame: func(m *mempool.Mbuf, i uint64) {
 			slotSize[i%32] = int(i % 3)
 			m.Reset(sizes[i%3])
@@ -85,7 +85,6 @@ func TestBurstTxRingFullRunEnd(t *testing.T) {
 	if frames != b.Sent || bytes != st.TxBytes {
 		t.Fatalf("tally %d frames/%d B, port %d frames/%d B", frames, bytes, st.TxPackets, st.TxBytes)
 	}
-	app.TxCache().Flush()
 	if pool := app.TxPool(); pool.Available() != pool.Count() {
 		t.Fatalf("pool back to %d of %d", pool.Available(), pool.Count())
 	}
@@ -108,7 +107,6 @@ func TestGapTxRunEndRollback(t *testing.T) {
 			t.Fatalf("batch %d: %d real + %d fillers, port transmitted %d, %d delivered",
 				batch, g.Sent, g.Fillers, st.TxPackets, delivered())
 		}
-		app.TxCache().Flush()
 		if pool := app.TxPool(); pool.Available() != pool.Count() {
 			t.Fatalf("batch %d: pool back to %d of %d", batch, pool.Available(), pool.Count())
 		}
@@ -130,7 +128,7 @@ func TestGapTxRunEndRollback(t *testing.T) {
 func TestBurstTxSteadyStateAllocs(t *testing.T) {
 	app, q, _ := pushBed(24, 0)
 	var written uint64
-	b := &BurstTx{Queue: q, Bufs: app.TxCache().BufArray(32), Size: 60,
+	b := &BurstTx{Queue: q, Bufs: app.TxPool().BufArray(32), Size: 60,
 		Frame: func(*mempool.Mbuf, uint64) { written++ }}
 	app.LaunchTask("burst", b.Run)
 	app.Eng.SetRunFor(sim.Second)

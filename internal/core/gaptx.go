@@ -112,7 +112,7 @@ func (g *GapTx) Run(t *Task) {
 		}
 		slot = 0
 	}
-	b := &BurstTx{Queue: g.Queue, Bufs: t.Cache().BufArray(batch), Size: g.PktSize,
+	b := &BurstTx{Queue: g.Queue, Bufs: t.app.TxPool().BufArray(batch), Size: g.PktSize,
 		Frame: frame, AfterSend: rollback}
 	b.Run(t)
 }
@@ -184,12 +184,6 @@ func (b *BurstTx) Run(t *Task) {
 			return
 		}
 	}
-}
-
-// Allocator is a frame source for PushTx.Send: *mempool.Pool and
-// *mempool.Cache both qualify.
-type Allocator interface {
-	Alloc(size int) *mempool.Mbuf
 }
 
 // PushTx is the slot-paced software transmit loop. It models the
@@ -265,18 +259,18 @@ func (p *PushTx) Run(t *Task) {
 	}
 }
 
-// Send allocates one size-byte frame from a, fills it (fill may be nil
+// Send allocates one size-byte frame from pool, fills it (fill may be nil
 // for prefilled pools) with the slot's time and hands it to the queue.
 // A frame the ring refuses is freed. It reports whether the frame
 // reached the ring; either failure counts in Failed.
-func (p *PushTx) Send(a Allocator, size int, fill func(m *mempool.Mbuf, now sim.Time)) bool {
+func (p *PushTx) Send(pool *mempool.Pool, size int, fill func(m *mempool.Mbuf, now sim.Time)) bool {
 	if p.ahead && p.Queue.Free() == 0 {
 		p.waitSlot()
 	}
-	m := a.Alloc(size)
+	m := pool.Alloc(size)
 	if m == nil && p.ahead {
 		p.waitSlot()
-		m = a.Alloc(size)
+		m = pool.Alloc(size)
 	}
 	if m == nil {
 		p.Failed++
@@ -350,7 +344,7 @@ func (h *HWRateTx) Run(t *Task) {
 		t.Sleep(h.Delay)
 	}
 	h.Queue.SetRatePPS(h.PPS)
-	b := &BurstTx{Queue: h.Queue, Bufs: t.Cache().BufArray(txBatch(h.Batch)), Size: h.PktSize, Frame: h.Fill}
+	b := &BurstTx{Queue: h.Queue, Bufs: t.app.TxPool().BufArray(txBatch(h.Batch)), Size: h.PktSize, Frame: h.Fill}
 	b.Run(t)
 	h.Sent = b.Sent
 }

@@ -141,7 +141,7 @@ func runDuTCase(b *strings.Builder, c dutCase) {
 	case "burst":
 		b2b := wire.FrameTime(wire.Speed10G, size+proto.FCSLen)
 		tx := &core.PushTx{Queue: q, Schedule: core.PatternSchedule(rate.NewBurstyPPS(pps, b2b), app.Eng.Rand())}
-		tx.Slot = func(uint64) { tx.Send(app.TxCache(), size, func(m *mempool.Mbuf, _ sim.Time) { fill(m, 0) }) }
+		tx.Slot = func(uint64) { tx.Send(app.TxPool(), size, func(m *mempool.Mbuf, _ sim.Time) { fill(m, 0) }) }
 		app.LaunchTask("burst", tx.Run)
 	}
 	if c.restart > 0 {

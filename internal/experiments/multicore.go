@@ -13,8 +13,8 @@ import (
 
 // MulticoreScalingResult is Figure 4 run on the multicore subsystem:
 // real engine shards (one goroutine per modeled core), one 10 GbE port
-// pair per core, per-shard mempools with per-core caches, and results
-// combined through the stats merge layer.
+// pair per core, a mempool per shard, and results combined through the
+// stats merge layer.
 type MulticoreScalingResult struct {
 	Table
 	// Mpps[i] is the merged rate with i+1 cores at 2 GHz (wire-capped:
@@ -106,6 +106,6 @@ func RunMulticoreScaling(scale Scale, seed int64) *MulticoreScalingResult {
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("per-port wire-rate ceiling: %.2f Mpps; paper: 178.5 Mpps at 120 Gbit/s with 12 cores", res.LineRateMpps),
 		fmt.Sprintf("per-core window rates at 12 cores (merged counters): %.2f ± %.2f Mpps", res.PerCoreMpps, res.PerCoreStd),
-		"shards are real goroutines: one deterministic engine, mempool cache and port pair per modeled core")
+		"shards are real goroutines: one deterministic engine, mempool and port pair per modeled core")
 	return res
 }

@@ -70,7 +70,7 @@ func launchPush(app *core.App, name string, q *nic.TxQueue, pat rate.Pattern, pk
 	fill := fillPlainUDP(pktSize)
 	fillSlot := func(m *mempool.Mbuf, _ sim.Time) { fill(m, 0) }
 	tx := &core.PushTx{Queue: q, Schedule: core.PatternSchedule(pat, app.Eng.Rand())}
-	tx.Slot = func(uint64) { tx.Send(app.TxCache(), pktSize, fillSlot) }
+	tx.Slot = func(uint64) { tx.Send(app.TxPool(), pktSize, fillSlot) }
 	app.LaunchTask(name, tx.Run)
 }
 

@@ -23,8 +23,8 @@ var (
 // loadPoolSize is the buffer count of each core's mempool. It bounds
 // the core's working set with headroom: the burst kernel
 // back-pressures on the 1024-deep TX rings (two per core at most
-// here), so at most the rings, the cache and a few wire trains are
-// ever in flight, and a smaller slab keeps pool construction (slab
+// here), so at most the rings and a few wire trains are ever in
+// flight, and a smaller slab keeps pool construction (slab
 // zeroing) off the setup cost.
 const loadPoolSize = 4096
 
@@ -105,9 +105,6 @@ func (l *costLoad) run(app *core.App, window sim.Duration) (pkts, bytes uint64, 
 		pool := core.CreateSizedMemPool(loadPoolSize, loadPoolBufSize(size), func(m *mempool.Mbuf) {
 			tmpl.Apply(m.Data[:size])
 		})
-		// One mempool cache per modeled core over the core's own pool:
-		// the batched datapath's allocation front (§4.2).
-		cache := pool.NewCache(0)
 		ctr := stats.NewCounter(stats.CounterConfig{
 			Name: name, Format: stats.FormatNone,
 			Window: (window - warmup) / 4, Start: warm,
@@ -116,7 +113,7 @@ func (l *costLoad) run(app *core.App, window sim.Duration) (pkts, bytes uint64, 
 		app.LaunchTask(name, func(t *core.Task) {
 			rng := t.Engine().Rand()
 			qi := 0
-			tx := &core.BurstTx{Bufs: cache.BufArray(mempool.DefaultBatchSize), Size: size}
+			tx := &core.BurstTx{Bufs: pool.BufArray(mempool.DefaultBatchSize), Size: size}
 			// Perform the per-packet modifications the workload describes
 			// (the script body of §5.3).
 			tx.Frame = func(m *mempool.Mbuf, _ uint64) {

@@ -41,10 +41,9 @@ type Mbuf struct {
 	// such as the 82580).
 	RxMeta RxMeta
 
-	pool   *Pool
-	index  int  // position in the pool's backing store
-	inUse  bool // owned by the application or NIC (not in the free list)
-	cached bool // parked in a per-core Cache (in-use from the pool's view)
+	pool  *Pool
+	index int  // position in the pool's backing store
+	inUse bool // owned by the application or NIC (not in the free list)
 }
 
 // TxMeta is per-packet transmit metadata: offload requests and flags
@@ -120,11 +119,13 @@ func (m *Mbuf) Free() {
 // Pool is a fixed-size packet buffer pool. A Pool belongs to one
 // engine and the procs on it (§4.2: each task uses its own mempools):
 // it takes no lock, because the engine's handoffs already order every
-// access, and a sharded run builds separate pools on each shard.
+// access, and a sharded run builds separate pools on each shard. With
+// one owner there is nothing for a per-core cache in front of it to
+// save, so every allocation and free goes straight to the free list.
 //
 // Sent buffers come back lazily, the way a poll-mode driver reclaims
 // transmit descriptors (FreeAt): at the first operation on the pool
-// (alloc, cache refill, free, Available, Stats) at or after their
+// (alloc, free, Available, Stats) at or after their
 // completion, so the free list is exactly what completion events would
 // have left — recycled buffers keep their contents.
 type Pool struct {
@@ -203,8 +204,7 @@ func New(cfg Config) *Pool {
 // Count returns the total number of buffers in the pool.
 func (p *Pool) Count() int { return len(p.bufs) }
 
-// SetSync installs fn to run before every operation on the pool or
-// its caches, so a producer that fills buffers lazily (a port pulling
+// SetSync installs fn to run before every operation on the pool, so a producer that fills buffers lazily (a port pulling
 // its arrivals) catches up first. fn may re-enter the pool.
 func (p *Pool) SetSync(fn func()) { p.sync = fn }
 
@@ -215,10 +215,13 @@ func (p *Pool) runSync() {
 }
 
 // catchUp runs the sync hook and reclaims the owed buffers that are due:
-// the step before every pool operation.
+// the step before every pool operation. A pool the NIC never sent from
+// (a receive pool) owes nothing and skips the reclaim.
 func (p *Pool) catchUp() {
 	p.runSync()
-	p.reclaim()
+	if p.owedHead < len(p.owed) {
+		p.reclaim()
+	}
 }
 
 // reclaim returns the owed buffers that are due to the free list.
@@ -301,14 +304,7 @@ func (p *Pool) allocOne(length int) *Mbuf {
 // AllocBatch fills out with freshly allocated buffers of the given
 // length and returns how many it could allocate.
 func (p *Pool) AllocBatch(out []*Mbuf, length int) int {
-	p.runSync()
-	return p.allocBatch(out, length)
-}
-
-// allocBatch is AllocBatch for a caller that ran the sync hook: a
-// Cache refill, which would otherwise run it twice.
-func (p *Pool) allocBatch(out []*Mbuf, length int) int {
-	p.reclaim()
+	p.catchUp()
 	for i := range out {
 		m := p.allocOne(length)
 		if m == nil {
@@ -331,34 +327,20 @@ func (p *Pool) putOne(m *Mbuf) {
 	if !m.inUse {
 		panic(fmt.Sprintf("mempool: double free of buffer %d", m.index))
 	}
-	if m.cached {
-		panic(fmt.Sprintf("mempool: buffer %d freed while parked in a cache", m.index))
-	}
 	m.inUse = false
 	p.free = append(p.free, m.index)
 	p.frees++
 }
 
-// freeBatch returns a batch of this pool's buffers at once — the spill
-// path of the per-core Cache, whose callers ran the sync hook.
-func (p *Pool) freeBatch(bufs []*Mbuf) {
-	p.reclaim()
-	for _, m := range bufs {
-		p.putOne(m)
-	}
-}
-
 // BufArray is MoonGen's bufArray: a reusable batch of packet buffers
 // processed together, "a thin wrapper around a C array containing packet
 // buffers ... to process packets in batches instead of passing them
-// one-by-one" (§4.2). A BufArray can be bound to a Pool (Pool.BufArray)
-// or to a per-core Cache (Cache.BufArray); the batched TX loops reuse
-// one array for the whole run, so the hot path performs no per-packet
-// slice allocations.
+// one-by-one" (§4.2). A BufArray is bound to a Pool (Pool.BufArray);
+// the batched TX loops reuse one array for the whole run, so the hot
+// path performs no per-packet slice allocations.
 type BufArray struct {
-	Bufs  []*Mbuf
-	pool  *Pool
-	cache *Cache
+	Bufs []*Mbuf
+	pool *Pool
 }
 
 // BufArray returns a batch wrapper of the given size bound to this pool
@@ -376,31 +358,20 @@ func (p *Pool) BufArray(size int) *BufArray {
 // that means the NIC is holding every buffer and the caller should
 // retry, which is exactly how DPDK applications behave.
 func (a *BufArray) Alloc(size int) int {
-	if a.cache != nil {
-		return a.cache.AllocBatch(a.Bufs, size)
-	}
 	if a.pool == nil {
 		panic("mempool: Alloc on unbound BufArray")
 	}
 	return a.pool.AllocBatch(a.Bufs, size)
 }
 
-// FreeAll returns every non-nil buffer (through the cache when bound to
-// one) and clears the slots (bufs:freeAll()).
+// FreeAll returns every non-nil buffer to its pool and clears the
+// slots (bufs:freeAll()).
 func (a *BufArray) FreeAll() {
-	if a.cache != nil {
-		a.cache.pool.runSync()
-	}
 	for i, m := range a.Bufs {
-		if m == nil {
-			continue
-		}
-		if a.cache != nil && m.pool == a.cache.pool {
-			a.cache.put(m)
-		} else {
+		if m != nil {
 			m.Free()
+			a.Bufs[i] = nil
 		}
-		a.Bufs[i] = nil
 	}
 }
 

@@ -125,6 +125,59 @@ func TestAllocBatch(t *testing.T) {
 	}
 }
 
+// TestAllocBatchExhaustion: a burst comes up short only when the pool
+// is dry, and recovers after a free.
+func TestAllocBatchExhaustion(t *testing.T) {
+	p := New(Config{Count: 16})
+	ba := p.BufArray(32)
+	if n := ba.Alloc(60); n != 16 {
+		t.Fatalf("Alloc on small pool = %d, want 16", n)
+	}
+	out := ba.Slice(16)
+	dry := make([]*Mbuf, 4)
+	if n := p.AllocBatch(dry, 60); n != 0 {
+		t.Fatalf("dry AllocBatch = %d, want 0", n)
+	}
+	out[0].Free()
+	if n := p.AllocBatch(dry, 60); n != 1 {
+		t.Fatalf("post-free AllocBatch = %d, want 1", n)
+	}
+}
+
+// TestPoolSyncsOnce: every pool operation runs the sync hook exactly
+// once, a dry allocation included, and an allocation sees what the
+// hook freed.
+func TestPoolSyncsOnce(t *testing.T) {
+	p := New(Config{Count: 4})
+	bufs := make([]*Mbuf, 4)
+	if n := p.AllocBatch(bufs, 60); n != 4 {
+		t.Fatalf("alloc batch = %d", n)
+	}
+	syncs := 0
+	p.SetSync(func() { syncs++ })
+	if m := p.Alloc(60); m != nil {
+		t.Fatal("alloc from exhausted pool succeeded")
+	}
+	if n := p.AllocBatch(bufs[:1], 60); n != 0 {
+		t.Fatalf("dry AllocBatch = %d, want 0", n)
+	}
+	bufs[3].Free()
+	p.Available()
+	if syncs != 4 {
+		t.Fatalf("four pool operations ran the sync hook %d times, want 4", syncs)
+	}
+	p.Alloc(60)
+	p.SetSync(func() {
+		if m := bufs[0]; m != nil {
+			bufs[0] = nil
+			m.Free() // re-enters the pool, as a lazily pulling producer does
+		}
+	})
+	if m := p.Alloc(60); m == nil {
+		t.Fatal("alloc after the sync hook freed a buffer failed")
+	}
+}
+
 func TestBufArrayAllocFree(t *testing.T) {
 	p := New(Config{Count: 128, BufSize: 256})
 	ba := p.BufArray(32)

@@ -73,12 +73,11 @@ func shardLoad(s *multicore.Shard, window sim.Duration) uint64 {
 	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
 	rx.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { return true })
 	pool := core.CreateMemPool(4096, nil)
-	cache := pool.NewCache(256)
 	q := tx.GetTxQueue(0)
 	app.LaunchTask("tx", func(tk *core.Task) {
 		bufs := make([]*mempool.Mbuf, mempool.DefaultBatchSize)
 		for tk.Running() {
-			n := cache.AllocBatch(bufs, 60)
+			n := pool.AllocBatch(bufs, 60)
 			if n == 0 {
 				tk.Sleep(sim.Microsecond)
 				continue

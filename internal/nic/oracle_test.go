@@ -62,11 +62,10 @@ type refBed struct {
 	wireDrop  uint64
 
 	// Receive side of port b.
-	rxq     [][]*mempool.Mbuf
-	rxCap   int
-	rxPool  *mempool.Pool
-	rxCache *mempool.Cache
-	tsOn    bool
+	rxq    [][]*mempool.Mbuf
+	rxCap  int
+	rxPool *mempool.Pool
+	tsOn   bool
 
 	clocks     [2]*ptpclk.Clock // port a, port b
 	tx, rx     Stats
@@ -138,7 +137,6 @@ func newRefBed(eng *sim.Engine, c dpCase, depart func(*mempool.Mbuf, sim.Time)) 
 		rxPool = 4096 // the port default
 	}
 	r.rxPool = mempool.New(mempool.Config{Count: rxPool})
-	r.rxCache = r.rxPool.NewCache(0)
 	return r
 }
 
@@ -348,7 +346,7 @@ func (r *refBed) deliver(f *refFrame, at sim.Time) {
 		r.rxTS = refLatch{true, r.clocks[1].TimestampAt(at), seq}
 	}
 	qi := r.classify.rssQueue(f.data)
-	m := r.rxCache.Alloc(len(f.data))
+	m := r.rxPool.Alloc(len(f.data))
 	if m == nil {
 		r.rx.RxMissed++
 		return
@@ -360,7 +358,7 @@ func (r *refBed) deliver(f *refFrame, at sim.Time) {
 	}
 	if len(r.rxq[qi]) == r.rxCap {
 		r.rx.RxMissed++
-		r.rxCache.Put(m)
+		m.Free()
 		return
 	}
 	r.rxq[qi] = append(r.rxq[qi], m)
@@ -369,7 +367,7 @@ func (r *refBed) deliver(f *refFrame, at sim.Time) {
 func (r *refBed) txFree(q int) int                  { return r.txq[q].cap - len(r.txq[q].ring) }
 func (r *refBed) txStamp() (sim.Time, uint16, bool) { return r.txTS.read() }
 func (r *refBed) rxStamp() (sim.Time, uint16, bool) { return r.rxTS.read() }
-func (r *refBed) rxBufs(n int) *mempool.BufArray    { return r.rxCache.BufArray(n) }
+func (r *refBed) rxBufs(n int) *mempool.BufArray    { return r.rxPool.BufArray(n) }
 
 func (l *refLatch) read() (sim.Time, uint16, bool) {
 	v := *l

@@ -39,15 +39,11 @@ type Port struct {
 	rxQueues []*RxQueue
 	link     *wire.Link // outgoing side
 
-	// rxPool backs the receive buffers; rxCache is the port's
-	// allocation front over it, so the steady-state receive path touches
-	// the pool once per half-cache refill instead of per packet — the RX
-	// mirror of the per-core transmit caches. The pool is
-	// created on first use: TX-only ports (the generators, a hooked
-	// DuT port) never pay for zeroing a receive slab they will not
-	// touch.
+	// rxPool backs the receive buffers: every received frame takes
+	// one and the receiver's free returns it. The pool is created on
+	// first use: TX-only ports (the generators, a hooked DuT port)
+	// never pay for zeroing a receive slab they will not touch.
 	rxPool     *mempool.Pool
-	rxCache    *mempool.Cache
 	rxPoolSize int
 
 	// stats holds the statistics registers: plain counters the
@@ -241,7 +237,7 @@ func (p *Port) GetRxQueue(i int) *RxQueue { return p.rxQueues[i] }
 // NumTxQueues returns the number of configured TX queues.
 func (p *Port) NumTxQueues() int { return len(p.txQueues) }
 
-// ensureRxPool creates the receive pool and its cache on first use.
+// ensureRxPool creates the receive pool on first use.
 // Lazy creation is invisible to the simulation (pool construction
 // draws no randomness and schedules no events); it only avoids
 // allocating and zeroing megabytes of receive slab on ports that never
@@ -250,7 +246,6 @@ func (p *Port) ensureRxPool() {
 	if p.rxPool == nil {
 		p.rxPool = mempool.New(mempool.Config{Count: p.rxPoolSize})
 		p.rxPool.SetSync(p.PullRx)
-		p.rxCache = p.rxPool.NewCache(0)
 	}
 }
 
@@ -260,14 +255,12 @@ func (p *Port) ensureRxPool() {
 // port never materializes a receive slab it will not use.
 func (p *Port) RxPoolPeek() *mempool.Pool { return p.rxPool }
 
-// RxBufArray returns a burst wrapper for draining this port's receive
-// queues: its FreeAll recycles buffers through the port's receive
-// cache, so a drain loop returns a whole burst in at most one pool
-// batch — the counterpart of the transmit loops' cache-bound arrays.
-// Size <= 0 selects the default batch size.
+// RxBufArray returns a burst wrapper over this port's receive pool for
+// draining its receive queues; its FreeAll returns a burst to the
+// pool. Size <= 0 selects the default batch size.
 func (p *Port) RxBufArray(size int) *mempool.BufArray {
 	p.ensureRxPool()
-	return p.rxCache.BufArray(size)
+	return p.rxPool.BufArray(size)
 }
 
 // CounterSnapshot returns the statistics registers. It must be called
@@ -432,11 +425,10 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 	}
 
 	// 3. Steer into a receive queue, drop (missed) when pool or ring is
-	// full. Buffers come from the port's receive cache (one pool batch
-	// per refill).
+	// full.
 	q := p.rxQueues[p.rssQueue(f.Data)]
 	p.ensureRxPool()
-	m := p.rxCache.Alloc(len(f.Data))
+	m := p.rxPool.Alloc(len(f.Data))
 	if m == nil {
 		p.stats.RxMissed++
 		return

@@ -26,7 +26,7 @@ func newRxQueue(p *Port, id, ringSize int) *RxQueue {
 func (q *RxQueue) deliver(m *mempool.Mbuf) {
 	if !q.ring.EnqueueOne(m) {
 		q.port.stats.RxMissed++
-		q.port.rxCache.Put(m)
+		m.Free()
 	}
 }
 
@@ -36,8 +36,8 @@ func (q *RxQueue) Port() *Port { return q.port }
 // RecvBurst fills out with received buffers and returns the count
 // (possibly zero — the non-blocking burst receive MoonGen's
 // counterSlave loops on). The caller owns the returned buffers and
-// must recycle them (Port.RxBufArray gives a batch wrapper whose
-// FreeAll goes through the port's receive cache).
+// must free them (Port.RxBufArray gives a batch wrapper whose FreeAll
+// returns them to the port's receive pool).
 func (q *RxQueue) RecvBurst(out []*mempool.Mbuf) int {
 	q.port.PullRx()
 	return q.ring.DequeueBurst(out)

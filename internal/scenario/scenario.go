@@ -94,7 +94,7 @@ type Spec struct {
 	// Burst is the burst size for PatternBursts.
 	Burst int
 	// Batch is the TX-loop burst size: how many packets move through
-	// the batched datapath (mempool cache → BufArray → descriptor
+	// the batched datapath (mempool → BufArray → descriptor
 	// ring) as one unit of work. Default 32; 1 reproduces per-packet
 	// processing. The emission schedule is invariant in Batch — the
 	// knob trades host-side event overhead, never timing. The

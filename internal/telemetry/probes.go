@@ -13,8 +13,7 @@ import (
 // snapshot event runs on the port's engine, so it sees every packet
 // counted before it at its instant. The model columns are
 // functions of the modeled wire; rx_pool_avail is the port's receive
-// pool occupancy, a diagnostic (it varies with drain batching and with
-// the free buffers parked in the port's receive cache).
+// pool occupancy, a diagnostic (it varies with drain batching).
 func PortProbe(name string, p *nic.Port) Probe {
 	return Probe{Name: name, Cols: []Column{
 		{Name: "tx_pkts", Rule: RuleSum, Sample: func() uint64 { return p.CounterSnapshot().TxPackets }},
