@@ -11,8 +11,7 @@ import (
 // BurstTx and the paper's Listing 3 counter slave (§4.2): receive a
 // burst into a BufArray over the port's receive pool, inspect it, free
 // it. Every receiver runs on it; what a receiver does with its traffic
-// is its Burst hook. The steady-state loop performs
-// no allocations.
+// is its Burst hook. The steady-state loop performs no allocations.
 type PollRx struct {
 	Queue *nic.RxQueue
 	// Batch is the receive burst size (default DefaultTxBatch, so one

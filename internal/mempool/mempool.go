@@ -204,8 +204,9 @@ func New(cfg Config) *Pool {
 // Count returns the total number of buffers in the pool.
 func (p *Pool) Count() int { return len(p.bufs) }
 
-// SetSync installs fn to run before every operation on the pool, so a producer that fills buffers lazily (a port pulling
-// its arrivals) catches up first. fn may re-enter the pool.
+// SetSync installs fn to run before every operation on the pool, so a
+// producer that fills buffers lazily (a port pulling its arrivals)
+// catches up first. fn may re-enter the pool.
 func (p *Pool) SetSync(fn func()) { p.sync = fn }
 
 func (p *Pool) runSync() {
