@@ -366,13 +366,23 @@ func (a *BufArray) Alloc(size int) int {
 }
 
 // FreeAll returns every non-nil buffer to its pool and clears the
-// slots (bufs:freeAll()).
+// slots (bufs:freeAll()). The array's pool catches up once for the
+// whole burst: nothing its sync hook or reclaim would do changes
+// between two frees at one instant.
 func (a *BufArray) FreeAll() {
+	if a.pool != nil {
+		a.pool.catchUp()
+	}
 	for i, m := range a.Bufs {
-		if m != nil {
-			m.Free()
-			a.Bufs[i] = nil
+		if m == nil {
+			continue
 		}
+		if m.pool == a.pool {
+			a.pool.putOne(m)
+		} else {
+			m.Free()
+		}
+		a.Bufs[i] = nil
 	}
 }
 
