@@ -145,8 +145,8 @@ func TestAllocBatchExhaustion(t *testing.T) {
 }
 
 // TestPoolSyncsOnce: every pool operation runs the sync hook exactly
-// once, a dry allocation included, and an allocation sees what the
-// hook freed.
+// once, a dry allocation and a whole-burst FreeAll included, and an
+// allocation sees what the hook freed.
 func TestPoolSyncsOnce(t *testing.T) {
 	p := New(Config{Count: 4})
 	bufs := make([]*Mbuf, 4)
@@ -166,7 +166,16 @@ func TestPoolSyncsOnce(t *testing.T) {
 	if syncs != 4 {
 		t.Fatalf("four pool operations ran the sync hook %d times, want 4", syncs)
 	}
-	p.Alloc(60)
+	ba := p.BufArray(3)
+	copy(ba.Bufs, bufs[:3])
+	syncs = 0
+	ba.FreeAll()
+	if syncs != 1 {
+		t.Fatalf("FreeAll of a 3-buffer burst ran the sync hook %d times, want 1", syncs)
+	}
+	if n := p.AllocBatch(bufs, 60); n != 4 { // empty the pool again
+		t.Fatalf("alloc batch after FreeAll = %d, want 4", n)
+	}
 	p.SetSync(func() {
 		if m := bufs[0]; m != nil {
 			bufs[0] = nil
