@@ -487,14 +487,111 @@ func FuzzKeyRoundTrip(f *testing.F) {
 
 // TestKeyHashDeterministic pins that the table hash is a pure function
 // of the key (no per-process seeding): a fixed key's hash is a fixed
-// constant, so slot placement and the exported table diagnostics are
-// reproducible across runs.
+// constant, so slot placement and the exported table diagnostics (the
+// flow.table_load_pm and flow.table_probe_max telemetry columns) are
+// reproducible across runs and releases. The literals were recorded
+// from the hash as it stands; a change to the mixer moves them.
 func TestKeyHashDeterministic(t *testing.T) {
-	k := flowKey(12345)
-	if k.hash() != flowKey(12345).hash() {
-		t.Fatal("hash not deterministic within a process")
+	for _, c := range []struct {
+		fid  uint64
+		want uint64
+	}{
+		{0, 0xb8dd49bbdd053d42},
+		{12345, 0x544ee94f84757590},
+		{1<<20 - 1, 0x7932dd77a599b4a9},
+	} {
+		if got := flowKey(c.fid).hash(); got != c.want {
+			t.Errorf("flowKey(%d).hash() = %#x, want %#x", c.fid, got, c.want)
+		}
 	}
 	if flowKey(1).hash() == flowKey(2).hash() {
 		t.Fatal("adjacent fids collide — mixer is broken")
+	}
+}
+
+// sameHashKey returns a key other than k with k's full 64-bit hash.
+// hash mixes the tuple as x = a*phi + b (a = Src:Dst, b =
+// Proto:SrcPort:DstPort) before a bijective finalizer, so raising b by
+// one and lowering a by phi's inverse mod 2^64 leaves x, and with it
+// the hash, unchanged.
+func sameHashKey(k Key) Key {
+	const phi = 0x9E3779B97F4A7C15
+	inv := uint64(phi) // Newton's iteration doubles the correct low bits
+	for i := 0; i < 5; i++ {
+		inv *= 2 - phi*inv
+	}
+	a := (uint64(k.Src)<<32 | uint64(k.Dst)) - inv
+	k.Src, k.Dst = proto.IPv4(a>>32), proto.IPv4(a)
+	k.DstPort++ // callers pass a DstPort below 0xffff
+	return k
+}
+
+// TestTagCollisionResolvesByKey pins that keys whose hashes agree in
+// their low 32 bits — the same home slot at every table size — still
+// get distinct records, found by comparing the full key, across growth.
+func TestTagCollisionResolvesByKey(t *testing.T) {
+	// Birthday search: a pair of fids whose hashes share their low 32
+	// bits turns up after about 2^16 keys.
+	seen := map[uint32]uint64{}
+	var ka, kb Key
+	for fid := uint64(0); ; fid++ {
+		low := uint32(flowKey(fid).hash())
+		if prev, ok := seen[low]; ok {
+			ka, kb = flowKey(prev), flowKey(fid)
+			break
+		}
+		seen[low] = fid
+	}
+	t.Logf("pair %v / %v", ka, kb)
+	kc := sameHashKey(ka)
+	if kc == ka || kc == kb || kc.hash() != ka.hash() {
+		t.Fatalf("no third key on the tag: %v vs %v", kc, ka)
+	}
+
+	// Fillers use another source port, so they never equal the pair.
+	tr := NewTracker(Config{SeqWindow: 64})
+	filler := func(from, to uint64) {
+		for fid := from; fid < to; fid++ {
+			k := flowKey(fid)
+			k.SrcPort = 4321
+			tr.Flow(k)
+		}
+	}
+	grows := func(from, to uint64) {
+		_, before := tr.TableLoad()
+		filler(from, to)
+		if _, after := tr.TableLoad(); after == before {
+			t.Fatalf("fillers %d..%d did not grow the table (%d slots)", from, to, after)
+		}
+	}
+
+	a := tr.Flow(ka)
+	a.Received = 1
+	if got, ok := tr.Lookup(kb); ok || got != nil {
+		t.Fatalf("Lookup(%v) before insert = %p, want nil", kb, got)
+	}
+	grows(0, 100)
+	b := tr.Flow(kb)
+	b.Received = 2
+	grows(100, 1000)
+
+	for _, c := range []struct {
+		k    Key
+		fs   *Stats
+		recv uint64
+	}{{ka, a, 1}, {kb, b, 2}} {
+		got, ok := tr.Lookup(c.k)
+		if !ok || got != c.fs || got.Key != c.k || got.Received != c.recv {
+			t.Fatalf("Lookup(%v) = %p (%+v), want %p with Received %d", c.k, got, got, c.fs, c.recv)
+		}
+	}
+	if a == b {
+		t.Fatal("colliding keys share one record")
+	}
+	if got, ok := tr.Lookup(kc); ok || got != nil {
+		t.Fatalf("Lookup(%v) on the shared tag = %p, want nil", kc, got)
+	}
+	if tr.NumFlows() != 1002 {
+		t.Fatalf("NumFlows = %d, want 1002", tr.NumFlows())
 	}
 }
