@@ -269,9 +269,9 @@ func (fs *Stats) track(seq uint64) {
 // datapath; sharded runs keep one tracker per shard and merge the
 // shards' reports.
 //
-// Storage is the flat open-addressing table in table.go: inline keys
-// in power-of-two slots, per-flow records in a chunked arena whose
-// pointers are stable across growth. The per-flow work (Stats.record,
+// Storage is the flat open-addressing table in table.go: 8-byte hash
+// tags in power-of-two slots, per-flow records (which hold the keys) in
+// a chunked arena whose pointers are stable across growth. The per-flow work (Stats.record,
 // Stats.merge) is independent of storage; table_test.go pins the table
 // against a map-based reference that calls the same methods.
 type Tracker struct {

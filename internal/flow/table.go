@@ -5,22 +5,23 @@ import "unsafe"
 // This file is the million-flow storage engine behind Tracker: a flat
 // open-addressing hash table over arena-allocated per-flow records.
 //
-// Layout. The table itself is a power-of-two slice of slots, each an
-// inline Key plus a 1-based arena reference (0 marks an empty slot) —
-// 24 bytes, no pointers, nothing for the GC to scan per flow. Probing
-// is linear, so a lookup touches consecutive cache lines, and there are
-// no deletions, so no tombstones exist and a probe chain ends at the
-// first empty slot. The per-flow Stats records live outside the table
-// in an arena of fixed-size chunks (chunkLen records each) that are
-// never reallocated: a *Stats handed out once — to a telemetry probe,
-// a report, the lookup memo — stays valid across any number of grows,
-// because a rehash moves 24-byte slots, never records. Each chunk
-// carries a parallel block of seq-window bitmap words, sub-sliced per
-// record, so a flow's hot state (counters + window) costs two
-// allocations per 4096 flows instead of two per flow.
+// Layout. The table itself is a power-of-two slice of 8-byte slots,
+// each the low 32 bits of its key's hash (the tag) plus a 1-based arena
+// reference (0 marks an empty slot): no pointers, eight slots to a
+// cache line. The key lives only in its record; a probe reads the
+// record's Stats.Key only on a tag match, like the signatures of DPDK's
+// rte_hash. Probing is linear and there are no deletions, so no
+// tombstones exist and a probe chain ends at the first empty slot. The
+// Stats records live in an arena of fixed-size chunks (chunkLen records
+// each) that are never reallocated: a *Stats handed out once — to a
+// telemetry probe, a report, the lookup memo — stays valid across any
+// number of grows, which move slots, never records. Each chunk carries
+// a parallel block of seq-window bitmap words, sub-sliced per record,
+// so a flow costs two allocations per 4096 flows and, with a 64-packet
+// window, ~184 bytes in all.
 //
 // Growth. The table doubles when an insert would push the load factor
-// over 3/4, re-slotting every key by its recomputed hash. Growth cost
+// over 3/4, re-slotting every key by its stored tag. Growth cost
 // is amortized O(1) per insert and entirely off the steady-state path:
 // once the working set is inserted, Record/RecordBatch never allocate.
 // maxProbe tracks the longest insert probe chain, which — with linear
@@ -38,10 +39,10 @@ const (
 	tableInitSlots = 64
 )
 
-// slot is one open-addressing bucket: the flow key stored inline plus
-// the 1-based index of its record in the arena (0 = empty).
+// slot is one open-addressing bucket: its key's hash tag plus the
+// 1-based index of its record in the arena (0 = empty).
 type slot struct {
-	key Key
+	tag uint32
 	ref int32
 }
 
@@ -101,8 +102,10 @@ func (ft *flowTable) lookup(k Key, h uint64) *Stats {
 		if s.ref == 0 {
 			return nil
 		}
-		if s.key == k {
-			return ft.at(s.ref)
+		if s.tag == uint32(h) {
+			if fs := ft.at(s.ref); fs.Key == k {
+				return fs
+			}
 		}
 	}
 }
@@ -121,7 +124,7 @@ func (ft *flowTable) flow(k Key, h uint64) *Stats {
 				ft.grow()
 				return ft.flow(k, h) // re-probe in the doubled table
 			}
-			s.key = k
+			s.tag = uint32(h)
 			s.ref = ft.newRecord(k)
 			ft.used++
 			if probe > ft.maxProbe {
@@ -129,18 +132,21 @@ func (ft *flowTable) flow(k Key, h uint64) *Stats {
 			}
 			return ft.at(s.ref)
 		}
-		if s.key == k {
-			return ft.at(s.ref)
+		if s.tag == uint32(h) {
+			if fs := ft.at(s.ref); fs.Key == k {
+				return fs
+			}
 		}
 		probe++
 	}
 }
 
-// grow doubles the slot array and re-slots every key by its recomputed
-// hash (hashes are not stored: recomputing is five arithmetic ops,
-// cheaper than widening every slot by eight bytes). Records do not
-// move, so every *Stats stays valid. maxProbe is recomputed for the
-// new geometry.
+// grow doubles the slot array and re-slots every key by its tag, with
+// no hash computed and no record read. The tag places a slot exactly
+// where its full hash would: the int32 ref caps the table at 2^32
+// slots, so a mask never reaches past the tag's 32 bits. Records do
+// not move, so every *Stats stays valid. maxProbe is recomputed for
+// the new geometry.
 func (ft *flowTable) grow() {
 	old := ft.slots
 	ft.slots = make([]slot, len(old)*2)
@@ -151,7 +157,7 @@ func (ft *flowTable) grow() {
 			continue
 		}
 		probe := 1
-		i := s.key.hash() & mask
+		i := uint64(s.tag) & mask
 		for ft.slots[i].ref != 0 {
 			i = (i + 1) & mask
 			probe++

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -593,5 +594,13 @@ func TestTagCollisionResolvesByKey(t *testing.T) {
 	}
 	if tr.NumFlows() != 1002 {
 		t.Fatalf("NumFlows = %d, want 1002", tr.NumFlows())
+	}
+}
+
+// TestSlotIsEightBytes pins the slot layout: a 32-bit hash tag and a
+// 32-bit arena reference, with the key kept only in its record.
+func TestSlotIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 8 {
+		t.Fatalf("slot is %d bytes, want 8", got)
 	}
 }
