@@ -40,8 +40,8 @@ func (l *loadScenario) Run(env *Env) (*Report, error) {
 
 // LaunchLoad starts the spec's load task for its first flow: the
 // common transmit half of every load scenario. The returned finish
-// function appends the task's transmit-side results (per-flow sent
-// counts, CRC-gap filler statistics) to a report once the run is over.
+// function appends the flow's results (sent and received counts,
+// CRC-gap filler statistics) to a report once the run is over.
 func LaunchLoad(env *Env) (finish func(*Report), err error) {
 	spec := env.Spec
 	flow := spec.EffectiveFlows()[0]
@@ -50,6 +50,8 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 	fill := env.FlowFill(flow, size)
 
 	pps := spec.RateMpps * 1e6
+	var sent *uint64 // the load task's count, read once the run is over
+	var gap *core.GapTx
 	switch spec.Pattern {
 	case PatternLineRate:
 		pool := env.NewFlowPool(flow, size, 4096)
@@ -62,9 +64,7 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 			q.SetRatePPS(pps)
 		}
 		env.App().LaunchTask("flood", flood.Run)
-		finish = func(rep *Report) {
-			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: flood.Sent})
-		}
+		sent = &flood.Sent
 	case PatternCBR:
 		g, err := spec.slots()
 		if err != nil {
@@ -72,9 +72,7 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 		}
 		h := &core.HWRateTx{Queue: q, PPS: pps, PktSize: size, Fill: fill, Delay: g.at(0), Batch: spec.Batch}
 		env.App().LaunchTask("cbr", h.Run)
-		finish = func(rep *Report) {
-			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: h.Sent})
-		}
+		sent = &h.Sent
 	case PatternSoftCBR:
 		g, err := spec.slots()
 		if err != nil {
@@ -87,9 +85,7 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 		soft := &core.PushTx{Queue: q, Schedule: g.at, Batch: spec.Batch}
 		soft.Slot = func(uint64) { soft.Send(pool, size, nil) }
 		env.App().LaunchTask("softcbr", soft.Run)
-		finish = func(rep *Report) {
-			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: soft.Sent})
-		}
+		sent = &soft.Sent
 	case PatternPoisson, PatternBursts:
 		if pps <= 0 {
 			return nil, fmt.Errorf("pattern %s needs a rate (got %v)", spec.Pattern, spec)
@@ -99,17 +95,26 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 			b2b := wire.FrameTime(q.Port().Speed(), size+proto.FCSLen)
 			pat = &rate.Bursts{Size: spec.Burst, AvgInterval: sim.FromSeconds(1 / pps), BackToBack: b2b}
 		}
-		g := &core.GapTx{Queue: q, Pattern: pat, PktSize: size, Fill: fill, Batch: spec.Batch}
-		env.App().LaunchTask(string(spec.Pattern), g.Run)
-		finish = func(rep *Report) {
-			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: g.Sent})
-			rep.AddRow("crc-gap filler frames", float64(g.Fillers), "packets")
-			rep.AddRow("gaps folded into debt (§8.4)", float64(g.SkippedGaps), "gaps")
-		}
+		gap = &core.GapTx{Queue: q, Pattern: pat, PktSize: size, Fill: fill, Batch: spec.Batch}
+		env.App().LaunchTask(string(spec.Pattern), gap.Run)
+		sent = &gap.Sent
 	default:
 		return nil, fmt.Errorf("unknown pattern %q", spec.Pattern)
 	}
-	return finish, nil
+	return func(rep *Report) {
+		// The load is the only flow on the receive port, so it received
+		// the port's windowed count less the latency probes measured
+		// there.
+		rx := rep.RxPackets
+		if rep.Latency != nil {
+			rx -= rep.Latency.Count()
+		}
+		rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: *sent, RxPackets: rx})
+		if gap != nil {
+			rep.AddRow("crc-gap filler frames", float64(gap.Fillers), "packets")
+			rep.AddRow("gaps folded into debt (§8.4)", float64(gap.SkippedGaps), "gaps")
+		}
+	}, nil
 }
 
 func init() {
