@@ -33,7 +33,6 @@ import (
 // flag (a caller or writer appeared, or the name is gone) fails as
 // stale, so the list holds only what it must.
 var exportAllowlist = map[string]string{
-	"flow.Tracker.Record":               "per-frame reference RecordBatch is pinned against",
 	"sim.Engine.Stop":                   "stops a run early to test draining after Ctrl-C",
 	"sim.Engine.SetStopTime":            "absolute run limit for engine-level tests",
 	"sim.Engine.Procs":                  "live process count, pins that procs exit",
@@ -47,7 +46,6 @@ var exportAllowlist = map[string]string{
 	"ptpclk.Clock.Tick":                 "clock register granularity",
 	"ptpclk.Clock.Offset":               "offset from true time, what the drift and clock-step tests observe",
 	"flow.Tracker.Flows":                "every per-flow record in key order, what the flow and flow-sink tests inspect",
-	"flow.Tracker.Merge":                "per-shard merge the sharded flow tests compare against the unsharded run",
 	"mempool.Pool.Count":                "pool size, the Available == Count leak check",
 	"mempool.Pool.Stats":                "alloc/free totals the shared TX pool leak test compares",
 	"stats.Histogram.Mean":              "sample mean the merge-property, flow-merge and timestamper tests compare",

@@ -64,9 +64,9 @@ func TestSoakLinkFlap(t *testing.T) {
 }
 
 // TestFaultLossSplitShardingInvariant pins the per-flow fault-boundary
-// loss attribution across sharding: Tracker.Merge and the report merge
-// must reproduce the single-core split exactly, flow by flow, for both
-// fault-driven scenarios.
+// loss attribution across sharding: the report merge
+// (scenario.MergeReports) must reproduce the single-core split exactly,
+// flow by flow, for both fault-driven scenarios.
 func TestFaultLossSplitShardingInvariant(t *testing.T) {
 	type split struct {
 		name                 string

@@ -80,22 +80,12 @@ func (r *PollRx) Run(t *Task) {
 const FlowDrain = 50 * sim.Microsecond
 
 // TrackFlows returns a PollRx hook that attributes every frame of a
-// burst to its flow in tr at its exact descriptor arrival instant,
-// through the tracker's train-coalesced RecordBatch. RecordBatch
-// resolves each frame's flow through the tracker's direct-mapped key
-// memo, so a burst draining one wire's FIFO — even with a handful of
-// interleaved flows — rarely pays a full table probe.
+// burst to its flow in tr at its exact descriptor arrival instant, one
+// Tracker.Record per frame.
 func TrackFlows(tr *flow.Tracker) func(bufs []*mempool.Mbuf, now sim.Time) {
-	var frames []flow.Frame // reusable staging area, one entry per burst slot
 	return func(bufs []*mempool.Mbuf, _ sim.Time) {
-		if cap(frames) < len(bufs) {
-			// cap(bufs) is the kernel's burst size: this allocates once.
-			frames = make([]flow.Frame, cap(bufs))
+		for _, m := range bufs {
+			tr.Record(m.Payload(), sim.Time(m.RxMeta.Arrival))
 		}
-		fr := frames[:len(bufs)]
-		for i, m := range bufs {
-			fr[i] = flow.Frame{Data: m.Payload(), Rx: sim.Time(m.RxMeta.Arrival)}
-		}
-		tr.RecordBatch(fr)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // with one million tracked flows resident: the working set is inserted
 // before the timer, then each op attributes one packet to a
 // pseudo-randomly selected existing flow. The acceptance bar is 0
-// allocs/op — at steady state neither the table, the arena, the memo
-// nor the sequence window allocates. The flows metric pins the tracked
+// allocs/op — at steady state neither the table, the arena nor the
+// sequence window allocates. The flows metric pins the tracked
 // population; B/flow is the table's resident footprint per flow.
 func BenchmarkFlowTrackerMillion(b *testing.B) {
 	const F = 1 << 20

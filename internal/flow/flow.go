@@ -7,11 +7,12 @@
 // the receiver: latency distributions, loss under overload and
 // inter-arrival precision, per flow instead of per port.
 //
-// All per-flow statistics are built on the stats merge layer
-// (stats.OnlineStats.Merge, stats.Histogram.Merge), and Tracker.Merge
-// combines per-shard trackers by flow key, so a sharded run's merged
-// per-flow counters are exactly the single-core run's — the same
-// contract the multicore subsystem pins for the port counters.
+// A sharded run keeps one tracker per shard, and every flow belongs to
+// exactly one shard. The shards' per-flow reports merge in
+// scenario.MergeReports on the stats merge layer
+// (stats.Histogram.Merge), so a sharded run's per-flow counters are
+// exactly the single-core run's — the same contract the multicore
+// subsystem pins for the port counters.
 package flow
 
 import (
@@ -271,27 +272,20 @@ func (fs *Stats) track(seq uint64) {
 //
 // Storage is the flat open-addressing table in table.go: 8-byte hash
 // tags in power-of-two slots, per-flow records (which hold the keys) in
-// a chunked arena whose pointers are stable across growth. The per-flow work (Stats.record,
-// Stats.merge) is independent of storage; table_test.go pins the table
-// against a map-based reference that calls the same methods.
+// a chunked arena whose pointers are stable across growth. The
+// per-flow work (Stats.record) is independent of storage; table_test.go
+// pins the table against a map-based reference that calls the same
+// method.
 type Tracker struct {
 	latBin sim.Duration // latencyBinWidth when Config.Latency, else 0
 
 	table flowTable
 
-	// memo is a small direct-mapped lookup cache indexed by the key
-	// hash, the generalization of RecordBatch's old single-entry memo:
-	// a train draining a handful of interleaved wires hits it even
-	// when consecutive frames alternate flows. Entries hold arena
-	// pointers, which are stable and never deleted, so the memo
-	// survives table growth with no invalidation protocol at all.
-	memo [memoSize]memoEntry
-
 	// active counts flows that have received at least one packet —
 	// the tracker's "live flows" telemetry. It can lag NumFlows:
-	// probes and merges may create records for flows that never
-	// receive (a telemetry column registered in a shard that does not
-	// own the flow).
+	// probes may create records for flows that never receive (a
+	// telemetry column registered in a shard that does not own the
+	// flow).
 	active uint64
 
 	// Unparsed counts packets that carried no IPv4 UDP/TCP flow key.
@@ -301,14 +295,6 @@ type Tracker struct {
 // latencyBinWidth is the per-flow latency histogram bin width:
 // percentiles are exact while the per-flow sample cap holds.
 const latencyBinWidth = sim.Nanosecond
-
-// memoSize is the direct-mapped lookup cache size (power of two).
-const memoSize = 8
-
-type memoEntry struct {
-	key Key
-	fs  *Stats
-}
 
 // ceilPow2 rounds n up to the next power of two (minimum 64).
 func ceilPow2(n int) int {
@@ -338,14 +324,7 @@ func NewTracker(cfg Config) *Tracker {
 // live in the arena and never move, which is what lets telemetry probes
 // bind them once at registration.
 func (t *Tracker) Flow(k Key) *Stats {
-	h := k.hash()
-	m := &t.memo[h&(memoSize-1)]
-	if m.fs != nil && m.key == k {
-		return m.fs
-	}
-	fs := t.table.flow(k, h)
-	m.key, m.fs = k, fs
-	return fs
+	return t.table.flow(k, k.hash())
 }
 
 // Lookup returns the flow's stats without creating them.
@@ -427,11 +406,9 @@ func (t *Tracker) Totals() Totals {
 
 // record runs the post-parse attribution for one frame of size bytes:
 // counters, inter-arrival accumulation, sequence classification and
-// (when latBin > 0 and the payload is stamped) latency recording.
-// Record and RecordBatch share this body, which is what makes the two
-// entry points bit-identical by construction. The latency histogram is
-// created lazily here, on the flow's first sample, so flows that never
-// carry a timestamp never pay for one.
+// (when latBin > 0 and the payload is stamped) latency recording. The
+// latency histogram is created lazily here, on the flow's first
+// sample, so flows that never carry a timestamp never pay for one.
 func (fs *Stats) record(size int, payload []byte, rx sim.Time, latBin sim.Duration) {
 	fs.Received++
 	fs.Bytes += uint64(size)
@@ -452,43 +429,6 @@ func (fs *Stats) record(size int, payload []byte, rx sim.Time, latBin sim.Durati
 	}
 }
 
-// merge folds o's per-flow state into fs: counters add, inter-arrival
-// statistics merge via the exact parallel-Welford combination, latency
-// histograms merge bin-exact.
-func (fs *Stats) merge(o *Stats) {
-	fs.Received += o.Received
-	fs.Bytes += o.Bytes
-	fs.Stamped += o.Stamped
-	fs.Lost += o.Lost
-	fs.Reordered += o.Reordered
-	fs.Duplicates += o.Duplicates
-	fs.InterArrival.Merge(&o.InterArrival)
-	if o.Latency != nil && o.Latency.Count() > 0 {
-		if fs.Latency == nil {
-			fs.Latency = stats.NewHistogram(o.Latency.BinWidth)
-		}
-		fs.Latency.Merge(o.Latency)
-	}
-	if o.highest > fs.highest {
-		fs.highest = o.highest
-	}
-	if o.hasRx && (!fs.hasRx || o.lastRx > fs.lastRx) {
-		fs.lastRx = o.lastRx
-		fs.hasRx = true
-	}
-	fs.started = fs.started || o.started
-}
-
-// record attributes one parsed frame to its flow and counts the flow
-// active on its first packet.
-func (t *Tracker) record(k Key, data, payload []byte, rx sim.Time) {
-	fs := t.Flow(k)
-	if fs.Received == 0 {
-		t.active++
-	}
-	fs.record(len(data), payload, rx, t.latBin)
-}
-
 // Record processes one received frame at its arrival instant: key
 // extraction, sequence classification, inter-arrival accumulation and
 // (when enabled and stamped) latency recording. It reports whether the
@@ -500,53 +440,10 @@ func (t *Tracker) Record(data []byte, rx sim.Time) bool {
 		t.Unparsed++
 		return false
 	}
-	t.record(k, data, payload, rx)
-	return true
-}
-
-// Frame is one element of a RecordBatch train: the frame bytes and
-// their descriptor arrival instant.
-type Frame struct {
-	Data []byte
-	Rx   sim.Time
-}
-
-// RecordBatch attributes a whole received train in one call — the RX
-// mirror of the transmit side's train commits. The per-frame work is
-// exactly Record's (the two paths share the attribution body, so their
-// results are bit-identical in any interleaving); what the batch form
-// amortizes is the flow lookup, through the tracker's direct-mapped
-// memo: a train draining one wire's FIFO hits the memo even when a
-// handful of flows interleave, and the memo's arena pointers survive
-// any table growth mid-train. It returns the number of frames that
-// carried a flow key.
-func (t *Tracker) RecordBatch(frames []Frame) (recorded int) {
-	for i := range frames {
-		k, payload, ok := Parse(frames[i].Data)
-		if !ok {
-			t.Unparsed++
-			continue
-		}
-		t.record(k, frames[i].Data, payload, frames[i].Rx)
-		recorded++
+	fs := t.Flow(k)
+	if fs.Received == 0 {
+		t.active++
 	}
-	return recorded
-}
-
-// Merge folds another tracker into t, matching flows by key (see
-// Stats.merge). Merged per-flow counts over shards equal the unsharded
-// run's as long as no flow spans shards (the sharded scenarios assign
-// whole flows to shards). Per-flow merges are independent, so the
-// source's arena visit order cannot affect any per-flow result. The
-// merged tracker is for reporting: its sequence windows are not
-// meaningful for further Record calls. other is not modified.
-func (t *Tracker) Merge(other *Tracker) {
-	t.Unparsed += other.Unparsed
-	other.table.each(func(o *Stats) {
-		fs := t.Flow(o.Key)
-		if fs.Received == 0 && o.Received > 0 {
-			t.active++
-		}
-		fs.merge(o)
-	})
+	fs.record(len(data), payload, rx, t.latBin)
+	return true
 }

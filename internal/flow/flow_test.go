@@ -1,8 +1,6 @@
 package flow
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/proto"
@@ -137,80 +135,6 @@ func TestInterArrivalAndLatency(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesUnsharded is the tracker's merge-exactness property:
-// partition a multi-flow stream whole-flow-wise across k trackers (the
-// sharded scenarios' assignment), merge, and every per-flow counter
-// and statistic equals the single tracker's — for any k and any batch
-// grouping, since Record is per-packet.
-func TestMergeMatchesUnsharded(t *testing.T) {
-	const F, N = 4, 400
-	rng := rand.New(rand.NewSource(7))
-	type pkt struct {
-		flow int
-		seq  uint64
-		at   sim.Time
-	}
-	var stream []pkt
-	next := make([]uint64, F)
-	for i := 0; i < N; i++ {
-		f := i % F
-		s := next[f]
-		next[f]++
-		// Inject disorder and duplicates deterministically.
-		switch rng.Intn(10) {
-		case 0:
-			s++ // creates a gap, next packet fills it (reorder)
-			next[f] = s + 1
-		case 1:
-			stream = append(stream, pkt{f, s, sim.Time(i) * 100}) // duplicate
-		}
-		stream = append(stream, pkt{f, s, sim.Time(i) * 100})
-	}
-
-	single := NewTracker(Config{Latency: true})
-	for _, p := range stream {
-		single.Record(mkUDP(t, uint16(100+p.flow), p.seq, p.at-50), p.at)
-	}
-
-	for _, k := range []int{2, 4} {
-		shards := make([]*Tracker, k)
-		for i := range shards {
-			shards[i] = NewTracker(Config{Latency: true})
-		}
-		for _, p := range stream {
-			shards[p.flow%k].Record(mkUDP(t, uint16(100+p.flow), p.seq, p.at-50), p.at)
-		}
-		merged := NewTracker(Config{Latency: true})
-		for _, s := range shards {
-			merged.Merge(s)
-		}
-		sf, mf := single.Flows(), merged.Flows()
-		if len(sf) != len(mf) {
-			t.Fatalf("k=%d: %d flows merged, want %d", k, len(mf), len(sf))
-		}
-		for i := range sf {
-			a, b := sf[i], mf[i]
-			if a.Key != b.Key {
-				t.Fatalf("k=%d flow %d: key %v vs %v", k, i, a.Key, b.Key)
-			}
-			if a.Received != b.Received || a.Bytes != b.Bytes || a.Stamped != b.Stamped ||
-				a.Lost != b.Lost || a.Reordered != b.Reordered || a.Duplicates != b.Duplicates {
-				t.Errorf("k=%d flow %v: counters differ: %+v vs %+v", k, a.Key, a, b)
-			}
-			if a.InterArrival.Count() != b.InterArrival.Count() ||
-				a.InterArrival.Mean() != b.InterArrival.Mean() ||
-				a.InterArrival.Variance() != b.InterArrival.Variance() {
-				t.Errorf("k=%d flow %v: inter-arrival stats differ", k, a.Key)
-			}
-			if a.Latency.Count() != b.Latency.Count() ||
-				a.Latency.Mean() != b.Latency.Mean() ||
-				a.Latency.Percentile(50) != b.Latency.Percentile(50) {
-				t.Errorf("k=%d flow %v: latency stats differ", k, a.Key)
-			}
-		}
-	}
-}
-
 // TestFlowsDeterministicOrder: report iteration is sorted by key, not
 // by map or arrival order.
 func TestFlowsDeterministicOrder(t *testing.T) {
@@ -222,111 +146,6 @@ func TestFlowsDeterministicOrder(t *testing.T) {
 	for i := 1; i < len(flows); i++ {
 		if !flows[i-1].Key.Less(flows[i].Key) {
 			t.Fatalf("flows not sorted: %v before %v", flows[i-1].Key, flows[i].Key)
-		}
-	}
-}
-
-// TestRecordBatchMatchesPerPacket is the train-coalescing invariance
-// pin: attributing a stream through RecordBatch — in any batch
-// grouping, across any whole-flow sharding — produces bit-identical
-// per-flow counters, inter-arrival statistics and latency histograms
-// to the per-packet Record path. The grid mirrors the scenario-level
-// acceptance matrix: cores {1, 2, 4} × batch {1, 32}.
-func TestRecordBatchMatchesPerPacket(t *testing.T) {
-	const F, N = 4, 600
-	rng := rand.New(rand.NewSource(11))
-	type pkt struct {
-		flow int
-		seq  uint64
-		at   sim.Time
-	}
-	var stream []pkt
-	next := make([]uint64, F)
-	for i := 0; i < N; i++ {
-		f := i % F
-		s := next[f]
-		next[f]++
-		switch rng.Intn(10) {
-		case 0:
-			s++ // gap; the next packet of the flow fills it (reorder)
-			next[f] = s + 1
-		case 1:
-			stream = append(stream, pkt{f, s, sim.Time(i) * 100}) // duplicate
-		}
-		stream = append(stream, pkt{f, s, sim.Time(i) * 100})
-	}
-	frames := make([]Frame, len(stream))
-	for i, p := range stream {
-		frames[i] = Frame{Data: mkUDP(t, uint16(100+p.flow), p.seq, p.at-50), Rx: p.at}
-	}
-
-	// Reference: per-packet Record, unsharded.
-	ref := NewTracker(Config{Latency: true})
-	for _, fr := range frames {
-		ref.Record(fr.Data, fr.Rx)
-	}
-
-	compare := func(label string, got *Tracker) {
-		t.Helper()
-		rf, gf := ref.Flows(), got.Flows()
-		if len(rf) != len(gf) {
-			t.Fatalf("%s: %d flows, want %d", label, len(gf), len(rf))
-		}
-		for i := range rf {
-			a, b := rf[i], gf[i]
-			if a.Key != b.Key {
-				t.Fatalf("%s flow %d: key %v vs %v", label, i, a.Key, b.Key)
-			}
-			if a.Received != b.Received || a.Bytes != b.Bytes || a.Stamped != b.Stamped ||
-				a.Lost != b.Lost || a.Reordered != b.Reordered || a.Duplicates != b.Duplicates {
-				t.Errorf("%s flow %v: counters differ: %+v vs %+v", label, a.Key, a, b)
-			}
-			if a.InterArrival.Count() != b.InterArrival.Count() ||
-				a.InterArrival.Mean() != b.InterArrival.Mean() ||
-				a.InterArrival.Variance() != b.InterArrival.Variance() {
-				t.Errorf("%s flow %v: inter-arrival stats differ", label, a.Key)
-			}
-			if a.Latency.Count() != b.Latency.Count() ||
-				a.Latency.Mean() != b.Latency.Mean() ||
-				a.Latency.Percentile(50) != b.Latency.Percentile(50) {
-				t.Errorf("%s flow %v: latency histograms differ", label, a.Key)
-			}
-		}
-		if got.Unparsed != ref.Unparsed {
-			t.Errorf("%s: unparsed %d, want %d", label, got.Unparsed, ref.Unparsed)
-		}
-	}
-
-	for _, cores := range []int{1, 2, 4} {
-		for _, batch := range []int{1, 32} {
-			shards := make([]*Tracker, cores)
-			for i := range shards {
-				shards[i] = NewTracker(Config{Latency: true})
-			}
-			// Whole-flow sharding, then train-wise attribution per shard.
-			perShard := make([][]Frame, cores)
-			for i, p := range stream {
-				s := p.flow % cores
-				perShard[s] = append(perShard[s], frames[i])
-			}
-			for s, fr := range perShard {
-				for len(fr) > 0 {
-					n := batch
-					if n > len(fr) {
-						n = len(fr)
-					}
-					shards[s].RecordBatch(fr[:n])
-					fr = fr[n:]
-				}
-			}
-			got := shards[0]
-			if cores > 1 {
-				got = NewTracker(Config{Latency: true})
-				for _, s := range shards {
-					got.Merge(s)
-				}
-			}
-			compare(fmt.Sprintf("cores=%d batch=%d", cores, batch), got)
 		}
 	}
 }

@@ -14,16 +14,17 @@ import "unsafe"
 // tombstones exist and a probe chain ends at the first empty slot. The
 // Stats records live in an arena of fixed-size chunks (chunkLen records
 // each) that are never reallocated: a *Stats handed out once — to a
-// telemetry probe, a report, the lookup memo — stays valid across any
-// number of grows, which move slots, never records. Each chunk carries
-// a parallel block of seq-window bitmap words, sub-sliced per record,
-// so a flow costs two allocations per 4096 flows and, with a 64-packet
-// window, ~184 bytes in all.
+// telemetry probe or a report — stays valid across any number of
+// grows, which move slots, never records. Each chunk carries a
+// parallel block of seq-window bitmap words, sub-sliced per record, so
+// a flow costs two allocations per 4096 flows and, with a 64-packet
+// window, ~184 bytes in all. Lookup and insert share one probe loop
+// (find).
 //
 // Growth. The table doubles when an insert would push the load factor
-// over 3/4, re-slotting every key by its stored tag. Growth cost
-// is amortized O(1) per insert and entirely off the steady-state path:
-// once the working set is inserted, Record/RecordBatch never allocate.
+// over 3/4, re-slotting every key by its stored tag. Growth cost is
+// amortized O(1) per insert and entirely off the steady-state path:
+// once the working set is inserted, Record never allocates.
 // maxProbe tracks the longest insert probe chain, which — with linear
 // probing and no deletions — bounds every subsequent lookup's chain;
 // the telemetry flow probe exports it alongside the load factor.
@@ -94,51 +95,53 @@ func (ft *flowTable) at(ref int32) *Stats {
 	return &ft.chunks[idx>>chunkShift][idx&chunkMask]
 }
 
-// lookup returns the record for k, or nil. h must be k.hash().
-func (ft *flowTable) lookup(k Key, h uint64) *Stats {
+// find runs the linear probe for k from its home slot. h must be
+// k.hash(). It returns k's record, or — when k is absent — the empty
+// slot that ends k's probe chain and the chain's length counting that
+// slot, which is where and at what probe length k would be inserted.
+func (ft *flowTable) find(k Key, h uint64) (fs *Stats, empty *slot, probe int) {
 	mask := uint64(len(ft.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
+		probe++
 		s := &ft.slots[i]
 		if s.ref == 0 {
-			return nil
+			return nil, s, probe
 		}
 		if s.tag == uint32(h) {
 			if fs := ft.at(s.ref); fs.Key == k {
-				return fs
+				return fs, nil, probe
 			}
 		}
 	}
 }
 
+// lookup returns the record for k, or nil. h must be k.hash().
+func (ft *flowTable) lookup(k Key, h uint64) *Stats {
+	fs, _, _ := ft.find(k, h)
+	return fs
+}
+
 // flow returns the record for k, inserting it on first sight. h must
-// be k.hash(). The hit path is branch-free of any allocation or growth
-// check: growth is decided only at the empty slot that would receive a
-// new key.
+// be k.hash(). The hit path is free of any allocation or growth check:
+// growth is decided only when the probe ends at the empty slot that
+// would receive a new key, and a grow moves that slot, so the probe
+// runs again in the doubled table.
 func (ft *flowTable) flow(k Key, h uint64) *Stats {
-	mask := uint64(len(ft.slots) - 1)
-	probe := 1
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := &ft.slots[i]
-		if s.ref == 0 {
-			if ft.used+1 > len(ft.slots)/4*3 {
-				ft.grow()
-				return ft.flow(k, h) // re-probe in the doubled table
-			}
-			s.tag = uint32(h)
-			s.ref = ft.newRecord(k)
-			ft.used++
-			if probe > ft.maxProbe {
-				ft.maxProbe = probe
-			}
-			return ft.at(s.ref)
-		}
-		if s.tag == uint32(h) {
-			if fs := ft.at(s.ref); fs.Key == k {
-				return fs
-			}
-		}
-		probe++
+	fs, s, probe := ft.find(k, h)
+	if fs != nil {
+		return fs
 	}
+	if ft.used+1 > len(ft.slots)/4*3 {
+		ft.grow()
+		_, s, probe = ft.find(k, h)
+	}
+	s.tag = uint32(h)
+	s.ref = ft.newRecord(k)
+	ft.used++
+	if probe > ft.maxProbe {
+		ft.maxProbe = probe
+	}
+	return ft.at(s.ref)
 }
 
 // grow doubles the slot array and re-slots every key by its tag, with
@@ -189,8 +192,8 @@ func (ft *flowTable) newRecord(k Key) int32 {
 }
 
 // each visits every record in insertion (arena) order — the
-// deterministic O(1)-per-flow iteration reports and merges use when
-// sorted order is not required.
+// deterministic O(1)-per-flow iteration behind Flows, Totals and
+// FootprintBytes.
 func (ft *flowTable) each(f func(*Stats)) {
 	for c, chunk := range ft.chunks {
 		limit := chunkLen

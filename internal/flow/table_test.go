@@ -2,6 +2,7 @@ package flow
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -55,9 +56,9 @@ func flowKey(fid uint64) Key {
 
 // mapTracker is the reference storage the flat table is pinned
 // against: a map[Key]*Stats with one heap-allocated record per flow.
-// It runs the same per-flow code as Tracker (Stats.record,
-// Stats.merge) and differs only in how records are found and
-// allocated, so a divergence between the two is a storage bug.
+// It runs the same per-flow code as Tracker (Stats.record) and differs
+// only in how records are found and allocated, so a divergence between
+// the two is a storage bug.
 type mapTracker struct {
 	seqWindow int // power of two
 	latBin    sim.Duration
@@ -94,19 +95,6 @@ func (m *mapTracker) Record(data []byte, rx sim.Time) bool {
 	return true
 }
 
-// Merge mirrors Tracker.Merge, visiting the source in sorted order
-// (per-flow merges are order-independent).
-func (m *mapTracker) Merge(other *mapTracker) {
-	m.unparsed += other.unparsed
-	for _, o := range other.state().flows {
-		fs := m.flow(o.Key)
-		if fs.Received == 0 && o.Received > 0 {
-			m.active++
-		}
-		fs.merge(o)
-	}
-}
-
 // flowState is the complete observable per-flow state of a tracker,
 // flows sorted by key.
 type flowState struct {
@@ -124,8 +112,19 @@ func (m *mapTracker) state() flowState {
 	return flowState{out, m.unparsed, m.active}
 }
 
-func stateOf(tr *Tracker) flowState {
-	return flowState{tr.Flows(), tr.Unparsed, tr.ActiveFlows()}
+// shardState is the state of a whole-flow-sharded run: the key-sorted
+// union of the shards' flows, with unparsed and active summed. Every
+// flow lives in exactly one shard, so it is comparable to an
+// unsharded tracker's state.
+func shardState(shards []*Tracker) flowState {
+	var st flowState
+	for _, tr := range shards {
+		st.flows = append(st.flows, tr.Flows()...)
+		st.unparsed += tr.Unparsed
+		st.active += tr.ActiveFlows()
+	}
+	sort.Slice(st.flows, func(i, j int) bool { return st.flows[i].Key.Less(st.flows[j].Key) })
+	return st
 }
 
 // requireFlowsEqual compares two trackers' complete per-flow state —
@@ -186,12 +185,12 @@ func requireFlowsEqual(t *testing.T, label string, a, b flowState) {
 }
 
 // TestFlatMatchesReference is the flat table's property pin:
-// randomized insert/record/merge sequences — duplicate keys, gaps,
-// unstamped payloads, enough distinct flows to cross several
-// grow/rehash boundaries (64 → 8192 slots), and an uneven 3-way
-// sharding — produce bit-identical per-flow state in the flat
+// randomized insert/record sequences — duplicate keys, gaps, unstamped
+// payloads and enough distinct flows to cross several grow boundaries
+// (64 → 8192 slots) — produce bit-identical per-flow state in the flat
 // open-addressing Tracker and the map-based reference (mapTracker),
-// unsharded and merged.
+// with the stream sharded whole-flow-wise over Cores {1,2,4} trackers
+// whose flows are compared as one key-sorted union.
 func TestFlatMatchesReference(t *testing.T) {
 	const F = 3000 // crosses rehash at 48, 96, ..., 3072 used slots
 	rng := rand.New(rand.NewSource(23))
@@ -242,45 +241,23 @@ func TestFlatMatchesReference(t *testing.T) {
 		}
 	}
 
-	flatCfg := Config{Latency: true, SeqWindow: 64}
-	newRef := func() *mapTracker { return newMapTracker(64, sim.Nanosecond) }
-
-	flat := NewTracker(flatCfg)
-	run(flat, nil)
-	ref := newRef()
+	ref := newMapTracker(64, sim.Nanosecond)
 	run(ref, nil)
 	want := ref.state()
-	requireFlowsEqual(t, "unsharded flat vs reference", stateOf(flat), want)
-
-	// Uneven 3-way whole-flow sharding: shard 0 takes half the flows,
-	// shards 1 and 2 split the rest unevenly.
-	owner := func(fid uint64) int {
-		switch {
-		case fid%2 == 0:
-			return 0
-		case fid%3 == 0:
-			return 1
-		default:
-			return 2
+	for _, cores := range []int{1, 2, 4} {
+		shards := make([]*Tracker, cores)
+		for s := range shards {
+			shards[s] = NewTracker(Config{Latency: true, SeqWindow: 64})
+			run(shards[s], func(fid uint64) bool { return int(fid)%cores == s })
 		}
+		requireFlowsEqual(t, fmt.Sprintf("flat cores=%d vs reference", cores), shardState(shards), want)
 	}
-	flatMerged, refMerged := NewTracker(flatCfg), newRef()
-	for s := 0; s < 3; s++ {
-		mine := func(fid uint64) bool { return owner(fid) == s }
-		flatShard, refShard := NewTracker(flatCfg), newRef()
-		run(flatShard, mine)
-		run(refShard, mine)
-		flatMerged.Merge(flatShard)
-		refMerged.Merge(refShard)
-	}
-	requireFlowsEqual(t, "flat shards into flat", stateOf(flatMerged), want)
-	requireFlowsEqual(t, "reference shards into reference", refMerged.state(), want)
 }
 
 // TestTableGrowthKeepsPointers pins the arena stability contract: a
 // *Stats handed out before thousands of inserts (and the grows they
 // force) still addresses the same live record afterwards — the
-// property telemetry probes and the lookup memo rely on.
+// property telemetry probes and reports rely on.
 func TestTableGrowthKeepsPointers(t *testing.T) {
 	tr := NewTracker(Config{SeqWindow: 64})
 	early := tr.Flow(flowKey(0))
@@ -308,11 +285,11 @@ func TestTableGrowthKeepsPointers(t *testing.T) {
 func fid2key(fid uint64) Key { return flowKey(fid) }
 
 // TestMillionFlowInvariance is the acceptance matrix at scale: one
-// million flows, two passes each, attributed through RecordBatch under
-// Cores {1,2,4} × Batch {1,32}, with whole-flow sharding and
-// per-config merges — every configuration must produce the same digest
-// over the complete sorted per-flow state. Gated out of -short runs: it
-// holds two ~1M-flow trackers alive at its peak.
+// million flows, two passes each, attributed through Record with
+// whole-flow sharding over Cores {1,2,4} trackers — every
+// configuration must produce the same digest over the key-sorted union
+// of its shards' complete per-flow state. Gated out of -short runs: it
+// holds ~1M flows alive at its peak.
 func TestMillionFlowInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-flow invariance runs in the full suite only")
@@ -320,14 +297,15 @@ func TestMillionFlowInvariance(t *testing.T) {
 	const F = 1 << 20
 	const passes = 2
 
-	digest := func(tr *Tracker) uint64 {
+	digest := func(shards []*Tracker) uint64 {
 		h := fnv.New64a()
 		var b [8]byte
 		w := func(v uint64) {
 			binary.BigEndian.PutUint64(b[:], v)
 			h.Write(b[:])
 		}
-		for _, fs := range tr.Flows() {
+		st := shardState(shards)
+		for _, fs := range st.flows {
 			w(uint64(fs.Key.Src))
 			w(uint64(fs.Key.Dst))
 			w(uint64(fs.Key.SrcPort)<<16 | uint64(fs.Key.DstPort))
@@ -341,49 +319,24 @@ func TestMillionFlowInvariance(t *testing.T) {
 			w(math.Float64bits(fs.InterArrival.Mean()))
 			w(math.Float64bits(fs.InterArrival.Variance()))
 		}
-		w(tr.ActiveFlows())
-		w(uint64(tr.NumFlows()))
+		w(st.active)
+		w(uint64(len(st.flows)))
 		return h.Sum64()
 	}
 
 	// Deterministic stream: pass p sends flow fid sequence p, except
 	// every 7th flow skips its pass-1 packet (a permanent gap → one
 	// lost) and every 5th flow duplicates its final packet.
-	runConfig := func(cores, batch int) uint64 {
-		cfg := Config{SeqWindow: 64}
+	runConfig := func(cores int) uint64 {
 		shards := make([]*Tracker, cores)
 		for i := range shards {
-			shards[i] = NewTracker(cfg)
+			shards[i] = NewTracker(Config{SeqWindow: 64})
 		}
-		pend := make([][]Frame, cores)
-		fill := make([]int, cores)
-		for i := range pend {
-			pend[i] = make([]Frame, batch)
-		}
-		flush := func(s int) {
-			shards[s].RecordBatch(pend[s][:fill[s]])
-			fill[s] = 0
-		}
-		// Each shard owns its frame buffers: a pending train must keep
-		// its bytes intact until its shard flushes, and shards fill at
-		// different rates.
-		shardBufs := make([][][]byte, cores)
-		for s := range shardBufs {
-			shardBufs[s] = make([][]byte, batch)
-			for i := range shardBufs[s] {
-				shardBufs[s][i] = benchFrame()
-			}
-		}
+		buf := benchFrame()
 		emit := func(fid, seq uint64, at sim.Time) {
-			s := int(fid) % cores
-			buf := shardBufs[s][fill[s]]
 			patchFlow(buf, fid)
 			Stamp(buf[framePayloadOff:], seq, at-70)
-			pend[s][fill[s]] = Frame{Data: buf, Rx: at}
-			fill[s]++
-			if fill[s] == batch {
-				flush(s)
-			}
+			shards[int(fid)%cores].Record(buf, at)
 		}
 		var at sim.Time
 		for p := uint64(0); p < passes; p++ {
@@ -399,29 +352,13 @@ func TestMillionFlowInvariance(t *testing.T) {
 				}
 			}
 		}
-		for s := 0; s < cores; s++ {
-			flush(s)
-		}
-		got := shards[0]
-		if cores > 1 {
-			got = NewTracker(cfg)
-			for _, s := range shards {
-				got.Merge(s)
-			}
-		}
-		return digest(got)
+		return digest(shards)
 	}
 
-	want := runConfig(1, 1)
-	for _, cores := range []int{1, 2, 4} {
-		for _, batch := range []int{1, 32} {
-			if cores == 1 && batch == 1 {
-				continue
-			}
-			if got := runConfig(cores, batch); got != want {
-				t.Fatalf("cores=%d batch=%d: digest %#x, want %#x (config diverged at 1M flows)",
-					cores, batch, got, want)
-			}
+	want := runConfig(1)
+	for _, cores := range []int{2, 4} {
+		if got := runConfig(cores); got != want {
+			t.Fatalf("cores=%d: digest %#x, want %#x (config diverged at 1M flows)", cores, got, want)
 		}
 	}
 }
