@@ -493,6 +493,83 @@ func TestRxMissedWhenRingFull(t *testing.T) {
 	if st.RxMissed != 6 {
 		t.Fatalf("missed = %d, want 6 (ring of 4)", st.RxMissed)
 	}
+
+	// A ring size that is not a power of two rounds up: 5 gives 8
+	// descriptors, so 2 of 10 back-to-back frames are missed.
+	eng = sim.NewEngine(14)
+	a = NewPort(eng, PortConfig{Profile: ChipX540, ID: 0})
+	b = NewPort(eng, PortConfig{Profile: ChipX540, ID: 1, RxRingSize: 5})
+	ConnectDuplex(eng, a, b, wire.PHY10GBaseT, 2)
+	q = a.GetTxQueue(0)
+	eng.Schedule(0, func() {
+		for i := 0; i < 10; i++ {
+			q.SendOne(makeUDP(pool, 60, 1))
+		}
+	})
+	eng.RunAll()
+	if st := b.CounterSnapshot(); st.RxMissed != 2 {
+		t.Fatalf("missed = %d, want 2 (ring of 5 rounds to 8)", st.RxMissed)
+	}
+}
+
+// TestTxRingRoundsUpToPow2: a descriptor ring size rounds up to the
+// next power of two, as rte_ring sizes do.
+func TestTxRingRoundsUpToPow2(t *testing.T) {
+	eng := sim.NewEngine(1)
+	p := NewPort(eng, PortConfig{Profile: ChipX540, TxRingSize: 5})
+	if got := p.GetTxQueue(0).Free(); got != 8 {
+		t.Fatalf("Free() = %d, want 8 (ring of 5 rounds to 8)", got)
+	}
+}
+
+// TestSendShortCountOnFullRing: Send onto a ring with less room than
+// the burst accepts the prefix that fits and returns its length
+// (rte_ring_enqueue_burst); only that prefix goes out, in order.
+func TestSendShortCountOnFullRing(t *testing.T) {
+	eng := sim.NewEngine(3)
+	a := NewPort(eng, PortConfig{Profile: ChipX540, ID: 0, TxRingSize: 8})
+	b := NewPort(eng, PortConfig{Profile: ChipX540, ID: 1})
+	ConnectDuplex(eng, a, b, wire.PHY10GBaseT, 2)
+	pool := mempool.New(mempool.Config{Count: 64})
+	q := a.GetTxQueue(0)
+	bufs := make([]*mempool.Mbuf, 10)
+	for i := range bufs {
+		bufs[i] = makeUDP(pool, 60, uint16(1000+i))
+	}
+	eng.Schedule(0, func() {
+		if n := q.Send(bufs[:3]); n != 3 {
+			t.Errorf("Send(3) on an empty ring = %d, want 3", n)
+		}
+		if n := q.Send(bufs[3:]); n != 5 {
+			t.Errorf("Send(7) with 5 free = %d, want 5", n)
+		}
+		if q.Free() != 0 {
+			t.Errorf("Free() = %d after filling the ring", q.Free())
+		}
+		if n := q.Send(bufs[8:]); n != 0 {
+			t.Errorf("Send onto a full ring = %d, want 0", n)
+		}
+	})
+	eng.RunAll()
+	for _, m := range bufs[8:] {
+		m.Free()
+	}
+	if got := a.CounterSnapshot().TxPackets; got != 8 {
+		t.Fatalf("tx packets = %d, want 8", got)
+	}
+	for i := 0; i < 8; i++ {
+		m, ok := recvOne(b.GetRxQueue(0))
+		if !ok {
+			t.Fatalf("received %d frames, want 8", i)
+		}
+		if got := (proto.UDPPacket{B: m.Payload()}).UDP().SrcPort(); got != uint16(1000+i) {
+			t.Fatalf("frame %d has source port %d, want %d", i, got, 1000+i)
+		}
+		m.Free()
+	}
+	if _, ok := recvOne(b.GetRxQueue(0)); ok {
+		t.Fatal("a refused buffer went out")
+	}
 }
 
 // Test82580TimestampAllRx: the GbE chip timestamps every received
