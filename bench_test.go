@@ -458,8 +458,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // BenchmarkRxBurstSteadyState is the batched RX hot path in isolation:
 // one 63-packet burst per op through the full receive pipeline — wire
-// delivery pulled by RecvBurst, the per-port receive pool, the SPSC
-// ring, RecvBurst into the port's BufArray, flow-tracker
+// delivery pulled by RecvBurst, the per-port receive pool, the receive
+// descriptor ring, RecvBurst into the port's BufArray, flow-tracker
 // attribution (key parse, sequence classification, inter-arrival
 // statistics) and batched recycling. The steady state allocates
 // nothing — the 0 allocs/op pin of the RX analysis subsystem.

@@ -94,7 +94,7 @@ type Forwarder struct {
 
 	pool *mempool.Pool
 
-	backlog ring.FIFO[queued]
+	backlog ring.Ring[queued]
 
 	polling      bool // interrupts are disabled while the poll runs
 	stalled      bool // fault injection: servicing paused (Stall/Restart)

@@ -198,8 +198,8 @@ func ConnectDuplex(eng *sim.Engine, a, b *Port, phy wire.PHYProfile, lengthM flo
 	a.Connect(wire.NewLink(eng, a.profile.Speed, phy, lengthM, b))
 	b.Connect(wire.NewLink(eng, b.profile.Speed, phy, lengthM, a))
 	a.in, b.in = b.link, a.link
-	a.in.SetCapacity(len(a.rxQueues) * a.rxQueues[0].ring.Cap())
-	b.in.SetCapacity(len(b.rxQueues) * b.rxQueues[0].ring.Cap())
+	a.in.SetCapacity(len(a.rxQueues) * a.rxQueues[0].size)
+	b.in.SetCapacity(len(b.rxQueues) * b.rxQueues[0].size)
 }
 
 // PullRx takes the due frames off the link into the receive path. Every

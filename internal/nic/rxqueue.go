@@ -13,21 +13,24 @@ import (
 type RxQueue struct {
 	port *Port
 	id   int
-	ring *ring.SPSC[*mempool.Mbuf]
+	ring ring.Ring[*mempool.Mbuf]
+	size int // descriptors: the ring holds at most size buffers
 }
 
 func newRxQueue(p *Port, id, ringSize int) *RxQueue {
-	return &RxQueue{port: p, id: id, ring: ring.NewSPSC[*mempool.Mbuf](ringSize)}
+	return &RxQueue{port: p, id: id, size: ceilPow2(ringSize)}
 }
 
 // deliver accepts one steered frame, or drops it (RxMissed) when the
 // descriptor ring is full — the tail drop happens at delivery, exactly
 // as on hardware.
 func (q *RxQueue) deliver(m *mempool.Mbuf) {
-	if !q.ring.EnqueueOne(m) {
+	if q.ring.Len() == q.size {
 		q.port.stats.RxMissed++
 		m.Free()
+		return
 	}
+	q.ring.Push(m)
 }
 
 // Port returns the owning port.
@@ -40,5 +43,19 @@ func (q *RxQueue) Port() *Port { return q.port }
 // returns them to the port's receive pool).
 func (q *RxQueue) RecvBurst(out []*mempool.Mbuf) int {
 	q.port.PullRx()
-	return q.ring.DequeueBurst(out)
+	n := min(len(out), q.ring.Len())
+	for i := range n {
+		out[i], _ = q.ring.Pop()
+	}
+	return n
+}
+
+// ceilPow2 rounds n up to the next power of two: descriptor rings come
+// in power-of-two sizes, so a 1000-entry ring has 1024 descriptors.
+func ceilPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }

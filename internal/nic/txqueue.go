@@ -3,12 +3,6 @@ package nic
 import (
 	"fmt"
 	"math/rand"
-	// The compiler inlines the generic descriptor rings' atomic index
-	// loads and stores (Peek, DequeueOne, EnqueueOne) into this
-	// package's instantiation only when the package imports sync/atomic
-	// itself; without it each is a call, ~40 ns per frame on overload4.
-	// CI's "ring inlining guard" step fails when the inlining is lost.
-	_ "sync/atomic"
 
 	"repro/internal/mempool"
 	"repro/internal/proto"
@@ -31,7 +25,8 @@ const DefaultTxTrain = 32
 type TxQueue struct {
 	port *Port
 	id   int
-	ring *ring.SPSC[*mempool.Mbuf]
+	ring ring.Ring[*mempool.Mbuf]
+	size int // descriptors: the ring holds at most size buffers
 
 	// Hardware rate control (per-queue CBR shaping, §7.2). interval
 	// is the target inter-departure time; 0 means line rate.
@@ -46,7 +41,7 @@ type TxQueue struct {
 }
 
 func newTxQueue(p *Port, id, ringSize int) *TxQueue {
-	return &TxQueue{port: p, id: id, ring: ring.NewSPSC[*mempool.Mbuf](ringSize)}
+	return &TxQueue{port: p, id: id, size: ceilPow2(ringSize)}
 }
 
 // Port returns the owning port.
@@ -78,7 +73,7 @@ func (q *TxQueue) SetRatePPS(pps float64) {
 }
 
 // Free returns the free descriptor slots.
-func (q *TxQueue) Free() int { return q.ring.Free() }
+func (q *TxQueue) Free() int { return q.size - q.ring.Len() }
 
 // Send enqueues the burst onto the descriptor ring and returns how many
 // were accepted — DPDK burst semantics: a full ring yields a short
@@ -87,7 +82,10 @@ func (q *TxQueue) Free() int { return q.ring.Free() }
 // modified after passing it to DPDK", §4.2); they are freed back to
 // their pool automatically, mirroring DPDK's recycling.
 func (q *TxQueue) Send(bufs []*mempool.Mbuf) int {
-	n := q.ring.EnqueueBurst(bufs)
+	n := min(len(bufs), q.Free())
+	for _, m := range bufs[:n] {
+		q.ring.Push(m)
+	}
 	if n > 0 {
 		q.port.kickPump()
 	}
@@ -97,11 +95,12 @@ func (q *TxQueue) Send(bufs []*mempool.Mbuf) int {
 // SendOne enqueues a single buffer. A buffer whose TxMeta.LaunchAt
 // lies ahead is held on the ring until then.
 func (q *TxQueue) SendOne(m *mempool.Mbuf) bool {
-	ok := q.ring.EnqueueOne(m)
-	if ok {
-		q.port.kickPump()
+	if q.ring.Len() == q.size {
+		return false
 	}
-	return ok
+	q.ring.Push(m)
+	q.port.kickPump()
+	return true
 }
 
 // held reports whether m waits on the ring for its launch time.
@@ -356,7 +355,7 @@ func (p *Port) evaluate(now sim.Time) int {
 			p.rearm(start)
 			return emitted
 		}
-		m, _ = sole.ring.DequeueOne()
+		m, _ = sole.ring.Pop()
 		sole.advance()
 		p.rrNext = (sole.id + 1) % len(p.txQueues)
 		p.transmitFrameAt(sole, m, start)
@@ -445,7 +444,7 @@ func (p *Port) pumpStep(now sim.Time) bool {
 	}
 
 	// Commit: dequeue and transmit.
-	m, _ = best.ring.DequeueOne()
+	m, _ = best.ring.Pop()
 	best.advance()
 	p.rrNext = (best.id + 1) % len(p.txQueues)
 	p.transmitFrameAt(best, m, start)

@@ -1,152 +1,77 @@
-// Package ring provides bounded lock-free FIFO queues in the style of
-// DPDK's rte_ring.
+// Package ring provides Ring, the simulator's FIFO queue: the NIC's
+// descriptor rings, a link's in-flight frames and the DuT forwarder's
+// driver backlog.
 //
-// SPSC (single producer, single consumer) is the ring behind the NIC
-// descriptor queues: MoonGen assigns each hardware queue to exactly
-// one task, so no queue has a second producer or consumer. It is a
-// fixed-capacity power-of-two ring with bulk enqueue/dequeue
-// operations, because batch processing is the fundamental technique
-// for high packet rates (paper §4.2: "Batch processing is an important
-// technique for high-speed packet processing").
-//
-// All operations are non-blocking: an enqueue into a full ring and a
-// dequeue from an empty ring return short counts rather than waiting,
-// mirroring DPDK's rte_ring_enqueue_burst semantics that make MoonGen's
-// queue:send/queue:recv loops work.
+// Every queue belongs to one engine and every task runs as a coroutine
+// of that engine, so a ring has exactly one goroutine and needs no
+// synchronisation. A Ring is unbounded; a user that models a bounded
+// hardware ring keeps its own bound, as the NIC does: a full
+// descriptor ring gives the short counts of DPDK's
+// rte_ring_enqueue_burst, which MoonGen's queue:send and queue:recv
+// loops are built on (paper §4.2).
 package ring
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// ceilPow2 rounds n up to the next power of two (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+// Ring is a single-goroutine FIFO queue over a circular buffer. The
+// zero value is an empty ring; it doubles its buffer when a push finds
+// it full and never shrinks, so a ring that has reached its working
+// depth pushes and pops without allocating. Popped slots are zeroed so
+// the ring never pins references.
+type Ring[T any] struct {
+	buf []T // power-of-two length, or nil
+	// head and tail run free: the ring holds tail-head items, and item
+	// i sits in slot (head+i) & (len(buf)-1).
+	head, tail uint
 }
 
-// SPSC is a single-producer single-consumer bounded queue. Exactly one
-// goroutine may call enqueue methods and exactly one may call dequeue
-// methods; the two may be different goroutines without further locking.
-type SPSC[T any] struct {
-	buf  []T
-	mask uint64
-	// head is the consumer position, tail the producer position.
-	// Padding keeps the two hot cachelines apart.
-	head atomic.Uint64
-	_    [7]uint64
-	tail atomic.Uint64
-	_    [7]uint64
+// Len returns the number of queued items.
+func (r *Ring[T]) Len() int { return int(r.tail - r.head) }
+
+// Push appends v.
+func (r *Ring[T]) Push(v T) {
+	if r.tail-r.head == uint(len(r.buf)) {
+		r.grow()
+	}
+	r.buf[r.tail&uint(len(r.buf)-1)] = v
+	r.tail++
 }
 
-// NewSPSC returns an SPSC ring with capacity rounded up to a power of
-// two. Capacity must be positive.
-func NewSPSC[T any](capacity int) *SPSC[T] {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("ring: invalid capacity %d", capacity))
-	}
-	n := ceilPow2(capacity)
-	return &SPSC[T]{buf: make([]T, n), mask: uint64(n - 1)}
-}
-
-// Cap returns the ring capacity.
-func (r *SPSC[T]) Cap() int { return len(r.buf) }
-
-// Len returns the number of queued items. It is a snapshot: with
-// concurrent producer/consumer it may be stale by the time it returns.
-func (r *SPSC[T]) Len() int {
-	return int(r.tail.Load() - r.head.Load())
-}
-
-// Free returns the remaining capacity (snapshot).
-func (r *SPSC[T]) Free() int { return r.Cap() - r.Len() }
-
-// EnqueueBurst adds up to len(items) items under one producer-index
-// publication and returns how many were added (possibly zero if the
-// ring is full). Items are added in order; on a short count, the prefix
-// items[:n] was added. This is rte_ring_enqueue_burst: the burst is the
-// unit of work, the short count is the backpressure signal.
-func (r *SPSC[T]) EnqueueBurst(items []T) int {
-	tail := r.tail.Load()
-	head := r.head.Load()
-	free := uint64(len(r.buf)) - (tail - head)
-	n := uint64(len(items))
-	if n > free {
-		n = free
-	}
-	if n == 0 {
-		return 0
-	}
-	for i := uint64(0); i < n; i++ {
-		r.buf[(tail+i)&r.mask] = items[i]
-	}
-	r.tail.Store(tail + n) // release: publishes the writes above
-	return int(n)
-}
-
-// EnqueueOne adds a single item, reporting whether there was room. It
-// is the direct single-item path (no burst slice), used by per-packet
-// senders.
-func (r *SPSC[T]) EnqueueOne(item T) bool {
-	tail := r.tail.Load()
-	if uint64(len(r.buf))-(tail-r.head.Load()) == 0 {
-		return false
-	}
-	r.buf[tail&r.mask] = item
-	r.tail.Store(tail + 1) // release: publishes the write above
-	return true
-}
-
-// DequeueBurst removes up to len(out) items into out under one
-// consumer-index publication and returns the count (possibly zero if
-// the ring is empty) — rte_ring_dequeue_burst.
-func (r *SPSC[T]) DequeueBurst(out []T) int {
-	head := r.head.Load()
-	tail := r.tail.Load()
-	avail := tail - head
-	n := uint64(len(out))
-	if n > avail {
-		n = avail
-	}
-	if n == 0 {
-		return 0
-	}
+// Pop removes and returns the head item, reporting whether there was
+// one.
+func (r *Ring[T]) Pop() (T, bool) {
 	var zero T
-	for i := uint64(0); i < n; i++ {
-		idx := (head + i) & r.mask
-		out[i] = r.buf[idx]
-		r.buf[idx] = zero // drop reference for GC
-	}
-	r.head.Store(head + n)
-	return int(n)
-}
-
-// DequeueOne removes a single item, reporting whether one was
-// available. It is the direct single-item path (no burst slice): the
-// MAC scheduler commits one frame at a time off the descriptor ring.
-func (r *SPSC[T]) DequeueOne() (T, bool) {
-	head := r.head.Load()
-	var zero T
-	if r.tail.Load() == head {
+	if r.head == r.tail {
 		return zero, false
 	}
-	idx := head & r.mask
-	v := r.buf[idx]
-	r.buf[idx] = zero // drop reference for GC
-	r.head.Store(head + 1)
+	i := r.head & uint(len(r.buf)-1)
+	v := r.buf[i]
+	r.buf[i] = zero
+	r.head++
 	return v, true
 }
 
-// Peek returns the item at the head without removing it.
-func (r *SPSC[T]) Peek() (T, bool) {
-	head := r.head.Load()
-	if r.tail.Load() == head {
+// Peek returns the head item without removing it, reporting whether
+// there was one.
+func (r *Ring[T]) Peek() (T, bool) {
+	if r.head == r.tail {
 		var zero T
 		return zero, false
 	}
-	return r.buf[head&r.mask], true
+	return r.buf[r.head&uint(len(r.buf)-1)], true
+}
+
+// At returns the i-th queued item (0 is the head); 0 <= i < Len().
+func (r *Ring[T]) At(i int) T { return r.buf[(r.head+uint(i))&uint(len(r.buf)-1)] }
+
+// grow doubles the buffer (to 8 slots at first) of a full ring. The
+// items from the head slot to the end of the old buffer keep their
+// slots; those that had wrapped round to its front move to just past
+// its end, and the slots they leave are zeroed. grow is kept this
+// small so that it inlines into Push and Push still inlines into its
+// callers.
+func (r *Ring[T]) grow() {
+	n := uint(len(r.buf))
+	r.head &= n - 1
+	r.tail = r.head + n
+	r.buf = append(r.buf, make([]T, max(n, 8))...)
+	clear(r.buf[:copy(r.buf[n:], r.buf[:r.head])])
 }

@@ -203,7 +203,7 @@ type Link struct {
 
 	// pending is the in-flight FIFO (a serial link preserves order);
 	// pulling guards Pull against re-entry.
-	pending ring.FIFO[delivery]
+	pending ring.Ring[delivery]
 	lastRx  sim.Time
 	pulling bool
 	pullCap int // due frames kept in flight (SetCapacity)
