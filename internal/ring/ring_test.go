@@ -6,11 +6,108 @@ import (
 	"testing/quick"
 )
 
-// TestRingModelProperty: any interleaving of Push, Pop, Peek and At
+// The TestSPSC* names are those of the tests of the bounded SPSC ring
+// that Ring replaced; each now checks the same behaviour of Ring.
+
+// TestSPSCBasic: items pop in push order, and a pop from an empty ring
+// (the zero value included) reports none and returns the zero value.
+func TestSPSCBasic(t *testing.T) {
+	var r Ring[int]
+	if v, ok := r.Pop(); ok || v != 0 {
+		t.Fatalf("pop from the zero ring = %d, %v", v, ok)
+	}
+	r.Push(1)
+	r.Push(2)
+	if r.Len() != 2 {
+		t.Fatalf("len = %d", r.Len())
+	}
+	for _, want := range []int{1, 2} {
+		if v, ok := r.Pop(); !ok || v != want {
+			t.Fatalf("pop = %d, %v, want %d", v, ok, want)
+		}
+	}
+	if v, ok := r.Pop(); ok || v != 0 {
+		t.Fatalf("pop from an emptied ring = %d, %v", v, ok)
+	}
+}
+
+// TestSPSCFull: a push onto a ring whose buffer is full grows it
+// instead of refusing, also when the items have wrapped round; the
+// descriptor bound is the NIC's (burst_test.go).
+func TestSPSCFull(t *testing.T) {
+	var r Ring[int]
+	for i := range 8 {
+		r.Push(i)
+	}
+	if r.Len() != len(r.buf) {
+		t.Fatalf("len %d, buffer %d: not full", r.Len(), len(r.buf))
+	}
+	for range 3 {
+		r.Pop()
+	}
+	for i := 8; i < 11; i++ {
+		r.Push(i) // wraps into the three popped slots: full again
+	}
+	r.Push(11)
+	if r.Len() != 9 || len(r.buf) != 16 {
+		t.Fatalf("len %d, buffer %d after pushing onto a full ring, want 9, 16", r.Len(), len(r.buf))
+	}
+	for want := 3; want < 12; want++ {
+		if v, ok := r.Pop(); !ok || v != want {
+			t.Fatalf("pop = %d, %v, want %d", v, ok, want)
+		}
+	}
+}
+
+// TestSPSCPeek: Peek returns the head without consuming it.
+func TestSPSCPeek(t *testing.T) {
+	var r Ring[string]
+	if _, ok := r.Peek(); ok {
+		t.Fatal("peek on empty ring")
+	}
+	r.Push("x")
+	r.Push("y")
+	if v, ok := r.Peek(); !ok || v != "x" {
+		t.Fatalf("peek = %q, %v", v, ok)
+	}
+	if r.Len() != 2 {
+		t.Fatal("peek consumed the item")
+	}
+	if v, _ := r.Pop(); v != "x" {
+		t.Fatalf("pop after peek = %q", v)
+	}
+}
+
+// TestSPSCWraparound: a ring that stays below its buffer's length
+// wraps round it without growing or allocating.
+func TestSPSCWraparound(t *testing.T) {
+	var r Ring[int]
+	round := 0
+	cycle := func() {
+		for i := range 3 {
+			r.Push(round*10 + i)
+		}
+		for i := range 3 {
+			if v, ok := r.Pop(); !ok || v != round*10+i {
+				t.Fatalf("round %d pop got %d, %v", round, v, ok)
+			}
+		}
+		round++
+	}
+	cycle() // first push allocates the 8-slot buffer
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per push/pop cycle at working depth", allocs)
+	}
+	if len(r.buf) != 8 {
+		t.Fatalf("buffer grew to %d slots at a depth of 3", len(r.buf))
+	}
+}
+
+// TestSPSCModelProperty: any interleaving of Push, Pop, Peek and At
 // behaves like a slice used as a queue. Runs of pushes grow the ring
 // several times over, and the pops between them leave the head in the
 // middle of the buffer, so grows also move wrapped items.
-func TestRingModelProperty(t *testing.T) {
+func TestSPSCModelProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		var r Ring[int]
 		var model []int
