@@ -138,3 +138,73 @@ func TestPayloadQueueDrainsArrivals(t *testing.T) {
 		}
 	}
 }
+
+// receiveCount drains c's arrivals through a count hook: the queue is
+// count-only.
+func receiveCount(c rxCase) rxRun {
+	var r rxRun
+	k, st := receiveArrivals(c, &core.PollRx{Count: func(n int, bytes uint64, now sim.Time) {
+		r.bursts = append(r.bursts, rxBurst{n, bytes, now})
+	}})
+	r.received, r.bytes, r.stats = k.Received, k.Bytes, st
+	if k.Queue.Port().RxPoolPeek() != nil {
+		panic("a count-only receiver built a receive pool")
+	}
+	return r
+}
+
+// TestCountOnlyQueueMatchesPayloadQueue is the differential test of the
+// two ways a receive queue holds frames: over the same seeded
+// arrivals, drained by the same kernel batch and poll, a count-only
+// queue counts exactly what a payload queue does — the same ring-full
+// drops, statistics registers, kernel counts and burst sequence, burst
+// by burst and instant by instant.
+func TestCountOnlyQueueMatchesPayloadQueue(t *testing.T) {
+	for _, c := range rxCases() {
+		want, got := receivePayload(c), receiveCount(c)
+		if got.received != want.received || got.bytes != want.bytes || got.stats != want.stats {
+			t.Fatalf("%v: count-only received %d / %d B, registers %+v; payload %d / %d B, %+v",
+				c, got.received, got.bytes, got.stats, want.received, want.bytes, want.stats)
+		}
+		if len(got.bursts) != len(want.bursts) {
+			t.Fatalf("%v: %d count-only bursts, %d payload bursts", c, len(got.bursts), len(want.bursts))
+		}
+		for i := range want.bursts {
+			if got.bursts[i] != want.bursts[i] {
+				t.Fatalf("%v: burst %d is %+v count-only, %+v payload", c, i, got.bursts[i], want.bursts[i])
+			}
+		}
+	}
+}
+
+// TestCountOnlyQueueHoldsNoBuffers: a count-only queue has no buffers
+// to hand out, and a queue that holds buffers cannot turn count-only.
+func TestCountOnlyQueueHoldsNoBuffers(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	app := core.NewApp(1)
+	tx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0})
+	rx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1})
+	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
+	q := rx.GetRxQueue(0)
+	q.SetCountOnly()
+	mustPanic("RecvBurst on a count-only queue", func() { q.RecvBurst(make([]*mempool.Mbuf, 4)) })
+
+	app = core.NewApp(1)
+	tx = app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0})
+	rx = app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1})
+	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
+	pool := mempool.New(mempool.Config{Count: 8})
+	tx.GetTxQueue(0).SendOne(pool.Alloc(60))
+	app.RunFor(10 * sim.Microsecond)
+	q = rx.GetRxQueue(0)
+	mustPanic("RecvCount on a payload queue", func() { q.RecvCount(4) })
+	mustPanic("SetCountOnly on a queue that holds a buffer", q.SetCountOnly)
+}

@@ -39,10 +39,11 @@ type Port struct {
 	rxQueues []*RxQueue
 	link     *wire.Link // outgoing side
 
-	// rxPool backs the receive buffers: every received frame takes
-	// one and the receiver's free returns it. The pool is created on
-	// first use: TX-only ports (the generators, a hooked DuT port)
-	// never pay for zeroing a receive slab they will not touch.
+	// rxPool backs the receive buffers: every frame received into a
+	// payload queue takes one and the receiver's free returns it. The
+	// pool is created on first use: TX-only ports (the generators, a
+	// hooked DuT port) and ports with only count-only queues never pay
+	// for zeroing a receive slab they will not touch.
 	rxPool     *mempool.Pool
 	rxPoolSize int
 
@@ -237,11 +238,13 @@ func (p *Port) GetRxQueue(i int) *RxQueue { return p.rxQueues[i] }
 // NumTxQueues returns the number of configured TX queues.
 func (p *Port) NumTxQueues() int { return len(p.txQueues) }
 
-// ensureRxPool creates the receive pool on first use.
-// Lazy creation is invisible to the simulation (pool construction
-// draws no randomness and schedules no events); it only avoids
-// allocating and zeroing megabytes of receive slab on ports that never
-// receive through the driver path.
+// ensureRxPool creates the receive pool on first use: the first frame
+// steered into a payload queue, or the first RxBufArray. Lazy creation
+// is invisible to the simulation (pool construction draws no
+// randomness and schedules no events); it only avoids allocating and
+// zeroing megabytes of receive slab on ports that never receive into
+// buffers: TX-only ports, and ports whose queues are all count-only
+// (RxQueue.SetCountOnly).
 func (p *Port) ensureRxPool() {
 	if p.rxPool == nil {
 		p.rxPool = mempool.New(mempool.Config{Count: p.rxPoolSize})
@@ -250,8 +253,9 @@ func (p *Port) ensureRxPool() {
 }
 
 // RxPoolPeek returns the receive mempool without forcing its lazy
-// creation — nil until the port first receives through the driver
-// path. Monitoring code samples through this so observing a TX-only
+// creation — nil until the port first receives into a payload queue,
+// and nil for good on a port whose queues are all count-only.
+// Monitoring code samples through this so observing a TX-only
 // port never materializes a receive slab it will not use.
 func (p *Port) RxPoolPeek() *mempool.Pool { return p.rxPool }
 
@@ -425,8 +429,13 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 	}
 
 	// 3. Steer into a receive queue, drop (missed) when pool or ring is
-	// full.
+	// full. A count-only queue takes the length alone: no buffer, no
+	// copy.
 	q := p.rxQueues[p.rssQueue(f.Data)]
+	if q.countOnly {
+		q.deliverLen(len(f.Data))
+		return
+	}
 	p.ensureRxPool()
 	m := p.rxPool.Alloc(len(f.Data))
 	if m == nil {

@@ -357,7 +357,7 @@ func (p *Port) evaluate(now sim.Time) int {
 		}
 		m, _ = sole.ring.Pop()
 		sole.advance()
-		p.rrNext = (sole.id + 1) % len(p.txQueues)
+		p.served(sole)
 		p.transmitFrameAt(sole, m, start)
 		emitted++
 	}
@@ -416,9 +416,12 @@ func (p *Port) pumpStep(now sim.Time) bool {
 	// queues share the wire round-robin, as the hardware arbiter does.
 	var best *TxQueue
 	var bestAt sim.Time
-	n := len(p.txQueues)
-	for i := 0; i < n; i++ {
-		q := p.txQueues[(p.rrNext+i)%n]
+	i := p.rrNext
+	for range p.txQueues {
+		q := p.txQueues[i]
+		if i++; i == len(p.txQueues) {
+			i = 0
+		}
 		m, ok := q.ring.Peek()
 		if !ok {
 			continue
@@ -446,9 +449,17 @@ func (p *Port) pumpStep(now sim.Time) bool {
 	// Commit: dequeue and transmit.
 	m, _ = best.ring.Pop()
 	best.advance()
-	p.rrNext = (best.id + 1) % len(p.txQueues)
+	p.served(best)
 	p.transmitFrameAt(best, m, start)
 	return true
+}
+
+// served moves the round-robin scan start past q, the queue just
+// served (a wrap without a division: pumpStep runs per frame).
+func (p *Port) served(q *TxQueue) {
+	if p.rrNext = q.id + 1; p.rrNext == len(p.txQueues) {
+		p.rrNext = 0
+	}
 }
 
 // transmitFrameAt performs the DMA fetch (checksum offloads), MAC-level

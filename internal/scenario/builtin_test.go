@@ -47,3 +47,23 @@ func TestLoadFlowRx(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainRxBuildsNoReceivePool: DrainRx reads no payload, so a load
+// scenario's sink takes no receive buffer — after a flood run its
+// receive pool, a 16384-buffer slab, was never built.
+func TestDrainRxBuildsNoReceivePool(t *testing.T) {
+	sc, _ := scenario.Get("flood")
+	spec := sc.DefaultSpec()
+	spec.Runtime = 2 * sim.Millisecond
+	env := scenario.NewEnv(spec, io.Discard)
+	rep, err := sc.Run(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RxPackets == 0 {
+		t.Fatal("flood received nothing")
+	}
+	if env.RX().RxPoolPeek() != nil {
+		t.Error("the flood sink built a receive pool")
+	}
+}

@@ -62,6 +62,19 @@ func (e *Env) Adopt(app *core.App) {
 	e.app = app
 }
 
+// Receive sizing of the two testbeds' sink ports. DrainRx and the DuT
+// bed's sink drain are count-only receivers (they read no payload), so
+// their frames take no receive buffer and the only drop is a full
+// ring. Each pool still holds at least a ring plus one drain burst:
+// a payload drain of the same traffic could not run its pool dry
+// before its ring filled either, so going count-only changed no count.
+// The Env's pool backs the flow sinks, which receive into buffers.
+const (
+	envRxRing, envRxPool         = 8192, 16384
+	dutSinkRxRing, dutSinkRxPool = 4096, 8192
+	drainBatch                   = 512
+)
+
 // build constructs the testbed once: engine, devices, duplex links,
 // optional DuT forwarder, and the probe timestamper path.
 func (e *Env) build() {
@@ -82,7 +95,7 @@ func (e *Env) build() {
 		e.tx, e.rx, e.dutIn, e.fwd, e.ts = bed.Gen, bed.Sink, bed.DuTIn, bed.Fwd, bed.TS
 	} else {
 		e.tx = e.app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0, TxQueues: txQueues})
-		e.rx = e.app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1, RxRing: 8192, RxPool: 16384})
+		e.rx = e.app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1, RxRing: envRxRing, RxPool: envRxPool})
 		e.app.ConnectDevices(e.tx, e.rx, wire.PHY10GBaseT, 2)
 	}
 	if len(e.Spec.Faults) > 0 {
@@ -209,12 +222,8 @@ func (e *Env) DrainRx() {
 		return
 	}
 	ctr := e.NewCounter("rx")
-	drain := &core.PollRx{Queue: e.rx.GetRxQueue(0), Batch: 512}
-	var counted uint64 // drain.Bytes at the last counter update
-	drain.Burst = func(bufs []*mempool.Mbuf, now sim.Time) {
-		ctr.Update(len(bufs), int(drain.Bytes-counted), now)
-		counted = drain.Bytes
-	}
+	drain := &core.PollRx{Queue: e.rx.GetRxQueue(0), Batch: drainBatch,
+		Count: func(n int, bytes uint64, now sim.Time) { ctr.Update(n, int(bytes), now) }}
 	e.app.LaunchTask("rx-drain", func(t *core.Task) {
 		drain.Run(t)
 		ctr.Finalize(t.Now())
@@ -352,7 +361,7 @@ func (e *Env) RunAndCollect(rep *Report) {
 
 // DuTBed is the forwarding testbed: generator → DuT → sink, with a
 // timestamping path from the generator's probe queue to the sink port
-// and a sink-drain task already running. It replaces the private bed
+// and a count-only sink-drain task already running. It replaces the private bed
 // builders the experiments used to carry.
 type DuTBed struct {
 	App    *core.App
@@ -374,13 +383,13 @@ func NewDuTBed(app *core.App, genTxQueues int) *DuTBed {
 	b.Gen = app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0, TxQueues: genTxQueues})
 	b.DuTIn = app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1})
 	b.DuTOut = app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 2})
-	b.Sink = app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 3, RxRing: 4096, RxPool: 8192})
+	b.Sink = app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 3, RxRing: dutSinkRxRing, RxPool: dutSinkRxPool})
 	app.ConnectDevices(b.Gen, b.DuTIn, wire.PHY10GBaseT, 2)
 	app.ConnectDevices(b.DuTOut, b.Sink, wire.PHY10GBaseT, 2)
 	b.Fwd = dut.New(app.Eng, b.DuTIn.Port, b.DuTOut.Port, dut.DefaultConfig())
 	b.TS = core.NewTimestamper(b.Gen.GetTxQueue(genTxQueues-1), b.Sink.Port)
 	b.TS.Timeout = 5 * sim.Millisecond
-	sink := &core.PollRx{Queue: b.Sink.GetRxQueue(0), Batch: 512}
+	sink := &core.PollRx{Queue: b.Sink.GetRxQueue(0), Batch: drainBatch} // count-only: no hook
 	app.LaunchTask("sink-drain", sink.Run)
 	return b
 }

@@ -213,3 +213,26 @@ func TestCollectDuTCountsInterruptsAtWindowEdge(t *testing.T) {
 		t.Errorf("DuT interrupt rate = %g Hz, want %g", got, want)
 	}
 }
+
+// TestDuTSinkBuildsNoReceivePool: the DuT bed's sink drain reads no
+// payload, so after a poisson run through the DuT the sink port's
+// receive pool was never built.
+func TestDuTSinkBuildsNoReceivePool(t *testing.T) {
+	sc, _ := scenario.Get("poisson")
+	spec := sc.DefaultSpec()
+	spec.UseDuT = true
+	spec.RateMpps = 1
+	spec.Probes = 20
+	spec.Runtime = 2 * sim.Millisecond
+	env := scenario.NewEnv(spec, nil)
+	rep, err := sc.Run(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RxPackets == 0 {
+		t.Fatal("the sink received nothing")
+	}
+	if env.RX().RxPoolPeek() != nil {
+		t.Error("the DuT sink built a receive pool")
+	}
+}
