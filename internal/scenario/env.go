@@ -65,10 +65,10 @@ func (e *Env) Adopt(app *core.App) {
 // Receive sizing of the two testbeds' sink ports. DrainRx and the DuT
 // bed's sink drain are count-only receivers (they read no payload), so
 // their frames take no receive buffer and the only drop is a full
-// ring. Each pool still holds at least a ring plus one drain burst:
-// a payload drain of the same traffic could not run its pool dry
-// before its ring filled either, so going count-only changed no count.
-// The Env's pool backs the flow sinks, which receive into buffers.
+// ring. Each pool holds at least a ring plus one drain burst, so a
+// payload drain of the same traffic could not run its pool dry before
+// its ring filled either: both drains count the same frames. The
+// Env's pool backs the flow sinks, which receive into buffers.
 const (
 	envRxRing, envRxPool         = 8192, 16384
 	dutSinkRxRing, dutSinkRxPool = 4096, 8192
@@ -213,6 +213,8 @@ func (e *Env) NewFlowPool(f Flow, size, count int) *mempool.Pool {
 // DrainRx launches the canonical receive-drain task so the sink's
 // rings never fill, streaming per-window rx counter lines to Env.Out
 // (the Listing 3 counter output the examples print while running).
+// The drain reads no payload: its Count hook makes the sink's queue
+// count-only, so no frame takes a receive buffer.
 // Scenarios that consume received traffic themselves must not call
 // it. With a DuT in the path the sink drain is already installed by
 // the bed.
@@ -361,8 +363,8 @@ func (e *Env) RunAndCollect(rep *Report) {
 
 // DuTBed is the forwarding testbed: generator → DuT → sink, with a
 // timestamping path from the generator's probe queue to the sink port
-// and a count-only sink-drain task already running. It replaces the private bed
-// builders the experiments used to carry.
+// and a count-only sink-drain task already running. It replaces the
+// private bed builders the experiments used to carry.
 type DuTBed struct {
 	App    *core.App
 	Gen    *core.Device

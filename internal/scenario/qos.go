@@ -46,6 +46,11 @@ func (qosScenario) DefaultSpec() Spec {
 
 func (qosScenario) Run(env *Env) (*Report, error) {
 	spec := env.Spec
+	if spec.UseDuT {
+		// The DuT bed starts its own sink drain, which would compete
+		// with the counter for the sink's queue.
+		return nil, fmt.Errorf("qos needs the direct duplex testbed, not the DuT path")
+	}
 	flows := spec.EffectiveFlows()
 	app := env.App()
 	tx, rx := env.TX(), env.RX()

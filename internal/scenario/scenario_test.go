@@ -236,3 +236,18 @@ func TestDuTSinkBuildsNoReceivePool(t *testing.T) {
 		t.Error("the DuT sink built a receive pool")
 	}
 }
+
+// TestRxConsumingScenariosRejectDuT: a scenario that drains the sink's
+// queue itself cannot run through the DuT, whose bed already drains
+// that queue (count-only); it is refused before anything runs.
+func TestRxConsumingScenariosRejectDuT(t *testing.T) {
+	for _, name := range []string{"qos", "churn", "reorder", "loss-overload"} {
+		sc, _ := scenario.Get(name)
+		spec := sc.DefaultSpec()
+		spec.UseDuT = true
+		spec.Runtime = sim.Millisecond
+		if _, err := scenario.Execute(name, spec, io.Discard); err == nil || !strings.Contains(err.Error(), "direct duplex testbed") {
+			t.Errorf("%s with the DuT: err %v, want the direct-testbed refusal", name, err)
+		}
+	}
+}

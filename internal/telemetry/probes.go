@@ -13,7 +13,10 @@ import (
 // snapshot event runs on the port's engine, so it sees every packet
 // counted before it at its instant. The model columns are
 // functions of the modeled wire; rx_pool_avail is the port's receive
-// pool occupancy, a diagnostic (it varies with drain batching).
+// pool occupancy, a diagnostic (it varies with drain batching). It
+// reads 0 on a port that has no receive pool: a TX-only port, or one
+// whose receivers are all count-only (core.PollRx with no payload
+// hook).
 func PortProbe(name string, p *nic.Port) Probe {
 	return Probe{Name: name, Cols: []Column{
 		{Name: "tx_pkts", Rule: RuleSum, Sample: func() uint64 { return p.CounterSnapshot().TxPackets }},
