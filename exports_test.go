@@ -43,7 +43,6 @@ var exportAllowlist = map[string]string{
 	"rate.GapFiller.Debt":               "unrepresented gap debt of the CRC-gap filler",
 	"fault.Injector.Scheduled":          "number of fault events armed from a schedule",
 	"fault.Injector.LastRecoveryNS":     "recovery instant of the last fault",
-	"ptpclk.Clock.Tick":                 "clock register granularity",
 	"ptpclk.Clock.Offset":               "offset from true time, what the drift and clock-step tests observe",
 	"flow.Tracker.Flows":                "every per-flow record in key order, what the flow and flow-sink tests inspect",
 	"mempool.Pool.Count":                "pool size, the Available == Count leak check",

@@ -124,9 +124,10 @@ func (ts *Timestamper) Probe(t *Task) (lat sim.Duration, ok bool) {
 // (default: back-to-back after completion, the 1/RTT limit). The pacing
 // is dithered by a few microseconds so probe instants sample arrival
 // grids uniformly: an undithered software loop quantizes to its polling
-// granularity and phase-locks against periodic load.
+// granularity and phase-locks against periodic load. The histogram's
+// resolution is the receive port's timestamp tick.
 func (ts *Timestamper) MeasureLatency(t *Task, count int, interval sim.Duration) *stats.Histogram {
-	h := stats.NewHistogram(sim.Nanosecond)
+	h := stats.NewHistogram(ts.RxPort.Clock.Tick())
 	ts.MeasureLatencyInto(t, count, interval, h.Add)
 	return h
 }

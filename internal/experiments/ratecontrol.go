@@ -215,9 +215,10 @@ var probeKey = flow.Key{
 // timestamp latches, not from payload stamps, so they are fed in via
 // AddLatency rather than through a tracker's Record path. Probes are
 // spread across the window after warmup (≤ 0 selects the default 5%
-// ramp-up allowance).
+// ramp-up allowance). The histogram's resolution is the receive port's
+// timestamp tick, as in Timestamper.MeasureLatency.
 func (b *dutBed) measureLatency(probes int, window, warmup sim.Duration) *flow.Stats {
-	fs := &flow.Stats{Key: probeKey}
+	fs := &flow.Stats{Key: probeKey, Latency: stats.NewHistogram(b.TS.RxPort.Clock.Tick())}
 	if warmup <= 0 {
 		warmup = window / 20
 	}

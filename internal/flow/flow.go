@@ -144,7 +144,7 @@ type Config struct {
 	SeqWindow int
 	// Latency enables per-flow latency histograms from stamped transmit
 	// times. Off by default: the steady-state RX loop then performs no
-	// histogram-sample appends at all.
+	// histogram work at all.
 	Latency bool
 }
 
@@ -188,7 +188,9 @@ type Stats struct {
 
 // AddLatency records one latency sample for the flow — the entry point
 // for measurements whose latency comes from a side channel (hardware
-// timestamped probes) rather than from payload stamps.
+// timestamped probes) rather than from payload stamps. The histogram
+// it creates has 1 ns bins; a caller whose samples have another
+// resolution (a PTP tick) sets Latency first.
 func (fs *Stats) AddLatency(d sim.Duration) {
 	if fs.Latency == nil {
 		fs.Latency = stats.NewHistogram(latencyBinWidth)
@@ -292,8 +294,9 @@ type Tracker struct {
 	Unparsed uint64
 }
 
-// latencyBinWidth is the per-flow latency histogram bin width:
-// percentiles are exact while the per-flow sample cap holds.
+// latencyBinWidth is the per-flow latency histogram's declared
+// resolution: percentiles are the stamped latencies floored to the
+// nanosecond.
 const latencyBinWidth = sim.Nanosecond
 
 // ceilPow2 rounds n up to the next power of two (minimum 64).

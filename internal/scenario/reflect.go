@@ -115,9 +115,10 @@ func (reflectScenario) Run(env *Env) (*Report, error) {
 	app.LaunchTask("responder", responder.Run)
 
 	// Collector: the generator's receive side matches replies and
-	// recovers the embedded send time for the RTT histogram.
+	// recovers the embedded send time for the RTT histogram, whose
+	// samples are software poll instants at 1 ns resolution.
 	var echoReplies, arpReplies uint64
-	rtt := stats.NewHistogram(64 * sim.Nanosecond)
+	rtt := stats.NewHistogram(sim.Nanosecond)
 	collector := &core.PollRx{Queue: tx.GetRxQueue(0), Batch: 256, Poll: sim.Microsecond,
 		Burst: func(bufs []*mempool.Mbuf, now sim.Time) {
 			for _, m := range bufs {

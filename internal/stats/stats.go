@@ -203,8 +203,13 @@ func (c *Counter) MppsStats() (mean, std float64) { return c.pktRate.Mean(), c.p
 
 // Histogram is a fixed-bin-width histogram over durations, the tool
 // behind Figure 8 (inter-arrival times, 64 ns bins) and the latency
-// distributions of Figures 10/11. It also tracks exact order statistics
-// via a sample buffer for percentile queries.
+// distributions of Figures 10/11. BinWidth is the resolution the data
+// is declared to have — the PTP timestamp tick for hardware-stamped
+// probes, 1 ns for software stamps, 64 ns for Figure 8 — and bucket
+// counts at that width are the only store: every query answers from
+// them with one rule, and a sample on the bucket grid is answered
+// exactly. Its size is fixed: a 64 KiB dense window plus 32 B per
+// outlier bucket.
 type Histogram struct {
 	BinWidth sim.Duration
 
@@ -214,8 +219,7 @@ type Histogram struct {
 	// an array increment — no map hashing and no allocation. Samples
 	// outside the window fall back to the sparse map; bins is nil
 	// until the first outlier, so well-behaved distributions never
-	// allocate it. Bin keys and counts are identical to the map-only
-	// implementation, so every CSV and percentile is unchanged.
+	// allocate it.
 	dense   []uint64
 	denseLo int64
 
@@ -231,17 +235,6 @@ type Histogram struct {
 	sumsq float64
 	min   sim.Duration
 	max   sim.Duration
-
-	// samples retains raw values for exact percentiles. Capped to
-	// avoid unbounded growth; above the cap, percentiles come from
-	// bins (precision = BinWidth, fine for 64 ns bins).
-	// samples[:sortedN] is ascending; a query sorts only the tail
-	// recorded since the previous one and merges it in through
-	// scratch, which is reused from query to query.
-	samples    []sim.Duration
-	maxSamples int
-	sortedN    int
-	scratch    []sim.Duration
 }
 
 // denseBins is the width of the dense bucket window (64 kB of
@@ -252,23 +245,31 @@ type Histogram struct {
 // the map instead of growing the array.
 const denseBins = 8192
 
-// NewHistogram creates a histogram with the given bin width (64 ns in
-// the paper's measurements).
+// NewHistogram creates a histogram whose declared resolution is
+// binWidth (64 ns in the paper's measurements).
 func NewHistogram(binWidth sim.Duration) *Histogram {
 	if binWidth <= 0 {
 		binWidth = 64 * sim.Nanosecond
 	}
 	return &Histogram{
-		BinWidth:   binWidth,
-		min:        math.MaxInt64,
-		max:        math.MinInt64,
-		maxSamples: 1 << 20,
+		BinWidth: binWidth,
+		min:      math.MaxInt64,
+		max:      math.MinInt64,
 	}
 }
 
-// binKey returns the bucket index of d (truncating division, exactly
-// as the map keys have always been computed).
-func (h *Histogram) binKey(d sim.Duration) int64 { return int64(d) / int64(h.BinWidth) }
+// floorDiv returns ⌊a/b⌋ for b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
+}
+
+// binKey returns the bucket index of d: the bucket's lower edge
+// k·BinWidth is the largest grid point not above d.
+func (h *Histogram) binKey(d sim.Duration) int64 { return floorDiv(int64(d), int64(h.BinWidth)) }
 
 // anchorDense places the dense window around the first observed key:
 // a quarter of the window below (distributions skew upward from their
@@ -312,17 +313,12 @@ func (h *Histogram) Add(d sim.Duration) {
 		h.max = d
 	}
 	h.addBin(h.binKey(d), 1)
-	if len(h.samples) < h.maxSamples {
-		h.samples = append(h.samples, d)
-	}
 }
 
 // Merge folds other into h so that h describes the union of both
-// sample sets. Bin counts, count, sum, sum of squares and min/max
-// combine exactly; raw samples are carried over up to h's sample cap,
-// so percentiles stay exact as long as the merged histogram remains
-// under the cap (above it they degrade to bin precision, as always).
-// Bin widths must match. other is not modified.
+// sample sets: bin counts, count, sum, sum of squares and min/max
+// combine exactly, so a merged histogram answers every query as the
+// unsharded one would. Bin widths must match. other is not modified.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.count == 0 {
 		return
@@ -346,26 +342,19 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.denseLo = other.denseLo
 	}
 	other.eachBin(func(k int64, v uint64) { h.addBin(k, v) })
-	if room := h.maxSamples - len(h.samples); room > 0 {
-		take := other.samples
-		if len(take) > room {
-			take = take[:room]
-		}
-		h.samples = append(h.samples, take...)
-	}
 }
 
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// FootprintBytes returns the histogram's resident memory: the dense
-// bucket window, the retained sample buffer and its merge scratch, and
-// an estimate for the sparse overflow map (per-entry key+count plus
-// bucket overhead, and the entry's slot in the sorted key list). The
-// flow tracker uses it to account lazily created per-flow histograms
-// in its table-footprint diagnostics.
+// FootprintBytes returns the histogram's resident memory: the fixed
+// 64 KiB dense window (once a sample has arrived) plus an estimate of
+// 32 B per outlier bucket (the sparse map entry's key, count and
+// bucket overhead, and its slot in the sorted key list). The flow
+// tracker uses it to account lazily created per-flow histograms in its
+// table-footprint diagnostics.
 func (h *Histogram) FootprintBytes() uint64 {
-	return uint64(len(h.dense))*8 + uint64(cap(h.samples)+cap(h.scratch))*8 + uint64(len(h.bins))*32
+	return uint64(len(h.dense))*8 + uint64(len(h.bins))*32
 }
 
 // Mean returns the sample mean.
@@ -395,74 +384,19 @@ func (h *Histogram) Min() sim.Duration { return h.min }
 // Max returns the largest sample.
 func (h *Histogram) Max() sim.Duration { return h.max }
 
-// ensureSorted makes samples ascending. Only the tail recorded since
-// the last query is sorted; it is then merged into the sorted prefix
-// backwards and in place: each new sample, largest first, gallops down
-// the prefix to its slot and the prefix run above it moves up in one
-// copy. A query thus costs its new samples plus one move of the prefix
-// above the smallest of them, not a re-sort of the whole history.
-func (h *Histogram) ensureSorted() {
-	s, n := h.samples, h.sortedN
-	h.sortedN = len(s)
-	tail := s[n:]
-	if len(tail) == 0 {
-		return
-	}
-	slices.Sort(tail)
-	if n == 0 || s[n-1] <= tail[0] {
-		return
-	}
-	h.scratch = append(h.scratch[:0], tail...)
-	hi := n // s[:hi] is the prefix not yet moved
-	for j := len(h.scratch) - 1; j >= 0; j-- {
-		v := h.scratch[j]
-		lo := gallopAbove(s[:hi], v)
-		copy(s[lo+j+1:hi+j+1], s[lo:hi])
-		s[lo+j] = v
-		hi = lo
-	}
-}
-
-// gallopAbove returns the index of the first value above v in the
-// ascending s, probing back from the end in doubling steps and then
-// bisecting the last step. Its cost grows with the log of the distance
-// from the end, so placing descending values one after another in
-// shrinking prefixes costs the gaps between them, not the prefix.
-func gallopAbove(s []sim.Duration, v sim.Duration) int {
-	lo, hi := len(s)-1, len(s) // s[hi:] is above v
-	for step := 1; lo > 0 && s[lo] > v; step *= 2 {
-		hi = lo
-		lo = max(len(s)-2*step, 0)
-	}
-	lo = max(lo, 0)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if s[m] > v {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
-}
-
-// Percentile returns the p-th percentile (0 < p ≤ 100).
+// Percentile returns the p-th percentile (0 ≤ p ≤ 100): the lower edge
+// of the bucket holding the sample of rank ⌊p/100·(count−1)⌋ in
+// ascending order — that sample itself when it lies on the bucket grid.
 func (h *Histogram) Percentile(p float64) sim.Duration {
 	if h.count == 0 {
 		return 0
 	}
-	if uint64(len(h.samples)) == h.count {
-		h.ensureSorted()
-		idx := int(p / 100 * float64(len(h.samples)-1))
-		return h.samples[idx]
-	}
-	// Bin-based fallback.
-	target := uint64(p / 100 * float64(h.count))
+	rank := min(uint64(p/100*float64(h.count-1)), h.count-1)
 	var cum uint64
-	q := h.max
+	var q sim.Duration
 	h.eachBinAscending(func(k int64, c uint64) bool {
 		cum += c
-		if cum >= target {
+		if cum > rank {
 			q = sim.Duration(k * int64(h.BinWidth))
 			return false
 		}
@@ -477,23 +411,12 @@ func (h *Histogram) Quartiles() (q1, q2, q3 sim.Duration) {
 	return h.Percentile(25), h.Percentile(50), h.Percentile(75)
 }
 
-// FractionWithin returns the fraction of samples within ±tol of center,
-// the Table 4 bucket metric (±64/128/256/512 ns around the target
-// inter-arrival time).
-func (h *Histogram) FractionWithin(center, tol sim.Duration) float64 {
+// fractionOfKeys returns the fraction of samples whose bucket key lies
+// in [lo, hi].
+func (h *Histogram) fractionOfKeys(lo, hi int64) float64 {
 	if h.count == 0 {
 		return 0
 	}
-	if uint64(len(h.samples)) == h.count {
-		n := 0
-		for _, s := range h.samples {
-			if s >= center-tol && s <= center+tol {
-				n++
-			}
-		}
-		return float64(n) / float64(h.count)
-	}
-	lo, hi := int64(center-tol)/int64(h.BinWidth), int64(center+tol)/int64(h.BinWidth)
 	var cum uint64
 	h.eachBin(func(k int64, v uint64) {
 		if k >= lo && k <= hi {
@@ -503,29 +426,20 @@ func (h *Histogram) FractionWithin(center, tol sim.Duration) float64 {
 	return float64(cum) / float64(h.count)
 }
 
+// FractionWithin returns the fraction of samples within ±tol of center,
+// the Table 4 bucket metric (±64/128/256/512 ns around the target
+// inter-arrival time). It counts the buckets whose lower edge lies in
+// [center−tol, center+tol], which is exact for samples on the grid.
+func (h *Histogram) FractionWithin(center, tol sim.Duration) float64 {
+	w := int64(h.BinWidth)
+	return h.fractionOfKeys(-floorDiv(-int64(center-tol), w), floorDiv(int64(center+tol), w))
+}
+
 // FractionBelow returns the fraction of samples ≤ limit — the
-// micro-burst metric (inter-arrival ≤ back-to-back time).
+// micro-burst metric (inter-arrival ≤ back-to-back time) — counting
+// the buckets whose lower edge is ≤ limit.
 func (h *Histogram) FractionBelow(limit sim.Duration) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if uint64(len(h.samples)) == h.count {
-		n := 0
-		for _, s := range h.samples {
-			if s <= limit {
-				n++
-			}
-		}
-		return float64(n) / float64(h.count)
-	}
-	key := int64(limit) / int64(h.BinWidth)
-	var cum uint64
-	h.eachBin(func(k int64, v uint64) {
-		if k <= key {
-			cum += v
-		}
-	})
-	return float64(cum) / float64(h.count)
+	return h.fractionOfKeys(math.MinInt64, h.binKey(limit))
 }
 
 // Bin is one histogram bucket.
