@@ -60,13 +60,20 @@ func (a *App) TxPoolPeek() *mempool.Pool { return a.txPool }
 type Task struct {
 	*sim.Proc
 	app *App
+
+	// sendQ is the queue a blocked SendAll waits on; txReady, the
+	// prebound check of its polls, reads it.
+	sendQ   *nic.TxQueue
+	txReady func() bool
 }
 
 // LaunchTask starts fn as a new task — mg.launchLua("slave", args...)
 // with the args captured by the closure.
 func (a *App) LaunchTask(name string, fn func(t *Task)) {
 	p := a.Eng.Spawn(name, func(p *sim.Proc) {
-		fn(&Task{Proc: p, app: a})
+		t := &Task{Proc: p, app: a}
+		t.txReady = t.txRoom
+		fn(t)
 	})
 	a.tasks = append(a.tasks, p)
 }
@@ -84,7 +91,10 @@ func (a *App) Now() sim.Time { return a.Eng.Now() }
 
 // backoff is the polling interval for busy-wait loops. DPDK
 // applications busy-poll (§5.1); one µs keeps simulated polling cheap
-// while staying far below any timing scale under test.
+// while staying far below any timing scale under test. The waits that
+// only re-check a condition (SendAll's full ring, a probe's timestamp
+// registers) poll it with Proc.Poll, in the engine; the idle receive
+// poll and the dry-pool retry sleep, since their wake does the work.
 const backoff = sim.Microsecond
 
 // SendAll enqueues the whole burst, busy-waiting while the descriptor
@@ -94,7 +104,9 @@ const backoff = sim.Microsecond
 // boundary is checked before each push, so the frames handed to the
 // NIC are exactly those pushed while the run was live — independent of
 // how the caller grouped them into bursts, which is what pins the
-// batch-size invariance of the transmit counters.
+// batch-size invariance of the transmit counters. The wait polls the
+// ring every backoff in the engine (Proc.Poll), so a retry that would
+// find the ring still full costs the task no wake.
 func (t *Task) SendAll(q *nic.TxQueue, bufs []*mempool.Mbuf) int {
 	sent := 0
 	for {
@@ -109,7 +121,13 @@ func (t *Task) SendAll(q *nic.TxQueue, bufs []*mempool.Mbuf) int {
 		}
 		sent += q.Send(bufs[sent:])
 		if sent < len(bufs) {
-			t.Sleep(backoff)
+			t.sendQ = q
+			t.Poll(backoff, t.txReady)
+			t.sendQ = nil
 		}
 	}
 }
+
+// txRoom is SendAll's poll check: the retry it would make sends a frame
+// or sees the run end.
+func (t *Task) txRoom() bool { return !t.Running() || t.sendQ.Free() > 0 }

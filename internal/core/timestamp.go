@@ -31,6 +31,14 @@ type Timestamper struct {
 	seq   uint16
 	txBuf [1]*mempool.Mbuf // reusable send slot: no per-probe slice alloc
 
+	// The running probe's wait: its engine and deadline, the timestamps
+	// read so far, and tsReady, the prebound check of its polls.
+	eng            *sim.Engine
+	deadline       sim.Time
+	txTS, rxTS     sim.Time
+	haveTx, haveRx bool
+	tsReady        func() bool
+
 	// Lost counts probes that timed out.
 	Lost uint64
 }
@@ -38,13 +46,15 @@ type Timestamper struct {
 // NewTimestamper builds a timestamper for the given path.
 func NewTimestamper(txq *nic.TxQueue, rxPort *nic.Port) *Timestamper {
 	rxPort.EnableTimestamps(0)
-	return &Timestamper{
+	ts := &Timestamper{
 		TxQueue: txq,
 		RxPort:  rxPort,
 		PktSize: 60,
 		Timeout: sim.Millisecond,
 		pool:    mempool.New(mempool.Config{Count: 64}),
 	}
+	ts.tsReady = ts.done
+	return ts
 }
 
 // Probe sends one timestamped packet and returns the measured one-way
@@ -96,27 +106,39 @@ func (ts *Timestamper) Probe(t *Task) (lat sim.Duration, ok bool) {
 	}
 	ts.txBuf[0] = nil
 
-	deadline := t.Now().Add(ts.Timeout)
-	var txTS, rxTS sim.Time
-	var haveTx, haveRx bool
-	for t.Now() < deadline {
-		if !haveTx {
-			if v, seq, ok2 := txPort.ReadTxTimestamp(); ok2 && seq == ts.seq {
-				txTS, haveTx = v, true
-			}
-		}
-		if !haveRx {
-			if v, seq, ok2 := ts.RxPort.ReadRxTimestamp(); ok2 && seq == ts.seq {
-				rxTS, haveRx = v, true
-			}
-		}
-		if haveTx && haveRx {
-			return rxTS.Sub(txTS), true
-		}
-		t.Sleep(backoff)
+	// Busy-poll both registers every backoff until the deadline. The
+	// first read is the task's own; the later ones run in the engine
+	// (Proc.Poll), so a poll that finds a register empty wakes no task.
+	ts.eng, ts.deadline = t.Engine(), t.Now().Add(ts.Timeout)
+	ts.haveTx, ts.haveRx = false, false
+	if !ts.done() {
+		t.Poll(backoff, ts.tsReady)
+	}
+	if ts.haveTx && ts.haveRx {
+		return ts.rxTS.Sub(ts.txTS), true
 	}
 	ts.Lost++
 	return 0, false
+}
+
+// done is one poll of a probe's wait: past the deadline it gives up,
+// else it reads each register still missing this probe's timestamp and
+// reports whether both are in.
+func (ts *Timestamper) done() bool {
+	if ts.eng.Now() >= ts.deadline {
+		return true
+	}
+	if !ts.haveTx {
+		if v, seq, ok := ts.TxQueue.Port().ReadTxTimestamp(); ok && seq == ts.seq {
+			ts.txTS, ts.haveTx = v, true
+		}
+	}
+	if !ts.haveRx {
+		if v, seq, ok := ts.RxPort.ReadRxTimestamp(); ok && seq == ts.seq {
+			ts.rxTS, ts.haveRx = v, true
+		}
+	}
+	return ts.haveTx && ts.haveRx
 }
 
 // MeasureLatency runs count probes and collects a histogram — the

@@ -371,13 +371,10 @@ func (p *Port) classifyPTP(data []byte) (seq uint16, match bool) {
 	return 0, false
 }
 
-// rssQueue steers a frame to a receive queue by hashing the IP/port
-// 5-tuple (Receive Side Scaling, §3.3).
+// rssQueue steers a frame to one of a multi-queue port's receive
+// queues by hashing the IP/port 5-tuple (Receive Side Scaling, §3.3).
 func (p *Port) rssQueue(data []byte) int {
 	n := len(p.rxQueues)
-	if n == 1 {
-		return 0
-	}
 	var h uint32 = 2166136261
 	mix := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
 	if len(data) >= proto.EthHdrLen+proto.IPv4HdrLen &&
@@ -431,7 +428,10 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 	// 3. Steer into a receive queue, drop (missed) when pool or ring is
 	// full. A count-only queue takes the length alone: no buffer, no
 	// copy.
-	q := p.rxQueues[p.rssQueue(f.Data)]
+	q := p.rxQueues[0]
+	if len(p.rxQueues) > 1 {
+		q = p.rxQueues[p.rssQueue(f.Data)]
+	}
 	if q.countOnly {
 		q.deliverLen(len(f.Data))
 		return

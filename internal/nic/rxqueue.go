@@ -43,13 +43,13 @@ func (q *RxQueue) deliver(m *mempool.Mbuf) {
 }
 
 // deliverLen is deliver for a count-only queue: the descriptor holds
-// the frame length only.
+// the frame length only. SetCountOnly sized the ring to its
+// descriptors, so the push never grows it and the call inlines into
+// DeliverFrame.
 func (q *RxQueue) deliverLen(n int) {
-	if q.lens.Len() == q.size {
+	if !q.lens.TryPush(uint32(n), q.size) {
 		q.port.stats.RxMissed++
-		return
 	}
-	q.lens.Push(uint32(n))
 }
 
 // Port returns the owning port.
@@ -65,6 +65,7 @@ func (q *RxQueue) SetCountOnly() {
 		panic("nic: SetCountOnly on a receive queue that holds buffers")
 	}
 	q.countOnly = true
+	q.lens.Reserve(q.size)
 }
 
 // RecvBurst fills out with received buffers and returns the count

@@ -506,10 +506,14 @@ func (p *Port) transmitFrameAt(q *TxQueue, m *mempool.Mbuf, start sim.Time) {
 		}
 	}
 
+	// A frame the receiving MAC drops unread (bad FCS, runt) carries
+	// only its length and FCS verdict: no copy of the CRC-gap fillers.
 	f := p.link.AcquireFrame()
-	f.Data = append(f.Data, data...)
 	f.WireSize = m.Len + proto.FCSLen
 	f.CRCOK = !meta.InvalidCRC
+	if f.Valid() {
+		f.Data = append(f.Data, data...)
+	}
 	busyUntil := p.link.TransmitAt(f, start)
 	p.lastTxStart = start
 	p.hasTxStart = true

@@ -35,6 +35,38 @@ func (r *Ring[T]) Push(v T) {
 	r.tail++
 }
 
+// TryPush appends v unless the ring holds limit items or its buffer is
+// full, reporting whether it did. It never grows the ring, so it
+// inlines where Push does not: a bounded ring that Reserve sized to its
+// bound refuses a push only at the bound.
+func (r *Ring[T]) TryPush(v T, limit int) bool {
+	n := r.tail - r.head
+	if n >= uint(limit) || n == uint(len(r.buf)) {
+		return false
+	}
+	r.buf[r.tail&uint(len(r.buf)-1)] = v
+	r.tail++
+	return true
+}
+
+// Reserve grows the buffer, keeping the queued items, so that it holds
+// at least n items.
+func (r *Ring[T]) Reserve(n int) {
+	if n <= len(r.buf) {
+		return
+	}
+	size := max(len(r.buf), 8)
+	for size < n {
+		size <<= 1
+	}
+	buf := make([]T, size)
+	l := r.Len()
+	for i := range l {
+		buf[i] = r.At(i)
+	}
+	r.buf, r.head, r.tail = buf, 0, uint(l)
+}
+
 // Pop removes and returns the head item, reporting whether there was
 // one.
 func (r *Ring[T]) Pop() (T, bool) {

@@ -189,3 +189,50 @@ func TestPopZeroesSlot(t *testing.T) {
 		}
 	}
 }
+
+// TestTryPushBounded: after Reserve, TryPush refuses only at its limit,
+// keeps FIFO order across wrap-around and never grows the buffer; a
+// Reserve of a ring that holds wrapped items keeps them in order; and
+// TryPush on a ring too small for its limit refuses at the buffer's
+// end rather than overwrite.
+func TestTryPushBounded(t *testing.T) {
+	var r Ring[int]
+	r.Reserve(5)
+	if len(r.buf) != 8 {
+		t.Fatalf("Reserve(5) made %d slots, want 8", len(r.buf))
+	}
+	next, want := 0, 0
+	for round := 0; round < 20; round++ {
+		for r.TryPush(next, 5) {
+			next++
+		}
+		if r.Len() != 5 {
+			t.Fatalf("round %d: TryPush refused at %d items, want 5", round, r.Len())
+		}
+		for range 1 + round%5 {
+			if v, _ := r.Pop(); v != want {
+				t.Fatalf("round %d: pop = %d, want %d", round, v, want)
+			}
+			want++
+		}
+	}
+	if len(r.buf) != 8 {
+		t.Fatalf("TryPush grew the buffer to %d slots", len(r.buf))
+	}
+
+	r.Reserve(20)
+	if len(r.buf) != 32 {
+		t.Fatalf("Reserve(20) made %d slots, want 32", len(r.buf))
+	}
+	for r.Len() > 0 {
+		if v, _ := r.Pop(); v != want {
+			t.Fatalf("after Reserve: pop = %d, want %d", v, want)
+		}
+		want++
+	}
+
+	var small Ring[int]
+	if small.TryPush(1, 4) {
+		t.Fatal("TryPush onto a ring without a buffer succeeded")
+	}
+}

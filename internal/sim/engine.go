@@ -21,6 +21,7 @@ type Engine struct {
 	stopped bool
 	procs   int    // live processes, for diagnostics
 	events  uint64 // total events fired, for diagnostics
+	wakes   uint64 // process resumes, for diagnostics
 
 	// firing is the sequence of the event being fired (noEvent outside
 	// one), until the instant the current Run returns at, deferred the
@@ -229,6 +230,9 @@ type SchedStats struct {
 	// crowding beyond the singleton fast path. Singleton slot fires
 	// never materialize a buffer and so do not register here.
 	MaxSlotDepth int
+	// ProcWakes counts process resumes: the events that ran process
+	// code. A Poll check that fails runs in its event without one.
+	ProcWakes uint64
 	// Pending is the current number of scheduled events.
 	Pending int
 }
@@ -240,6 +244,7 @@ func (e *Engine) SchedStats() SchedStats {
 		EventsProcessed: e.events,
 		WheelPromotions: e.wheel.promotions,
 		MaxSlotDepth:    e.wheel.maxDepth,
+		ProcWakes:       e.wakes,
 		Pending:         e.Pending(),
 	}
 }

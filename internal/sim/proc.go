@@ -8,7 +8,7 @@ import (
 // Proc is a cooperatively scheduled simulation process.
 //
 // A process is a coroutine that the engine resumes directly: the engine
-// wakes it, the process executes until it blocks in Sleep (or
+// wakes it, the process executes until it blocks in Sleep or Poll (or
 // returns), and only then does the engine resume the event loop. Control
 // passes by a coroutine switch, not through the Go scheduler. At most one
 // process (or event callback) executes at a time, so the simulation
@@ -28,6 +28,12 @@ type Proc struct {
 	// dispatchFn is the prebound wake-up callback: Sleep/SleepUntil on
 	// the hot path schedule it without allocating a closure per park.
 	dispatchFn func()
+
+	// pollFn is the prebound poll event of a parked Poll, which checks
+	// pollReady every pollStep.
+	pollFn    func()
+	pollStep  Duration
+	pollReady func() bool
 }
 
 // Spawn starts fn as a new simulation process at the current simulated
@@ -41,6 +47,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	p.dispatchFn = func() { e.dispatch(p) }
+	p.pollFn = func() { e.poll(p) }
 	e.procs++
 	// First wake-up happens as a normal event at the current time, so
 	// Spawn itself never runs user code.
@@ -61,10 +68,23 @@ func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
 	}
+	e.wakes++
 	if _, ok := p.next(); !ok {
 		p.dead = true
 		e.procs--
 	}
+}
+
+// poll is one poll event of a parked Poll: it resumes the process when
+// its check passes, else schedules the next poll a step later, exactly
+// where the process's own Sleep would have.
+func (e *Engine) poll(p *Proc) {
+	if p.pollReady() {
+		p.pollReady = nil
+		e.dispatch(p)
+		return
+	}
+	e.Schedule(e.now.Add(p.pollStep), p.pollFn)
 }
 
 // park returns control to the engine and blocks until the engine
@@ -101,5 +121,32 @@ func (p *Proc) SleepUntil(t Time) {
 	}
 	e := p.eng
 	e.ScheduleProc(t, p)
+	p.park()
+}
+
+// Poll suspends the process until ready reports true, checking it every
+// step of simulated time from now. It is the busy-wait loop
+//
+//	for {
+//		p.Sleep(step)
+//		if ready() {
+//			break
+//		}
+//	}
+//
+// with the check run by the engine in the event where the process would
+// have woken: the events, their times and their Schedule sequence
+// numbers are those of the loop, and the process resumes once, in the
+// first event whose check passes, instead of at every step. ready runs
+// in engine context while the process is parked, so it must not block;
+// it should be prebound (a field or method value), not a fresh closure
+// per call, to keep the hot path free of allocations.
+func (p *Proc) Poll(step Duration, ready func() bool) {
+	if step < 0 {
+		panic(fmt.Sprintf("sim: %s: negative poll step %v", p.name, step))
+	}
+	e := p.eng
+	p.pollStep, p.pollReady = step, ready
+	e.Schedule(e.now.Add(step), p.pollFn)
 	p.park()
 }

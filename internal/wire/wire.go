@@ -120,7 +120,9 @@ func (p PHYProfile) PathLatency(lengthM float64) sim.Duration {
 // records whether the FCS was valid when the MAC emitted it (the §8
 // rate-control filler frames are emitted with CRCOK=false). WireSize is
 // the frame size including FCS — possibly below the legal 64 B minimum
-// for short filler frames.
+// for short filler frames. Data is empty for a frame that fails Valid:
+// the receiving MAC drops such a frame reading only its length and FCS
+// verdict, so the sending MAC copies no bytes into it.
 //
 // Frames are recycled by the link once pulled: Data is valid only for
 // the duration of the DeliverFrame call unless the consumer calls
@@ -316,9 +318,10 @@ func (l *Link) TransmitAt(f *Frame, start sim.Time) sim.Time {
 }
 
 // AcquireFrame returns a recycled (or fresh) frame for transmission.
-// The MAC fills Data/WireSize/CRCOK and hands it to TransmitAt; the
-// link recycles it after delivery, or at Release if the consumer
-// Retains it. A recycled frame keeps its Data capacity, length zero.
+// The MAC fills WireSize/CRCOK (and Data, for a valid frame) and hands
+// it to TransmitAt; the link recycles it after delivery, or at Release
+// if the consumer Retains it. A recycled frame keeps its Data capacity,
+// length zero.
 func (l *Link) AcquireFrame() *Frame {
 	n := len(l.freeFrames)
 	if n == 0 {
