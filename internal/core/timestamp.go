@@ -16,6 +16,9 @@ import (
 // in flight at a time (1 pkt/RTT, §6.4), clocks are resynchronized
 // before every probe to neutralize drift (§6.3), and probes are layer-2
 // PTP packets by default because those have no minimum-size restriction.
+// A probe busy-polls the two latch registers every backoff until its
+// Timeout, through Proc.Poll: a poll that finds a register empty
+// runs in the engine and wakes no task.
 type Timestamper struct {
 	TxQueue *nic.TxQueue
 	RxPort  *nic.Port
