@@ -458,11 +458,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // BenchmarkRxBurstSteadyState is the batched RX hot path in isolation:
 // one 63-packet burst per op through the full receive pipeline — wire
-// delivery pulled by RecvBurst, the per-port receive pool, the receive
-// descriptor ring, RecvBurst into the port's BufArray, flow-tracker
-// attribution (key parse, sequence classification, inter-arrival
-// statistics) and batched recycling. The steady state allocates
-// nothing — the 0 allocs/op pin of the RX analysis subsystem.
+// delivery pulled by RecvBurst, the port's receive buffer count, the
+// receive descriptor ring, RecvBurst's views into 63 reused headers,
+// flow-tracker attribution (key parse, sequence classification,
+// inter-arrival statistics) and the burst's release. The steady state
+// allocates nothing — the 0 allocs/op pin of the RX analysis subsystem.
 func BenchmarkRxBurstSteadyState(b *testing.B) {
 	app := core.NewApp(22)
 	tx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0})
@@ -478,7 +478,7 @@ func BenchmarkRxBurstSteadyState(b *testing.B) {
 	const payloadOff = proto.EthHdrLen + proto.IPv4HdrLen + proto.UDPHdrLen
 	q := tx.GetTxQueue(0)
 	ba := pool.BufArray(63)
-	rxba := rx.RxBufArray(63)
+	views := make([]*mempool.Mbuf, 63)
 	rxq := rx.GetRxQueue(0)
 	tr := flow.NewTracker(flow.Config{})
 	var seq uint64
@@ -493,14 +493,14 @@ func BenchmarkRxBurstSteadyState(b *testing.B) {
 		app.Eng.Schedule(app.Eng.Now(), send)
 		app.Eng.RunAll() // transmit and deliver the burst
 		for {
-			n := rxq.RecvBurst(rxba.Bufs)
+			n := rxq.RecvBurst(views)
 			if n == 0 {
 				break
 			}
-			for _, m := range rxba.Slice(n) {
+			for _, m := range views[:n] {
 				tr.Record(m.Payload(), sim.Time(m.RxMeta.Arrival))
 			}
-			rxba.FreeAll()
+			rxq.Release()
 		}
 		ba.Clear(cur)
 	}

@@ -197,8 +197,8 @@ func TestReflectorRoundTrip(t *testing.T) {
 					corrupt++
 				}
 				echoed++
-				e.Free()
 			}
+			a.GetRxQueue(0).Release()
 			tk.Sleep(2 * sim.Microsecond)
 		}
 		// Final drain.
@@ -214,8 +214,8 @@ func TestReflectorRoundTrip(t *testing.T) {
 					corrupt++
 				}
 				echoed++
-				e.Free()
 			}
+			a.GetRxQueue(0).Release()
 		}
 	})
 	app.RunFor(sim.Second)

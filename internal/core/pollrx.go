@@ -9,14 +9,15 @@ import (
 
 // PollRx is the poll-mode receive kernel, the RX counterpart of
 // BurstTx and the paper's Listing 3 counter slave (§4.2): receive a
-// burst, inspect it, free it. Every receiver runs on it; what a
+// burst, inspect it, release it. Every receiver runs on it; what a
 // receiver does with its traffic is its hook, of one of two kinds. A
-// payload hook (Burst) sees the burst's buffers, received into a
-// BufArray over the port's receive pool. A count hook (Count), or no
-// hook at all, makes the receiver count-only: its queue holds frame
-// lengths and takes no buffer (nic.RxQueue.SetCountOnly), as MoonGen's
-// device counters count traffic without receiving it in software. The
-// steady-state loop performs no allocations.
+// payload hook (Burst) sees the burst as views of the received frames
+// (nic.RxQueue.RecvBurst) in headers the kernel owns, one per burst
+// slot. A count hook (Count), or no hook at all, makes the receiver
+// count-only: its queue holds frame lengths and takes no buffer
+// (nic.RxQueue.SetCountOnly), as MoonGen's device counters count
+// traffic without receiving it in software. The steady-state loop
+// performs no allocations.
 type PollRx struct {
 	Queue *nic.RxQueue
 	// Batch is the receive burst size (default DefaultTxBatch, so one
@@ -31,8 +32,9 @@ type PollRx struct {
 	// first empty poll at or after the run end.
 	Drain sim.Duration
 	// Burst inspects one received burst at the instant now. Received
-	// and Bytes already count the burst; the kernel frees the buffers
-	// when Burst returns.
+	// and Bytes already count the burst; the kernel releases the
+	// frames (nic.RxQueue.Release) when Burst returns, so the buffers
+	// are views valid only during the call.
 	Burst func(bufs []*mempool.Mbuf, now sim.Time)
 	// Count sees one received burst of n frames and bytes bytes at
 	// the instant now, for a receiver that reads no payload. Received
@@ -54,12 +56,12 @@ func (r *PollRx) Run(t *Task) {
 	if poll <= 0 {
 		poll = 20 * sim.Microsecond
 	}
-	var ba *mempool.BufArray // nil: count-only
+	var bufs []*mempool.Mbuf // nil: count-only
 	if r.Burst != nil {
 		if r.Count != nil {
 			panic("core: PollRx with both a Burst and a Count hook")
 		}
-		ba = r.Queue.Port().RxBufArray(batch)
+		bufs = make([]*mempool.Mbuf, batch) // RecvBurst fills in the headers
 	} else {
 		r.Queue.SetCountOnly()
 	}
@@ -67,9 +69,9 @@ func (r *PollRx) Run(t *Task) {
 	for {
 		var n int
 		var bytes uint64
-		if ba != nil {
-			n = r.Queue.RecvBurst(ba.Bufs)
-			for _, m := range ba.Slice(n) {
+		if bufs != nil {
+			n = r.Queue.RecvBurst(bufs)
+			for _, m := range bufs[:n] {
 				bytes += uint64(m.Len)
 			}
 		} else {
@@ -78,9 +80,9 @@ func (r *PollRx) Run(t *Task) {
 		if n > 0 {
 			r.Received += uint64(n)
 			r.Bytes += bytes
-			if ba != nil {
-				r.Burst(ba.Slice(n), t.Now())
-				ba.FreeAll()
+			if bufs != nil {
+				r.Burst(bufs[:n], t.Now())
+				r.Queue.Release()
 			} else if r.Count != nil {
 				r.Count(n, bytes, t.Now())
 			}

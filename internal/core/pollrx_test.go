@@ -121,3 +121,41 @@ func TestPollRxReceivesEveryAdmittedFrameProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowPayloadReceiverSteadyStateAllocs: a payload receiver that
+// polls slower than its ring fills holds a full ring of wire frames at
+// each poll and releases them all at once, burst by burst. The link
+// takes every released frame back for the sender to reuse, so the
+// steady state allocates nothing.
+func TestSlowPayloadReceiverSteadyStateAllocs(t *testing.T) {
+	app := NewApp(29)
+	tx := app.ConfigDevice(DeviceConfig{Profile: nic.ChipX540, ID: 0})
+	rx := app.ConfigDevice(DeviceConfig{Profile: nic.ChipX540, ID: 1, RxRing: 8192, RxPool: 16384})
+	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
+	b := &BurstTx{Queue: tx.GetTxQueue(0), Bufs: CreateMemPool(2048, udpPrefill(60)).BufArray(32), Size: 60}
+	app.LaunchTask("send", b.Run)
+	var bytes uint64
+	k := &PollRx{Queue: rx.GetRxQueue(0), Batch: 512, Poll: sim.Millisecond, // the ring fills in 0.55 ms
+		Burst: func(bufs []*mempool.Mbuf, _ sim.Time) {
+			for _, m := range bufs {
+				bytes += uint64(len(m.Payload()))
+			}
+		}}
+	app.LaunchTask("rx", k.Run)
+	app.Eng.SetRunFor(sim.Second)
+	until := sim.Time(3 * sim.Millisecond)
+	app.Eng.Run(until) // fill the ring, warm the free lists
+	allocs := testing.AllocsPerRun(10, func() {
+		until = until.Add(sim.Millisecond)
+		app.Eng.Run(until)
+	})
+	app.Eng.Stop()
+	app.Eng.RunAll()
+	if allocs != 0 {
+		t.Fatalf("a slow payload receiver allocates %.2f times per poll, want 0", allocs)
+	}
+	if st := rx.CounterSnapshot(); st.RxMissed == 0 || k.Received < 8192*10 || bytes != k.Bytes {
+		t.Fatalf("received %d frames (%d B read, %d counted), missed %d: the ring never filled",
+			k.Received, bytes, k.Bytes, st.RxMissed)
+	}
+}

@@ -443,7 +443,7 @@ func (t *Tracker) Record(data []byte, rx sim.Time) bool {
 		t.Unparsed++
 		return false
 	}
-	fs := t.Flow(k)
+	fs := t.table.flow(k, k.hash())
 	if fs.Received == 0 {
 		t.active++
 	}

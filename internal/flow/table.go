@@ -18,8 +18,8 @@ import "unsafe"
 // grows, which move slots, never records. Each chunk carries a
 // parallel block of seq-window bitmap words, sub-sliced per record, so
 // a flow costs two allocations per 4096 flows and, with a 64-packet
-// window, ~184 bytes in all. Lookup and insert share one probe loop
-// (find).
+// window, ~184 bytes in all. Lookup, hit and insert share one probe
+// loop (find), which inlines.
 //
 // Growth. The table doubles when an insert would push the load factor
 // over 3/4, re-slotting every key by its stored tag. Growth cost is
@@ -96,20 +96,20 @@ func (ft *flowTable) at(ref int32) *Stats {
 }
 
 // find runs the linear probe for k from its home slot. h must be
-// k.hash(). It returns k's record, or — when k is absent — the empty
-// slot that ends k's probe chain and the chain's length counting that
-// slot, which is where and at what probe length k would be inserted.
-func (ft *flowTable) find(k Key, h uint64) (fs *Stats, empty *slot, probe int) {
+// k.hash(). It returns k's record, or — when k is absent — nil and the
+// index of the empty slot that ends k's probe chain, which is where k
+// would be inserted. It inlines, so a lookup or a hit costs no call.
+func (ft *flowTable) find(k Key, h uint64) (*Stats, uint64) {
 	mask := uint64(len(ft.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		probe++
-		s := &ft.slots[i]
+	for i := h; ; i++ {
+		i &= mask
+		s := ft.slots[i]
 		if s.ref == 0 {
-			return nil, s, probe
+			return nil, i
 		}
 		if s.tag == uint32(h) {
 			if fs := ft.at(s.ref); fs.Key == k {
-				return fs, nil, probe
+				return fs, i
 			}
 		}
 	}
@@ -117,28 +117,33 @@ func (ft *flowTable) find(k Key, h uint64) (fs *Stats, empty *slot, probe int) {
 
 // lookup returns the record for k, or nil. h must be k.hash().
 func (ft *flowTable) lookup(k Key, h uint64) *Stats {
-	fs, _, _ := ft.find(k, h)
+	fs, _ := ft.find(k, h)
 	return fs
 }
 
 // flow returns the record for k, inserting it on first sight. h must
-// be k.hash(). The hit path is free of any allocation or growth check:
-// growth is decided only when the probe ends at the empty slot that
-// would receive a new key, and a grow moves that slot, so the probe
-// runs again in the doubled table.
+// be k.hash(). The hit path is find alone, inlined: allocation and
+// growth stay out of line in insert.
 func (ft *flowTable) flow(k Key, h uint64) *Stats {
-	fs, s, probe := ft.find(k, h)
-	if fs != nil {
-		return fs
+	fs, i := ft.find(k, h)
+	if fs == nil {
+		fs = ft.insert(k, h, i)
 	}
+	return fs
+}
+
+// insert adds k, absent from the table, at the empty slot i that ended
+// its probe, which a grow moves: the probe then runs again.
+func (ft *flowTable) insert(k Key, h, i uint64) *Stats {
 	if ft.used+1 > len(ft.slots)/4*3 {
 		ft.grow()
-		_, s, probe = ft.find(k, h)
+		_, i = ft.find(k, h)
 	}
+	s := &ft.slots[i]
 	s.tag = uint32(h)
 	s.ref = ft.newRecord(k)
 	ft.used++
-	if probe > ft.maxProbe {
+	if probe := int((i-h)&uint64(len(ft.slots)-1)) + 1; probe > ft.maxProbe {
 		ft.maxProbe = probe
 	}
 	return ft.at(s.ref)

@@ -25,8 +25,10 @@ const DefaultBufSize = 2048
 const DefaultBatchSize = 63 // MoonGen's default bufArray size
 
 // Mbuf is a packet buffer. Data is the full data room; the live packet
-// occupies Data[:Len]. The zero Mbuf is not usable; buffers come from a
-// Pool.
+// occupies Data[:Len]. A buffer to send comes from a Pool. A received
+// packet arrives in a header its receiver owns (nic.RxQueue.RecvBurst),
+// as a view of the frame the NIC holds: it has no pool, and its Data is
+// valid only until the receiver releases the frame.
 type Mbuf struct {
 	Data []byte // full data room, fixed size
 	Len  int    // current packet length
@@ -133,12 +135,10 @@ type Pool struct {
 	free []int // indices of free buffers, LIFO for cache locality
 
 	// owed holds sent buffers not yet reclaimed from owedHead on,
-	// sorted by completion (instant, then arm sequence); sync is the
-	// SetSync hook.
+	// sorted by completion (instant, then arm sequence).
 	owed     []Sent
 	owedHead int
 	eng      *sim.Engine
-	sync     func()
 
 	allocs uint64
 	frees  uint64
@@ -204,22 +204,10 @@ func New(cfg Config) *Pool {
 // Count returns the total number of buffers in the pool.
 func (p *Pool) Count() int { return len(p.bufs) }
 
-// SetSync installs fn to run before every operation on the pool, so a
-// producer that fills buffers lazily (a port pulling its arrivals)
-// catches up first. fn may re-enter the pool.
-func (p *Pool) SetSync(fn func()) { p.sync = fn }
-
-func (p *Pool) runSync() {
-	if p.sync != nil {
-		p.sync()
-	}
-}
-
-// catchUp runs the sync hook and reclaims the owed buffers that are due:
-// the step before every pool operation. A pool the NIC never sent from
-// (a receive pool) owes nothing and skips the reclaim.
+// catchUp reclaims the owed buffers that are due: the step before
+// every pool operation. A pool the NIC has nothing owed from skips the
+// reclaim.
 func (p *Pool) catchUp() {
-	p.runSync()
 	if p.owedHead < len(p.owed) {
 		p.reclaim()
 	}
@@ -365,27 +353,6 @@ func (a *BufArray) Alloc(size int) int {
 	return a.pool.AllocBatch(a.Bufs, size)
 }
 
-// FreeAll returns every non-nil buffer to its pool and clears the
-// slots (bufs:freeAll()). The array's pool catches up once for the
-// whole burst: nothing its sync hook or reclaim would do changes
-// between two frees at one instant.
-func (a *BufArray) FreeAll() {
-	if a.pool != nil {
-		a.pool.catchUp()
-	}
-	for i, m := range a.Bufs {
-		if m == nil {
-			continue
-		}
-		if m.pool == a.pool {
-			a.pool.putOne(m)
-		} else {
-			m.Free()
-		}
-		a.Bufs[i] = nil
-	}
-}
-
 // Clear drops the first n references without freeing (the buffers were
 // handed to the NIC): the reuse step between bursts.
 func (a *BufArray) Clear(n int) {
@@ -395,5 +362,5 @@ func (a *BufArray) Clear(n int) {
 }
 
 // Slice returns the first n buffers, the shape used after a short
-// receive: rx := queue.RecvBurst(bufs); for _, b := range bufs.Slice(rx) {...}
+// allocation: n := bufs.Alloc(size); for _, b := range bufs.Slice(n) {...}
 func (a *BufArray) Slice(n int) []*Mbuf { return a.Bufs[:n] }

@@ -144,49 +144,6 @@ func TestAllocBatchExhaustion(t *testing.T) {
 	}
 }
 
-// TestPoolSyncsOnce: every pool operation runs the sync hook exactly
-// once, a dry allocation and a whole-burst FreeAll included, and an
-// allocation sees what the hook freed.
-func TestPoolSyncsOnce(t *testing.T) {
-	p := New(Config{Count: 4})
-	bufs := make([]*Mbuf, 4)
-	if n := p.AllocBatch(bufs, 60); n != 4 {
-		t.Fatalf("alloc batch = %d", n)
-	}
-	syncs := 0
-	p.SetSync(func() { syncs++ })
-	if m := p.Alloc(60); m != nil {
-		t.Fatal("alloc from exhausted pool succeeded")
-	}
-	if n := p.AllocBatch(bufs[:1], 60); n != 0 {
-		t.Fatalf("dry AllocBatch = %d, want 0", n)
-	}
-	bufs[3].Free()
-	p.Available()
-	if syncs != 4 {
-		t.Fatalf("four pool operations ran the sync hook %d times, want 4", syncs)
-	}
-	ba := p.BufArray(3)
-	copy(ba.Bufs, bufs[:3])
-	syncs = 0
-	ba.FreeAll()
-	if syncs != 1 {
-		t.Fatalf("FreeAll of a 3-buffer burst ran the sync hook %d times, want 1", syncs)
-	}
-	if n := p.AllocBatch(bufs, 60); n != 4 { // empty the pool again
-		t.Fatalf("alloc batch after FreeAll = %d, want 4", n)
-	}
-	p.SetSync(func() {
-		if m := bufs[0]; m != nil {
-			bufs[0] = nil
-			m.Free() // re-enters the pool, as a lazily pulling producer does
-		}
-	})
-	if m := p.Alloc(60); m == nil {
-		t.Fatal("alloc after the sync hook freed a buffer failed")
-	}
-}
-
 func TestBufArrayAllocFree(t *testing.T) {
 	p := New(Config{Count: 128, BufSize: 256})
 	ba := p.BufArray(32)
@@ -202,13 +159,16 @@ func TestBufArrayAllocFree(t *testing.T) {
 			t.Fatalf("pkt len = %d", m.Len)
 		}
 	}
-	ba.FreeAll()
+	for _, m := range ba.Slice(n) {
+		m.Free()
+	}
+	ba.Clear(n)
 	if p.Available() != 128 {
-		t.Fatalf("avail = %d after FreeAll", p.Available())
+		t.Fatalf("avail = %d after freeing the burst", p.Available())
 	}
 	for _, m := range ba.Bufs {
 		if m != nil {
-			t.Fatal("FreeAll left a buffer slot set")
+			t.Fatal("Clear left a buffer slot set")
 		}
 	}
 }
@@ -292,7 +252,8 @@ func BenchmarkAllocFreeBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ba.Alloc(60)
-		ba.FreeAll()
+		for _, m := range ba.Slice(ba.Alloc(60)) {
+			m.Free()
+		}
 	}
 }

@@ -102,11 +102,13 @@ func TestCountersVisibleAfterRxDrop(t *testing.T) {
 }
 
 // TestRxBufferConservation floods a port and drains it in bursts
-// (RxBufArray/FreeAll). Every receive buffer stays accounted for, at
-// any instant and with nothing to flush: the pool's free buffers plus
-// the frames still in the ring are the whole pool. It runs with a pool
-// smaller than the ring (drops from a dry pool) and a ring smaller
-// than the pool (drops from a full ring).
+// (RecvBurst/Release). Every receive buffer stays accounted for, at
+// every drain step and with nothing to flush: the port's free buffers
+// plus the frames in the ring plus the frames handed out and not yet
+// released are RxPoolSize, and a released frame is no longer retained
+// by anyone. It runs with a pool smaller than the ring
+// (drops from a dry pool) and a ring smaller than the pool (drops from
+// a full ring).
 func TestRxBufferConservation(t *testing.T) {
 	for _, c := range []struct{ pool, ring int }{{96, 512}, {4096, 64}} {
 		eng := sim.NewEngine(33)
@@ -117,16 +119,26 @@ func TestRxBufferConservation(t *testing.T) {
 		eng.Spawn("tx", func(p *sim.Proc) { pumpQueue(p, pool, a.GetTxQueue(0), 60, 3) })
 		rxq := b.GetRxQueue(0)
 		conserved := func(when string) {
-			if got, want := b.rxPool.Available()+pending(rxq), b.rxPool.Count(); got != want {
-				t.Fatalf("pool %d ring %d %s: %d free + %d in the ring, pool holds %d",
-					c.pool, c.ring, when, b.rxPool.Available(), pending(rxq), want)
+			free, ring := b.RxPoolAvail(), pending(rxq)
+			if got := free + ring + len(rxq.held); got != c.pool {
+				t.Fatalf("pool %d ring %d %s: %d free + %d in the ring + %d held, want %d",
+					c.pool, c.ring, when, free, ring, len(rxq.held), c.pool)
 			}
 		}
 		eng.Spawn("drain", func(p *sim.Proc) {
-			ba := b.RxBufArray(32)
+			out := make([]*mempool.Mbuf, 32)
+			var burst []*wire.Frame
 			for p.Running() {
-				rxq.RecvBurst(ba.Bufs)
-				ba.FreeAll()
+				if rxq.RecvBurst(out) > 0 {
+					conserved("holding a burst")
+				}
+				burst = append(burst[:0], rxq.held...)
+				rxq.Release()
+				for _, f := range burst {
+					if stillRetained(f) {
+						t.Fatalf("pool %d ring %d: a released frame is still retained", c.pool, c.ring)
+					}
+				}
 				conserved("mid-run")
 				p.Sleep(3 * sim.Microsecond) // slower than line rate: the backlog grows
 			}
@@ -138,4 +150,12 @@ func TestRxBufferConservation(t *testing.T) {
 			t.Fatalf("pool %d ring %d: no frame dropped", c.pool, c.ring)
 		}
 	}
+}
+
+// stillRetained reports whether f is retained, by releasing it:
+// Release panics on a frame that is not.
+func stillRetained(f *wire.Frame) (retained bool) {
+	defer func() { retained = recover() == nil }()
+	f.Release()
+	return
 }

@@ -25,7 +25,7 @@ type rxRun struct {
 	received uint64
 	bytes    uint64
 	stats    nic.Stats
-	pooled   bool // the receiving port built its receive pool
+	pooled   bool // the receiving port reports free receive buffers
 }
 
 // rxCase is one seeded arrival sequence and the kernel that drains it.
@@ -34,22 +34,33 @@ type rxCase struct {
 	ring  int // RxRingSize of the receiving port
 	batch int
 	poll  sim.Duration
+	pool  int         // RxPoolSize of the receiving port (0: 4096)
+	chip  nic.Profile // both ports (zero: the X540 on 10GBASE-T)
 }
 
 func (c rxCase) String() string {
-	return fmt.Sprintf("seed=%d ring=%d batch=%d poll=%v", c.seed, c.ring, c.batch, c.poll)
+	return fmt.Sprintf("seed=%d ring=%d batch=%d poll=%v pool=%d chip=%s",
+		c.seed, c.ring, c.batch, c.poll, c.pool, c.chip.Name)
 }
 
 // receiveArrivals cables a generator to a receiver whose one queue has
 // c.ring descriptors and sends a seeded arrival sequence: runs of
 // back-to-back frames of random sizes (a run may be several rings
 // long, so the ring overflows) separated by random idle gaps. The
-// receiver drains with k, whose Queue, Batch and Poll it sets.
-func receiveArrivals(c rxCase, k *core.PollRx) nic.Stats {
+// receiver's task runs drain on the receiving device and returns the
+// port's registers as it left them.
+func receiveArrivals(c rxCase, drain func(t *core.Task, rx *core.Device)) nic.Stats {
+	chip, phy, rxPool := nic.ChipX540, wire.PHY10GBaseT, 4096
+	if c.chip.Name != "" {
+		chip, phy = c.chip, wire.PHY1GBaseT
+	}
+	if c.pool > 0 {
+		rxPool = c.pool
+	}
 	app := core.NewApp(c.seed)
-	tx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 0})
-	rx := app.ConfigDevice(core.DeviceConfig{Profile: nic.ChipX540, ID: 1, RxRing: c.ring, RxPool: 4096})
-	app.ConnectDevices(tx, rx, wire.PHY10GBaseT, 2)
+	tx := app.ConfigDevice(core.DeviceConfig{Profile: chip, ID: 0})
+	rx := app.ConfigDevice(core.DeviceConfig{Profile: chip, ID: 1, RxRing: c.ring, RxPool: rxPool})
+	app.ConnectDevices(tx, rx, phy, 2)
 	pool := mempool.New(mempool.Config{Count: 2048})
 	rng := rand.New(rand.NewSource(c.seed))
 	app.LaunchTask("send", func(t *core.Task) {
@@ -66,10 +77,9 @@ func receiveArrivals(c rxCase, k *core.PollRx) nic.Stats {
 			t.Sleep(sim.Duration(rng.Intn(40)) * sim.Microsecond)
 		}
 	})
-	k.Queue, k.Batch, k.Poll = rx.GetRxQueue(0), c.batch, c.poll
 	var atExit nic.Stats
 	app.LaunchTask("rx", func(t *core.Task) {
-		k.Run(t)
+		drain(t, rx)
 		atExit = rx.CounterSnapshot()
 	})
 	app.RunFor(400 * sim.Microsecond)
@@ -86,9 +96,17 @@ func receivePayload(c rxCase) rxRun {
 		}
 		r.bursts = append(r.bursts, rxBurst{len(bufs), bytes, now})
 	}}
-	r.stats = receiveArrivals(c, k)
+	r.stats = receiveArrivals(c, runKernel(c, k))
 	r.received, r.bytes = k.Received, k.Bytes
 	return r
+}
+
+// runKernel drains the device's queue with k at c's batch and poll.
+func runKernel(c rxCase, k *core.PollRx) func(t *core.Task, rx *core.Device) {
+	return func(t *core.Task, rx *core.Device) {
+		k.Queue, k.Batch, k.Poll = rx.GetRxQueue(0), c.batch, c.poll
+		k.Run(t)
+	}
 }
 
 // frameLen draws a frame size: minimum-size half the time (so a run
@@ -148,9 +166,11 @@ func receiveCount(c rxCase) rxRun {
 	k := &core.PollRx{Count: func(n int, bytes uint64, now sim.Time) {
 		r.bursts = append(r.bursts, rxBurst{n, bytes, now})
 	}}
-	r.stats = receiveArrivals(c, k)
+	r.stats = receiveArrivals(c, func(t *core.Task, rx *core.Device) {
+		runKernel(c, k)(t, rx)
+		r.pooled = rx.RxPoolAvail() != 0
+	})
 	r.received, r.bytes = k.Received, k.Bytes
-	r.pooled = k.Queue.Port().RxPoolPeek() != nil
 	return r
 }
 
@@ -164,7 +184,7 @@ func TestCountOnlyQueueMatchesPayloadQueue(t *testing.T) {
 	for _, c := range rxCases() {
 		want, got := receivePayload(c), receiveCount(c)
 		if got.pooled {
-			t.Fatalf("%v: a count-only receiver built a receive pool", c)
+			t.Fatalf("%v: a count-only receiver reports receive buffers", c)
 		}
 		if got.received != want.received || got.bytes != want.bytes || got.stats != want.stats {
 			t.Fatalf("%v: count-only received %d / %d B, registers %+v; payload %d / %d B, %+v",

@@ -120,8 +120,8 @@ type dpBed interface {
 	send(q int, m *mempool.Mbuf) bool
 	txFree(q int) int
 	txStamp() (sim.Time, uint16, bool)
-	rxBufs(n int) *mempool.BufArray
 	recv(q int, out []*mempool.Mbuf) int
+	release(q int)
 	rxStamp() (sim.Time, uint16, bool)
 	setPaused(paused bool)
 	setDown(down bool)
@@ -161,8 +161,8 @@ func newNICBed(eng *sim.Engine, c dpCase, depart func(*mempool.Mbuf, sim.Time)) 
 func (n *nicBed) send(q int, m *mempool.Mbuf) bool    { return n.a.GetTxQueue(q).SendOne(m) }
 func (n *nicBed) txFree(q int) int                    { return n.a.GetTxQueue(q).Free() }
 func (n *nicBed) txStamp() (sim.Time, uint16, bool)   { return n.a.ReadTxTimestamp() }
-func (n *nicBed) rxBufs(size int) *mempool.BufArray   { return n.b.RxBufArray(size) }
 func (n *nicBed) recv(q int, out []*mempool.Mbuf) int { return n.b.GetRxQueue(q).RecvBurst(out) }
+func (n *nicBed) release(q int)                       { n.b.GetRxQueue(q).Release() }
 func (n *nicBed) rxStamp() (sim.Time, uint16, bool)   { return n.b.ReadRxTimestamp() }
 
 func (n *nicBed) setPaused(paused bool) {
@@ -182,11 +182,8 @@ func (n *nicBed) setDown(down bool) {
 }
 
 func (n *nicBed) end() dpEnd {
-	e := dpEnd{tx: n.a.CounterSnapshot(), rx: n.b.CounterSnapshot(), wireDrop: n.a.Link().DroppedFrames, rxAvail: -1}
-	if p := n.b.RxPoolPeek(); p != nil {
-		e.rxAvail = p.Available()
-	}
-	return e
+	return dpEnd{tx: n.a.CounterSnapshot(), rx: n.b.CounterSnapshot(), wireDrop: n.a.Link().DroppedFrames,
+		rxAvail: n.b.RxPoolAvail()}
 }
 
 // runDatapathCase runs c on the bed mk builds and logs it to w.
@@ -297,21 +294,21 @@ func runDatapathCase(w *strings.Builder, c dpCase, mk newBed) dpEnd {
 	eng.Schedule(0, func() { wake(0) })
 
 	end := sim.Time(c.run + 20*sim.Microsecond)
-	ba := bed.rxBufs(c.drainBurst)
+	bufs := make([]*mempool.Mbuf, c.drainBurst)
 	var drain func()
 	drain = func() {
 		got := 0
 		for qi := 0; qi < c.rxQueues; qi++ {
-			n := bed.recv(qi, ba.Bufs)
+			n := bed.recv(qi, bufs)
 			got += n
-			for _, m := range ba.Slice(n) {
+			for _, m := range bufs[:n] {
 				o := &out[binary.BigEndian.Uint32(id(m))]
 				o.rx, o.at, o.rxq = true, sim.Time(m.RxMeta.Arrival), qi
 				if m.RxMeta.HasTimestamp {
 					o.hw = sim.Time(m.RxMeta.Timestamp)
 				}
 			}
-			ba.FreeAll()
+			bed.release(qi)
 		}
 		fmt.Fprintf(w, "drain t=%d got=%d", eng.Now(), got)
 		if ts, seq, ok := bed.rxStamp(); ok {

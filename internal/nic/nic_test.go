@@ -11,7 +11,8 @@ import (
 	"repro/internal/wire"
 )
 
-// recvOne receives a single buffer from q, if one is waiting.
+// recvOne receives a single frame from q, if one is waiting: a view
+// valid until q.Release.
 func recvOne(q *RxQueue) (*mempool.Mbuf, bool) {
 	var one [1]*mempool.Mbuf
 	if q.RecvBurst(one[:]) == 0 {
@@ -20,11 +21,11 @@ func recvOne(q *RxQueue) (*mempool.Mbuf, bool) {
 	return one[0], true
 }
 
-// rxCount empties q, freeing every buffer, and returns how many it held.
+// rxCount empties q, releasing every frame, and returns how many it held.
 func rxCount(q *RxQueue) int {
 	n := 0
-	for m, ok := recvOne(q); ok; m, ok = recvOne(q) {
-		m.Free()
+	for _, ok := recvOne(q); ok; _, ok = recvOne(q) {
+		q.Release()
 		n++
 	}
 	return n
@@ -118,7 +119,7 @@ func TestTxRxRoundTrip(t *testing.T) {
 				t.Fatal("payload corrupted")
 			}
 			seen = append(seen, p.UDP().SrcPort())
-			m.Free()
+			rxq.Release()
 		}
 	}
 	if len(seen) != 10 {
@@ -175,10 +176,9 @@ func TestLineRate(t *testing.T) {
 		out := make([]*mempool.Mbuf, 64)
 		for p.Running() || pending(b.GetRxQueue(0)) > 0 {
 			n := b.GetRxQueue(0).RecvBurst(out)
-			n += b.GetRxQueue(1).RecvBurst(out[n:])
-			for i := 0; i < n; i++ {
-				out[i].Free()
-			}
+			b.GetRxQueue(1).RecvBurst(out[n:])
+			b.GetRxQueue(0).Release()
+			b.GetRxQueue(1).Release()
 			p.Sleep(2 * sim.Microsecond)
 		}
 	})
@@ -565,7 +565,7 @@ func TestSendShortCountOnFullRing(t *testing.T) {
 		if got := (proto.UDPPacket{B: m.Payload()}).UDP().SrcPort(); got != uint16(1000+i) {
 			t.Fatalf("frame %d has source port %d, want %d", i, got, 1000+i)
 		}
-		m.Free()
+		b.GetRxQueue(0).Release()
 	}
 	if _, ok := recvOne(b.GetRxQueue(0)); ok {
 		t.Fatal("a refused buffer went out")
@@ -598,7 +598,7 @@ func Test82580TimestampAllRx(t *testing.T) {
 			t.Fatal("packet without hardware timestamp")
 		}
 		stamps = append(stamps, m.RxMeta.Timestamp)
-		m.Free()
+		b.GetRxQueue(0).Release()
 	}
 	if len(stamps) != 20 {
 		t.Fatalf("got %d stamps", len(stamps))

@@ -63,6 +63,7 @@ type refBed struct {
 
 	// Receive side of port b.
 	rxq    [][]*mempool.Mbuf
+	rxHeld []*mempool.Mbuf // handed out by recv, freed by release
 	rxCap  int
 	rxPool *mempool.Pool
 	tsOn   bool
@@ -367,7 +368,6 @@ func (r *refBed) deliver(f *refFrame, at sim.Time) {
 func (r *refBed) txFree(q int) int                  { return r.txq[q].cap - len(r.txq[q].ring) }
 func (r *refBed) txStamp() (sim.Time, uint16, bool) { return r.txTS.read() }
 func (r *refBed) rxStamp() (sim.Time, uint16, bool) { return r.rxTS.read() }
-func (r *refBed) rxBufs(n int) *mempool.BufArray    { return r.rxPool.BufArray(n) }
 
 func (l *refLatch) read() (sim.Time, uint16, bool) {
 	v := *l
@@ -377,8 +377,16 @@ func (l *refLatch) read() (sim.Time, uint16, bool) {
 
 func (r *refBed) recv(qi int, out []*mempool.Mbuf) int {
 	n := copy(out, r.rxq[qi])
+	r.rxHeld = append(r.rxHeld, r.rxq[qi][:n]...)
 	r.rxq[qi] = r.rxq[qi][n:]
 	return n
+}
+
+func (r *refBed) release(int) {
+	for _, m := range r.rxHeld {
+		m.Free()
+	}
+	r.rxHeld = r.rxHeld[:0]
 }
 
 func (r *refBed) setPaused(paused bool) {

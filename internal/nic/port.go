@@ -39,13 +39,11 @@ type Port struct {
 	rxQueues []*RxQueue
 	link     *wire.Link // outgoing side
 
-	// rxPool backs the receive buffers: every frame received into a
-	// payload queue takes one and the receiver's free returns it. The
-	// pool is created on first use: TX-only ports (the generators, a
-	// hooked DuT port) and ports with only count-only queues never pay
-	// for zeroing a receive slab they will not touch.
-	rxPool     *mempool.Pool
-	rxPoolSize int
+	// rxFree counts the free receive buffers (RxPoolSize at first): a
+	// frame a payload queue holds takes one until RxQueue.Release.
+	// rxBuffered: the port has received into a payload queue.
+	rxFree     int
+	rxBuffered bool
 
 	// stats holds the statistics registers: plain counters the
 	// datapath increments per packet. Only the port's engine touches
@@ -162,7 +160,7 @@ func NewPort(eng *sim.Engine, cfg PortConfig) *Port {
 			DriftPPM:        cfg.ClockDriftPPM,
 			ReadOutlierProb: 0.05,
 		}),
-		rxPoolSize:   cfg.RxPoolSize,
+		rxFree:       cfg.RxPoolSize,
 		tsUDPPort:    proto.PTPUDPPort,
 		minFrameTime: wire.FrameTime(cfg.Profile.Speed, proto.MinFrameSizeFCS),
 	}
@@ -204,9 +202,9 @@ func ConnectDuplex(eng *sim.Engine, a, b *Port, phy wire.PHYProfile, lengthM flo
 }
 
 // PullRx takes the due frames off the link into the receive path. Every
-// surface that observes receive state calls it first: RecvBurst,
-// CounterSnapshot, ReadRxTimestamp, the receive pool (Pool.SetSync),
-// clock steps (Clock.SetSync) and a deliver hook's owner.
+// surface that observes receive state calls it first: RecvBurst and
+// Release, CounterSnapshot, RxPoolAvail, ReadRxTimestamp, clock steps
+// (Clock.SetSync) and a deliver hook's owner.
 func (p *Port) PullRx() {
 	if p.in != nil {
 		p.in.Pull()
@@ -238,33 +236,17 @@ func (p *Port) GetRxQueue(i int) *RxQueue { return p.rxQueues[i] }
 // NumTxQueues returns the number of configured TX queues.
 func (p *Port) NumTxQueues() int { return len(p.txQueues) }
 
-// ensureRxPool creates the receive pool on first use: the first frame
-// steered into a payload queue, or the first RxBufArray. Lazy creation
-// is invisible to the simulation (pool construction draws no
-// randomness and schedules no events); it only avoids allocating and
-// zeroing megabytes of receive slab on ports that never receive into
-// buffers: TX-only ports, and ports whose queues are all count-only
-// (RxQueue.SetCountOnly).
-func (p *Port) ensureRxPool() {
-	if p.rxPool == nil {
-		p.rxPool = mempool.New(mempool.Config{Count: p.rxPoolSize})
-		p.rxPool.SetSync(p.PullRx)
+// RxPoolAvail returns the port's free receive buffers as of now:
+// RxPoolSize less the frames its payload queues hold, in their rings or
+// handed out by RecvBurst and not yet released. It reads 0 on a port
+// that never received into a payload queue (a TX-only port, or one
+// whose queues are all count-only), which has no use for a pool.
+func (p *Port) RxPoolAvail() int {
+	p.PullRx()
+	if !p.rxBuffered {
+		return 0
 	}
-}
-
-// RxPoolPeek returns the receive mempool without forcing its lazy
-// creation — nil until the port first receives into a payload queue,
-// and nil for good on a port whose queues are all count-only.
-// Monitoring code samples through this so observing a TX-only
-// port never materializes a receive slab it will not use.
-func (p *Port) RxPoolPeek() *mempool.Pool { return p.rxPool }
-
-// RxBufArray returns a burst wrapper over this port's receive pool for
-// draining its receive queues; its FreeAll returns a burst to the
-// pool. Size <= 0 selects the default batch size.
-func (p *Port) RxBufArray(size int) *mempool.BufArray {
-	p.ensureRxPool()
-	return p.rxPool.BufArray(size)
+	return p.rxFree
 }
 
 // CounterSnapshot returns the statistics registers. It must be called
@@ -426,8 +408,8 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 	}
 
 	// 3. Steer into a receive queue, drop (missed) when pool or ring is
-	// full. A count-only queue takes the length alone: no buffer, no
-	// copy.
+	// full. A count-only queue takes the length alone, a payload queue
+	// the frame itself: neither copies a byte.
 	q := p.rxQueues[0]
 	if len(p.rxQueues) > 1 {
 		q = p.rxQueues[p.rssQueue(f.Data)]
@@ -436,24 +418,6 @@ func (p *Port) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
 		q.deliverLen(len(f.Data))
 		return
 	}
-	p.ensureRxPool()
-	m := p.rxPool.Alloc(len(f.Data))
-	if m == nil {
-		p.stats.RxMissed++
-		return
-	}
-	copy(m.Data, f.Data)
-	m.RxMeta.Queue = q.id
-	// Arrival is the PHY-level receive instant every descriptor carries
-	// out of band — what a busy-polling driver derives its software
-	// receive timestamps from. The flow layer computes inter-arrival
-	// and stamped latencies from it, independent of the poll cadence.
-	m.RxMeta.Arrival = int64(rxTime)
-	if p.profile.TimestampAllRx {
-		// 82580: hardware timestamps every packet (§6), quantized to
-		// the chip's 64 ns granularity.
-		m.RxMeta.Timestamp = int64(p.Clock.TimestampAt(rxTime))
-		m.RxMeta.HasTimestamp = true
-	}
-	q.deliver(m)
+	p.rxBuffered = true
+	q.deliver(f, rxTime)
 }

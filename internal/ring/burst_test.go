@@ -47,16 +47,16 @@ func udpBufs(t *testing.T, n int) []*mempool.Mbuf {
 	return bufs
 }
 
-// expectInOrder checks that got holds the packets with source ports
-// first, first+1, … and frees them.
-func expectInOrder(t *testing.T, got []*mempool.Mbuf, first int) {
+// expectInOrder checks that the received frames got are the packets
+// with source ports first, first+1, … and releases them.
+func expectInOrder(t *testing.T, q *nic.RxQueue, got []*mempool.Mbuf, first int) {
 	t.Helper()
 	for i, m := range got {
 		if p := (proto.UDPPacket{B: m.Payload()}).UDP().SrcPort(); p != uint16(first+i) {
-			t.Fatalf("buffer %d has source port %d, want %d", i, p, first+i)
+			t.Fatalf("frame %d has source port %d, want %d", i, p, first+i)
 		}
-		m.Free()
 	}
+	q.Release()
 }
 
 // TestSPSCBulkShortCount: a burst of 10 onto an 8-descriptor TX ring
@@ -75,11 +75,12 @@ func TestSPSCBulkShortCount(t *testing.T) {
 		m.Free()
 	}
 	out := make([]*mempool.Mbuf, 16)
-	n := b.GetRxQueue(0).RecvBurst(out)
+	q := b.GetRxQueue(0)
+	n := q.RecvBurst(out)
 	if n != 8 {
 		t.Fatalf("RecvBurst(16) = %d, want 8", n)
 	}
-	expectInOrder(t, out[:n], 1000)
+	expectInOrder(t, q, out[:n], 1000)
 }
 
 // TestBurstNamesAreCanonical: RecvBurst, the receive burst of the
@@ -103,11 +104,11 @@ func TestBurstNamesAreCanonical(t *testing.T) {
 	if n := q.RecvBurst(out[:3]); n != 3 {
 		t.Fatalf("RecvBurst(3) with 8 queued = %d, want 3", n)
 	}
-	expectInOrder(t, out[:3], 1000)
+	expectInOrder(t, q, out[:3], 1000)
 	if n := q.RecvBurst(out); n != 5 {
 		t.Fatalf("RecvBurst(16) with 5 queued = %d, want 5", n)
 	} else {
-		expectInOrder(t, out[:n], 1003)
+		expectInOrder(t, q, out[:n], 1003)
 	}
 	if n := q.RecvBurst(out); n != 0 {
 		t.Fatalf("RecvBurst on an empty ring = %d", n)

@@ -68,7 +68,9 @@ func (e *Env) Adopt(app *core.App) {
 // ring. Each pool holds at least a ring plus one drain burst, so a
 // payload drain of the same traffic could not run its pool dry before
 // its ring filled either: both drains count the same frames. The
-// Env's pool backs the flow sinks, which receive into buffers.
+// Env's pool counts the receive buffers of the flow sinks, whose
+// payload queues hold the wire frames themselves: it costs nothing to
+// build.
 const (
 	envRxRing, envRxPool         = 8192, 16384
 	dutSinkRxRing, dutSinkRxPool = 4096, 8192

@@ -127,7 +127,8 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 	}
 
 	// One prefilled pool and payload offset per flow; the per-packet
-	// work is one sequence stamp.
+	// work is one sequence stamp. A flow's pool is built at its first
+	// admitted slot: a shard sends only its share of the flows.
 	pools := make([]*mempool.Pool, F)
 	sizes := make([]int, F)
 	for fi, f := range flows {
@@ -135,7 +136,6 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 		if sizes[fi] < proto.EthHdrLen+proto.IPv4HdrLen+proto.UDPHdrLen+flow.StampLen {
 			return nil, fmt.Errorf("flow-tracked scenario: frame size %d cannot carry the %d-byte sequence stamp", sizes[fi], flow.StampLen)
 		}
-		pools[fi] = env.NewFlowPool(f, sizes[fi], 4096)
 	}
 	const payloadOff = proto.EthHdrLen + proto.IPv4HdrLen + proto.UDPHdrLen
 
@@ -158,6 +158,9 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 		stamped = s
 		if cfg.stampSeq != nil {
 			stamped = cfg.stampSeq(s)
+		}
+		if pools[fi] == nil {
+			pools[fi] = env.NewFlowPool(flows[fi], sizes[fi], 4096)
 		}
 		if !tx.Send(pools[fi], sizes[fi], stamp) {
 			return

@@ -12,11 +12,11 @@ import (
 // Port.CounterSnapshot, the surface the end-of-run reports read. The
 // snapshot event runs on the port's engine, so it sees every packet
 // counted before it at its instant. The model columns are
-// functions of the modeled wire; rx_pool_avail is the port's receive
-// pool occupancy, a diagnostic (it varies with drain batching). It
-// reads 0 on a port that has no receive pool: a TX-only port, or one
-// whose receivers are all count-only (core.PollRx with no payload
-// hook).
+// functions of the modeled wire; rx_pool_avail is the port's free
+// receive buffers (Port.RxPoolAvail), a diagnostic (it varies with
+// drain batching). It reads 0 on a port that never received into a
+// payload queue: a TX-only port, or one whose receivers are all
+// count-only (core.PollRx with no payload hook).
 func PortProbe(name string, p *nic.Port) Probe {
 	return Probe{Name: name, Cols: []Column{
 		{Name: "tx_pkts", Rule: RuleSum, Sample: func() uint64 { return p.CounterSnapshot().TxPackets }},
@@ -25,12 +25,7 @@ func PortProbe(name string, p *nic.Port) Probe {
 		{Name: "rx_bytes", Rule: RuleSum, Sample: func() uint64 { return p.CounterSnapshot().RxBytes }},
 		{Name: "rx_crc_errors", Rule: RuleSum, Sample: func() uint64 { return p.CounterSnapshot().RxCRCErrors }},
 		{Name: "rx_missed", Rule: RuleSum, Sample: func() uint64 { return p.CounterSnapshot().RxMissed }},
-		{Name: "rx_pool_avail", Rule: RuleSum, Diag: true, Sample: func() uint64 {
-			if pool := p.RxPoolPeek(); pool != nil {
-				return uint64(pool.Available())
-			}
-			return 0
-		}},
+		{Name: "rx_pool_avail", Rule: RuleSum, Diag: true, Sample: func() uint64 { return uint64(p.RxPoolAvail()) }},
 	}}
 }
 

@@ -224,8 +224,9 @@ type Link struct {
 	down bool
 
 	// freeFrames recycles delivered, dropped and released frames
-	// (bounded; see recycle).
+	// (at most freeCap; see recycle).
 	freeFrames []*Frame
+	freeCap    int
 
 	// TxFrames / TxBytes count what was put on the wire.
 	TxFrames uint64
@@ -253,6 +254,7 @@ func NewLink(eng *sim.Engine, speed Speed, phy PHYProfile, lengthM float64, peer
 		rangeNS:   phy.RangeNS,
 		largePct:  phy.LargeJitterPct,
 		jitterRNG: eng.NewRand(),
+		freeCap:   maxFreeFrames,
 	}
 	l.lineFire = l.fireLine
 	eng.AddDeferred(l.lastEvent)
@@ -335,8 +337,10 @@ func (l *Link) AcquireFrame() *Frame {
 
 // SetCapacity bounds the due frames held in flight for the endpoint
 // (its receive descriptors): past it, a commit hands the due ones over
-// at once, which is exact because they are due.
-func (l *Link) SetCapacity(n int) { l.pullCap = n }
+// at once, which is exact because they are due. The free list keeps 2n
+// frames more, n due in flight and n the endpoint retains, so a slow
+// receiver's released ring is reused rather than reallocated.
+func (l *Link) SetCapacity(n int) { l.pullCap, l.freeCap = n, maxFreeFrames+2*n }
 
 // Valid reports whether a receiving MAC accepts the frame (good FCS,
 // at least 64 B); it drops any other into an error counter (§8.1).
@@ -421,13 +425,13 @@ func (l *Link) drop(f *Frame) {
 	l.recycle(f)
 }
 
-// maxFreeFrames bounds a link's free list.
+// maxFreeFrames bounds a link's free list (SetCapacity raises it).
 const maxFreeFrames = 1024
 
 // recycle puts a frame on the free list unless a consumer retained it
 // (the consumer's Release recycles it later) or the list is full.
 func (l *Link) recycle(f *Frame) {
-	if f.retained || len(l.freeFrames) >= maxFreeFrames {
+	if f.retained || len(l.freeFrames) >= l.freeCap {
 		return
 	}
 	f.Data = f.Data[:0]
